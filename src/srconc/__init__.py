@@ -56,11 +56,11 @@ from .chains import (
 from .functional import (
     MatrixFn,
     PoincareReport,
-    adversarial_lambda_search,
     check_decompositions,
     check_matrix_poincare,
     dirichlet_form,
     matrix_mean,
+    matrix_poincare_constant,
     matrix_variance,
     project_fn,
     random_linear_matrix_fn,

@@ -31,6 +31,7 @@ from .measures import (
     CouplingTable,
     SubsetMeasure,
     ZeroMassEvent,
+    condition,
     feasible_coupling,
     popcount,
     validate,
@@ -307,15 +308,15 @@ def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
 
     if pihat0 == 0.0 or pihat1 == 0.0:
         const = 1 if pihat0 == 0.0 else 0
-        sub = _raw_walk(_condition_measure(m, ell, const), memo)
+        sub = _raw_walk(condition(m, [ell], [const]), memo)
         lifted = _insert_bit(sub.states, ell, const)
         if not np.array_equal(lifted, supp):
             raise NotOnCube("lifted conditional support mismatch")
         return Generator(supp, sub.rates.copy(), pi.copy(), n=m.n)
 
     kappa = scp_coupling(m, ell)
-    sub0 = _raw_walk(_condition_measure(m, ell, 0), memo)
-    sub1 = _raw_walk(_condition_measure(m, ell, 1), memo)
+    sub0 = _raw_walk(condition(m, [ell], [0]), memo)
+    sub1 = _raw_walk(condition(m, [ell], [1]), memo)
 
     q = np.zeros((supp.size, supp.size))
     pos = {int(s): i for i, s in enumerate(supp)}
@@ -337,13 +338,6 @@ def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return Generator(supp, q, pi.copy(), n=m.n)
-
-
-def _condition_measure(m: SubsetMeasure, ell: int, bit: int) -> SubsetMeasure:
-    # local import-free conditioning; measures.condition already packs bits
-    from .measures import condition
-
-    return condition(m, [ell], [bit])
 
 
 def _raw_walk(m: SubsetMeasure, memo: dict) -> Generator:

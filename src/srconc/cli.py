@@ -337,13 +337,9 @@ def cmd_tail(cfg: dict) -> int:
                     violated = True
         row = concentration.TailRow(float(t), float(prob), ci, bp, bs, bk)
         rows.append(row)
-    out = cfg.get("out")
-    if out:
-        concentration.write_tail_csv(rows, out)
-    else:
-        _emit_csv(concentration.TAIL_CSV_COLUMNS,
-                  [[r.t, r.exact_or_empirical, r.ci_upper, r.bound_poincare,
-                    r.bound_sr, r.bound_ks, r.dominator] for r in rows], None)
+    _emit_csv(concentration.TAIL_CSV_COLUMNS,
+              [[r.t, r.exact_or_empirical, r.ci_upper, r.bound_poincare,
+                r.bound_sr, r.bound_ks, r.dominator] for r in rows], cfg.get("out"))
     return EXIT_VIOLATION if violated else EXIT_OK
 
 

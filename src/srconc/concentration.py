@@ -19,7 +19,6 @@ through eigenvalues, so arbitrarily large doubling depths stay stable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -363,16 +362,3 @@ class TailRow:
             return ""
         return min(live, key=live.get)
 
-
-def write_tail_csv(rows, path) -> None:
-    def fmt(x):
-        return "" if x is None else repr(float(x))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TAIL_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row.t), fmt(row.exact_or_empirical),
-                             fmt(row.ci_upper), fmt(row.bound_poincare),
-                             fmt(row.bound_sr), fmt(row.bound_ks),
-                             row.dominator])

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .chains import Decomposition, Generator
 from .matrix_core import random_symmetric, require_symmetric, spectral_norm
+from .measures import component_count
 
 
 class FunctionalError(Exception):
@@ -204,6 +203,21 @@ def check_decompositions(dec: Decomposition, fn: MatrixFn) -> DecompositionResid
     return DecompositionResiduals(var_res, dir_res, scale)
 
 
+def _symmetrized(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(pi), -(S + S')/2) with S = D^{1/2} Q D^{-1/2}, D = diag pi.
+
+    Raises Reducible when the rate support graph is disconnected.
+    """
+    adj = np.abs(gen.rates) > 0.0
+    xs, ys = np.nonzero(np.triu(adj | adj.T, 1))
+    components = component_count(gen.states.size, zip(xs.tolist(), ys.tolist()))
+    if components > 1:
+        raise Reducible(components)
+    root = np.sqrt(gen.pi)
+    sym = (root[:, None] / root[None, :]) * gen.rates
+    return root, -(sym + sym.T) / 2.0
+
+
 def scalar_spectral_gap(gen: Generator) -> float:
     """Smallest nonzero eigenvalue of the symmetrized negative generator.
 
@@ -211,19 +225,27 @@ def scalar_spectral_gap(gen: Generator) -> float:
     smallest eigenvalue of its negation.  Raises Reducible when the rate
     support graph is disconnected; a single-state chain has gap +inf.
     """
-    m = gen.states.size
-    if m == 1:
+    if gen.states.size == 1:
         return float("inf")
-    adj = (np.abs(gen.rates) > 0.0)
-    np.fill_diagonal(adj, False)
-    ncomp, _ = connected_components(csr_matrix(adj), directed=False)
-    if ncomp > 1:
-        raise Reducible(int(ncomp))
-    root = np.sqrt(gen.pi)
-    sym = (root[:, None] / root[None, :]) * gen.rates
-    sym = -(sym + sym.T) / 2.0
-    eig = np.linalg.eigvalsh(sym)
-    return float(eig[1])
+    _, sym = _symmetrized(gen)
+    return float(np.linalg.eigvalsh(sym)[1])
+
+
+def matrix_poincare_constant(gen: Generator, d: int) -> tuple[float, MatrixFn | None]:
+    """Largest lambda with lambda * Var_pi[F] <= E_Q(F, F) for every d x d F.
+
+    For a fixed vector v, x -> F(x) v is d scalar functions; the scalar
+    Poincare inequality for each, summed, gives v'(E - gap * Var) v >= 0.
+    F = g * I_d with g the eigenvector attached to the gap attains it, so
+    the constant is exactly scalar_spectral_gap(gen) and g * I_d is the
+    witness (None for a single state, where the constant is +inf).
+    """
+    lam = scalar_spectral_gap(gen)
+    if gen.states.size == 1:
+        return lam, None
+    root, sym = _symmetrized(gen)
+    fiedler = np.linalg.eigh(sym)[1][:, 1] / root
+    return lam, MatrixFn(gen.states, np.einsum("x,ij->xij", fiedler, np.eye(d)))
 
 
 @dataclass(frozen=True)
@@ -247,68 +269,6 @@ def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
     passed = slack >= -tol * scale
     return PoincareReport(float(lam), slack, scale, tol, passed,
                           None if passed else fn)
-
-
-def _pencil_min(energy, var, cutoff: float = 1e-12) -> float:
-    """min of v'Ev / v'Vv over the range of V; +inf when V vanishes."""
-    lam, vec = np.linalg.eigh(var)
-    top = lam.max(initial=0.0)
-    if top <= 0.0:
-        return float("inf")
-    keep = lam > cutoff * top
-    if not keep.any():
-        return float("inf")
-    basis = vec[:, keep] / np.sqrt(lam[keep])
-    reduced = basis.T @ energy @ basis
-    return float(np.linalg.eigvalsh(reduced).min())
-
-
-def _rayleigh(gen: Generator, vals) -> float:
-    energy = dirichlet_form(gen.rates, gen.pi, vals)
-    var = matrix_variance(gen.pi, vals)
-    return _pencil_min(energy, var)
-
-
-def adversarial_lambda_search(gen: Generator, d: int, budget: int = 8,
-                              seed: int = 0, sweeps: int = 2) -> float:
-    """Smallest matrix Rayleigh quotient found by restarts plus descent.
-
-    One restart starts from the scalar witness (the eigenvector of the
-    symmetrized generator attached to the gap, embedded as g(x) * I), the
-    rest from random tables.  Deterministic for fixed (seed, budget).
-    """
-    m = gen.states.size
-    if m < 2:
-        return float("inf")
-    root = np.sqrt(gen.pi)
-    sym = (root[:, None] / root[None, :]) * gen.rates
-    sym = -(sym + sym.T) / 2.0
-    _, vec = np.linalg.eigh(sym)
-    fiedler = vec[:, 1] / root
-
-    best = np.inf
-    for restart in range(max(1, int(budget))):
-        rng = np.random.default_rng([seed, restart])
-        if restart == 0:
-            vals = np.einsum("x,ij->xij", fiedler, np.eye(d))
-        else:
-            vals = np.stack([random_symmetric(rng, d) for _ in range(m)])
-        current = _rayleigh(gen, vals)
-        step = 0.5
-        for _ in range(max(0, int(sweeps))):
-            for x in range(m):
-                for i in range(d):
-                    for j in range(i, d):
-                        for sign in (1.0, -1.0):
-                            trial = vals.copy()
-                            trial[x, i, j] += sign * step
-                            trial[x, j, i] = trial[x, i, j]
-                            val = _rayleigh(gen, trial)
-                            if val < current:
-                                vals, current = trial, val
-            step *= 0.5
-        best = min(best, current)
-    return float(best)
 
 
 def matrix_fn_to_json(fn: MatrixFn) -> dict:

@@ -106,7 +106,7 @@ def validate(m: SubsetMeasure) -> None:
         mask = int(np.argmin(m.probs))
         raise NegativeMass(f"mass {lo!r} at mask {mask:#x}")
     total = float(m.probs.sum())
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN total
         raise NotNormalized(f"total mass {total!r} deviates from 1 by {total - 1.0:.3e}")
     if not (m.probs > 0.0).any():
         raise ZeroMassEvent("measure has empty support")
@@ -323,24 +323,33 @@ def make_bernoulli_product(ps) -> SubsetMeasure:
     return SubsetMeasure(int(n), probs)
 
 
+def projection_kernel(kernel) -> tuple[np.ndarray, int]:
+    """The kernel as a float array and its rank.
+
+    Raises unless the kernel is an orthogonal projection: square, and
+    symmetric and idempotent within PROJECTION_TOL of its largest entry.
+    """
+    k_mat = np.asarray(kernel, dtype=float)
+    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
+        raise ValueError(f"kernel must be square, got shape {k_mat.shape}")
+    scale = max(1.0, float(np.abs(k_mat).max()))
+    if np.abs(k_mat - k_mat.T).max() > PROJECTION_TOL * scale:
+        raise NotAProjection("kernel is not symmetric")
+    if np.abs(k_mat @ k_mat - k_mat).max() > PROJECTION_TOL * scale:
+        raise NotAProjection("kernel is not idempotent within 1e-8")
+    return k_mat, int(round(float(np.trace(k_mat))))
+
+
 def make_projection_dpp(kernel) -> SubsetMeasure:
     """Determinantal measure of an orthogonal projection kernel.
 
     mu(S) = det(K_S) over subsets of size rank(K); the table is
     renormalized to kill the tiny float drift in the determinants.
     """
-    k_mat = np.asarray(kernel, dtype=float)
-    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {k_mat.shape}")
+    k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
     if n > STORAGE_LIMIT:
         raise StateSpaceTooLarge(f"kernel on {n} elements exceeds limit {STORAGE_LIMIT}")
-    scale = max(1.0, float(np.abs(k_mat).max()))
-    if np.abs(k_mat - k_mat.T).max() > PROJECTION_TOL * scale:
-        raise NotAProjection("kernel is not symmetric")
-    if np.abs(k_mat @ k_mat - k_mat).max() > PROJECTION_TOL * scale:
-        raise NotAProjection("kernel is not idempotent within 1e-8")
-    rank = int(round(float(np.trace(k_mat))))
 
     probs = np.zeros(1 << n)
     for bits in itertools.combinations(range(n), rank):
@@ -375,6 +384,12 @@ class _UnionFind:
         return True
 
 
+def component_count(vertices: int, edges) -> int:
+    """Connected components of the undirected graph on range(vertices)."""
+    uf = _UnionFind(vertices)
+    return vertices - sum(uf.union(int(u), int(v)) for u, v in edges)
+
+
 def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
     """True iff the selected edges form a spanning tree on all vertices."""
     chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]
@@ -400,12 +415,9 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
     n = len(edges)
     if n > STORAGE_LIMIT:
         raise StateSpaceTooLarge(f"{n} edges exceeds limit {STORAGE_LIMIT}")
-    uf = _UnionFind(vertices)
-    for u, v in edges:
-        uf.union(u, v)
-    roots = {uf.find(w) for w in range(vertices)}
-    if len(roots) != 1:
-        raise DisconnectedGraph(f"graph has {len(roots)} components")
+    components = component_count(vertices, edges)
+    if components != 1:
+        raise DisconnectedGraph(f"graph has {components} components")
 
     masks = np.arange(1 << n, dtype=np.int64)
     candidates = masks[popcount(masks) == vertices - 1]

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
-from .functional import DomainMismatch, MatrixFn
+from .functional import MatrixFn
 from .measures import (
     DisconnectedGraph,
-    NotAProjection,
-    PROJECTION_TOL,
     SubsetMeasure,
-    _UnionFind,
+    component_count,
+    projection_kernel,
     validate,
 )
 
@@ -100,10 +99,7 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     edges = [(int(u), int(v)) for u, v in edges]
     if vertices is None:
         vertices = 1 + max(max(u, v) for u, v in edges)
-    uf = _UnionFind(vertices)
-    for u, v in edges:
-        uf.union(u, v)
-    if len({uf.find(w) for w in range(vertices)}) != 1:
+    if component_count(vertices, edges) != 1:
         raise DisconnectedGraph("graph is not connected")
 
     nbr: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
@@ -145,14 +141,8 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
     Chain rule on the kernel: pick an item proportional to the residual
     diagonal, take the Schur complement, repeat rank(K) times.
     """
-    k_mat = np.asarray(kernel, dtype=float)
+    k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
-    scale = max(1.0, float(np.abs(k_mat).max()))
-    if np.abs(k_mat - k_mat.T).max() > PROJECTION_TOL * scale:
-        raise NotAProjection("kernel is not symmetric")
-    if np.abs(k_mat @ k_mat - k_mat).max() > PROJECTION_TOL * scale:
-        raise NotAProjection("kernel is not idempotent within 1e-8")
-    rank = int(round(float(np.trace(k_mat))))
 
     draws = np.zeros(count, dtype=np.int64)
     for i in range(count):
@@ -181,7 +171,7 @@ def clopper_pearson_upper(successes: int, trials: int,
         raise ValueError("need 0 <= successes <= trials, trials > 0")
     if successes == trials:
         return 1.0
-    return float(beta.ppf(confidence, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, confidence))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srconc.cli import main
+from srconc.concentration import TAIL_CSV_COLUMNS
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -46,6 +47,15 @@ def test_validate_measure_rejects_unnormalized(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad.json", {
         "measure": {"inline": {"n": 1, "entries": [{"mask": 0, "p": 0.4},
                                                    {"mask": 1, "p": 0.4}]}}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert code == 2
+    assert payload["error"] == "NotNormalized"
+
+
+def test_validate_measure_rejects_nan_mass(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nan.json", {
+        "measure": {"inline": {"n": 1, "entries": [{"mask": 0, "p": float("nan")},
+                                                   {"mask": 1, "p": 0.5}]}}})
     code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
     assert code == 2
     assert payload["error"] == "NotNormalized"
@@ -223,6 +233,28 @@ def test_tail_empirical_mode(tmp_path, capsys):
         assert float(row[2]) >= float(row[1])   # CI upper covers the estimate
 
 
+@pytest.mark.parametrize("mode", ["exact", "empirical"])
+def test_tail_stdout_matches_out_file(tmp_path, capsys, mode):
+    out = tmp_path / "tail.csv"
+    cfg = write_cfg(tmp_path, "t.json", {
+        "measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+        "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
+        "mode": mode, "count": 2000, "t_grid": {"points": 5}})
+    assert main(["tail", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+    rows = list(csv.reader(stdout.splitlines()))
+    assert tuple(rows[0]) == TAIL_CSV_COLUMNS
+    for row in rows[1:]:
+        assert (row[2] == "") == (mode == "exact")   # no CI on exact tails
+        assert row[4] == ""                          # a table has no Lipschitz bound
+        bounds = {"poincare": float(row[3]), "ks": float(row[5])}
+        assert row[6] == min(bounds, key=bounds.get)
+
+
 def test_tail_rejects_unknown_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "t.json", {
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
@@ -319,6 +351,15 @@ def test_bad_measure_family(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "f.json", {"measure": {"family": "zeta"}})
     assert main(["validate-measure", "--config", cfg]) == 1
     capsys.readouterr()
+
+
+def test_cli_import_skips_scipy_stats_and_sparse():
+    code = ("import sys, srconc.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed(tmp_path):

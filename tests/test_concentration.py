@@ -1,11 +1,10 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from srconc import chains, concentration as cc, functional, measures
+from srconc import chains, functional, measures
 from srconc.concentration import (
     EmptyGrid,
     OutOfRadius,
@@ -27,7 +26,6 @@ from srconc.concentration import (
     tail_bound_sr,
     tail_bound_sr_composed,
     trace_mgf,
-    write_tail_csv,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
 
@@ -494,18 +492,3 @@ def test_tail_row_dominator():
     assert row2.dominator == "poincare"
     row3 = TailRow(1.0, 0.1, None, None, None, None)
     assert row3.dominator == ""
-
-
-def test_write_tail_csv_roundtrip(tmp_path):
-    rows = [TailRow(0.5, 0.25, 0.3, 0.9, 0.8, None),
-            TailRow(1.0, 0.05, None, 0.4, 0.6, 0.2)]
-    path = tmp_path / "tails.csv"
-    write_tail_csv(rows, path)
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == list(cc.TAIL_CSV_COLUMNS)
-    assert float(got[1][0]) == 0.5
-    assert got[1][5] == ""          # absent ks bound stays blank
-    assert got[1][6] == "sr"
-    assert float(got[2][5]) == 0.2
-    assert got[2][6] == "ks"

@@ -7,13 +7,13 @@ from srconc.functional import (
     DomainMismatch,
     MatrixFn,
     Reducible,
-    adversarial_lambda_search,
     check_decompositions,
     check_matrix_poincare,
     dirichlet_form,
     matrix_fn_from_json,
     matrix_fn_to_json,
     matrix_mean,
+    matrix_poincare_constant,
     matrix_variance,
     project_fn,
     random_linear_matrix_fn,
@@ -229,14 +229,10 @@ def test_poincare_scalar_reduction():
     """g(x) * I turns the matrix inequality into the scalar one, so the
     claim holds at the gap and fails just above it for the gap witness."""
     w = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
-    gap = scalar_spectral_gap(w)
-    root = np.sqrt(w.pi)
-    sym = (root[:, None] / root[None, :]) * w.rates
-    sym = -(sym + sym.T) / 2.0
-    _, vec = np.linalg.eigh(sym)
-    fiedler = vec[:, 1] / root
-    vals = np.einsum("x,ij->xij", fiedler, np.eye(2))
-    fn = MatrixFn(w.states, vals)
+    gap, fn = matrix_poincare_constant(w, 2)
+    assert gap == scalar_spectral_gap(w)
+    assert fn.states.tolist() == w.states.tolist()
+    assert fn.dim == 2
     ok = check_matrix_poincare(w, fn, gap)
     assert ok.passed
     bad = check_matrix_poincare(w, fn, gap * 1.05)
@@ -254,40 +250,34 @@ def test_poincare_random_fn_at_gap(fixture_walks):
         assert rep.passed, (name, rep.min_eig_slack)
 
 
-# ----------------------------------------------------- adversarial search
+# ------------------------------------------------- matrix Poincare constant
 
 def test_search_two_state_recovers_sum():
     g = two_state_gen(0.7, 0.4)
-    found = adversarial_lambda_search(g, d=2, budget=4, seed=0)
+    found, _ = matrix_poincare_constant(g, 2)
     assert abs(found - 1.1) <= 1e-6
 
 
 def test_search_complete_graph():
-    found = adversarial_lambda_search(complete_graph_gen(5), d=2, budget=3, seed=1)
+    found, _ = matrix_poincare_constant(complete_graph_gen(5), 2)
     assert abs(found - 1.0) <= 1e-6
 
 
 def test_search_matches_scalar_gap_on_fixtures(fixture_walks):
     """The matrix constant cannot undercut the scalar gap and the scalar
-    witness already attains it, so the search lands on the gap."""
+    witness attains it, so the constant is the gap itself."""
     for name in ["uniform_3_1", "uniform_4_2", "trees_k3", "cube_2", "dpp_4"]:
         gen = fixture_walks[name]
         gap = scalar_spectral_gap(gen)
-        found = adversarial_lambda_search(gen, d=2, budget=3,
-                                          seed=name_seed(name))
-        assert abs(found - gap) <= 1e-6, name
+        found, witness = matrix_poincare_constant(gen, 2)
+        assert found == gap, name
+        assert check_matrix_poincare(gen, witness, found).passed, name
+        assert not check_matrix_poincare(gen, witness, 1.05 * found).passed, name
 
 
 def test_search_single_state():
     g = chains.Generator(np.array([0]), np.zeros((1, 1)), np.array([1.0]))
-    assert adversarial_lambda_search(g, d=2) == np.inf
-
-
-def test_search_deterministic():
-    g = two_state_gen(1.0, 0.5)
-    a = adversarial_lambda_search(g, d=2, budget=3, seed=9)
-    b = adversarial_lambda_search(g, d=2, budget=3, seed=9)
-    assert a == b
+    assert matrix_poincare_constant(g, 2) == (np.inf, None)
 
 
 # ----------------------------------------------------------------- round trip

@@ -43,6 +43,24 @@ def test_validate_rejects_negative_mass():
         validate(SubsetMeasure(1, np.array([-0.1, 1.1])))
 
 
+def test_validate_rejects_non_finite_mass():
+    with pytest.raises(NotNormalized):
+        validate(SubsetMeasure(1, np.array([np.nan, 0.5])))
+    with pytest.raises(NotNormalized):
+        validate(SubsetMeasure(2, np.array([0.0, np.nan, np.nan, 1.0])))
+    with pytest.raises(NotNormalized):
+        validate(SubsetMeasure(1, np.array([np.inf, 0.5])))
+    with pytest.raises(NegativeMass):
+        validate(SubsetMeasure(1, np.array([-np.inf, 0.5])))
+
+
+def test_component_count():
+    assert measures.component_count(4, K4_EDGES) == 1
+    assert measures.component_count(4, [(0, 1), (2, 3)]) == 2
+    assert measures.component_count(5, [(0, 1), (1, 0)]) == 4
+    assert measures.component_count(3, []) == 3
+
+
 def test_storage_cap():
     with pytest.raises(StateSpaceTooLarge):
         SubsetMeasure(21, np.zeros(1 << 21))

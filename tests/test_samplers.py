@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from srconc import chains, functional, measures, samplers
 from srconc.functional import MatrixFn, random_linear_matrix_fn
@@ -215,6 +215,16 @@ def test_cp_upper_matches_binomial_cdf():
         u = clopper_pearson_upper(s, n, 0.99)
         if s < n:
             assert binom.cdf(s, n, u) == pytest.approx(0.01, abs=1e-9)
+
+
+def test_cp_upper_matches_beta_quantile():
+    # the limit is the confidence quantile of Beta(s + 1, n - s)
+    rng = np.random.default_rng(2011)
+    for _ in range(100):
+        n = int(rng.integers(1, 500))
+        s = int(rng.integers(0, n))
+        conf = float(rng.uniform(0.5, 0.999))
+        assert clopper_pearson_upper(s, n, conf) == float(beta.ppf(conf, s + 1, n - s))
 
 
 def test_cp_upper_closed_form_zero_successes():
