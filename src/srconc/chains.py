@@ -102,15 +102,16 @@ class Generator:
         return {int(s): i for i, s in enumerate(self.states)}
 
 
-def flip_swap_adjacent(x: int, y: int) -> bool:
-    """True iff the masks differ by one flipped bit or one moved bit."""
-    diff = int(x) ^ int(y)
-    if diff == 0:
-        return False
-    bits = int(popcount(diff))
-    if bits == 1:
-        return True
-    return bits == 2 and int(popcount(int(x) & diff)) == 1
+def flip_swap_adjacent(x, y):
+    """Elementwise: the masks differ by one flipped bit or one moved bit.
+
+    Broadcasts, so flip_swap_adjacent(rows[:, None], cols[None, :]) is the
+    whole adjacency table of two mask lists.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    diff = x ^ np.asarray(y, dtype=np.int64)
+    bits = popcount(diff)
+    return (bits == 1) | ((bits == 2) & (popcount(x & diff) == 1))
 
 
 def delta(gen: Generator) -> float:
@@ -266,10 +267,7 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     cols, col_mass, tot1 = _conditional_support(m, ell, 1)
     if rows.size == 0 or cols.size == 0:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
-    allowed = np.zeros((rows.size, cols.size), dtype=bool)
-    for i, x in enumerate(rows.tolist()):
-        for j, y in enumerate(cols.tolist()):
-            allowed[i, j] = flip_swap_adjacent(x, y)
+    allowed = flip_swap_adjacent(rows[:, None], cols[None, :])
     table, value = feasible_coupling(rows, row_mass / tot0, cols, col_mass / tot1,
                                      allowed)
     if table is None:
@@ -329,12 +327,10 @@ def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
     cross = pihat0 * pihat1
     row_idx = np.array([pos[int(x)] for x in kappa.rows])
     col_idx = np.array([pos[int(y)] for y in kappa.cols])
-    for a, x_idx in enumerate(row_idx):
-        for b, y_idx in enumerate(col_idx):
-            w = kappa.mass[a, b]
-            if w > 0.0:
-                q[x_idx, y_idx] = cross * w / pi[x_idx]
-                q[y_idx, x_idx] = cross * w / pi[y_idx]
+    a, b = np.nonzero(kappa.mass > 0.0)
+    x_idx, y_idx, w = row_idx[a], col_idx[b], kappa.mass[a, b]
+    q[x_idx, y_idx] = cross * w / pi[x_idx]
+    q[y_idx, x_idx] = cross * w / pi[y_idx]
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return Generator(supp, q, pi.copy(), n=m.n)
@@ -373,15 +369,18 @@ def flip_swap_average(m: SubsetMeasure) -> Generator:
     return _raw_walk(m, {})
 
 
-def hermon_salez(m: SubsetMeasure, normalize: bool = True) -> Generator:
-    """Flip-swap walk for an SCP measure, normalized to Delta(Q) <= 1."""
-    gen = flip_swap_average(m)
-    if not normalize:
-        return gen
+def normalized(gen: Generator) -> Generator:
+    """gen with its rates divided by Delta(Q), unchanged when Delta(Q) is 0."""
     top = delta(gen)
     if top <= 0.0:
         return gen
     return Generator(gen.states, gen.rates / top, gen.pi, n=gen.n)
+
+
+def hermon_salez(m: SubsetMeasure, normalize: bool = True) -> Generator:
+    """Flip-swap walk for an SCP measure, normalized to Delta(Q) <= 1."""
+    gen = flip_swap_average(m)
+    return normalized(gen) if normalize else gen
 
 
 def generator_to_json(gen: Generator) -> dict:

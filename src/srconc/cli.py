@@ -148,7 +148,7 @@ def cmd_scp_check(cfg: dict) -> int:
 
 def _walk_summary(m):
     raw = chains.hermon_salez(m, normalize=False)
-    walk = chains.hermon_salez(m)
+    walk = chains.normalized(raw)
     chains.validate_generator(walk)
     gap = functional.scalar_spectral_gap(walk)
     k = measures.homogeneity_degree(m)

@@ -9,8 +9,10 @@ The covering relation used throughout: x covers y (written x |> y here)
 iff x == y or x == y | (1 << i) for a single bit i missing from y.  A
 measure p covers a measure q when some coupling of p (rows) and q
 (columns) puts all its mass on covering pairs.  Coupling existence is
-decided by max-flow on the bipartite support graph with float
-capacities; comparisons use an absolute tolerance of 1e-10.
+decided by a small max-flow solver for the bipartite transportation
+problem (greedy warm start, then breadth-first augmenting paths) on
+float supplies and demands; comparisons use an absolute tolerance of
+1e-10.
 
 The stochastic covering property (SCP) asks that for every conditioning
 set S and every pair of assignments x |> y on S, the conditional of the
@@ -25,9 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.flow import edmonds_karp
 
 MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
@@ -64,14 +64,24 @@ class DisconnectedGraph(MeasureError):
     pass
 
 
+class MaskOutOfRange(MeasureError):
+    pass
+
+
 def popcount(masks):
     """Number of set bits, elementwise on an integer array (or scalar)."""
     return np.bitwise_count(np.asarray(masks, dtype=np.int64))
 
 
-def covers(x: int, y: int) -> bool:
-    """True iff x == y or x equals y with exactly one extra bit set."""
-    return (x | y) == x and int(popcount(x ^ y)) <= 1
+def covers(x, y):
+    """Elementwise: x == y or x equals y with exactly one extra bit set.
+
+    Broadcasts, so covers(rows[:, None], cols[None, :]) is the whole
+    covering table of two mask lists.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    return ((x | y) == x) & (popcount(x ^ y) <= 1)
 
 
 @dataclass(frozen=True)
@@ -218,28 +228,93 @@ def feasible_coupling(row_masks, row_probs, col_masks, col_probs, allowed):
     row_probs = np.asarray(row_probs, dtype=float)
     col_probs = np.asarray(col_probs, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
-    if not allowed.any():
-        return None, 0.0
+    mass = _max_flow(row_probs, col_probs, allowed)
+    value = float(mass.sum())
+    if value < 1.0 - COUPLING_TOL:
+        return None, value
+    return CouplingTable(row_masks, col_masks, mass, row_probs.copy(),
+                         col_probs.copy(), allowed.copy()), value
 
-    g = nx.DiGraph()
-    for i, p in enumerate(row_probs):
-        g.add_edge("s", ("r", i), capacity=float(p))
-    for j, q in enumerate(col_probs):
-        g.add_edge(("c", j), "t", capacity=float(q))
+
+def _max_flow(supply, demand, allowed) -> np.ndarray:
+    """Maximum flow table from row supplies to column demands.
+
+    Allowed pairs are uncapacitated.  A greedy pass ships what it can in
+    row-major order; then each round searches breadth-first from every row
+    with supply left, along allowed row->col arcs and along col->row arcs
+    that carry flow (cancelling it), and augments the first column with
+    demand left by the path's bottleneck.  Shortest augmenting paths bound
+    the number of rounds whatever the float capacities, and each
+    augmentation empties its bottleneck exactly, since x - x == 0 in
+    floating point.  The supports are sparse and mostly a few masks wide,
+    so plain lists and dicts beat array operations here.
+    """
+    rows, cols = allowed.shape
+    adj = [[] for _ in range(rows)]
     ii, jj = np.nonzero(allowed)
     for i, j in zip(ii.tolist(), jj.tolist()):
-        g.add_edge(("r", i), ("c", j), capacity=2.0)
-    value, flow = nx.maximum_flow(g, "s", "t", flow_func=edmonds_karp)
-    if value < 1.0 - COUPLING_TOL:
-        return None, float(value)
-
-    mass = np.zeros((row_masks.size, col_masks.size))
-    for i in range(row_masks.size):
-        for dst, f in flow.get(("r", i), {}).items():
+        adj[i].append(j)
+    left = supply.tolist()
+    need = demand.tolist()
+    into = [{} for _ in range(cols)]  # into[j][i] = flow on (i, j), kept > 0
+    for i in range(rows):
+        for j in adj[i]:
+            f = min(left[i], need[j])
             if f > 0.0:
-                mass[i, dst[1]] = f
-    return CouplingTable(row_masks, col_masks, mass, row_probs.copy(),
-                         col_probs.copy(), allowed.copy()), float(value)
+                into[j][i] = f
+                left[i] -= f
+                need[j] -= f
+
+    while True:
+        row_from = {i: -1 for i in range(rows) if left[i] > 0.0}  # -1: the source
+        col_from = {}
+        queue = list(row_from)
+        sink = -1
+        for i in queue:  # the queue grows while it is walked
+            for j in adj[i]:
+                if j in col_from:
+                    continue
+                col_from[j] = i
+                if need[j] > 0.0:
+                    sink = j
+                    break
+                for r in into[j]:
+                    if r not in row_from:
+                        row_from[r] = j
+                        queue.append(r)
+            if sink >= 0:
+                break
+        if sink < 0:
+            break
+
+        ship, cancel = [], []
+        step = need[sink]
+        j = sink
+        while True:
+            src = col_from[j]
+            ship.append((src, j))
+            j = row_from[src]
+            if j < 0:
+                step = min(step, left[src])
+                break
+            cancel.append((src, j))
+            step = min(step, into[j][src])
+        for r, c in ship:
+            into[c][r] = into[c].get(r, 0.0) + step
+        for r, c in cancel:
+            f = into[c][r] - step
+            if f > 0.0:
+                into[c][r] = f
+            else:
+                del into[c][r]
+        left[src] -= step
+        need[sink] -= step
+
+    flow = np.zeros((rows, cols))
+    for j, carried in enumerate(into):
+        for i, f in carried.items():
+            flow[i, j] = f
+    return flow
 
 
 def measure_covers(p: SubsetMeasure, q: SubsetMeasure) -> CouplingTable | None:
@@ -248,10 +323,7 @@ def measure_covers(p: SubsetMeasure, q: SubsetMeasure) -> CouplingTable | None:
         raise ValueError(f"measures live on different cubes: n={p.n} vs n={q.n}")
     rows = p.support()
     cols = q.support()
-    allowed = np.zeros((rows.size, cols.size), dtype=bool)
-    for i, x in enumerate(rows.tolist()):
-        for j, y in enumerate(cols.tolist()):
-            allowed[i, j] = covers(x, y)
+    allowed = covers(rows[:, None], cols[None, :])
     table, _ = feasible_coupling(rows, p.probs[rows], cols, q.probs[cols], allowed)
     return table
 
@@ -279,19 +351,22 @@ def scp_check(m: SubsetMeasure, limit: int = SCP_LIMIT) -> ScpResult:
         raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {limit}")
     for r in range(1, m.n + 1):
         for coords in itertools.combinations(range(m.n), r):
+            conds = {}  # assignment -> conditional, None for a zero-mass event
             for assign in itertools.product((0, 1), repeat=r):
+                try:
+                    conds[assign] = condition(m, coords, assign)
+                except ZeroMassEvent:
+                    conds[assign] = None
+            for assign, low in conds.items():
+                if low is None:
+                    continue
                 for pos in range(r):
                     if assign[pos] == 1:
                         continue
-                    upper = list(assign)
-                    upper[pos] = 1
-                    try:
-                        cond_low = condition(m, coords, assign)
-                        cond_high = condition(m, coords, upper)
-                    except ZeroMassEvent:
-                        continue
-                    if measure_covers(cond_low, cond_high) is None:
-                        return ScpResult(False, (coords, tuple(upper), tuple(assign)))
+                    upper = assign[:pos] + (1,) + assign[pos + 1:]
+                    high = conds[upper]
+                    if high is not None and measure_covers(low, high) is None:
+                        return ScpResult(False, (coords, upper, assign))
     return ScpResult(True, None)
 
 
@@ -446,7 +521,10 @@ def measure_from_json(obj: dict) -> SubsetMeasure:
     n = int(obj["n"])
     probs = np.zeros(1 << n)
     for entry in obj["entries"]:
-        probs[int(entry["mask"])] = float(entry["p"])
+        mask = int(entry["mask"])
+        if not 0 <= mask < probs.size:
+            raise MaskOutOfRange(f"mask {mask} outside [0, {probs.size}) for n={n}")
+        probs[mask] = float(entry["p"])
     m = SubsetMeasure(n, probs)
     validate(m)
     return m

@@ -17,6 +17,7 @@ from scipy.special import betaincinv
 from .functional import MatrixFn
 from .measures import (
     DisconnectedGraph,
+    StateSpaceTooLarge,
     SubsetMeasure,
     component_count,
     projection_kernel,
@@ -24,6 +25,7 @@ from .measures import (
 )
 
 MASK64 = (1 << 64) - 1
+MASK_BITS = 63  # bits of a nonnegative int64 draw
 
 
 class SamplerError(Exception):
@@ -95,8 +97,11 @@ def wilson_spanning_tree(edges, seed: int, count: int,
 
     Ground set = the edge list; each draw is a mask over edge indices.
     Multi-edges are allowed and picked uniformly among parallel arcs.
+    Draws are int64 masks, so at most MASK_BITS edges.
     """
     edges = [(int(u), int(v)) for u, v in edges]
+    if len(edges) > MASK_BITS:
+        raise StateSpaceTooLarge(f"{len(edges)} edges exceed the {MASK_BITS}-bit masks")
     if vertices is None:
         vertices = 1 + max(max(u, v) for u, v in edges)
     if component_count(vertices, edges) != 1:

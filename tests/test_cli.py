@@ -61,6 +61,16 @@ def test_validate_measure_rejects_nan_mass(tmp_path, capsys):
     assert payload["error"] == "NotNormalized"
 
 
+@pytest.mark.parametrize("mask", [-1, 7])
+def test_validate_measure_rejects_mask_out_of_range(tmp_path, capsys, mask):
+    cfg = write_cfg(tmp_path, "mask.json", {
+        "measure": {"inline": {"n": 2, "entries": [{"mask": 0, "p": 0.5},
+                                                   {"mask": mask, "p": 0.5}]}}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert code == 2
+    assert payload["error"] == "MaskOutOfRange"
+
+
 def test_validate_measure_inline_roundtrip(tmp_path, capsys):
     inline = {"n": 2, "entries": [{"mask": 1, "p": 0.5}, {"mask": 2, "p": 0.5}]}
     cfg = write_cfg(tmp_path, "inline.json", {"measure": {"inline": inline}})
@@ -356,7 +366,8 @@ def test_bad_measure_family(tmp_path, capsys):
 def test_cli_import_skips_scipy_stats_and_sparse():
     code = ("import sys, srconc.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'])))")
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'])"
+            " or m.split('.')[0] == 'networkx'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

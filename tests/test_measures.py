@@ -315,6 +315,64 @@ def test_feasible_coupling_reports_shortfall():
     assert table is None and value == 0.0
 
 
+def _lp_max_flow(p, q, allowed):
+    from scipy.optimize import linprog
+
+    ii, jj = np.nonzero(allowed)
+    a_ub = np.zeros((p.size + q.size, ii.size))
+    a_ub[ii, np.arange(ii.size)] = 1.0
+    a_ub[p.size + jj, np.arange(ii.size)] = 1.0
+    res = linprog(-np.ones(ii.size), A_ub=a_ub, b_ub=np.concatenate([p, q]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -res.fun
+
+
+def _transport_instance(rng, kind):
+    rows, cols = (int(v) for v in rng.integers(1, 12, size=2))
+    allowed = rng.random((rows, cols)) < rng.uniform(0.1, 0.7)
+    allowed[rng.integers(rows), rng.integers(cols)] = True
+    if kind == "random":
+        p = rng.random(rows)
+        q = rng.random(cols)
+        return p / p.sum(), q / q.sum(), allowed
+    w = rng.random((rows, cols)) * allowed
+    w /= w.sum()
+    if kind == "feasible":
+        return w.sum(axis=1), w.sum(axis=0), allowed
+    # near: a shortfall delta sits on an extra row and column with no allowed pair
+    delta = rng.choice([1e-12, 3e-11, 9e-11, 1.1e-10, 5e-10, 1e-9])
+    w *= 1.0 - delta
+    allowed = np.pad(allowed, ((0, 1), (0, 1)))
+    return (np.append(w.sum(axis=1), delta), np.append(w.sum(axis=0), delta), allowed)
+
+
+@pytest.mark.parametrize("kind", ["feasible", "random", "near"])
+def test_feasible_coupling_matches_lp(kind):
+    rng = np.random.default_rng([7, len(kind)])
+    verdicts = set()
+    for _ in range(60):
+        p, q, allowed = _transport_instance(rng, kind)
+        table, value = measures.feasible_coupling(np.arange(p.size), p,
+                                                  np.arange(q.size), q, allowed)
+        lp = _lp_max_flow(p, q, allowed)
+        assert abs(value - lp) <= 1e-9
+        threshold = 1.0 - measures.COUPLING_TOL
+        if abs(lp - threshold) > 1e-11:
+            assert (table is not None) == (lp >= threshold)
+        if table is not None:
+            verdicts.add(True)
+            # the table is the flow, so its marginals miss by the shortfall at most
+            assert table.max_marginal_deviation() < 1e-12 + (1.0 - value)
+            assert table.off_support_mass() == 0.0
+            assert (table.mass >= 0.0).all()
+        else:
+            verdicts.add(False)
+    assert verdicts == ({True} if kind == "feasible" else {True, False})
+
+
 def test_conditional_covering_instance_by_hand():
     # uniform 2-subsets of [4]: conditioning coordinate 3 to 0 vs 1 gives
     # uniform 2-subsets vs uniform 1-subsets of the remaining 3 elements,

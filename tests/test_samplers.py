@@ -1,10 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import beta, binom
 
 from srconc import chains, functional, measures, samplers
 from srconc.functional import MatrixFn, random_linear_matrix_fn
-from srconc.measures import DisconnectedGraph, NotAProjection, is_spanning_tree
+from srconc.measures import (
+    DisconnectedGraph,
+    NotAProjection,
+    StateSpaceTooLarge,
+    is_spanning_tree,
+)
 from srconc.samplers import (
     SampleBatch,
     _build_alias,
@@ -140,6 +147,12 @@ def test_wilson_deterministic_per_index():
 def test_wilson_disconnected():
     with pytest.raises(DisconnectedGraph):
         wilson_spanning_tree([(0, 1), (2, 3)], seed=0, count=1)
+
+
+def test_wilson_rejects_more_edges_than_mask_bits():
+    k13 = list(itertools.combinations(range(13), 2))  # 78 edges
+    with pytest.raises(StateSpaceTooLarge):
+        wilson_spanning_tree(k13, seed=0, count=1)
 
 
 def test_wilson_parallel_edges():
