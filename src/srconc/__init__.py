@@ -1,10 +1,11 @@
 """Verification lab for matrix Poincare inequalities and matrix Bernstein
 tail bounds over negatively dependent subset measures.
 
-Layers, bottom up: ``measures`` (dense subset measures, covering checks,
-constructive families), ``matrix_core`` (symmetric-matrix primitives and
-trace-inequality checkers), ``chains`` (reversible generators, coordinate
-decompositions, the recursive flip-swap walk), ``functional`` (matrix
+Layers, bottom up: ``measures`` (dense subset measures, conditioning,
+covering couplings, constructive families), ``matrix_core``
+(symmetric-matrix primitives and trace-inequality checkers), ``chains``
+(reversible generators, coordinate decompositions, the recursive
+flip-swap walk and the SCP check it decides), ``functional`` (matrix
 observables, variance and Dirichlet forms, spectral gaps), ``concentration``
 (trace-mgf ladder and tail bounds), ``samplers`` (seeded draws and empirical
 tails), and ``cli`` (the ``srconc`` command).
@@ -13,7 +14,6 @@ tails), and ``cli`` (the ``srconc`` command).
 from .measures import (
     SubsetMeasure,
     CouplingTable,
-    ScpResult,
     condition,
     generating_polynomial,
     homogeneity_degree,
@@ -21,8 +21,6 @@ from .measures import (
     make_projection_dpp,
     make_spanning_tree_measure,
     make_uniform_k_subsets,
-    measure_covers,
-    scp_check,
     validate,
 )
 from .matrix_core import (
@@ -42,6 +40,7 @@ from .matrix_core import (
 from .chains import (
     Decomposition,
     Generator,
+    ScpResult,
     chi,
     crude_chi_bound,
     decompose,
@@ -49,6 +48,7 @@ from .chains import (
     flip_swap_adjacent,
     flip_swap_average,
     hermon_salez,
+    scp_check,
     scp_coupling,
     split_generator,
     validate_generator,

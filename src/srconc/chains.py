@@ -19,6 +19,10 @@ by the largest exit rate so the output satisfies Delta(Q) <= 1.  The
 pre-normalization average has Delta <= 2k on k-homogeneous inputs and
 Delta <= n in general, which is what makes the final spectral gap at
 least 1/(2k) (k = n/2 when the measure is not homogeneous).
+
+Each coupling the recursion solves is one event of the stochastic covering
+property, and it reaches every event of positive mass, so ``scp_check``
+runs it and reports the first infeasible coupling as the witness.
 """
 
 from __future__ import annotations
@@ -28,10 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
+    SCP_LIMIT,
     CouplingTable,
+    StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
     condition,
+    covers,
     feasible_coupling,
     popcount,
     validate,
@@ -53,7 +60,12 @@ class MissingCoupling(ChainError):
 
 
 class InfeasibleCoupling(ChainError):
-    pass
+    """No covering coupling for event = (coords, bits, ell): the split on ell
+    given X_coords = bits, in the coordinates the exception has reached."""
+
+    def __init__(self, message: str, event: tuple):
+        super().__init__(message)
+        self.event = event
 
 
 class NotOnCube(ChainError):
@@ -258,21 +270,22 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     """Coupling of the two coordinate conditionals on flip-swap pairs.
 
     Rows are full-cube masks with x_ell = 0, columns have x_ell = 1; the
-    support is restricted to adjacent pairs, which across this boundary
-    are exactly the covering pairs of the free coordinates.  Raises
+    support is restricted to pairs whose free coordinates cover, which
+    across this boundary are exactly the flip-swap adjacent pairs.  Raises
     InfeasibleCoupling when max-flow cannot move all the mass, i.e. the
-    covering property fails at this split.
+    covering property fails at the SCP event ({ell}, e_ell, 0).
     """
     rows, row_mass, tot0 = _conditional_support(m, ell, 0)
     cols, col_mass, tot1 = _conditional_support(m, ell, 1)
     if rows.size == 0 or cols.size == 0:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
-    allowed = flip_swap_adjacent(rows[:, None], cols[None, :])
+    allowed = covers(rows[:, None], cols[None, :] ^ (1 << ell))
     table, value = feasible_coupling(rows, row_mass / tot0, cols, col_mass / tot1,
                                      allowed)
     if table is None:
         raise InfeasibleCoupling(
-            f"split on coordinate {ell}: moved only {value:.12f} of unit mass")
+            f"split on coordinate {ell}: moved only {value:.12f} of unit mass",
+            ((), (), ell))
     return table
 
 
@@ -287,6 +300,17 @@ def _zero_generator(m: SubsetMeasure) -> Generator:
     supp = m.support()
     return Generator(supp, np.zeros((supp.size, supp.size)),
                      m.probs[supp].copy(), n=m.n)
+
+
+def _conditional_walk(m: SubsetMeasure, ell: int, bit: int, memo: dict) -> Generator:
+    """Raw walk of m given x_ell = bit; failing events are lifted to m's coordinates."""
+    try:
+        return _raw_walk(condition(m, [ell], [bit]), memo)
+    except InfeasibleCoupling as exc:
+        coords, bits, split = exc.event
+        exc.event = ((ell, *(c + (c >= ell) for c in coords)), (bit, *bits),
+                     split + (split >= ell))
+        raise
 
 
 def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
@@ -306,15 +330,15 @@ def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
 
     if pihat0 == 0.0 or pihat1 == 0.0:
         const = 1 if pihat0 == 0.0 else 0
-        sub = _raw_walk(condition(m, [ell], [const]), memo)
+        sub = _conditional_walk(m, ell, const, memo)
         lifted = _insert_bit(sub.states, ell, const)
         if not np.array_equal(lifted, supp):
             raise NotOnCube("lifted conditional support mismatch")
         return Generator(supp, sub.rates.copy(), pi.copy(), n=m.n)
 
     kappa = scp_coupling(m, ell)
-    sub0 = _raw_walk(condition(m, [ell], [0]), memo)
-    sub1 = _raw_walk(condition(m, [ell], [1]), memo)
+    sub0 = _conditional_walk(m, ell, 0, memo)
+    sub1 = _conditional_walk(m, ell, 1, memo)
 
     q = np.zeros((supp.size, supp.size))
     pos = {int(s): i for i, s in enumerate(supp)}
@@ -353,6 +377,34 @@ def _raw_walk(m: SubsetMeasure, memo: dict) -> Generator:
         gen = Generator(supp, acc / m.n, m.probs[supp].copy(), n=m.n)
     memo[key] = gen
     return gen
+
+
+@dataclass(frozen=True)
+class ScpResult:
+    satisfied: bool
+    # (coords, x_bits, y_bits) of the first violated conditioning, or None
+    witness: tuple | None
+
+    def __bool__(self) -> bool:
+        return self.satisfied
+
+
+def scp_check(m: SubsetMeasure) -> ScpResult:
+    """Decide the stochastic covering property by building the walk.
+
+    The witness (coords, x_bits, y_bits) has coords ascending and x = y + e_i:
+    the conditional given y does not cover the one given x.
+    """
+    validate(m)
+    if m.n > SCP_LIMIT:
+        raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {SCP_LIMIT}")
+    try:
+        _raw_walk(m, {})
+    except InfeasibleCoupling as exc:
+        coords, bits, ell = exc.event
+        fixed = sorted(zip((*coords, ell), (*bits, 1), (*bits, 0)))
+        return ScpResult(False, tuple(zip(*fixed)))
+    return ScpResult(True, None)
 
 
 def split_generator(m: SubsetMeasure, ell: int) -> Generator:

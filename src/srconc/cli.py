@@ -49,8 +49,17 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -125,18 +134,13 @@ def cmd_validate_measure(cfg: dict) -> int:
     m = _load_measure(cfg)
     measures.validate(m)
     _emit({"valid": True, "n": m.n, "support_size": int(m.support().size),
-           "homogeneity": homo_or_none(m)}, cfg.get("out"))
+           "homogeneity": measures.homogeneity_degree(m)}, cfg.get("out"))
     return EXIT_OK
-
-
-def homo_or_none(m):
-    k = measures.homogeneity_degree(m)
-    return None if k is None else int(k)
 
 
 def cmd_scp_check(cfg: dict) -> int:
     m = _load_measure(cfg)
-    result = measures.scp_check(m, int(cfg.get("limit", measures.SCP_LIMIT)))
+    result = chains.scp_check(m)
     payload = {"scp": bool(result), "witness": None}
     if result.witness is not None:
         coords, x_bits, y_bits = result.witness
@@ -166,7 +170,7 @@ def cmd_build_walk(cfg: dict) -> int:
         "delta_raw": chains.delta(raw),
         "delta": chains.delta(walk),
         "gap": gap,
-        "homogeneity": None if k is None else int(k),
+        "homogeneity": k,
         "gap_lower_bound": bound,
         "gap_ok": bool(gap >= bound - 1e-9),
     })

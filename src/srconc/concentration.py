@@ -314,27 +314,16 @@ def ks_crossover(k: int, mu: float, eps: float, c: float = 1.0) -> KsCrossover:
                        "sr" if exp_sr >= exp_ks else "ks")
 
 
-def ks_crossover_threshold(k: int, eps: float, hi: float = 1e12) -> float:
-    """Smallest mu with k + eps mu sqrt(k) <= mu log k + eps mu, by bisection."""
+def ks_crossover_threshold(k: int, eps: float) -> float:
+    """Smallest mu with k + eps mu sqrt(k) <= mu log k + eps mu.
+
+    The comparison is affine in mu, so the threshold is k / slope with
+    slope = log k + eps - eps sqrt(k), and infinite when slope <= 0.
+    """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     slope = math.log(k) + eps - eps * math.sqrt(k)
-    if slope <= 0.0:
-        return float("inf")
-
-    def short(mu: float) -> float:
-        return (mu * math.log(k) + eps * mu) - (k + eps * mu * math.sqrt(k))
-
-    lo = 0.0
-    if short(hi) < 0.0:
-        return float("inf")
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if short(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return k / slope if slope > 0.0 else float("inf")
 
 
 # ---------------------------------------------------------------------------

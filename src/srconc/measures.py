@@ -17,8 +17,9 @@ float supplies and demands; comparisons use an absolute tolerance of
 The stochastic covering property (SCP) asks that for every conditioning
 set S and every pair of assignments x |> y on S, the conditional of the
 measure given the smaller assignment covers the conditional given the
-larger one.  ``scp_check`` decides this by brute force over all 3**n
-conditioning events.
+larger one.  ``chains.scp_check`` decides it with the recursion that
+builds the flip-swap walk; this module supplies the pieces (``condition``,
+``covers``, ``feasible_coupling``) and the size guard SCP_LIMIT.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
 PROJECTION_TOL = 1e-8
 STORAGE_LIMIT = 20  # dense tables up to 2**20 states
-SCP_LIMIT = 14      # 3**n conditioning events beyond this is hopeless
+SCP_LIMIT = 14      # largest n that chains.scp_check accepts
 
 
 class MeasureError(Exception):
@@ -315,59 +316,6 @@ def _max_flow(supply, demand, allowed) -> np.ndarray:
         for i, f in carried.items():
             flow[i, j] = f
     return flow
-
-
-def measure_covers(p: SubsetMeasure, q: SubsetMeasure) -> CouplingTable | None:
-    """Coupling of p (rows) and q (columns) on covering pairs, or None."""
-    if p.n != q.n:
-        raise ValueError(f"measures live on different cubes: n={p.n} vs n={q.n}")
-    rows = p.support()
-    cols = q.support()
-    allowed = covers(rows[:, None], cols[None, :])
-    table, _ = feasible_coupling(rows, p.probs[rows], cols, q.probs[cols], allowed)
-    return table
-
-
-@dataclass(frozen=True)
-class ScpResult:
-    satisfied: bool
-    # (coords, x_bits, y_bits) of the first violated conditioning, or None
-    witness: tuple | None
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
-def scp_check(m: SubsetMeasure, limit: int = SCP_LIMIT) -> ScpResult:
-    """Brute-force SCP decision over all conditioning events.
-
-    For every coordinate set S, every assignment y on S, and every i in S
-    with y_i = 0, checks that the conditional given y covers the
-    conditional given y + e_i (both restricted to the free coordinates).
-    Events where either conditional has zero mass are skipped.
-    """
-    validate(m)
-    if m.n > limit:
-        raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {limit}")
-    for r in range(1, m.n + 1):
-        for coords in itertools.combinations(range(m.n), r):
-            conds = {}  # assignment -> conditional, None for a zero-mass event
-            for assign in itertools.product((0, 1), repeat=r):
-                try:
-                    conds[assign] = condition(m, coords, assign)
-                except ZeroMassEvent:
-                    conds[assign] = None
-            for assign, low in conds.items():
-                if low is None:
-                    continue
-                for pos in range(r):
-                    if assign[pos] == 1:
-                        continue
-                    upper = assign[:pos] + (1,) + assign[pos + 1:]
-                    high = conds[upper]
-                    if high is not None and measure_covers(low, high) is None:
-                        return ScpResult(False, (coords, upper, assign))
-    return ScpResult(True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,13 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
     """Draws from the determinantal measure of a projection kernel.
 
     Chain rule on the kernel: pick an item proportional to the residual
-    diagonal, take the Schur complement, repeat rank(K) times.
+    diagonal, take the Schur complement, repeat rank(K) times.  Draws are
+    int64 masks, so at most MASK_BITS elements.
     """
     k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
+    if n > MASK_BITS:
+        raise StateSpaceTooLarge(f"kernel on {n} elements exceeds the {MASK_BITS}-bit masks")
 
     draws = np.zeros(count, dtype=np.int64)
     for i in range(count):

@@ -137,6 +137,22 @@ def test_build_walk_output_reproducible(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_build_walk_point_mass_emits_strict_json(tmp_path, capsys):
+    # one state: the gap is infinite, which standard JSON can only carry as null
+    cfg = write_cfg(tmp_path, "point.json", {
+        "measure": {"inline": {"n": 2, "entries": [{"mask": 1, "p": 1.0}]}}})
+    code = main(["build-walk", "--config", cfg])
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert payload["gap"] is None
+    assert payload["states"] == [1]
+
+
 # ------------------------------------------------------------ poincare-check
 
 def test_poincare_check_default_lambda(tmp_path, capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from srconc import measures
+from srconc.chains import ScpResult, scp_check
 from srconc.measures import (
     DisconnectedGraph,
     NegativeMass,
     NotAProjection,
     NotNormalized,
-    ScpResult,
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
@@ -21,9 +21,7 @@ from srconc.measures import (
     make_projection_dpp,
     make_spanning_tree_measure,
     make_uniform_k_subsets,
-    measure_covers,
     popcount,
-    scp_check,
     validate,
 )
 from conftest import C5_EDGES, K3_EDGES, K4_EDGES, random_projection_kernel
@@ -155,9 +153,39 @@ def test_covers_relation():
     assert not covers(0b111, 0b001)   # two extra bits
 
 
+def reference_covers(p: SubsetMeasure, q: SubsetMeasure):
+    """Coupling of p (rows) and q (columns) on covering pairs, or None."""
+    rows, cols = p.support(), q.support()
+    allowed = covers(rows[:, None], cols[None, :])
+    table, _ = measures.feasible_coupling(rows, p.probs[rows], cols, q.probs[cols],
+                                          allowed)
+    return table
+
+
+def reference_scp(m: SubsetMeasure) -> bool:
+    """SCP by brute force: every coordinate set S, assignment y on S and
+    i in S with y_i = 0, skipping zero-mass events."""
+    for r in range(1, m.n + 1):
+        for coords in itertools.combinations(range(m.n), r):
+            conds = {}
+            for assign in itertools.product((0, 1), repeat=r):
+                try:
+                    conds[assign] = condition(m, coords, assign)
+                except ZeroMassEvent:
+                    conds[assign] = None
+            for assign, low in conds.items():
+                for pos in range(r):
+                    if low is None or assign[pos] == 1:
+                        continue
+                    high = conds[assign[:pos] + (1,) + assign[pos + 1:]]
+                    if high is not None and reference_covers(low, high) is None:
+                        return False
+    return True
+
+
 def test_measure_covers_reflexive_diagonal():
     m = make_uniform_k_subsets(3, 2)
-    table = measure_covers(m, m)
+    table = reference_covers(m, m)
     assert table is not None
     assert table.max_marginal_deviation() < 1e-10
     assert table.off_support_mass() == 0.0
@@ -166,15 +194,10 @@ def test_measure_covers_reflexive_diagonal():
 def test_measure_covers_point_masses():
     up = SubsetMeasure(1, np.array([0.0, 1.0]))
     down = SubsetMeasure(1, np.array([1.0, 0.0]))
-    table = measure_covers(up, down)
+    table = reference_covers(up, down)
     assert table is not None
     assert table.mass[0, 0] == pytest.approx(1.0)
-    assert measure_covers(down, up) is None
-
-
-def test_measure_covers_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        measure_covers(make_uniform_k_subsets(2, 1), make_uniform_k_subsets(3, 1))
+    assert reference_covers(down, up) is None
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)])
@@ -204,9 +227,51 @@ def test_scp_violation_witness():
     assert not result
     coords, x_bits, y_bits = result.witness
     assert len(coords) == len(x_bits) == len(y_bits)
+    assert list(coords) == sorted(coords)
     high = condition(bad, coords, x_bits)
     low = condition(bad, coords, y_bits)
-    assert measure_covers(low, high) is None
+    assert reference_covers(low, high) is None
+
+
+def random_scp_inputs(count: int, seed: int):
+    """Seeded measures on n <= 5: homogeneous, full-cube and arbitrary
+    supports with random masses, so both verdicts occur."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, 6))
+        masks = np.arange(1 << n)
+        if t % 3 == 0:
+            pool = masks[popcount(masks) == int(rng.integers(0, n + 1))]
+        elif t % 3 == 1:
+            pool = masks
+        else:
+            pool = rng.choice(masks, size=int(rng.integers(1, masks.size + 1)),
+                              replace=False)
+        keep = pool[rng.random(pool.size) < rng.uniform(0.3, 1.0)]
+        if keep.size == 0:
+            keep = pool[:1]
+        probs = np.zeros(1 << n)
+        probs[keep] = rng.dirichlet(np.ones(keep.size))
+        yield f"random_{t}", SubsetMeasure(n, probs)
+
+
+def test_scp_check_matches_brute_force_reference(fixture_measures):
+    cases = [(name, m) for name, (m, _) in fixture_measures.items()]
+    cases += list(random_scp_inputs(150, 2024))
+    verdicts = set()
+    for name, m in cases:
+        result = scp_check(m)
+        assert bool(result) == reference_scp(m), name
+        verdicts.add(bool(result))
+        if not result:
+            coords, x_bits, y_bits = result.witness
+            assert list(coords) == sorted(coords), name
+            assert [x - y for x, y in zip(x_bits, y_bits)].count(1) == 1, name
+            assert sum(x_bits) == sum(y_bits) + 1, name
+            low = condition(m, coords, y_bits)
+            high = condition(m, coords, x_bits)
+            assert reference_covers(low, high) is None, name
+    assert verdicts == {True, False}
 
 
 def test_scp_check_limit():
@@ -380,7 +445,7 @@ def test_conditional_covering_instance_by_hand():
     m = make_uniform_k_subsets(4, 2)
     low = condition(m, [3], [0])
     high = condition(m, [3], [1])
-    table = measure_covers(low, high)
+    table = reference_covers(low, high)
     assert table is not None
     assert table.max_marginal_deviation() < 1e-10
     for i, x in enumerate(table.rows):

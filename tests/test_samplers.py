@@ -164,6 +164,13 @@ def test_wilson_parallel_edges():
 
 # --------------------------------------------------------------------- kdpp
 
+def test_kdpp_rejects_more_elements_than_mask_bits():
+    kern = np.zeros((70, 70))
+    kern[69, 69] = 1.0  # every draw is {69}, past the int64 masks
+    with pytest.raises(StateSpaceTooLarge):
+        sample_kdpp(kern, seed=0, count=1)
+
+
 def test_kdpp_axis_kernel():
     batch = sample_kdpp(np.diag([1.0, 0.0]), seed=1, count=25)
     assert (batch.draws == 0b01).all()
