@@ -1,8 +1,8 @@
 """Verification lab for matrix Poincare inequalities and matrix Bernstein
 tail bounds over negatively dependent subset measures.
 
-Layers, bottom up: ``measures`` (dense subset measures, conditioning,
-covering couplings, constructive families), ``matrix_core``
+Layers, bottom up: ``measures`` (support-indexed subset measures,
+conditioning, covering couplings, constructive families), ``matrix_core``
 (symmetric-matrix primitives and trace-inequality checkers), ``chains``
 (reversible generators, coordinate decompositions, the recursive
 flip-swap walk and the SCP check it decides), ``functional`` (matrix

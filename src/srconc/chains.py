@@ -20,14 +20,16 @@ pre-normalization average has Delta <= 2k on k-homogeneous inputs and
 Delta <= n in general, which is what makes the final spectral gap at
 least 1/(2k) (k = n/2 when the measure is not homogeneous).
 
-Each coupling the recursion solves is one event of the stochastic covering
-property, and it reaches every event of positive mass, so ``scp_check``
-runs it and reports the first infeasible coupling as the witness.
+The recursion makes two passes over the distinct conditionals (keyed by
+content).  The first solves every covering coupling: each is an event of
+the stochastic covering property and they reach every event of positive
+mass, so ``scp_check`` runs this pass alone and reports the first
+infeasible coupling as the witness.  The second assembles the generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
-    condition,
     covers,
     feasible_coupling,
+    halves,
     popcount,
     validate,
 )
@@ -127,8 +129,8 @@ def flip_swap_adjacent(x, y):
 
 
 def delta(gen: Generator) -> float:
-    """Largest exit rate max_x -Q(x, x)."""
-    return float(np.max(-np.diag(gen.rates), initial=0.0))
+    """Largest exit rate max_x -Q(x, x); adding 0.0 turns -0.0 into 0.0."""
+    return float(np.max(-np.diag(gen.rates), initial=0.0)) + 0.0
 
 
 def validate_generator(gen: Generator, tol: float = RATE_TOL) -> None:
@@ -186,36 +188,28 @@ def decompose(gen: Generator, ell: int) -> Decomposition:
         raise EmptyPart(f"part {empty} of the split on coordinate {ell} is empty")
 
     pihat = np.array([gen.pi[idx].sum() for idx in sel])
-    flow = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            flow[i, j] = float(gen.pi[sel[i]] @ gen.rates[np.ix_(sel[i], sel[j])].sum(axis=1))
+    flow = np.array([[gen.pi[si] @ gen.rates[np.ix_(si, sj)].sum(axis=1) for sj in sel]
+                     for si in sel])
     qhat = flow / pihat[:, None]
     projection = Generator(np.array([0, 1]), qhat, pihat)
 
     restrictions = []
-    parts = []
-    for i in range(2):
-        idx = sel[i]
+    for i, idx in enumerate(sel):
         block = gen.rates[np.ix_(idx, idx)].copy()
         np.fill_diagonal(block, 0.0)
         np.fill_diagonal(block, -block.sum(axis=1))
         restrictions.append(Generator(gen.states[idx], block,
                                       gen.pi[idx] / pihat[i], n=gen.n))
-        parts.append(gen.states[idx].copy())
-    return Decomposition(gen, parts, projection, restrictions)
+    return Decomposition(gen, [gen.states[idx] for idx in sel], projection, restrictions)
 
 
 def _coupling_entries(dec: Decomposition):
     """Yield (i, j, x_idx, y_idx, kappa_mass) over attached coupling supports."""
+    src = dec.source.index_of()
     for (i, j), table in dec.couplings.items():
-        src = {int(s): a for a, s in enumerate(dec.source.states)}
-        rows = [src[int(x)] for x in table.rows]
-        cols = [src[int(y)] for y in table.cols]
-        for a, x_idx in enumerate(rows):
-            for b, y_idx in enumerate(cols):
-                if table.mass[a, b] > 0.0:
-                    yield i, j, x_idx, y_idx, float(table.mass[a, b])
+        for a, b in zip(*np.nonzero(table.mass > 0.0)):
+            x_idx, y_idx = src[int(table.rows[a])], src[int(table.cols[b])]
+            yield i, j, x_idx, y_idx, float(table.mass[a, b])
 
 
 def chi(gen: Generator, dec: Decomposition) -> float:
@@ -227,11 +221,9 @@ def chi(gen: Generator, dec: Decomposition) -> float:
     """
     qhat = dec.projection.rates
     pihat = dec.projection.pi
-    m = len(dec.parts)
-    for i in range(m):
-        for j in range(m):
-            if i != j and qhat[i, j] > 0.0 and (i, j) not in dec.couplings:
-                raise MissingCoupling(f"no coupling attached for part pair ({i},{j})")
+    for i, j in zip(*np.nonzero(qhat > 0.0)):
+        if i != j and (i, j) not in dec.couplings:
+            raise MissingCoupling(f"no coupling attached for part pair ({i},{j})")
     best = np.inf
     for i, j, x_idx, y_idx, kappa in _coupling_entries(dec):
         if qhat[i, j] <= 0.0:
@@ -256,16 +248,6 @@ def crude_chi_bound(gen: Generator, dec: Decomposition) -> float:
     return float(best)
 
 
-def _conditional_support(m: SubsetMeasure, ell: int, bit: int):
-    """Support masks with x_ell = bit and their renormalized masses."""
-    supp = m.support()
-    keep = ((supp >> ell) & 1) == bit
-    masks = supp[keep]
-    mass = m.probs[masks]
-    total = float(mass.sum())
-    return masks, mass, total
-
-
 def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     """Coupling of the two coordinate conditionals on flip-swap pairs.
 
@@ -275,12 +257,17 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     InfeasibleCoupling when max-flow cannot move all the mass, i.e. the
     covering property fails at the SCP event ({ell}, e_ell, 0).
     """
-    rows, row_mass, tot0 = _conditional_support(m, ell, 0)
-    cols, col_mass, tot1 = _conditional_support(m, ell, 1)
-    if rows.size == 0 or cols.size == 0:
+    low, high = halves(m, ell)
+    if low is None or high is None:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
-    allowed = covers(rows[:, None], cols[None, :] ^ (1 << ell))
-    table, value = feasible_coupling(rows, row_mass / tot0, cols, col_mass / tot1,
+    side = (m.masks >> ell) & 1 == 1
+    return replace(_couple(low[0], high[0], ell), rows=m.masks[~side], cols=m.masks[side])
+
+
+def _couple(low: SubsetMeasure, high: SubsetMeasure, ell: int) -> CouplingTable:
+    """Covering coupling of the conditionals given x_ell = 0 (rows) and = 1."""
+    allowed = covers(low.masks[:, None], high.masks[None, :])
+    table, value = feasible_coupling(low.masks, low.masses, high.masks, high.masses,
                                      allowed)
     if table is None:
         raise InfeasibleCoupling(
@@ -289,94 +276,84 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     return table
 
 
-def _insert_bit(masks, pos: int, bit: int):
-    masks = np.asarray(masks, dtype=np.int64)
-    low = masks & ((1 << pos) - 1)
-    high = (masks >> pos) << (pos + 1)
-    return high | (int(bit) << pos) | low
+def _visit(m: SubsetMeasure, w: SubsetMeasure, nodes: dict) -> tuple:
+    """Key of the conditional m after adding it and every conditional below
+    it, children first, to nodes as nodes[key] = (m, [_split per coordinate]).
+    w is the root restricted to m's event: computing each conditional from
+    the root's masses makes an event reached in another order bit-identical."""
+    key = (m.n, m.masks.tobytes(), m.masses.tobytes())
+    if key not in nodes:
+        splits = [_split(w, ell, nodes) for ell in range(m.n)] if m.masks.size > 1 else []
+        nodes[key] = (m, splits)
+    return key
 
 
-def _zero_generator(m: SubsetMeasure) -> Generator:
-    supp = m.support()
-    return Generator(supp, np.zeros((supp.size, supp.size)),
-                     m.probs[supp].copy(), n=m.n)
-
-
-def _conditional_walk(m: SubsetMeasure, ell: int, bit: int, memo: dict) -> Generator:
-    """Raw walk of m given x_ell = bit; failing events are lifted to m's coordinates."""
+def _split(w: SubsetMeasure, ell: int, nodes: dict) -> tuple:
+    """Coupling of the split on ell as (row, col, mass) arrays over its
+    support, rows and cols indexing the two children (None for a constant
+    coordinate), and the child keys.  The coupling is solved first, so the
+    first InfeasibleCoupling is the first failing SCP event in recursion
+    order; events from below are lifted to w's coordinates."""
+    sides = halves(w, ell)
+    mass = None if None in sides else _couple(sides[0][0], sides[1][0], ell).mass
+    kappa = None if mass is None else np.nonzero(mass) + (mass[mass > 0.0],)
+    kids = []
     try:
-        return _raw_walk(condition(m, [ell], [bit]), memo)
+        for bit, side in enumerate(sides):
+            if side is not None:
+                kids.append(_visit(*side, nodes))
     except InfeasibleCoupling as exc:
         coords, bits, split = exc.event
         exc.event = ((ell, *(c + (c >= ell) for c in coords)), (bit, *bits),
                      split + (split >= ell))
         raise
+    return kappa, kids
 
 
-def _split_raw(m: SubsetMeasure, ell: int, memo: dict) -> Generator:
-    """Pre-normalization generator for one split coordinate.
+def _assemble(nodes: dict) -> dict:
+    """Off-diagonal raw walk rates of every node: the uniform average of
+    its split rates, zero for a single state."""
+    rates = {}
+    for key, (m, splits) in nodes.items():
+        acc = np.zeros((m.masks.size, m.masks.size))
+        for ell, split in enumerate(splits):
+            _add_split(acc, m, ell, split, rates)
+        rates[key] = acc / m.n if splits else acc
+    return rates
+
+
+def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
+               rates: dict) -> None:
+    """Add the off-diagonal rates of one split, built from its children's, to acc.
 
     Cross rates on a support pair (x, y) of the coupling kappa:
     Q(x, y) = pihat0 * pihat1 * kappa(x, y) / pi(x) and mirrored with
     pi(y), which enforces detailed balance by construction.  When the
-    coordinate is constant the split degenerates to the lifted walk of
-    the single conditional.
+    coordinate is constant the split is the single conditional's walk.
     """
-    supp = m.support()
-    pi = m.probs[supp]
-    bit = ((supp >> ell) & 1).astype(bool)
-    pihat1 = float(pi[bit].sum())
-    pihat0 = float(pi[~bit].sum())
+    kappa, kids = split
+    side = (m.masks >> ell) & 1 == 1
+    parts = [np.arange(m.masks.size)] if kappa is None else [
+        (~side).nonzero()[0], side.nonzero()[0]]
+    if any(rates[kid].shape[0] != pos.size for kid, pos in zip(kids, parts)):
+        raise NotOnCube("lifted conditional support mismatch")
+    if kappa is None:
+        acc += rates[kids[0]]
+        return
+    for kid, pos in zip(kids, parts):
+        acc[pos[:, None], pos] += rates[kid]
+    pi = m.masses
+    cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
+    a, b, w = kappa
+    x_idx, y_idx = parts[0][a], parts[1][b]
+    acc[x_idx, y_idx] += cross * w / pi[x_idx]
+    acc[y_idx, x_idx] += cross * w / pi[y_idx]
 
-    if pihat0 == 0.0 or pihat1 == 0.0:
-        const = 1 if pihat0 == 0.0 else 0
-        sub = _conditional_walk(m, ell, const, memo)
-        lifted = _insert_bit(sub.states, ell, const)
-        if not np.array_equal(lifted, supp):
-            raise NotOnCube("lifted conditional support mismatch")
-        return Generator(supp, sub.rates.copy(), pi.copy(), n=m.n)
 
-    kappa = scp_coupling(m, ell)
-    sub0 = _conditional_walk(m, ell, 0, memo)
-    sub1 = _conditional_walk(m, ell, 1, memo)
-
-    q = np.zeros((supp.size, supp.size))
-    pos = {int(s): i for i, s in enumerate(supp)}
-    for sub, b in ((sub0, 0), (sub1, 1)):
-        lifted = _insert_bit(sub.states, ell, b)
-        idx = np.array([pos[int(s)] for s in lifted])
-        block = sub.rates.copy()
-        np.fill_diagonal(block, 0.0)
-        q[np.ix_(idx, idx)] = block
-    cross = pihat0 * pihat1
-    row_idx = np.array([pos[int(x)] for x in kappa.rows])
-    col_idx = np.array([pos[int(y)] for y in kappa.cols])
-    a, b = np.nonzero(kappa.mass > 0.0)
-    x_idx, y_idx, w = row_idx[a], col_idx[b], kappa.mass[a, b]
-    q[x_idx, y_idx] = cross * w / pi[x_idx]
-    q[y_idx, x_idx] = cross * w / pi[y_idx]
-    np.fill_diagonal(q, 0.0)
+def _generator(m: SubsetMeasure, q: np.ndarray) -> Generator:
+    """Generator on m's support with off-diagonal rates q (diagonal set in place)."""
     np.fill_diagonal(q, -q.sum(axis=1))
-    return Generator(supp, q, pi.copy(), n=m.n)
-
-
-def _raw_walk(m: SubsetMeasure, memo: dict) -> Generator:
-    """Average of the split generators over all coordinates, memoized."""
-    key = (m.n, m.probs.tobytes())
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    supp = m.support()
-    if supp.size == 1 or m.n == 0:
-        gen = _zero_generator(m)
-    else:
-        acc = None
-        for ell in range(m.n):
-            part = _split_raw(m, ell, memo).rates
-            acc = part if acc is None else acc + part
-        gen = Generator(supp, acc / m.n, m.probs[supp].copy(), n=m.n)
-    memo[key] = gen
-    return gen
+    return Generator(m.masks.copy(), q, m.masses.copy(), n=m.n)
 
 
 @dataclass(frozen=True)
@@ -390,7 +367,7 @@ class ScpResult:
 
 
 def scp_check(m: SubsetMeasure) -> ScpResult:
-    """Decide the stochastic covering property by building the walk.
+    """Decide the stochastic covering property by the coupling pass alone.
 
     The witness (coords, x_bits, y_bits) has coords ascending and x = y + e_i:
     the conditional given y does not cover the one given x.
@@ -399,7 +376,7 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
     if m.n > SCP_LIMIT:
         raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {SCP_LIMIT}")
     try:
-        _raw_walk(m, {})
+        _visit(m, m, {})
     except InfeasibleCoupling as exc:
         coords, bits, ell = exc.event
         fixed = sorted(zip((*coords, ell), (*bits, 1), (*bits, 0)))
@@ -412,13 +389,19 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     validate(m)
     if not 0 <= ell < m.n:
         raise ValueError(f"coordinate {ell} out of range for n={m.n}")
-    return _split_raw(m, ell, {})
+    nodes = {}
+    split = _split(m, ell, nodes)
+    acc = np.zeros((m.masks.size, m.masks.size))
+    _add_split(acc, m, ell, split, _assemble(nodes))
+    return _generator(m, acc)
 
 
 def flip_swap_average(m: SubsetMeasure) -> Generator:
     """Pre-normalization flip-swap walk (uniform average over splits)."""
     validate(m)
-    return _raw_walk(m, {})
+    nodes = {}
+    key = _visit(m, m, nodes)
+    return _generator(m, _assemble(nodes)[key])
 
 
 def normalized(gen: Generator) -> Generator:

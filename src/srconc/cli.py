@@ -40,6 +40,8 @@ def _load_config(path: str | None, overrides: dict) -> dict:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
@@ -189,8 +191,16 @@ def cmd_poincare_check(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
+def _positive(value, name: str) -> int:
+    """value as an int, or a UsageError unless it is at least 1."""
+    count = int(value)
+    if count < 1:
+        raise UsageError(f"{name} must be at least 1, got {count}")
+    return count
+
+
 def cmd_ineq_suite(cfg: dict) -> int:
-    trials = int(cfg["trials"])
+    trials = _positive(cfg["trials"], "trials")
     seed = int(cfg["seed"])
     tol = float(cfg["tol"])
     dims = cfg.get("dims", [3, 4])
@@ -273,7 +283,7 @@ def cmd_mgf(cfg: dict) -> int:
     lam = float(cfg.get("lambda", functional.scalar_spectral_gap(walk)))
     v = concentration.oscillation(walk, fn).v
     grid_cfg = cfg.get("theta_grid", {})
-    points = int(grid_cfg.get("points", 20))
+    points = _positive(grid_cfg.get("points", 20), "theta_grid.points")
     frac = float(grid_cfg.get("max_fraction", 0.9))
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
@@ -306,7 +316,7 @@ def cmd_tail(cfg: dict) -> int:
     c_ks = float(cfg.get("ks", {}).get("c", 1.0))
 
     grid_cfg = cfg.get("t_grid", {})
-    points = int(grid_cfg.get("points", 50))
+    points = _positive(grid_cfg.get("points", 50), "t_grid.points")
     centered = vals - mean
     dev_max = float(np.abs(np.linalg.eigvalsh(centered)).max())
     t_hi = float(grid_cfg.get("max", 1.25 * max(dev_max, 1e-6)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chains import Generator, flip_swap_adjacent
 from .functional import MatrixFn, dirichlet_form, matrix_mean
-from .matrix_core import spectral_norm, trace_power
+from .matrix_core import trace_power
 
 ADJACENCY_MODES = ("q_support", "flip_swap")
 
@@ -59,19 +59,13 @@ def oscillation(gen: Generator, fn: MatrixFn, mode: str = "q_support") -> Oscill
     if mode not in ADJACENCY_MODES:
         raise ValueError(f"mode must be one of {ADJACENCY_MODES}, got {mode!r}")
     vals = fn.gather(gen.states)
-    m = gen.states.size
-    worst = 0.0
-    pairs = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if mode == "q_support":
-                hit = gen.rates[i, j] > 0.0 or gen.rates[j, i] > 0.0
-            else:
-                hit = flip_swap_adjacent(int(gen.states[i]), int(gen.states[j]))
-            if hit:
-                pairs += 1
-                worst = max(worst, spectral_norm(vals[i] - vals[j]))
-    return OscillationStats(float(worst), mode, pairs)
+    if mode == "q_support":
+        hit = (gen.rates > 0.0) | (gen.rates.T > 0.0)
+    else:
+        hit = flip_swap_adjacent(gen.states[:, None], gen.states[None, :])
+    i, j = np.nonzero(np.triu(hit, 1))
+    norms = np.linalg.norm(vals[i] - vals[j], 2, axis=(1, 2)) if i.size else np.zeros(0)
+    return OscillationStats(float(norms.max(initial=0.0)), mode, int(i.size))
 
 
 class TraceMgf:

@@ -127,12 +127,10 @@ def matrix_mean(weights, values) -> np.ndarray:
 
 
 def matrix_variance(weights, values) -> np.ndarray:
-    """E[F^2] - E[F]^2 under the given weights."""
-    values = np.asarray(values, dtype=float)
-    mean = matrix_mean(weights, values)
-    second = np.einsum("x,xij,xjk->ik", np.asarray(weights, dtype=float),
-                       values, values)
-    return second - mean @ mean
+    """E[(F - E F)^2] under the given weights (exactly 0 for a constant F)."""
+    centered = np.asarray(values, dtype=float) - matrix_mean(weights, values)
+    return np.einsum("x,xij,xjk->ik", np.asarray(weights, dtype=float),
+                     centered, centered)
 
 
 def dirichlet_form(rates, weights, values) -> np.ndarray:
@@ -264,8 +262,12 @@ def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
     vals = fn.gather(gen.states)
     energy = dirichlet_form(gen.rates, gen.pi, vals)
     var = matrix_variance(gen.pi, vals)
-    slack = float(np.linalg.eigvalsh(energy - lam * var).min())
-    scale = max(1.0, spectral_norm(energy), abs(lam) * spectral_norm(var))
+    spread = spectral_norm(var)
+    # Var = 0 (one state, or F constant) satisfies the inequality for every
+    # lambda, inf included, where lambda * Var would be 0 * inf = NaN.
+    lam_var, lam_spread = (lam * var, abs(lam) * spread) if spread > 0.0 else (var, 0.0)
+    slack = float(np.linalg.eigvalsh(energy - lam_var).min())
+    scale = max(1.0, spectral_norm(energy), lam_spread)
     passed = slack >= -tol * scale
     return PoincareReport(float(lam), slack, scale, tol, passed,
                           None if passed else fn)

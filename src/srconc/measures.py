@@ -1,9 +1,10 @@
 """Probability measures on subsets of a finite ground set.
 
-A measure over subsets of {0, ..., n-1} is stored as a dense table of
-2**n probabilities indexed by bitmask (bit i set <=> element i in the
-subset).  Dense tables keep every check exact and enumerable, which is
-the point of this package; n is capped accordingly.
+A measure over subsets of {0, ..., n-1} is stored by its support: the
+bitmasks (bit i set <=> element i in the subset) that carry nonzero mass,
+ascending, and their masses.  Every check stays exact and enumerable,
+which is the point of this package; n is capped at STORAGE_LIMIT, and
+conditioning touches only the support.
 
 The covering relation used throughout: x covers y (written x |> y here)
 iff x == y or x == y | (1 << i) for a single bit i missing from y.  A
@@ -18,7 +19,7 @@ The stochastic covering property (SCP) asks that for every conditioning
 set S and every pair of assignments x |> y on S, the conditional of the
 measure given the smaller assignment covers the conditional given the
 larger one.  ``chains.scp_check`` decides it with the recursion that
-builds the flip-swap walk; this module supplies the pieces (``condition``,
+builds the flip-swap walk; this module supplies the pieces (``halves``,
 ``covers``, ``feasible_coupling``) and the size guard SCP_LIMIT.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
 PROJECTION_TOL = 1e-8
-STORAGE_LIMIT = 20  # dense tables up to 2**20 states
+STORAGE_LIMIT = 20  # largest ground set n a measure may live on
 SCP_LIMIT = 14      # largest n that chains.scp_check accepts
 
 
@@ -85,41 +86,62 @@ def covers(x, y):
     return ((x | y) == x) & (popcount(x ^ y) <= 1)
 
 
-@dataclass(frozen=True)
+def _check_size(n: int) -> None:
+    if not 0 <= n <= STORAGE_LIMIT:
+        raise StateSpaceTooLarge(f"n={n} outside supported range [0, {STORAGE_LIMIT}]")
+
+
 class SubsetMeasure:
-    """Dense probability table over subsets of an n-element ground set."""
+    """Measure over subsets of an n-element ground set, stored by support.
 
-    n: int
-    probs: np.ndarray
+    masks are the subsets with nonzero mass, ascending, and masses their
+    masses; negative and NaN entries are kept so that ``validate`` sees
+    them.  SubsetMeasure(n, probs) reads a dense table of 2**n masses
+    (``measure_from_json`` reads the entries) and ``probs`` is the dense
+    view.
+    """
 
-    def __post_init__(self):
-        if not (0 <= self.n <= STORAGE_LIMIT):
-            raise StateSpaceTooLarge(
-                f"n={self.n} outside supported range [0, {STORAGE_LIMIT}]")
-        probs = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
-        if probs.shape != (1 << self.n,):
+    __slots__ = ("n", "masks", "masses")
+
+    def __init__(self, n: int, probs):
+        _check_size(n)
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (1 << n,):
             raise ValueError(
-                f"probability table has shape {probs.shape}, expected ({1 << self.n},)")
-        object.__setattr__(self, "probs", probs)
+                f"probability table has shape {probs.shape}, expected ({1 << n},)")
+        masks = np.flatnonzero(probs).astype(np.int64)
+        self.n, self.masks, self.masses = n, masks, probs[masks]
+
+    @classmethod
+    def _packed(cls, n: int, masks: np.ndarray, masses: np.ndarray) -> "SubsetMeasure":
+        """No checks: masks ascending int64 in [0, 2**n), masses nonzero."""
+        m = object.__new__(cls)
+        m.n, m.masks, m.masses = n, masks, masses
+        return m
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Dense table of the 2**n masses (a fresh array)."""
+        return np.bincount(self.masks, self.masses, minlength=1 << self.n)
 
     def support(self) -> np.ndarray:
         """Masks with strictly positive mass, ascending."""
-        return np.flatnonzero(self.probs > 0.0).astype(np.int64)
+        return self.masks[self.masses > 0.0]
 
     def mass(self, mask: int) -> float:
-        return float(self.probs[mask])
+        return float(self.masses[self.masks == mask].sum())
 
 
 def validate(m: SubsetMeasure) -> None:
     """Raise unless m is a normalized nonnegative measure with support."""
-    lo = m.probs.min() if m.probs.size else 0.0
+    lo = np.fmin.reduce(m.masses, initial=0.0)  # fmin skips NaN
     if lo < 0.0:
-        mask = int(np.argmin(m.probs))
+        mask = int(m.masks[np.argmax(m.masses == lo)])
         raise NegativeMass(f"mass {lo!r} at mask {mask:#x}")
-    total = float(m.probs.sum())
+    total = float(m.masses.sum())
     if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN total
         raise NotNormalized(f"total mass {total!r} deviates from 1 by {total - 1.0:.3e}")
-    if not (m.probs > 0.0).any():
+    if not (m.masses > 0.0).any():
         raise ZeroMassEvent("measure has empty support")
 
 
@@ -128,12 +150,8 @@ def generating_polynomial(m: SubsetMeasure, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (m.n,):
         raise ValueError(f"z has shape {z.shape}, expected ({m.n},)")
-    masks = np.arange(1 << m.n, dtype=np.int64)
-    factors = np.ones(1 << m.n)
-    for i in range(m.n):
-        hit = (masks >> i) & 1 == 1
-        factors[hit] *= z[i]
-    return float(m.probs @ factors)
+    hit = (m.masks[:, None] >> np.arange(m.n)) & 1 == 1
+    return float(m.masses @ np.where(hit, z, 1.0).prod(axis=1))
 
 
 def homogeneity_degree(m: SubsetMeasure) -> int | None:
@@ -149,7 +167,9 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     """Condition on X_c = b for (c, b) pairs; renormalize the rest.
 
     The surviving coordinates keep their relative order and are packed
-    into a fresh cube of dimension n - len(coords).
+    into a fresh cube of dimension n - len(coords).  Only the support is
+    touched: it is sliced on the fixed bits, which are then squeezed out,
+    and squeezing keeps the slice ascending.
     """
     coords = [int(c) for c in coords]
     bits = [int(b) for b in bits]
@@ -161,30 +181,38 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
         if not 0 <= c < m.n:
             raise ValueError(f"coordinate {c} out of range for n={m.n}")
     if not coords:
-        return SubsetMeasure(m.n, m.probs.copy())
+        return SubsetMeasure._packed(m.n, m.masks.copy(), m.masses.copy())
 
-    sel_mask = 0
-    want = 0
-    for c, b in zip(coords, bits):
-        sel_mask |= 1 << c
-        if b:
-            want |= 1 << c
-    masks = np.arange(1 << m.n, dtype=np.int64)
-    keep = (masks & sel_mask) == want
-    slice_probs = m.probs[keep]
-    total = float(slice_probs.sum())
+    sel_mask = sum(1 << c for c in coords)
+    want = sum(1 << c for c, b in zip(coords, bits) if b)
+    keep = (m.masks & sel_mask) == want
+    masses = m.masses[keep]
+    total = float(masses.sum())
     if total <= 0.0:
         raise ZeroMassEvent(
             f"conditioning event coords={coords} bits={bits} has zero mass")
+    masks = m.masks[keep]
+    for c in sorted(coords, reverse=True):
+        masks = _drop_bit(masks, c)
+    return SubsetMeasure._packed(m.n - len(coords), masks, masses / total)
 
-    rest = [c for c in range(m.n) if c not in coords]
-    kept_masks = masks[keep]
-    packed = np.zeros(kept_masks.shape, dtype=np.int64)
-    for j, c in enumerate(rest):
-        packed |= ((kept_masks >> c) & 1) << j
-    out = np.zeros(1 << len(rest))
-    out[packed] = slice_probs / total
-    return SubsetMeasure(len(rest), out)
+
+def _drop_bit(masks, c: int):
+    """masks with bit c removed and the bits above it moved down one place."""
+    return ((masks >> (c + 1)) << c) | (masks & ((1 << c) - 1))
+
+
+def halves(m: SubsetMeasure, ell: int) -> list:
+    """[(m given x_ell = b, m restricted to x_ell = b) for b = 0, 1] with bit
+    ell dropped, None for a side without support.  Both keep the order of
+    m's support; the restriction keeps m's masses, so the conditional of a
+    restriction of m is condition(m, event) bit for bit."""
+    side = (m.masks >> ell) & 1 == 1
+    low = _drop_bit(m.masks, ell)
+    parts = [(low[sel], m.masses[sel]) for sel in (~side, side)]
+    return [(SubsetMeasure._packed(m.n - 1, masks, masses / float(masses.sum())),
+             SubsetMeasure._packed(m.n - 1, masks, masses)) if masses.size else None
+            for masks, masses in parts]
 
 
 @dataclass(frozen=True)
@@ -326,10 +354,10 @@ def make_uniform_k_subsets(n: int, k: int) -> SubsetMeasure:
     """Uniform measure on all k-element subsets of an n-element set."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_size(n)
     masks = np.arange(1 << n, dtype=np.int64)
-    hit = popcount(masks) == k
-    probs = np.where(hit, 1.0 / math.comb(n, k), 0.0)
-    return SubsetMeasure(n, probs)
+    masks = masks[popcount(masks) == k]
+    return SubsetMeasure._packed(n, masks, np.full(masks.size, 1.0 / math.comb(n, k)))
 
 
 def make_bernoulli_product(ps) -> SubsetMeasure:
@@ -376,13 +404,9 @@ def make_projection_dpp(kernel) -> SubsetMeasure:
 
     probs = np.zeros(1 << n)
     for bits in itertools.combinations(range(n), rank):
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        idx = np.fromiter(bits, dtype=int) if bits else np.empty(0, dtype=int)
-        sub = k_mat[np.ix_(idx, idx)]
-        det = float(np.linalg.det(sub)) if rank else 1.0
-        probs[mask] = max(det, 0.0)
+        idx = np.array(bits, dtype=int)
+        det = float(np.linalg.det(k_mat[np.ix_(idx, idx)])) if rank else 1.0
+        probs[sum(1 << b for b in bits)] = max(det, 0.0)
     total = probs.sum()
     if total <= 0.0:
         raise ZeroMassEvent("projection kernel produced an empty measure")
@@ -416,17 +440,13 @@ def component_count(vertices: int, edges) -> int:
 def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
     """True iff the selected edges form a spanning tree on all vertices."""
     chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]
-    if len(chosen) != vertices - 1:
-        return False
-    uf = _UnionFind(vertices)
-    for u, v in chosen:
-        if not uf.union(u, v):
-            return False
-    return True
+    return len(chosen) == vertices - 1 and component_count(vertices, chosen) == 1
 
 
-def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeasure:
-    """Uniform measure on spanning trees, ground set = the edge list."""
+def tree_edges(edges, vertices: int | None = None) -> tuple[list[tuple[int, int]], int]:
+    """The edge list as int pairs and the vertex count (default: one past
+    the largest endpoint); raises ValueError on a self-loop or an endpoint
+    outside range(vertices), since neither can appear in a spanning tree."""
     edges = [(int(u), int(v)) for u, v in edges]
     if vertices is None:
         vertices = 1 + max(max(u, v) for u, v in edges)
@@ -435,6 +455,12 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
             raise ValueError(f"self-loop ({u},{v}) cannot appear in a tree")
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise ValueError(f"edge ({u},{v}) out of range for {vertices} vertices")
+    return edges, vertices
+
+
+def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeasure:
+    """Uniform measure on spanning trees, ground set = the edge list."""
+    edges, vertices = tree_edges(edges, vertices)
     n = len(edges)
     if n > STORAGE_LIMIT:
         raise StateSpaceTooLarge(f"{n} edges exceeds limit {STORAGE_LIMIT}")
@@ -443,14 +469,12 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
         raise DisconnectedGraph(f"graph has {components} components")
 
     masks = np.arange(1 << n, dtype=np.int64)
-    candidates = masks[popcount(masks) == vertices - 1]
-    probs = np.zeros(1 << n)
-    hits = [int(msk) for msk in candidates if is_spanning_tree(int(msk), edges, vertices)]
-    for msk in hits:
-        probs[msk] = 1.0
+    hits = [msk for msk in masks[popcount(masks) == vertices - 1].tolist()
+            if is_spanning_tree(msk, edges, vertices)]
     if not hits:
         raise DisconnectedGraph("no spanning tree found")
-    return SubsetMeasure(n, probs / len(hits))
+    return SubsetMeasure._packed(n, np.array(hits, dtype=np.int64),
+                                 np.full(len(hits), 1.0 / len(hits)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +482,26 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
 
 
 def measure_to_json(m: SubsetMeasure) -> dict:
-    support = m.support()
+    keep = m.masses > 0.0
     return {
         "n": int(m.n),
-        "entries": [{"mask": int(msk), "p": float(m.probs[msk])} for msk in support],
+        "entries": [{"mask": int(msk), "p": float(p)}
+                    for msk, p in zip(m.masks[keep], m.masses[keep])],
     }
 
 
 def measure_from_json(obj: dict) -> SubsetMeasure:
     n = int(obj["n"])
-    probs = np.zeros(1 << n)
+    _check_size(n)
+    entries = {}  # a repeated mask keeps its last mass
     for entry in obj["entries"]:
         mask = int(entry["mask"])
-        if not 0 <= mask < probs.size:
-            raise MaskOutOfRange(f"mask {mask} outside [0, {probs.size}) for n={n}")
-        probs[mask] = float(entry["p"])
-    m = SubsetMeasure(n, probs)
+        if not 0 <= mask < 1 << n:
+            raise MaskOutOfRange(f"mask {mask} outside [0, {1 << n}) for n={n}")
+        entries[mask] = float(entry["p"])
+    masks = sorted(mask for mask, p in entries.items() if p != 0.0)
+    m = SubsetMeasure._packed(n, np.array(masks, dtype=np.int64),
+                              np.array([entries[mask] for mask in masks], dtype=float))
     validate(m)
     return m
 

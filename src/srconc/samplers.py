@@ -21,6 +21,7 @@ from .measures import (
     SubsetMeasure,
     component_count,
     projection_kernel,
+    tree_edges,
     validate,
 )
 
@@ -81,8 +82,7 @@ def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
     validate(m)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    supp = m.support()
-    probs = m.probs[supp]
+    supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
     u = _row_uniforms(seed, count, 2)
     cell = np.minimum((u[:, 0] * supp.size).astype(np.int64), supp.size - 1)
@@ -99,11 +99,9 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     Multi-edges are allowed and picked uniformly among parallel arcs.
     Draws are int64 masks, so at most MASK_BITS edges.
     """
-    edges = [(int(u), int(v)) for u, v in edges]
+    edges, vertices = tree_edges(edges, vertices)
     if len(edges) > MASK_BITS:
         raise StateSpaceTooLarge(f"{len(edges)} edges exceed the {MASK_BITS}-bit masks")
-    if vertices is None:
-        vertices = 1 + max(max(u, v) for u, v in edges)
     if component_count(vertices, edges) != 1:
         raise DisconnectedGraph("graph is not connected")
 
@@ -203,8 +201,9 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
     uniq, inverse = np.unique(batch.draws, return_inverse=True)
     vals = fn.gather(uniq)
     if measure is not None:
-        supp = measure.support()
-        mean = np.einsum("x,xij->ij", measure.probs[supp], fn.gather(supp))
+        keep = measure.masses > 0.0
+        mean = np.einsum("x,xij->ij", measure.masses[keep],
+                         fn.gather(measure.masks[keep]))
         exact = True
     else:
         mean = fn.gather(batch.draws).mean(axis=0)

@@ -26,7 +26,7 @@ from srconc.chains import (
 )
 from srconc.measures import SubsetMeasure, ZeroMassEvent
 
-from conftest import build_fixture_measures
+from conftest import K4_EDGES, build_fixture_measures
 
 
 def two_state_gen(a: float, b: float) -> Generator:
@@ -398,11 +398,29 @@ def test_normalized_walk_contract(name, fixture_measures, fixture_walks):
 
 
 def test_walk_memoization_consistency():
-    # the memo key is (n, mass bytes); two calls must agree entry for entry
+    # the memo key is content (n, masks, masses); two calls must agree entry for entry
     m = measures.make_uniform_k_subsets(5, 2)
     a = flip_swap_average(m)
     b = flip_swap_average(m)
     assert np.array_equal(a.rates, b.rates)
+
+
+def test_scp_check_assembles_no_generator(monkeypatch):
+    class Assembled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Assembled
+
+    for name in ("_assemble", "_add_split", "_generator", "Generator"):
+        monkeypatch.setattr(chains, name, refuse)
+    trees = measures.make_spanning_tree_measure(K4_EDGES)
+    assert chains.scp_check(trees).satisfied
+    two_point = SubsetMeasure(2, np.array([0.5, 0.0, 0.0, 0.5]))
+    result = chains.scp_check(two_point)
+    assert not result.satisfied and result.witness == ((0,), (1,), (0,))
+    with pytest.raises(Assembled):
+        flip_swap_average(trees)
 
 
 def test_cube2_gap_meets_product_bound():

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,15 @@ def test_validate_measure_rejects_mask_out_of_range(tmp_path, capsys, mask):
     code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
     assert code == 2
     assert payload["error"] == "MaskOutOfRange"
+
+
+@pytest.mark.parametrize("n", [-1, 40])
+def test_validate_measure_rejects_n_out_of_range(tmp_path, capsys, n):
+    cfg = write_cfg(tmp_path, "n.json", {
+        "measure": {"inline": {"n": n, "entries": [{"mask": 0, "p": 1.0}]}}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert code == 2
+    assert payload["error"] == "StateSpaceTooLarge"
 
 
 def test_validate_measure_inline_roundtrip(tmp_path, capsys):
@@ -153,6 +164,25 @@ def test_build_walk_point_mass_emits_strict_json(tmp_path, capsys):
     assert payload["states"] == [1]
 
 
+def test_point_mass_walk_and_poincare_check(tmp_path, capsys):
+    # one state: no exits (delta 0.0, not -0.0) and zero variance, so the
+    # Poincare inequality holds even at the infinite gap
+    cfg = write_cfg(tmp_path, "point.json", {
+        "measure": {"inline": {"n": 2, "entries": [{"mask": 1, "p": 1.0}]}},
+        "function": {"random": {"kind": "table", "d": 3, "seed": 4}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, walk = run_json(capsys, ["build-walk", "--config", cfg])
+        assert code == 0
+        for key in ("delta", "delta_raw"):
+            assert walk[key] == 0.0 and math.copysign(1.0, walk[key]) == 1.0
+        code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
+    assert code == 0
+    assert payload["passed"] is True
+    assert payload["lambda"] is None
+    assert payload["min_eig_slack"] == 0.0
+
+
 # ------------------------------------------------------------ poincare-check
 
 def test_poincare_check_default_lambda(tmp_path, capsys):
@@ -190,6 +220,15 @@ def test_ineq_suite_passes(tmp_path, capsys):
     assert all(v == 0 for v in payload["violations"].values())
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_ineq_suite_rejects_no_trials(tmp_path, capsys, trials):
+    cfg = write_cfg(tmp_path, "i.json", {"trials": trials})
+    assert main(["ineq-suite", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
 def test_ineq_suite_trials_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "i.json", {"trials": 50})
     code, payload = run_json(capsys, ["ineq-suite", "--config", cfg,
@@ -223,6 +262,16 @@ def test_mgf_rejects_constant_function(tmp_path, capsys):
         "function": {"inline": inline}})
     assert main(["mgf", "--config", cfg]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,grid", [("mgf", "theta_grid"), ("tail", "t_grid")])
+def test_grid_needs_a_point(tmp_path, capsys, command, grid):
+    cfg = write_cfg(tmp_path, "g.json", {
+        "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+        "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
+        grid: {"points": 0}})
+    assert main([command, "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
 # ---------------------------------------------------------------------- tail
@@ -365,6 +414,13 @@ def test_unknown_command_usage_exit(capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["validate-measure", "--config", str(tmp_path / "nope.json")]) == 1
     capsys.readouterr()
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["validate-measure", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
 def test_config_without_measure(tmp_path, capsys):

@@ -89,6 +89,30 @@ def test_oscillation_two_point_value():
     assert stats.pairs == 1
 
 
+def reference_oscillation(gen, fn, mode):
+    """(v, pairs) by the pairwise loop over all state pairs."""
+    vals = fn.gather(gen.states)
+    worst, pairs = 0.0, 0
+    for i in range(gen.states.size):
+        for j in range(i + 1, gen.states.size):
+            if mode == "q_support":
+                hit = gen.rates[i, j] > 0.0 or gen.rates[j, i] > 0.0
+            else:
+                hit = chains.flip_swap_adjacent(int(gen.states[i]), int(gen.states[j]))
+            if hit:
+                pairs += 1
+                worst = max(worst, float(np.linalg.norm(vals[i] - vals[j], 2)))
+    return worst, pairs
+
+
+@pytest.mark.parametrize("mode", ["q_support", "flip_swap"])
+def test_oscillation_matches_pairwise_loop(fixture_walks, mode):
+    for name, walk in fixture_walks.items():
+        fn = random_matrix_fn(walk.states, 3, seed=name_seed(name))
+        stats = oscillation(walk, fn, mode)
+        assert (stats.v, stats.pairs) == reference_oscillation(walk, fn, mode), name
+
+
 # ----------------------------------------------------------------- trace mgf
 
 def test_trace_mgf_at_zero_is_dim():

@@ -155,6 +155,15 @@ def test_wilson_rejects_more_edges_than_mask_bits():
         wilson_spanning_tree(k13, seed=0, count=1)
 
 
+@pytest.mark.parametrize("edges,vertices", [([(0, 0), (0, 1)], 2), ([(0, 1), (1, 2)], 2)])
+def test_wilson_rejects_what_the_tree_measure_rejects(edges, vertices):
+    with pytest.raises(ValueError) as from_measure:
+        measures.make_spanning_tree_measure(edges, vertices)
+    with pytest.raises(ValueError) as from_sampler:
+        wilson_spanning_tree(edges, seed=0, count=1, vertices=vertices)
+    assert str(from_sampler.value) == str(from_measure.value)
+
+
 def test_wilson_parallel_edges():
     batch = wilson_spanning_tree([(0, 1), (0, 1)], seed=4, count=20_000)
     masks = sorted(set(batch.draws.tolist()))
