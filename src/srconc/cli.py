@@ -199,11 +199,22 @@ def _positive(value, name: str) -> int:
     return count
 
 
+def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
+    """The cfg[key] grid object and its point count (default points)."""
+    grid = cfg.get(key, {})
+    if not isinstance(grid, dict):
+        raise UsageError(f"{key} must be an object, got {grid!r}")
+    return grid, _positive(grid.get("points", points), f"{key}.points")
+
+
 def cmd_ineq_suite(cfg: dict) -> int:
     trials = _positive(cfg["trials"], "trials")
     seed = int(cfg["seed"])
     tol = float(cfg["tol"])
     dims = cfg.get("dims", [3, 4])
+    if not isinstance(dims, list) or not dims:
+        raise UsageError(f"dims must be a non-empty list, got {dims!r}")
+    dims = [_positive(d, "dims entry") for d in dims]
     counts: dict[str, int] = {}
 
     def run(name, fun):
@@ -277,14 +288,13 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
 
 def cmd_mgf(cfg: dict) -> int:
+    grid_cfg, points = _grid(cfg, "theta_grid", 20)
+    frac = float(grid_cfg.get("max_fraction", 0.9))
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
     fn, _ = _build_function(cfg, walk.states, m.n)
     lam = float(cfg.get("lambda", functional.scalar_spectral_gap(walk)))
     v = concentration.oscillation(walk, fn).v
-    grid_cfg = cfg.get("theta_grid", {})
-    points = _positive(grid_cfg.get("points", 20), "theta_grid.points")
-    frac = float(grid_cfg.get("max_fraction", 0.9))
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
     theta_max = math.sqrt(frac * lam) / v
@@ -303,6 +313,10 @@ def cmd_mgf(cfg: dict) -> int:
 
 
 def cmd_tail(cfg: dict) -> int:
+    grid_cfg, points = _grid(cfg, "t_grid", 50)
+    mode = cfg.get("mode", "exact")
+    if mode not in ("exact", "empirical"):
+        raise UsageError(f"unknown tail mode {mode!r}")
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
     fn, lip = _build_function(cfg, walk.states, m.n)
@@ -315,24 +329,19 @@ def cmd_tail(cfg: dict) -> int:
     mu = matrix_core.spectral_norm(mean)
     c_ks = float(cfg.get("ks", {}).get("c", 1.0))
 
-    grid_cfg = cfg.get("t_grid", {})
-    points = _positive(grid_cfg.get("points", 50), "t_grid.points")
     centered = vals - mean
     dev_max = float(np.abs(np.linalg.eigvalsh(centered)).max())
     t_hi = float(grid_cfg.get("max", 1.25 * max(dev_max, 1e-6)))
     ts = np.linspace(t_hi / points, t_hi, points)
 
-    mode = cfg.get("mode", "exact")
     if mode == "exact":
         probs = concentration.exact_tail(walk.pi, vals, ts)
         cis = [None] * len(ts)
-    elif mode == "empirical":
+    else:
         batch = samplers.sample_table(m, int(cfg["seed"]), int(cfg.get("count", 100000)))
         rows_emp = samplers.empirical_tail(fn, batch, ts, measure=m)
         probs = [r.estimate for r in rows_emp]
         cis = [r.ci_upper for r in rows_emp]
-    else:
-        raise UsageError(f"unknown tail mode {mode!r}")
 
     tol = float(cfg["tol"])
     rows = []

@@ -34,6 +34,10 @@ class DomainMismatch(FunctionalError):
     pass
 
 
+class BadValues(FunctionalError, ValueError):
+    """Wrong shape, d < 1 or non-finite values; a ValueError, as shape errors were."""
+
+
 class Reducible(FunctionalError):
     def __init__(self, components: int):
         super().__init__(f"chain splits into {components} communicating classes")
@@ -51,9 +55,11 @@ class MatrixFn:
         states = np.asarray(self.states, dtype=np.int64)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 3 or values.shape[0] != states.size \
-                or values.shape[1] != values.shape[2]:
-            raise ValueError(f"values have shape {values.shape}, "
-                             f"expected ({states.size}, d, d)")
+                or values.shape[1] != values.shape[2] or values.shape[1] < 1:
+            raise BadValues(f"values have shape {values.shape}, "
+                            f"expected ({states.size}, d, d) with d >= 1")
+        if not np.isfinite(values).all():
+            raise BadValues("values must be finite")
         values = (values + values.transpose(0, 2, 1)) / 2.0
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", values)
@@ -289,6 +295,6 @@ def matrix_fn_from_json(obj: dict) -> MatrixFn:
         states.append(int(entry["mask"]))
         mat = np.asarray(entry["rows"], dtype=float)
         if mat.shape != (d, d):
-            raise ValueError(f"value at mask {entry['mask']} has shape {mat.shape}")
+            raise BadValues(f"value at mask {entry['mask']} has shape {mat.shape}")
         mats.append(mat)
     return MatrixFn(np.asarray(states, dtype=np.int64), np.stack(mats))

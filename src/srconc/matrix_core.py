@@ -16,6 +16,7 @@ above -tol * scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,9 +233,12 @@ def check_diff_square_convex(x1, x2, y1, y2, t: float, tol: float = 1e-8) -> boo
     return psd_leq(lhs, rhs, tol)
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(quad_points: int):
     x, w = np.polynomial.legendre.leggauss(quad_points)
-    return (x + 1.0) / 2.0, w / 2.0  # mapped to [0, 1]
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0  # mapped to [0, 1]
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
 
 
 def duhamel_residual(x, y, quad_points: int = DEFAULT_QUAD_POINTS) -> float:

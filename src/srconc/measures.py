@@ -137,7 +137,7 @@ def validate(m: SubsetMeasure) -> None:
     lo = np.fmin.reduce(m.masses, initial=0.0)  # fmin skips NaN
     if lo < 0.0:
         mask = int(m.masks[np.argmax(m.masses == lo)])
-        raise NegativeMass(f"mass {lo!r} at mask {mask:#x}")
+        raise NegativeMass(f"mass {float(lo)!r} at mask {mask:#x}")
     total = float(m.masses.sum())
     if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN total
         raise NotNormalized(f"total mass {total!r} deviates from 1 by {total - 1.0:.3e}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .functional import MatrixFn
 from .measures import (
@@ -177,6 +176,7 @@ def clopper_pearson_upper(successes: int, trials: int,
         raise ValueError("need 0 <= successes <= trials, trials > 0")
     if successes == trials:
         return 1.0
+    from scipy.special import betaincinv  # here, so only empirical tails pay scipy's import
     return float(betaincinv(successes + 1, trials - successes, confidence))
 
 

@@ -63,6 +63,15 @@ def test_validate_measure_rejects_nan_mass(tmp_path, capsys):
     assert payload["error"] == "NotNormalized"
 
 
+def test_validate_measure_negative_mass_message(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "neg.json", {
+        "measure": {"inline": {"n": 1, "entries": [{"mask": 0, "p": -0.1},
+                                                   {"mask": 1, "p": 1.1}]}}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert code == 2
+    assert payload == {"error": "NegativeMass", "message": "mass -0.1 at mask 0x0"}
+
+
 @pytest.mark.parametrize("mask", [-1, 7])
 def test_validate_measure_rejects_mask_out_of_range(tmp_path, capsys, mask):
     cfg = write_cfg(tmp_path, "mask.json", {
@@ -205,6 +214,22 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("function", [
+    {"inline": {"d": 1, "values": [{"mask": 1, "rows": [[float("nan")]]},
+                                   {"mask": 2, "rows": [[1.0]]},
+                                   {"mask": 4, "rows": [[0.0]]}]}},
+    {"inline": {"d": 0, "values": [{"mask": s, "rows": []} for s in (1, 2, 4)]}},
+    {"random": {"kind": "table", "d": 0}},
+], ids=["nan", "inline-d0", "random-d0"])
+def test_poincare_check_rejects_bad_values(tmp_path, capsys, function):
+    cfg = write_cfg(tmp_path, "p.json", {
+        "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+        "function": function})
+    code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
+    assert code == 2
+    assert payload["error"] == "BadValues"
+
+
 # ---------------------------------------------------------------- ineq-suite
 
 def test_ineq_suite_passes(tmp_path, capsys):
@@ -223,6 +248,15 @@ def test_ineq_suite_passes(tmp_path, capsys):
 @pytest.mark.parametrize("trials", [0, -1])
 def test_ineq_suite_rejects_no_trials(tmp_path, capsys, trials):
     cfg = write_cfg(tmp_path, "i.json", {"trials": trials})
+    assert main(["ineq-suite", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("dims", [[0], [3, -1], [], 3])
+def test_ineq_suite_rejects_bad_dims(tmp_path, capsys, dims):
+    cfg = write_cfg(tmp_path, "i.json", {"trials": 2, "dims": dims})
     assert main(["ineq-suite", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -270,6 +304,25 @@ def test_grid_needs_a_point(tmp_path, capsys, command, grid):
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
         "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
         grid: {"points": 0}})
+    assert main([command, "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("mgf", "theta_grid", [1]), ("mgf", "theta_grid", {"points": 0}),
+    ("tail", "t_grid", 5), ("tail", "t_grid", {"points": 0}),
+    ("tail", "mode", "guess")],
+    ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode"])
+def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
+                                                command, key, value):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before the config was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    cfg = write_cfg(tmp_path, "g.json", {
+        "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+        "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
+        key: value})
     assert main([command, "--config", cfg]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
@@ -435,11 +488,10 @@ def test_bad_measure_family(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_skips_scipy_stats_and_sparse():
-    code = ("import sys, srconc.cli; "
+def test_cli_import_skips_scipy():
+    code = ("import sys, srconc, srconc.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'])"
-            " or m.split('.')[0] == 'networkx'))")
+            "if m.split('.')[0] in ('scipy', 'networkx')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -49,6 +49,13 @@ def test_matrix_fn_shape_check():
         MatrixFn(np.array([0]), np.zeros((1, 2, 3)))
 
 
+@pytest.mark.parametrize("values", [
+    np.full((1, 2, 2), np.nan), np.full((1, 1, 1), np.inf), np.zeros((2, 0, 0))])
+def test_matrix_fn_rejects_non_finite_and_empty(values):
+    with pytest.raises(functional.FunctionalError):
+        MatrixFn(np.arange(values.shape[0]), values)
+
+
 def test_gather_aligns_and_rejects():
     fn = MatrixFn.from_table({2: np.eye(2), 5: 2 * np.eye(2)})
     out = fn.gather([5, 2])

@@ -224,6 +224,13 @@ def test_duhamel_identical_arguments():
     assert duhamel_residual(a, a) == 0.0
 
 
+def test_gl_nodes_cached_read_only():
+    nodes, weights = mc._gl_nodes(64)
+    assert mc._gl_nodes(64)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert weights.sum() == pytest.approx(1.0)
+
+
 def test_duhamel_commuting_diagonals():
     x = np.diag([0.4, -1.1, 0.7])
     y = np.diag([-0.3, 0.9, 0.2])
