@@ -276,32 +276,53 @@ def _couple(low: SubsetMeasure, high: SubsetMeasure, ell: int) -> CouplingTable:
     return table
 
 
-def _visit(m: SubsetMeasure, w: SubsetMeasure, nodes: dict) -> tuple:
-    """Key of the conditional m after adding it and every conditional below
-    it, children first, to nodes as nodes[key] = (m, [_split per coordinate]).
-    w is the root restricted to m's event: computing each conditional from
-    the root's masses makes an event reached in another order bit-identical."""
-    key = (m.n, m.masks.tobytes(), m.masses.tobytes())
-    if key not in nodes:
-        splits = [_split(w, ell, nodes) for ell in range(m.n)] if m.masks.size > 1 else []
-        nodes[key] = (m, splits)
+class _Lattice:
+    """The distinct conditionals met by the recursion, by content key, as
+    nodes[key] = (m, [_split per coordinate]), and the solved couplings by
+    their pair of child keys: a coupling depends only on the two
+    conditionals, and many splits share a pair."""
+
+    def __init__(self):
+        self.nodes = {}
+        self.kappas = {}
+
+
+def _key(m: SubsetMeasure) -> tuple:
+    return (m.n, m.masks.tobytes(), m.masses.tobytes())
+
+
+def _visit(m: SubsetMeasure, w: SubsetMeasure, lattice: _Lattice, key: tuple) -> tuple:
+    """key (m's _key) after adding m and every conditional below it,
+    children first, to the lattice.  w is the root restricted to m's
+    event: computing each conditional from the root's masses makes an event
+    reached in another order bit-identical."""
+    if key not in lattice.nodes:
+        splits = ([_split(w, ell, lattice) for ell in range(m.n)]
+                  if m.masks.size > 1 else [])
+        lattice.nodes[key] = (m, splits)
     return key
 
 
-def _split(w: SubsetMeasure, ell: int, nodes: dict) -> tuple:
+def _split(w: SubsetMeasure, ell: int, lattice: _Lattice) -> tuple:
     """Coupling of the split on ell as (row, col, mass) arrays over its
     support, rows and cols indexing the two children (None for a constant
     coordinate), and the child keys.  The coupling is solved first, so the
     first InfeasibleCoupling is the first failing SCP event in recursion
-    order; events from below are lifted to w's coordinates."""
+    order; events from below are lifted to w's coordinates.  Only feasible
+    couplings are memoized, so a failure is met where it was before."""
     sides = halves(w, ell)
-    mass = None if None in sides else _couple(sides[0][0], sides[1][0], ell).mass
-    kappa = None if mass is None else np.nonzero(mass) + (mass[mass > 0.0],)
+    keys = tuple(None if side is None else _key(side[0]) for side in sides)
+    kappa = None
+    if None not in sides:
+        kappa = lattice.kappas.get(keys)
+        if kappa is None:
+            mass = _couple(sides[0][0], sides[1][0], ell).mass
+            kappa = lattice.kappas[keys] = np.nonzero(mass) + (mass[mass > 0.0],)
     kids = []
     try:
-        for bit, side in enumerate(sides):
+        for bit, (side, key) in enumerate(zip(sides, keys)):
             if side is not None:
-                kids.append(_visit(*side, nodes))
+                kids.append(_visit(*side, lattice, key))
     except InfeasibleCoupling as exc:
         coords, bits, split = exc.event
         exc.event = ((ell, *(c + (c >= ell) for c in coords)), (bit, *bits),
@@ -310,11 +331,11 @@ def _split(w: SubsetMeasure, ell: int, nodes: dict) -> tuple:
     return kappa, kids
 
 
-def _assemble(nodes: dict) -> dict:
+def _assemble(lattice: _Lattice) -> dict:
     """Off-diagonal raw walk rates of every node: the uniform average of
     its split rates, zero for a single state."""
     rates = {}
-    for key, (m, splits) in nodes.items():
+    for key, (m, splits) in lattice.nodes.items():
         acc = np.zeros((m.masks.size, m.masks.size))
         for ell, split in enumerate(splits):
             _add_split(acc, m, ell, split, rates)
@@ -376,7 +397,7 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
     if m.n > SCP_LIMIT:
         raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {SCP_LIMIT}")
     try:
-        _visit(m, m, {})
+        _visit(m, m, _Lattice(), _key(m))
     except InfeasibleCoupling as exc:
         coords, bits, ell = exc.event
         fixed = sorted(zip((*coords, ell), (*bits, 1), (*bits, 0)))
@@ -389,19 +410,19 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     validate(m)
     if not 0 <= ell < m.n:
         raise ValueError(f"coordinate {ell} out of range for n={m.n}")
-    nodes = {}
-    split = _split(m, ell, nodes)
+    lattice = _Lattice()
+    split = _split(m, ell, lattice)
     acc = np.zeros((m.masks.size, m.masks.size))
-    _add_split(acc, m, ell, split, _assemble(nodes))
+    _add_split(acc, m, ell, split, _assemble(lattice))
     return _generator(m, acc)
 
 
 def flip_swap_average(m: SubsetMeasure) -> Generator:
     """Pre-normalization flip-swap walk (uniform average over splits)."""
     validate(m)
-    nodes = {}
-    key = _visit(m, m, nodes)
-    return _generator(m, _assemble(nodes)[key])
+    lattice = _Lattice()
+    key = _visit(m, m, lattice, _key(m))
+    return _generator(m, _assemble(lattice)[key])
 
 
 def normalized(gen: Generator) -> Generator:

@@ -199,11 +199,17 @@ def _positive(value, name: str) -> int:
     return count
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The optional cfg[key] object ({} when absent)."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"{key} must be an object, got {section!r}")
+    return section
+
+
 def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
     """The cfg[key] grid object and its point count (default points)."""
-    grid = cfg.get(key, {})
-    if not isinstance(grid, dict):
-        raise UsageError(f"{key} must be an object, got {grid!r}")
+    grid = _section(cfg, key)
     return grid, _positive(grid.get("points", points), f"{key}.points")
 
 
@@ -317,6 +323,7 @@ def cmd_tail(cfg: dict) -> int:
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "empirical"):
         raise UsageError(f"unknown tail mode {mode!r}")
+    c_ks = float(_section(cfg, "ks").get("c", 1.0))
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
     fn, lip = _build_function(cfg, walk.states, m.n)
@@ -327,7 +334,6 @@ def cmd_tail(cfg: dict) -> int:
     vals = fn.gather(walk.states)
     mean = functional.matrix_mean(walk.pi, vals)
     mu = matrix_core.spectral_norm(mean)
-    c_ks = float(cfg.get("ks", {}).get("c", 1.0))
 
     centered = vals - mean
     dev_max = float(np.abs(np.linalg.eigvalsh(centered)).max())
@@ -367,7 +373,7 @@ def cmd_tail(cfg: dict) -> int:
 
 
 def cmd_compare_ks(cfg: dict) -> int:
-    ks_cfg = cfg.get("ks", {})
+    ks_cfg = _section(cfg, "ks")
     k_values = [int(k) for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
     c = float(ks_cfg.get("c", 1.0))
     factors = [float(f) for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]

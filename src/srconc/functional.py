@@ -69,15 +69,17 @@ class MatrixFn:
         return self.values.shape[1]
 
     def gather(self, states) -> np.ndarray:
-        """Value stack aligned to the given state list."""
-        lookup = {int(s): i for i, s in enumerate(self.states)}
-        idx = []
-        for s in np.asarray(states, dtype=np.int64):
-            i = lookup.get(int(s))
-            if i is None:
-                raise DomainMismatch(f"function undefined at state {int(s):#x}")
-            idx.append(i)
-        return self.values[idx]
+        """Value stack aligned to the given state list (a repeated state
+        takes its last value)."""
+        states = np.asarray(states, dtype=np.int64)
+        order = np.argsort(self.states, kind="stable")
+        keys = self.states[order]
+        pos = np.maximum(np.searchsorted(keys, states, side="right") - 1, 0)
+        missing = (keys[pos] != states) if keys.size else np.ones(states.shape, bool)
+        if missing.any():
+            raise DomainMismatch(
+                f"function undefined at state {int(states[missing][0]):#x}")
+        return self.values[order[pos]]
 
     @staticmethod
     def constant(states, mat) -> "MatrixFn":
@@ -140,14 +142,22 @@ def matrix_variance(weights, values) -> np.ndarray:
 
 
 def dirichlet_form(rates, weights, values) -> np.ndarray:
-    """(1/2) sum_{x,y} pi(x) Q(x,y) (F(x) - F(y))^2."""
+    """(1/2) sum_{x,y} pi(x) Q(x,y) (F(x) - F(y))^2.
+
+    Summed over the edges x < y of the rate support with the flow
+    W_xy + W_yx, W_xy = pi(x) Q(x,y): the E edge differences D_e give one
+    GEMM of D as d x (E d) by (W D) as (E d) x d, in O(E d^2) memory.
+    """
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
-    flows = weights[:, None] * rates
-    np.fill_diagonal(flows, 0.0)
-    diff = values[:, None, :, :] - values[None, :, :, :]
-    return 0.5 * np.einsum("xy,xyij,xyjk->ik", flows, diff, diff)
+    support = rates != 0.0
+    x, y = np.nonzero(np.triu(support | support.T, 1))
+    flow = weights[x] * rates[x, y] + weights[y] * rates[y, x]
+    diff = values[x] - values[y]
+    d = values.shape[1]
+    weighted = diff * flow[:, None, None]
+    return 0.5 * (diff.transpose(1, 0, 2).reshape(d, -1) @ weighted.reshape(-1, d))
 
 
 def project_fn(dec: Decomposition, fn: MatrixFn) -> MatrixFn:
@@ -190,17 +200,12 @@ def check_decompositions(dec: Decomposition, fn: MatrixFn) -> DecompositionResid
                                                dec.restrictions[i].pi,
                                                fn.gather(dec.parts[i]))
                      for i in range(len(dec.parts)))
-    pos = {int(s): a for a, s in enumerate(gen.states)}
-    cross = np.zeros((fn.dim, fn.dim))
-    for i in range(len(dec.parts)):
-        for j in range(len(dec.parts)):
-            if i == j:
-                continue
-            xi = np.array([pos[int(s)] for s in dec.parts[i]])
-            yj = np.array([pos[int(s)] for s in dec.parts[j]])
-            flows = gen.pi[xi, None] * gen.rates[np.ix_(xi, yj)]
-            diff = vals[xi][:, None, :, :] - vals[yj][None, :, :, :]
-            cross += 0.5 * np.einsum("xy,xyij,xyjk->ik", flows, diff, diff)
+    pos = gen.index_of()
+    labels = np.full(gen.states.size, -1)
+    for i, part in enumerate(dec.parts):
+        labels[[pos[int(s)] for s in part]] = i
+    cross = dirichlet_form(gen.rates * (labels[:, None] != labels[None, :]),
+                           gen.pi, vals)
     dir_res = float(np.abs(total_dir - within_dir - cross).max())
 
     scale = max(1.0, spectral_norm(total_var), spectral_norm(total_dir))
@@ -289,6 +294,10 @@ def matrix_fn_to_json(fn: MatrixFn) -> dict:
 
 def matrix_fn_from_json(obj: dict) -> MatrixFn:
     d = int(obj["d"])
+    if d < 1:
+        raise BadValues(f"d must be at least 1, got {d}")
+    if not obj["values"]:
+        raise BadValues("values must list at least one state")
     states = []
     mats = []
     for entry in obj["values"]:

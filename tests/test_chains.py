@@ -405,6 +405,24 @@ def test_walk_memoization_consistency():
     assert np.array_equal(a.rates, b.rates)
 
 
+@pytest.mark.parametrize("n,k,solves", [(10, 5, 25), (12, 6, 36)])
+def test_coupling_solved_once_per_pair_of_conditionals(monkeypatch, n, k, solves):
+    # uniform(10,5) meets 150 splits but only 25 distinct (low, high) pairs
+    calls = []
+    solve = chains.feasible_coupling
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "feasible_coupling", counted)
+    m = measures.make_uniform_k_subsets(n, k)
+    assert chains.scp_check(m).satisfied
+    assert len(calls) == solves
+    flip_swap_average(m)
+    assert len(calls) == 2 * solves
+
+
 def test_scp_check_assembles_no_generator(monkeypatch):
     class Assembled(Exception):
         pass

@@ -214,20 +214,23 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
     assert payload["passed"] is False
 
 
-@pytest.mark.parametrize("function", [
-    {"inline": {"d": 1, "values": [{"mask": 1, "rows": [[float("nan")]]},
-                                   {"mask": 2, "rows": [[1.0]]},
-                                   {"mask": 4, "rows": [[0.0]]}]}},
-    {"inline": {"d": 0, "values": [{"mask": s, "rows": []} for s in (1, 2, 4)]}},
-    {"random": {"kind": "table", "d": 0}},
-], ids=["nan", "inline-d0", "random-d0"])
-def test_poincare_check_rejects_bad_values(tmp_path, capsys, function):
+@pytest.mark.parametrize("function,needle", [
+    ({"inline": {"d": 1, "values": [{"mask": 1, "rows": [[float("nan")]]},
+                                    {"mask": 2, "rows": [[1.0]]},
+                                    {"mask": 4, "rows": [[0.0]]}]}}, "finite"),
+    ({"inline": {"d": 0, "values": [{"mask": s, "rows": []} for s in (1, 2, 4)]}},
+     "d must be at least 1"),
+    ({"random": {"kind": "table", "d": 0}}, "d >= 1"),
+    ({"inline": {"d": 2, "values": []}}, "at least one state"),
+], ids=["nan", "inline-d0", "random-d0", "inline-empty"])
+def test_poincare_check_rejects_bad_values(tmp_path, capsys, function, needle):
     cfg = write_cfg(tmp_path, "p.json", {
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
         "function": function})
     code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
     assert code == 2
     assert payload["error"] == "BadValues"
+    assert needle in payload["message"]
 
 
 # ---------------------------------------------------------------- ineq-suite
@@ -311,8 +314,8 @@ def test_grid_needs_a_point(tmp_path, capsys, command, grid):
 @pytest.mark.parametrize("command,key,value", [
     ("mgf", "theta_grid", [1]), ("mgf", "theta_grid", {"points": 0}),
     ("tail", "t_grid", 5), ("tail", "t_grid", {"points": 0}),
-    ("tail", "mode", "guess")],
-    ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode"])
+    ("tail", "mode", "guess"), ("tail", "ks", 2)],
+    ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode", "ks-int"])
 def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
                                                 command, key, value):
     def no_walk(*args, **kwargs):
@@ -324,6 +327,12 @@ def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
         "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
         key: value})
     assert main([command, "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "k.json", {"ks": 2})
+    assert main(["compare-ks", "--config", cfg]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
