@@ -86,6 +86,10 @@ class NegativeRate(ChainError):
     pass
 
 
+class NonFiniteGenerator(ChainError):
+    pass
+
+
 @dataclass(frozen=True)
 class Generator:
     """Reversible rate matrix over an ordered state list.
@@ -133,23 +137,32 @@ def delta(gen: Generator) -> float:
     return float(np.max(-np.diag(gen.rates), initial=0.0)) + 0.0
 
 
-def validate_generator(gen: Generator, tol: float = RATE_TOL) -> None:
-    """Raise on negative rates, bad row sums, or broken detailed balance."""
+def rate_edges(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs x < y with a nonzero rate in either direction."""
+    support = rates != 0.0
+    return np.nonzero(np.triu(support | support.T, 1))
+
+
+def validate_generator(gen: Generator) -> None:
+    """Raise on non-finite entries, negative rates, bad row sums, or broken
+    detailed balance."""
     q = gen.rates
+    if not (np.isfinite(q).all() and np.isfinite(gen.pi).all()):
+        raise NonFiniteGenerator("rates and pi must be finite")
     scale = max(1.0, float(np.abs(q).max(initial=0.0)))
     off = q.copy()
     np.fill_diagonal(off, 0.0)
-    if off.min(initial=0.0) < -tol * scale:
+    if off.min(initial=0.0) < -RATE_TOL * scale:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         raise NegativeRate(f"rate {q[i, j]!r} at ({i},{j})")
     rowdev = np.abs(q.sum(axis=1)).max(initial=0.0)
-    if rowdev > tol * scale:
+    if rowdev > RATE_TOL * scale:
         raise RowSumViolation(f"row sums deviate from 0 by {rowdev:.3e}")
     if gen.pi.size == 0 or gen.pi.min() <= 0.0:
         raise ZeroMassEvent("stationary law must be positive on the state list")
     flows = gen.pi[:, None] * q
     dev = np.abs(flows - flows.T).max(initial=0.0)
-    if dev > tol * max(1.0, float(np.abs(flows).max(initial=0.0))):
+    if dev > RATE_TOL * max(1.0, float(np.abs(flows).max(initial=0.0))):
         raise DetailedBalanceViolation(f"pi(x)Q(x,y) asymmetric by {dev:.3e}")
 
 
@@ -433,10 +446,9 @@ def normalized(gen: Generator) -> Generator:
     return Generator(gen.states, gen.rates / top, gen.pi, n=gen.n)
 
 
-def hermon_salez(m: SubsetMeasure, normalize: bool = True) -> Generator:
+def hermon_salez(m: SubsetMeasure) -> Generator:
     """Flip-swap walk for an SCP measure, normalized to Delta(Q) <= 1."""
-    gen = flip_swap_average(m)
-    return normalized(gen) if normalize else gen
+    return normalized(flip_swap_average(m))
 
 
 def generator_to_json(gen: Generator) -> dict:

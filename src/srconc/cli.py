@@ -45,6 +45,9 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise UsageError(f"out must be a file path, got {out!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("tol", 1e-8)
     cfg.setdefault("trials", 100)
@@ -88,6 +91,8 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
     if not isinstance(spec, dict):
         raise UsageError("config needs a 'measure' object")
     if "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise UsageError(f"measure path must be a string, got {spec['path']!r}")
         with open(spec["path"]) as fh:
             return measures.measure_from_json(json.load(fh))
     if "inline" in spec:
@@ -153,7 +158,7 @@ def cmd_scp_check(cfg: dict) -> int:
 
 
 def _walk_summary(m):
-    raw = chains.hermon_salez(m, normalize=False)
+    raw = chains.flip_swap_average(m)
     walk = chains.normalized(raw)
     chains.validate_generator(walk)
     gap = functional.scalar_spectral_gap(walk)
@@ -184,7 +189,7 @@ def cmd_poincare_check(cfg: dict) -> int:
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
     fn, _ = _build_function(cfg, walk.states, m.n)
-    lam = float(cfg.get("lambda", functional.scalar_spectral_gap(walk)))
+    lam = float(cfg["lambda"]) if "lambda" in cfg else functional.scalar_spectral_gap(walk)
     report = functional.check_matrix_poincare(walk, fn, lam, float(cfg["tol"]))
     _emit({"lambda": report.lambda_claimed, "min_eig_slack": report.min_eig_slack,
            "scale": report.scale, "passed": report.passed}, cfg.get("out"))
@@ -299,7 +304,7 @@ def cmd_mgf(cfg: dict) -> int:
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
     fn, _ = _build_function(cfg, walk.states, m.n)
-    lam = float(cfg.get("lambda", functional.scalar_spectral_gap(walk)))
+    lam = float(cfg["lambda"]) if "lambda" in cfg else functional.scalar_spectral_gap(walk)
     v = concentration.oscillation(walk, fn).v
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
@@ -353,7 +358,7 @@ def cmd_tail(cfg: dict) -> int:
     rows = []
     violated = False
     for t, prob, ci in zip(ts, probs, cis):
-        bp = concentration.tail_bound_poincare(float(t), lam, v, d).raw if v > 0 else 0.0
+        bp = concentration.tail_bound_poincare(float(t), lam, v, d).raw
         bs = None
         if k not in (None, 0) and lip:
             bs = concentration.tail_bound_sr(float(t), int(k), float(lip), d)
@@ -468,7 +473,7 @@ def main(argv=None) -> int:
     except VALIDATION_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_VALIDATION
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_USAGE

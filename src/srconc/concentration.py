@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Generator, flip_swap_adjacent
+from .chains import Generator, flip_swap_adjacent, rate_edges
 from .functional import MatrixFn, dirichlet_form, matrix_mean
 from .matrix_core import trace_power
 
 ADJACENCY_MODES = ("q_support", "flip_swap")
 PROBE_EDGES = 16    # edges with the largest norm bounds whose exact norm
                     # bounds v(F) from below in `oscillation`
+REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
 
 
 class ConcentrationError(Exception):
@@ -62,10 +63,10 @@ def oscillation(gen: Generator, fn: MatrixFn, mode: str = "q_support") -> Oscill
         raise ValueError(f"mode must be one of {ADJACENCY_MODES}, got {mode!r}")
     vals = fn.gather(gen.states)
     if mode == "q_support":
-        hit = (gen.rates > 0.0) | (gen.rates.T > 0.0)
+        i, j = rate_edges(gen.rates)
     else:
         hit = flip_swap_adjacent(gen.states[:, None], gen.states[None, :])
-    i, j = np.nonzero(np.triu(hit, 1))
+        i, j = np.nonzero(np.triu(hit, 1))
     diffs = vals[i] - vals[j]
     scale = float(np.abs(diffs).max(initial=0.0))
     if scale == 0.0:
@@ -115,8 +116,7 @@ def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
 
 
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
-                                tol: float = 1e-8,
-                                mode: str = "q_support") -> bool:
+                                tol: float = 1e-8) -> bool:
     """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}]."""
     p = int(p)
     if p < 1:
@@ -126,7 +126,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
     expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     energy = dirichlet_form(gen.rates, gen.pi, expf)
     lhs = trace_power(energy, p)
-    v = oscillation(gen, fn, mode).v
+    v = oscillation(gen, fn).v
     rhs = v ** (2 * p) * float(gen.pi @ np.exp(2 * p * lam).sum(axis=1))
     return lhs <= rhs + tol * max(1.0, abs(rhs))
 
@@ -153,13 +153,12 @@ class InductionReport:
 
 
 def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
-                              k_max: int, tol: float = 1e-8,
-                              mode: str = "q_support") -> InductionReport:
+                              k_max: int, tol: float = 1e-8) -> InductionReport:
     """Slack of the doubling ladder for k = 1..k_max."""
     if lam <= 0.0:
         raise ScaleViolation(f"lam must be positive, got {lam}")
     alpha = 1.0 / lam
-    v = oscillation(gen, fn, mode).v
+    v = oscillation(gen, fn).v
     av2 = alpha * v * v
     if av2 > 1.0:
         raise ScaleViolation(f"alpha * v(F)^2 = {av2:.6f} exceeds 1")
@@ -186,8 +185,8 @@ def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
 
 
 def check_mgf_bound(gen: Generator, fn: MatrixFn, lam: float, theta: float,
-                    tol: float = 1e-8, mode: str = "q_support") -> bool:
-    v = oscillation(gen, fn, mode).v
+                    tol: float = 1e-8) -> bool:
+    v = oscillation(gen, fn).v
     bound = mgf_bound(theta, lam, v, fn.dim)
     value = trace_mgf(gen, fn, theta)
     return value <= bound + tol * max(1.0, bound)
@@ -231,8 +230,7 @@ def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:
     return tail_bound_poincare(t, 1.0 / (2.0 * k), 2.0 * lipschitz, d).raw
 
 
-def laplace_tail(thetas, m_values, t: float, mgf=None,
-                 refine_iters: int = 48) -> float:
+def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
     """2 min_theta exp(-theta t + log m(theta)) over a positive grid.
 
     With a callable mgf the minimum is refined by golden-section around
@@ -261,7 +259,7 @@ def laplace_tail(thetas, m_values, t: float, mgf=None,
             dd = a + invphi * (b - a)
             fc = -c * t + math.log(mgf(c))
             fd = -dd * t + math.log(mgf(dd))
-            for _ in range(int(refine_iters)):
+            for _ in range(REFINE_ITERS):
                 if fc < fd:
                     b, dd, fd = dd, c, fc
                     c = b - invphi * (b - a)

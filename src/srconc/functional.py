@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Decomposition, Generator
+from .chains import Decomposition, Generator, rate_edges
 from .matrix_core import random_symmetric, require_symmetric, spectral_norm
 from .measures import component_count
 
@@ -151,8 +151,7 @@ def dirichlet_form(rates, weights, values) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
-    support = rates != 0.0
-    x, y = np.nonzero(np.triu(support | support.T, 1))
+    x, y = rate_edges(rates)
     flow = weights[x] * rates[x, y] + weights[y] * rates[y, x]
     diff = values[x] - values[y]
     d = values.shape[1]
@@ -217,8 +216,7 @@ def _symmetrized(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
 
     Raises Reducible when the rate support graph is disconnected.
     """
-    adj = np.abs(gen.rates) > 0.0
-    xs, ys = np.nonzero(np.triu(adj | adj.T, 1))
+    xs, ys = rate_edges(gen.rates)
     components = component_count(gen.states.size, zip(xs.tolist(), ys.tolist()))
     if components > 1:
         raise Reducible(components)
@@ -298,12 +296,13 @@ def matrix_fn_from_json(obj: dict) -> MatrixFn:
         raise BadValues(f"d must be at least 1, got {d}")
     if not obj["values"]:
         raise BadValues("values must list at least one state")
-    states = []
-    mats = []
+    mats = {}
     for entry in obj["values"]:
-        states.append(int(entry["mask"]))
+        mask = int(entry["mask"])
+        if mask in mats:
+            raise BadValues(f"mask {mask} is listed twice")
         mat = np.asarray(entry["rows"], dtype=float)
         if mat.shape != (d, d):
             raise BadValues(f"value at mask {entry['mask']} has shape {mat.shape}")
-        mats.append(mat)
-    return MatrixFn(np.asarray(states, dtype=np.int64), np.stack(mats))
+        mats[mask] = mat
+    return MatrixFn(np.array(list(mats), dtype=np.int64), np.stack(list(mats.values())))

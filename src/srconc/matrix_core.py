@@ -177,9 +177,9 @@ class IdentityDecomposition:
         acc = sum(k.T @ k for k in self.factors)
         return float(np.abs(acc - np.eye(d)).max())
 
-    def validate(self, tol: float = DECOMP_TOL) -> None:
+    def validate(self) -> None:
         defect = self.resolution_defect()
-        if defect > tol:
+        if defect > DECOMP_TOL:
             raise BadDecomposition(f"sum K_i^T K_i deviates from I by {defect:.3e}")
 
     @staticmethod

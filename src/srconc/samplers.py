@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import MatrixFn
+from .functional import MatrixFn, matrix_mean
 from .measures import (
     DisconnectedGraph,
     StateSpaceTooLarge,
@@ -26,10 +26,6 @@ from .measures import (
 
 MASK64 = (1 << 64) - 1
 MASK_BITS = 63  # bits of a nonnegative int64 draw
-
-
-class SamplerError(Exception):
-    pass
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -189,8 +185,7 @@ class EmpiricalTailRow:
 
 
 def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
-                   measure: SubsetMeasure | None = None,
-                   confidence: float = 0.99) -> list[EmpiricalTailRow]:
+                   measure: SubsetMeasure | None = None) -> list[EmpiricalTailRow]:
     """Empirical P[||F - mean|| >= t] with a one-sided upper CI per t.
 
     The centering mean is the exact E_pi[F] when the measure table is
@@ -202,8 +197,7 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
     vals = fn.gather(uniq)
     if measure is not None:
         keep = measure.masses > 0.0
-        mean = np.einsum("x,xij->ij", measure.masses[keep],
-                         fn.gather(measure.masks[keep]))
+        mean = matrix_mean(measure.masses[keep], fn.gather(measure.masks[keep]))
         exact = True
     else:
         mean = fn.gather(batch.draws).mean(axis=0)
@@ -214,8 +208,7 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
     for t in np.asarray(ts, dtype=float):
         hits = int((devs >= t).sum())
         rows.append(EmpiricalTailRow(float(t), hits / batch.count,
-                                     clopper_pearson_upper(hits, batch.count,
-                                                           confidence),
+                                     clopper_pearson_upper(hits, batch.count),
                                      exact))
     return rows
 

@@ -9,6 +9,7 @@ from srconc.chains import (
     InfeasibleCoupling,
     MissingCoupling,
     NegativeRate,
+    NonFiniteGenerator,
     NotOnCube,
     RowSumViolation,
     chi,
@@ -86,6 +87,19 @@ def test_validate_negative_rate():
                   np.array([0.5, 0.5]), n=1)
     with pytest.raises(NegativeRate):
         validate_generator(g)
+
+
+@pytest.mark.parametrize("rates,pi", [
+    ([[-1.0, 1.0], [np.nan, -1.0]], [0.5, 0.5]),
+    ([[-np.inf, np.inf], [1.0, -1.0]], [0.5, 0.5]),
+    ([[-1.0, 1.0], [1.0, -1.0]], [np.nan, 0.5]),
+], ids=["nan-rate", "inf-rate", "nan-pi"])
+def test_validate_rejects_non_finite(rates, pi):
+    g = Generator(np.array([0, 1]), np.array(rates), np.array(pi), n=1)
+    with pytest.raises(NonFiniteGenerator):
+        validate_generator(g)
+    with pytest.raises(NonFiniteGenerator):
+        generator_from_json({"states": [0, 1], "Q": rates, "pi": pi}, n=1)
 
 
 def test_validate_row_sums():
@@ -327,7 +341,7 @@ def test_walk_uniform31_rates():
 def test_walk_single_coordinate_bernoulli():
     # rates are the opposite conditioned masses before normalization
     for q in [0.3, 0.5, 0.82]:
-        raw = hermon_salez(measures.make_bernoulli_product([q]), normalize=False)
+        raw = flip_swap_average(measures.make_bernoulli_product([q]))
         assert raw.states.tolist() == [0, 1]
         assert raw.rates[0, 1] == pytest.approx(q)
         assert raw.rates[1, 0] == pytest.approx(1.0 - q)

@@ -222,7 +222,11 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
      "d must be at least 1"),
     ({"random": {"kind": "table", "d": 0}}, "d >= 1"),
     ({"inline": {"d": 2, "values": []}}, "at least one state"),
-], ids=["nan", "inline-d0", "random-d0", "inline-empty"])
+    ({"inline": {"d": 1, "values": [{"mask": 1, "rows": [[1.0]]},
+                                    {"mask": 2, "rows": [[0.0]]},
+                                    {"mask": 4, "rows": [[0.0]]},
+                                    {"mask": 1, "rows": [[5.0]]}]}}, "listed twice"),
+], ids=["nan", "inline-d0", "random-d0", "inline-empty", "repeated-mask"])
 def test_poincare_check_rejects_bad_values(tmp_path, capsys, function, needle):
     cfg = write_cfg(tmp_path, "p.json", {
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
@@ -334,6 +338,26 @@ def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "k.json", {"ks": 2})
     assert main(["compare-ks", "--config", cfg]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("command,cfg,error,needle", [
+    # an int or bool path would be opened as a file descriptor
+    ("scp-check", {"measure": {"path": 0}}, "usage", "measure path"),
+    ("scp-check", {"measure": {"path": [[0, 1]]}}, "usage", "measure path"),
+    ("validate-measure", {"out": True}, "usage", "out must be"),
+    ("validate-measure", {"out": 2}, "usage", "out must be"),
+    ("compare-ks", {"ks": {"k_values": None}}, "TypeError", "NoneType"),
+    ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": 0}},
+     "IndexError", "0-dimensional"),
+    ("ineq-suite", {"seed": None}, "TypeError", "NoneType"),
+], ids=["path-fd", "path-list", "out-bool", "out-fd", "ks-null", "ps-scalar",
+        "seed-null"])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, command, cfg, error,
+                                           needle):
+    code = main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
+    err = json.loads(capsys.readouterr().err)
+    assert (code, err["error"]) == (1, error)
+    assert needle in err["message"]
 
 
 # ---------------------------------------------------------------------- tail

@@ -1,16 +1,22 @@
-"""Property tests for the support-indexed measure storage and the
-edge-list walk kernels.
+"""Property tests for the support-indexed measure storage, the edge-list
+walk kernels, coordinate permutations and the CLI config boundary.
 
 Hypothesis draws the inputs from a fixed seed (derandomize=True), so every
 run checks the same examples.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srconc import chains, measures
+from srconc import chains, cli, measures
 from srconc.concentration import oscillation
 from srconc.functional import (
     DomainMismatch,
@@ -18,6 +24,7 @@ from srconc.functional import (
     dirichlet_form,
     random_linear_matrix_fn,
     random_matrix_fn,
+    scalar_spectral_gap,
 )
 from srconc.measures import (
     MeasureError,
@@ -271,3 +278,176 @@ def test_gather_aligns_unsorted_states(data):
     spot = data.draw(st.integers(0, len(order)))
     with pytest.raises(DomainMismatch):
         fn.gather(np.insert(query, spot, missing))
+
+
+# -------------------------------------------- coordinate permutations
+
+
+@st.composite
+def small_measures(draw):
+    """A measure on n <= 5 coordinates: an SCP family (uniform, Bernoulli,
+    projection DPP, spanning trees) or a random table, mostly not SCP."""
+    n = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["uniform", "bernoulli", "dpp", "trees", "table"]))
+    if family == "uniform":
+        return measures.make_uniform_k_subsets(n, draw(st.integers(0, n)))
+    if family == "bernoulli":
+        return measures.make_bernoulli_product(
+            draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    if family == "dpp":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, draw(st.integers(1, n)))))
+        return measures.make_projection_dpp(q @ q.T)
+    if family == "trees":
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)][:max(n, 2)]
+        return measures.make_spanning_tree_measure(edges)
+    probs = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                   min_size=1 << n, max_size=1 << n)))
+    if probs.sum() == 0.0:
+        probs[0] = 1.0
+    return SubsetMeasure(n, probs / probs.sum())
+
+
+def permuted(m, perm):
+    """m with coordinate i moved to perm[i]."""
+    masks = np.arange(1 << m.n, dtype=np.int64)
+    moved = sum(((masks >> i) & 1) << p for i, p in enumerate(perm))
+    probs = np.zeros(1 << m.n)
+    probs[moved] = m.probs
+    return SubsetMeasure(m.n, probs)
+
+
+@WALK_PROPERTY
+@given(st.data())
+def test_permuting_coordinates_keeps_the_scp_verdict_and_the_gap_bound(data):
+    """Relabelling the ground set changes neither the SCP verdict nor the
+    1/(2k) floor on the walk's gap.  The gaps themselves may differ: the
+    max-flow coupling depends on the coordinate order."""
+    m = data.draw(small_measures())
+    perm = data.draw(st.permutations(range(m.n)))
+    other = permuted(m, perm)
+    verdict = bool(chains.scp_check(m))
+    assert bool(chains.scp_check(other)) == verdict
+    if not verdict:
+        return
+    k = measures.homogeneity_degree(m)
+    floor = 1.0 / (2.0 * (k if k else m.n / 2.0))
+    for measure in (m, other):
+        assert scalar_spectral_gap(chains.hermon_salez(measure)) >= floor - 1e-9
+
+
+# ------------------------------------------------------ CLI config boundary
+
+SMALL_INT = st.integers(-2, 6)
+SMALL_FLOAT = st.one_of(st.floats(-2.0, 8.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+JUNK = st.one_of(st.none(), st.booleans(), SMALL_INT, SMALL_FLOAT,
+                 st.text("ab", max_size=2), st.lists(SMALL_INT, max_size=3),
+                 st.builds(dict), st.builds(lambda: [[0, 1]]))
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.integers(1, 5))
+    edge = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    return {"vertices": vertices,
+            "edges": [list(e) for e in draw(st.lists(edge, min_size=1, max_size=7))]}
+
+
+@st.composite
+def kernels(draw):
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, draw(st.integers(1, n)))))
+    return {"d": n, "rows": (q @ q.T).tolist()}
+
+
+@st.composite
+def uniform_specs(draw):
+    n = draw(st.integers(1, 6))
+    return {"family": "uniform_k_subsets", "n": n, "k": draw(st.integers(0, n))}
+
+
+MEASURE_SPECS = st.one_of(
+    uniform_specs(),
+    st.fixed_dictionaries({"family": st.just("bernoulli_product"),
+                           "ps": st.lists(UNIT, min_size=1, max_size=5)}),
+    st.fixed_dictionaries({"family": st.just("spanning_tree"), "graph": graphs()}),
+    st.fixed_dictionaries({"family": st.just("projection_dpp"), "kernel": kernels()}),
+    st.fixed_dictionaries({"inline": st.fixed_dictionaries({
+        "n": st.just(2), "entries": st.lists(st.fixed_dictionaries(
+            {"mask": st.integers(0, 3), "p": st.sampled_from([0.25, 0.5, 1.0])}),
+            min_size=1, max_size=4)})}))
+FUNCTION_SPECS = st.one_of(
+    st.fixed_dictionaries({"random": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["table", "linear"]), "d": st.integers(1, 4)},
+        optional={"seed": st.integers(0, 6), "scale": UNIT, "L": UNIT})}),
+    st.fixed_dictionaries({"inline": st.fixed_dictionaries({
+        "d": st.just(1), "values": st.lists(st.fixed_dictionaries(
+            {"mask": st.integers(0, 3), "rows": st.lists(st.lists(
+                st.floats(-2.0, 2.0), min_size=1, max_size=1), min_size=1, max_size=1)}),
+            min_size=1, max_size=4, unique_by=lambda entry: entry["mask"])})}))
+WELL_FORMED = st.fixed_dictionaries(
+    {"trials": st.integers(1, 2),   # ineq-suite runs 8 x trials checks
+     "measure": MEASURE_SPECS, "function": FUNCTION_SPECS},
+    optional={
+        "seed": st.integers(0, 6), "tol": st.floats(1e-10, 1e-6),
+        "lambda": st.floats(0.01, 2.0),
+        "theta_grid": st.fixed_dictionaries(
+            {}, optional={"points": st.integers(1, 6), "max_fraction": UNIT}),
+        "t_grid": st.fixed_dictionaries(
+            {}, optional={"points": st.integers(1, 6), "max": st.floats(0.1, 8.0)}),
+        "mode": st.sampled_from(["exact", "empirical"]),
+        "count": st.integers(1, 50),
+        "ks": st.fixed_dictionaries({}, optional={
+            "c": st.floats(0.1, 2.0), "k_values": st.lists(st.integers(2, 64), max_size=3),
+            "mu_factors": st.lists(st.floats(0.1, 4.0), max_size=3),
+            "eps": st.one_of(st.just("inv_sqrt_k"), st.floats(0.01, 1.0))}),
+        "sampler": st.sampled_from(["table", "wilson", "kdpp"]),
+        "dims": st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        "graph": graphs(), "kernel": kernels()})
+
+
+def value_paths(node, path=()):
+    """Every (container path, key) under node, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield path, key
+        if isinstance(val, (dict, list)):
+            yield from value_paths(val, path + (key,))
+
+
+@st.composite
+def cli_configs(draw):
+    """A well-formed config with up to three values replaced by junk or
+    dropped.  "out" is never a string, which would be written to; an int or
+    a bool would be taken as a file descriptor."""
+    cfg = draw(WELL_FORMED)
+    for _ in range(draw(st.integers(0, 3))):
+        path, key = draw(st.sampled_from(list(value_paths(cfg))))
+        parent = cfg
+        for step in path:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JUNK)
+    out = draw(st.sampled_from([None] * 9 + [True, 1, [[0, 1]]]))
+    if out is not None:
+        cfg["out"] = out
+    return cfg
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(cli.COMMANDS)), cli_configs())
+def test_cli_random_configs_exit_with_a_code(command, cfg):
+    """Every config, however malformed, ends in a documented exit code
+    (0-4) with no exception escaping main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", path])
+    assert code in range(5)
