@@ -5,7 +5,8 @@ One JSON config document drives every subcommand; --seed, --tol,
 0 all asserted checks passed, 1 usage or config parse problem,
 2 input validation failure, 3 an asserted inequality or property was
 violated, 4 internal numeric failure.  Validation failures emit a
-machine-readable {"error": ..., "message": ...} JSON object.
+machine-readable {"error": ..., "message": ...} JSON object.  Config
+numbers are range-checked before any walk is built or draw is made.
 """
 
 from __future__ import annotations
@@ -185,11 +186,22 @@ def cmd_build_walk(cfg: dict) -> int:
     return EXIT_OK if payload["gap_ok"] else EXIT_VIOLATION
 
 
-def cmd_poincare_check(cfg: dict) -> int:
+def _certify_setup(cfg: dict, read_lambda: bool):
+    """(measure, walk, function, lipschitz or None, lam): lam is the config's
+    "lambda" when read_lambda and it is given, else the walk's spectral gap."""
+    lam = None
+    if read_lambda and "lambda" in cfg:
+        lam = _bounded(cfg["lambda"], "lambda", math.inf)
     m = _load_measure(cfg)
     walk = chains.hermon_salez(m)
-    fn, _ = _build_function(cfg, walk.states, m.n)
-    lam = float(cfg["lambda"]) if "lambda" in cfg else functional.scalar_spectral_gap(walk)
+    fn, lip = _build_function(cfg, walk.states, m.n)
+    if lam is None:
+        lam = functional.scalar_spectral_gap(walk)
+    return m, walk, fn, lip, lam
+
+
+def cmd_poincare_check(cfg: dict) -> int:
+    _, walk, fn, _, lam = _certify_setup(cfg, True)
     report = functional.check_matrix_poincare(walk, fn, lam, float(cfg["tol"]))
     _emit({"lambda": report.lambda_claimed, "min_eig_slack": report.min_eig_slack,
            "scale": report.scale, "passed": report.passed}, cfg.get("out"))
@@ -202,6 +214,14 @@ def _positive(value, name: str) -> int:
     if count < 1:
         raise UsageError(f"{name} must be at least 1, got {count}")
     return count
+
+
+def _bounded(value, name: str, upper: float) -> float:
+    """value as a float, or a UsageError unless it lies in (0, upper)."""
+    x = float(value)
+    if not 0.0 < x < upper:  # also rejects NaN
+        raise UsageError(f"{name} must lie in (0, {upper}), got {x!r}")
+    return x
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -300,27 +320,18 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
 def cmd_mgf(cfg: dict) -> int:
     grid_cfg, points = _grid(cfg, "theta_grid", 20)
-    frac = float(grid_cfg.get("max_fraction", 0.9))
-    m = _load_measure(cfg)
-    walk = chains.hermon_salez(m)
-    fn, _ = _build_function(cfg, walk.states, m.n)
-    lam = float(cfg["lambda"]) if "lambda" in cfg else functional.scalar_spectral_gap(walk)
+    frac = _bounded(grid_cfg.get("max_fraction", 0.9), "theta_grid.max_fraction", 1.0)
+    _, walk, fn, _, lam = _certify_setup(cfg, True)
     v = concentration.oscillation(walk, fn).v
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
     theta_max = math.sqrt(frac * lam) / v
     thetas = np.linspace(theta_max / points, theta_max, points)
-    curve = concentration.TraceMgf(walk.pi, fn.gather(walk.states)).curve(thetas)
-    tol = float(cfg["tol"])
-    rows = []
-    ok = True
-    for theta, val in zip(thetas, curve):
-        bound = concentration.mgf_bound(float(theta), lam, v, fn.dim)
-        good = val <= bound + tol * max(1.0, bound)
-        ok = ok and good
-        rows.append([float(theta), float(val), float(bound), str(bool(good))])
-    _emit_csv(["theta", "trace_mgf", "bound", "ok"], rows, cfg.get("out"))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    spectrum = concentration.TraceMgf(walk.pi, fn.gather(walk.states))
+    rows = spectrum.rows(thetas, lam, v, float(cfg["tol"]))
+    _emit_csv(["theta", "trace_mgf", "bound", "ok"],
+              [[*row[:3], str(row[3])] for row in rows], cfg.get("out"))
+    return EXIT_OK if all(row[3] for row in rows) else EXIT_VIOLATION
 
 
 def cmd_tail(cfg: dict) -> int:
@@ -328,49 +339,40 @@ def cmd_tail(cfg: dict) -> int:
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "empirical"):
         raise UsageError(f"unknown tail mode {mode!r}")
-    c_ks = float(_section(cfg, "ks").get("c", 1.0))
-    m = _load_measure(cfg)
-    walk = chains.hermon_salez(m)
-    fn, lip = _build_function(cfg, walk.states, m.n)
-    lam = functional.scalar_spectral_gap(walk)
+    c_ks = _bounded(_section(cfg, "ks").get("c", 1.0), "ks.c", math.inf)
+    t_hi = _bounded(grid_cfg["max"], "t_grid.max", math.inf) if "max" in grid_cfg else None
+    if mode == "empirical":
+        count = _positive(cfg.get("count", 100000), "count")
+    m, walk, fn, lip, lam = _certify_setup(cfg, False)
     v = concentration.oscillation(walk, fn).v
     d = fn.dim
     k = measures.homogeneity_degree(m)
-    vals = fn.gather(walk.states)
-    mean = functional.matrix_mean(walk.pi, vals)
-    mu = matrix_core.spectral_norm(mean)
+    spectrum = concentration.TraceMgf(walk.pi, fn.gather(walk.states))
+    mu = matrix_core.spectral_norm(spectrum.mean)
 
-    centered = vals - mean
-    dev_max = float(np.abs(np.linalg.eigvalsh(centered)).max())
-    t_hi = float(grid_cfg.get("max", 1.25 * max(dev_max, 1e-6)))
+    if t_hi is None:
+        t_hi = 1.25 * max(float(spectrum.devs.max()), 1e-6)
     ts = np.linspace(t_hi / points, t_hi, points)
 
     if mode == "exact":
-        probs = concentration.exact_tail(walk.pi, vals, ts)
-        cis = [None] * len(ts)
+        probs, cis = spectrum.tail(ts), [None] * points
     else:
-        batch = samplers.sample_table(m, int(cfg["seed"]), int(cfg.get("count", 100000)))
-        rows_emp = samplers.empirical_tail(fn, batch, ts, measure=m)
-        probs = [r.estimate for r in rows_emp]
-        cis = [r.ci_upper for r in rows_emp]
+        batch = samplers.sample_table(m, int(cfg["seed"]), count)
+        emp = samplers.sampled_tail(walk.states, spectrum.devs, batch, ts)
+        probs, cis = [r.estimate for r in emp], [r.ci_upper for r in emp]
 
     tol = float(cfg["tol"])
     rows = []
     violated = False
-    for t, prob, ci in zip(ts, probs, cis):
-        bp = concentration.tail_bound_poincare(float(t), lam, v, d).raw
-        bs = None
-        if k not in (None, 0) and lip:
-            bs = concentration.tail_bound_sr(float(t), int(k), float(lip), d)
-        bk = None
-        if k is not None and k >= 2 and mu > 0:
-            bk = concentration.ks_bound(float(t) / mu, mu, int(k), d, c_ks)
+    with_ks = k is not None and k >= 2 and mu > 0
+    for t, prob, ci in zip(ts.tolist(), probs, cis):
+        bp = concentration.tail_bound_poincare(t, lam, v, d).raw
+        bs = concentration.tail_bound_sr(t, int(k), float(lip), d) if k and lip else None
+        bk = concentration.ks_bound(t / mu, mu, int(k), d, c_ks) if with_ks else None
         if mode == "exact":
-            for bound in (bp, bs):
-                if bound is not None and prob > bound + tol * max(1.0, bound):
-                    violated = True
-        row = concentration.TailRow(float(t), float(prob), ci, bp, bs, bk)
-        rows.append(row)
+            violated |= not all(concentration.within(prob, bound, tol)
+                                for bound in (bp, bs) if bound is not None)
+        rows.append(concentration.TailRow(t, float(prob), ci, bp, bs, bk))
     _emit_csv(concentration.TAIL_CSV_COLUMNS,
               [[r.t, r.exact_or_empirical, r.ci_upper, r.bound_poincare,
                 r.bound_sr, r.bound_ks, r.dominator] for r in rows], cfg.get("out"))
@@ -380,7 +382,7 @@ def cmd_tail(cfg: dict) -> int:
 def cmd_compare_ks(cfg: dict) -> int:
     ks_cfg = _section(cfg, "ks")
     k_values = [int(k) for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
-    c = float(ks_cfg.get("c", 1.0))
+    c = _bounded(ks_cfg.get("c", 1.0), "ks.c", math.inf)
     factors = [float(f) for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]
     rows = []
     for k in k_values:
@@ -399,9 +401,14 @@ def cmd_compare_ks(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
+    out = cfg.get("out")
+    if not out:
+        raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
     seed = int(cfg["seed"])
     count = int(cfg.get("count", 1000))
+    if count < 0:
+        raise UsageError(f"count must be at least 0, got {count}")
     if kind == "table":
         batch = samplers.sample_table(_load_measure(cfg), seed, count)
     elif kind == "wilson":
@@ -412,9 +419,6 @@ def cmd_sample(cfg: dict) -> int:
         batch = samplers.sample_kdpp(kernel, seed, count)
     else:
         raise UsageError(f"unknown sampler {kind!r}")
-    out = cfg.get("out")
-    if not out:
-        raise UsageError("sample needs --out for the batch dump")
     samplers.dump_batch(batch, out)
     return EXIT_OK
 

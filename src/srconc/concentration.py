@@ -15,6 +15,8 @@ bound Tr E[e^{theta(F - E F)}] <= d / (1 - theta^2 alpha v^2) inside the
 radius, and optimizing the Laplace transform yields the closed-form
 tails.  Trace powers Tr[M^p] are always powers of the matrix, evaluated
 through eigenvalues, so arbitrarily large doubling depths stay stable.
+TraceMgf holds the centred spectrum of F: every trace-mgf value, its
+check against mgf_bound and every exact or sampled tail read it.
 """
 
 from __future__ import annotations
@@ -88,27 +90,43 @@ def oscillation(gen: Generator, fn: MatrixFn, mode: str = "q_support") -> Oscill
 
 
 class TraceMgf:
-    """Tr E[e^{theta (F - E F)}] with the eigentable precomputed.
+    """The centred spectrum of F on a weighted state table: E F, the
+    eigenvalues of F(x) - E F per state and the deviations ||F(x) - E F||.
 
-    Tr e^{theta A} only needs the eigenvalues of A, so one eigh per state
-    makes every theta evaluation a cheap exp-sum.
+    Tr e^{theta A} only needs the eigenvalues of A, so every mgf value is
+    an exp-sum, and every tail probability a sum of weights.
     """
 
     def __init__(self, weights, values):
-        weights = np.asarray(weights, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
         values = np.asarray(values, dtype=float)
-        centered = values - matrix_mean(weights, values)
-        self.weights = weights
-        self.eigs = np.linalg.eigvalsh(centered)
+        self.mean = matrix_mean(self.weights, values)
+        self.eigs = np.linalg.eigvalsh(values - self.mean)
+        self.devs = np.abs(self.eigs).max(axis=1)
         self.dim = values.shape[1]
 
     def __call__(self, theta: float) -> float:
-        return float(self.weights @ np.exp(theta * self.eigs).sum(axis=1))
+        return float(self.curve([theta])[0])
 
     def curve(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         return np.einsum("x,txd->t", self.weights,
                          np.exp(thetas[:, None, None] * self.eigs[None, :, :]))
+
+    def rows(self, thetas, lam: float, v: float, tol: float) -> list[tuple]:
+        """(theta, Tr E e^{theta(F - E F)}, mgf_bound, within tol) per theta."""
+        bounds = [mgf_bound(float(theta), lam, v, self.dim) for theta in thetas]
+        return [(float(theta), float(value), bound, within(value, bound, tol))
+                for theta, value, bound in zip(thetas, self.curve(thetas), bounds)]
+
+    def tail(self, ts) -> np.ndarray:
+        """P[||F - E F|| >= t] for each t."""
+        return np.array([float(self.weights[self.devs >= t].sum()) for t in ts])
+
+
+def within(value: float, bound: float, tol: float) -> bool:
+    """value <= bound up to tol, relative once the bound exceeds 1."""
+    return bool(value <= bound + tol * max(1.0, bound))
 
 
 def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
@@ -128,7 +146,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
     lhs = trace_power(energy, p)
     v = oscillation(gen, fn).v
     rhs = v ** (2 * p) * float(gen.pi @ np.exp(2 * p * lam).sum(axis=1))
-    return lhs <= rhs + tol * max(1.0, abs(rhs))
+    return within(lhs, rhs, tol)
 
 
 def doubling_value(weights, values, k: int) -> float:
@@ -186,10 +204,8 @@ def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
 
 def check_mgf_bound(gen: Generator, fn: MatrixFn, lam: float, theta: float,
                     tol: float = 1e-8) -> bool:
-    v = oscillation(gen, fn).v
-    bound = mgf_bound(theta, lam, v, fn.dim)
-    value = trace_mgf(gen, fn, theta)
-    return value <= bound + tol * max(1.0, bound)
+    mgf = TraceMgf(gen.pi, fn.gather(gen.states))
+    return mgf.rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
 
 
 @dataclass(frozen=True)
@@ -274,12 +290,7 @@ def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
 
 def exact_tail(weights, values, ts) -> np.ndarray:
     """P[||F - E F|| >= t] by full enumeration of the state table."""
-    weights = np.asarray(weights, dtype=float)
-    values = np.asarray(values, dtype=float)
-    centered = values - matrix_mean(weights, values)
-    devs = np.abs(np.linalg.eigvalsh(centered)).max(axis=1)
-    ts = np.asarray(ts, dtype=float)
-    return np.array([float(weights[devs >= t].sum()) for t in ts])
+    return TraceMgf(weights, values).tail(ts)
 
 
 # ---------------------------------------------------------------------------

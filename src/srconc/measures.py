@@ -493,11 +493,13 @@ def measure_to_json(m: SubsetMeasure) -> dict:
 def measure_from_json(obj: dict) -> SubsetMeasure:
     n = int(obj["n"])
     _check_size(n)
-    entries = {}  # a repeated mask keeps its last mass
+    entries = {}
     for entry in obj["entries"]:
         mask = int(entry["mask"])
         if not 0 <= mask < 1 << n:
             raise MaskOutOfRange(f"mask {mask} outside [0, {1 << n}) for n={n}")
+        if mask in entries:
+            raise MeasureError(f"mask {mask} is listed twice")
         entries[mask] = float(entry["p"])
     masks = sorted(mask for mask, p in entries.items() if p != 0.0)
     m = SubsetMeasure._packed(n, np.array(masks, dtype=np.int64),

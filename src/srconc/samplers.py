@@ -4,7 +4,9 @@ Randomness contract: every batch is a pure function of (seed, count).
 Draw i consumes only its own slice of a counter-based Philox stream
 keyed by the seed (a private row of uniforms for table sampling, a
 dedicated Philox key (seed, i) for the walk-based samplers), so batches
-are reproducible independently of scheduling or chunking.
+are reproducible independently of scheduling or chunking.  Empirical
+tails read each draw's deviation from the exact E_pi F off the centred
+spectrum of the measure's support.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import MatrixFn, matrix_mean
+from .concentration import TraceMgf
+from .functional import DomainMismatch, MatrixFn
 from .measures import (
     DisconnectedGraph,
     StateSpaceTooLarge,
@@ -181,35 +184,32 @@ class EmpiricalTailRow:
     t: float
     estimate: float
     ci_upper: float
-    mean_is_exact: bool
 
 
 def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
-                   measure: SubsetMeasure | None = None) -> list[EmpiricalTailRow]:
-    """Empirical P[||F - mean|| >= t] with a one-sided upper CI per t.
+                   measure: SubsetMeasure) -> list[EmpiricalTailRow]:
+    """Empirical P[||F - E_pi F|| >= t] with a one-sided upper CI per t,
+    centred at the exact mean over the measure's support."""
+    validate(measure)
+    spectrum = TraceMgf(measure.masses, fn.gather(measure.masks))
+    return sampled_tail(measure.masks, spectrum.devs, batch, ts)
 
-    The centering mean is the exact E_pi[F] when the measure table is
-    supplied; otherwise the batch mean is used and the rows are flagged.
-    """
+
+def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]:
+    """Empirical tail of the batch, reading each draw's deviation from devs
+    (aligned to the ascending states)."""
     if batch.count == 0:
         raise ValueError("empty batch")
-    uniq, inverse = np.unique(batch.draws, return_inverse=True)
-    vals = fn.gather(uniq)
-    if measure is not None:
-        keep = measure.masses > 0.0
-        mean = matrix_mean(measure.masses[keep], fn.gather(measure.masks[keep]))
-        exact = True
-    else:
-        mean = fn.gather(batch.draws).mean(axis=0)
-        exact = False
-    devs_per_state = np.abs(np.linalg.eigvalsh(vals - mean)).max(axis=1)
-    devs = devs_per_state[inverse]
+    pos = np.minimum(np.searchsorted(states, batch.draws), states.size - 1)
+    outside = batch.draws[states[pos] != batch.draws]
+    if outside.size:
+        raise DomainMismatch(f"draw {int(outside[0]):#x} outside the measure's support")
+    devs = devs[pos]
     rows = []
     for t in np.asarray(ts, dtype=float):
         hits = int((devs >= t).sum())
         rows.append(EmpiricalTailRow(float(t), hits / batch.count,
-                                     clopper_pearson_upper(hits, batch.count),
-                                     exact))
+                                     clopper_pearson_upper(hits, batch.count)))
     return rows
 
 

@@ -72,6 +72,18 @@ def test_validate_measure_negative_mass_message(tmp_path, capsys):
     assert payload == {"error": "NegativeMass", "message": "mass -0.1 at mask 0x0"}
 
 
+def test_validate_measure_rejects_repeated_mask(tmp_path, capsys):
+    """Keeping the last mass of mask 1 made these masses, which total 1.5,
+    pass as a normalized measure."""
+    cfg = write_cfg(tmp_path, "rep.json", {
+        "measure": {"inline": {"n": 2, "entries": [{"mask": 1, "p": 0.5},
+                                                   {"mask": 1, "p": 0.5},
+                                                   {"mask": 2, "p": 0.5}]}}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert code == 2
+    assert payload == {"error": "MeasureError", "message": "mask 1 is listed twice"}
+
+
 @pytest.mark.parametrize("mask", [-1, 7])
 def test_validate_measure_rejects_mask_out_of_range(tmp_path, capsys, mask):
     cfg = write_cfg(tmp_path, "mask.json", {
@@ -318,8 +330,24 @@ def test_grid_needs_a_point(tmp_path, capsys, command, grid):
 @pytest.mark.parametrize("command,key,value", [
     ("mgf", "theta_grid", [1]), ("mgf", "theta_grid", {"points": 0}),
     ("tail", "t_grid", 5), ("tail", "t_grid", {"points": 0}),
-    ("tail", "mode", "guess"), ("tail", "ks", 2)],
-    ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode", "ks-int"])
+    ("tail", "mode", "guess"), ("tail", "ks", 2),
+    ("poincare-check", "lambda", math.nan), ("poincare-check", "lambda", math.inf),
+    ("poincare-check", "lambda", -1.0), ("poincare-check", "lambda", 0.0),
+    ("mgf", "lambda", math.nan), ("mgf", "lambda", math.inf),
+    ("mgf", "theta_grid", {"max_fraction": math.nan}),
+    ("mgf", "theta_grid", {"max_fraction": 2.0}),
+    ("mgf", "theta_grid", {"max_fraction": 1.0}),
+    ("mgf", "theta_grid", {"max_fraction": -1.0}),
+    ("tail", "t_grid", {"max": math.nan}), ("tail", "t_grid", {"max": math.inf}),
+    ("tail", "t_grid", {"max": -1.0}),
+    ("tail", "ks", {"c": math.nan}), ("tail", "ks", {"c": 0.0}),
+    ("compare-ks", "ks", {"c": math.nan}), ("compare-ks", "ks", {"c": math.inf})],
+    ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode", "ks-int",
+         "lambda-nan", "lambda-inf", "lambda-negative", "lambda-zero",
+         "mgf-lambda-nan", "mgf-lambda-inf", "fraction-nan", "fraction-2",
+         "fraction-1", "fraction-negative", "t-max-nan", "t-max-inf",
+         "t-max-negative", "ks-c-nan", "ks-c-zero", "compare-ks-c-nan",
+         "compare-ks-c-inf"])
 def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
                                                 command, key, value):
     def no_walk(*args, **kwargs):
@@ -332,6 +360,18 @@ def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
         key: value})
     assert main([command, "--config", cfg]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+def test_tail_empirical_count_fails_before_the_walk(tmp_path, capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before the count was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 2}},
+                      mode="empirical", count=0)
+    assert main(["tail", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "count must be at least 1" in err["message"]
 
 
 def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
@@ -456,6 +496,23 @@ def test_sample_requires_out(tmp_path, capsys):
     cfg = uniform_cfg(tmp_path, 3, 1, count=5)
     assert main(["sample", "--config", cfg]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra,needle", [
+    ({"count": 200_000}, "needs --out"),
+    ({"count": -1, "out": "draws.hex"}, "count must be at least 0")],
+    ids=["no-out", "negative-count"])
+def test_sample_checks_its_config_before_drawing(tmp_path, capsys, monkeypatch,
+                                                 extra, needle):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the config was checked")
+
+    monkeypatch.setattr("srconc.samplers.sample_table", no_draws)
+    monkeypatch.chdir(tmp_path)  # the relative out, if anything wrote it
+    cfg = uniform_cfg(tmp_path, 3, 1, **extra)
+    assert main(["sample", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and needle in err["message"]
 
 
 def test_sample_seed_changes_draws(tmp_path, capsys):

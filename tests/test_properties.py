@@ -1,5 +1,7 @@
 """Property tests for the support-indexed measure storage, the edge-list
-walk kernels, coordinate permutations and the CLI config boundary.
+walk kernels, the centred spectrum behind the mgf and tail numbers,
+coordinate permutations, the walk gap on projection DPPs and the CLI
+config boundary.
 
 Hypothesis draws the inputs from a fixed seed (derandomize=True), so every
 run checks the same examples.
@@ -17,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srconc import chains, cli, measures
-from srconc.concentration import oscillation
+from srconc.concentration import (
+    TraceMgf,
+    check_mgf_bound,
+    exact_tail,
+    mgf_bound,
+    oscillation,
+)
 from srconc.functional import (
     DomainMismatch,
     MatrixFn,
     dirichlet_form,
+    matrix_mean,
     random_linear_matrix_fn,
     random_matrix_fn,
     scalar_spectral_gap,
@@ -35,6 +44,7 @@ from srconc.measures import (
     measure_from_json,
     validate,
 )
+from srconc.samplers import clopper_pearson_upper, empirical_tail, sample_table
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -167,20 +177,24 @@ WALK_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
-def scp_walks(draw, max_n=6):
-    """Normalized flip-swap walk of a random SCP measure on n <= max_n."""
+def scp_measures(draw, max_n=6):
+    """A random SCP measure (uniform, Bernoulli, projection DPP) on n <= max_n."""
     n = draw(st.integers(2, max_n))
     family = draw(st.sampled_from(["uniform", "bernoulli", "dpp"]))
     if family == "uniform":
-        m = measures.make_uniform_k_subsets(n, draw(st.integers(1, n - 1)))
-    elif family == "bernoulli":
-        m = measures.make_bernoulli_product(
+        return measures.make_uniform_k_subsets(n, draw(st.integers(1, n - 1)))
+    if family == "bernoulli":
+        return measures.make_bernoulli_product(
             draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        q, _ = np.linalg.qr(rng.standard_normal((n, draw(st.integers(1, n - 1)))))
-        m = measures.make_projection_dpp(q @ q.T)
-    return chains.hermon_salez(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, draw(st.integers(1, n - 1)))))
+    return measures.make_projection_dpp(q @ q.T)
+
+
+@st.composite
+def scp_walks(draw, max_n=6):
+    """Normalized flip-swap walk of a random SCP measure on n <= max_n."""
+    return chains.hermon_salez(draw(scp_measures(max_n)))
 
 
 @st.composite
@@ -264,6 +278,90 @@ def test_oscillation_max_outside_the_probed_edges():
         assert oscillation(walk, fn, mode).v == pairwise_oscillation(walk, fn, mode) == 1.0
 
 
+# ------------------------------------- the centred spectrum (TraceMgf)
+#
+# The references are the separate computations that TraceMgf replaced:
+# exact_tail, the measure-centred empirical_tail and TraceMgf.__call__ each
+# centred F and ran their own eigvalsh, and the mgf was summed by a matmul.
+
+
+def reference_exact_tail(weights, values, ts):
+    centered = values - matrix_mean(weights, values)
+    devs = np.abs(np.linalg.eigvalsh(centered)).max(axis=1)
+    return np.array([float(weights[devs >= t].sum()) for t in ts])
+
+
+def reference_empirical_tail(fn, batch, ts, measure):
+    """(t, estimate, ci_upper) rows, deviations taken per distinct draw."""
+    uniq, inverse = np.unique(batch.draws, return_inverse=True)
+    keep = measure.masses > 0.0
+    mean = matrix_mean(measure.masses[keep], fn.gather(measure.masks[keep]))
+    devs = np.abs(np.linalg.eigvalsh(fn.gather(uniq) - mean)).max(axis=1)[inverse]
+    rows = []
+    for t in ts:
+        hits = int((devs >= t).sum())
+        rows.append((float(t), hits / batch.count,
+                     clopper_pearson_upper(hits, batch.count)))
+    return rows
+
+
+def reference_trace_mgf(weights, values, theta):
+    eigs = np.linalg.eigvalsh(values - matrix_mean(weights, values))
+    return float(weights @ np.exp(theta * eigs).sum(axis=1))
+
+
+def reference_check_mgf_bound(gen, fn, lam, theta, tol=1e-8):
+    bound = mgf_bound(theta, lam, oscillation(gen, fn).v, fn.dim)
+    value = reference_trace_mgf(gen.pi, fn.gather(gen.states), theta)
+    return value <= bound + tol * max(1.0, bound)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(measure, walk, fn): a random SCP walk with a table or linear function."""
+    m = draw(scp_measures())
+    walk = chains.hermon_salez(m)
+    d, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return m, walk, random_matrix_fn(walk.states, d, seed)
+    return m, walk, random_linear_matrix_fn(walk.n, walk.states, d, 1.0, seed)[0]
+
+
+@WALK_PROPERTY
+@given(spectrum_cases(), st.integers(0, 2**16))
+def test_tails_read_the_centred_spectrum_bit_for_bit(case, seed):
+    """Exact and empirical tails are bit-identical to the separate
+    computations, on a grid that hits every deviation exactly."""
+    m, walk, fn = case
+    vals = fn.gather(walk.states)
+    devs = TraceMgf(walk.pi, vals).devs
+    ts = np.concatenate([np.linspace(0.0, 1.25 * devs.max(), 7), devs])
+    assert np.array_equal(exact_tail(walk.pi, vals, ts),
+                          reference_exact_tail(walk.pi, vals, ts))
+    batch = sample_table(m, seed, 300)
+    rows = empirical_tail(fn, batch, ts, measure=m)
+    assert [(r.t, r.estimate, r.ci_upper) for r in rows] == \
+        reference_empirical_tail(fn, batch, ts, m)
+
+
+@WALK_PROPERTY
+@given(spectrum_cases(), st.floats(0.01, 0.99), st.floats(0.5, 200.0))
+def test_trace_mgf_and_its_check_match_the_matmul_sum(case, fraction, lam_factor):
+    """TraceMgf(theta) agrees with the matmul sum to 1e-12 relative, and
+    check_mgf_bound gives the same verdict, at a lambda up to 200 times the
+    gap so that some verdicts fail."""
+    _, walk, fn = case
+    lam = lam_factor * scalar_spectral_gap(walk)
+    v = oscillation(walk, fn).v
+    theta = np.sqrt(fraction * lam) / v if v > 0 else fraction
+    vals = fn.gather(walk.states)
+    for th in (theta, -theta):
+        ref = reference_trace_mgf(walk.pi, vals, th)
+        assert abs(TraceMgf(walk.pi, vals)(th) - ref) <= 1e-12 * ref
+    assert check_mgf_bound(walk, fn, lam, theta) == \
+        reference_check_mgf_bound(walk, fn, lam, theta)
+
+
 @PROPERTY
 @given(st.data())
 def test_gather_aligns_unsorted_states(data):
@@ -334,6 +432,19 @@ def test_permuting_coordinates_keeps_the_scp_verdict_and_the_gap_bound(data):
     floor = 1.0 / (2.0 * (k if k else m.n / 2.0))
     for measure in (m, other):
         assert scalar_spectral_gap(chains.hermon_salez(measure)) >= floor - 1e-9
+
+
+@WALK_PROPERTY
+@given(st.integers(1, 5), st.integers(0, 2**16))
+def test_projection_dpp_walk_clears_the_gap_bound_at_n6(rank, seed):
+    """A rank-k projection DPP on n = 6 is k-homogeneous and SCP, and its
+    normalized walk has gap at least 1/(2k)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((6, rank)))
+    m = measures.make_projection_dpp(q @ q.T)
+    assert measures.homogeneity_degree(m) == rank
+    assert chains.scp_check(m)
+    assert scalar_spectral_gap(chains.hermon_salez(m)) >= 1.0 / (2.0 * rank) - 1e-9
 
 
 # ------------------------------------------------------ CLI config boundary

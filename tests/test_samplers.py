@@ -288,7 +288,6 @@ def test_empirical_tail_constant_fn():
     fn = MatrixFn.constant(m.support(), np.diag([2.0, -1.0]))
     rows = empirical_tail(fn, batch, [0.5, 1.0], measure=m)
     assert all(r.estimate == 0.0 for r in rows)
-    assert all(r.mean_is_exact for r in rows)
 
 
 def test_empirical_tail_two_point_exact_mean():
@@ -300,14 +299,6 @@ def test_empirical_tail_two_point_exact_mean():
     assert rows[0].estimate == pytest.approx(0.3, abs=0.02)
     assert rows[1].estimate == 0.0
     assert rows[0].ci_upper >= rows[0].estimate
-
-
-def test_empirical_tail_batch_mean_flag():
-    m = measures.make_uniform_k_subsets(3, 1)
-    batch = sample_table(m, seed=2, count=100)
-    fn = functional.random_matrix_fn(m.support(), 2, seed=3)
-    rows = empirical_tail(fn, batch, [0.5])
-    assert not rows[0].mean_is_exact
 
 
 def test_empirical_tail_domain_mismatch():
@@ -322,7 +313,18 @@ def test_empirical_tail_empty_batch():
     m = measures.make_uniform_k_subsets(3, 1)
     fn = MatrixFn.constant(m.support(), np.eye(2))
     with pytest.raises(ValueError):
-        empirical_tail(fn, SampleBatch(0, 0, np.zeros(0, dtype=np.int64)), [0.5])
+        empirical_tail(fn, SampleBatch(0, 0, np.zeros(0, dtype=np.int64)), [0.5],
+                       measure=m)
+
+
+def test_empirical_tail_rejects_a_draw_outside_the_support():
+    """The function is defined at mask 3, but the measure puts no mass there:
+    the draw has no deviation from E_pi F to count."""
+    m = measures.make_uniform_k_subsets(3, 1)
+    fn = MatrixFn.from_table({1: [[1.0]], 2: [[2.0]], 3: [[0.0]], 4: [[3.0]]})
+    batch = SampleBatch(0, 3, np.array([1, 3, 4], dtype=np.int64))
+    with pytest.raises(functional.DomainMismatch, match="0x3 outside"):
+        empirical_tail(fn, batch, [0.5], measure=m)
 
 
 def test_empirical_tail_tracks_exact_tail():
