@@ -20,11 +20,17 @@ pre-normalization average has Delta <= 2k on k-homogeneous inputs and
 Delta <= n in general, which is what makes the final spectral gap at
 least 1/(2k) (k = n/2 when the measure is not homogeneous).
 
-The recursion makes two passes over the distinct conditionals (keyed by
-content).  The first solves every covering coupling: each is an event of
-the stochastic covering property and they reach every event of positive
-mass, so ``scp_check`` runs this pass alone and reports the first
-infeasible coupling as the witness.  The second assembles the generators.
+The recursion makes two passes over the conditionals, one node per orbit
+of their fixing events under the root's coordinate automorphisms
+(``measures.automorphisms``): a node is keyed by the least image of its
+event, and a conditional whose content is new reads its node's rates
+through a permutation.  Covering and the uniform average over splits do
+not depend on coordinate order, so a relabelled walk is still a
+flip-swap walk with the same gap bound.  The first pass solves every
+covering coupling: each is an event of the stochastic covering property,
+and up to relabelling they reach every event of positive mass, so
+``scp_check`` runs this pass alone and reports the first infeasible
+coupling as the witness.  The second assembles the generators.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
+    automorphisms,
     covers,
     feasible_coupling,
     halves,
@@ -62,8 +69,9 @@ class MissingCoupling(ChainError):
 
 
 class InfeasibleCoupling(ChainError):
-    """No covering coupling for event = (coords, bits, ell): the split on ell
-    given X_coords = bits, in the coordinates the exception has reached."""
+    """No covering coupling for event = (ones, zeros, ell): the split on
+    coordinate ell given the coordinates in the mask ones equal to 1 and
+    those in zeros equal to 0."""
 
     def __init__(self, message: str, event: tuple):
         super().__init__(message)
@@ -274,73 +282,97 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
     if low is None or high is None:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
     side = (m.masks >> ell) & 1 == 1
-    return replace(_couple(low[0], high[0], ell), rows=m.masks[~side], cols=m.masks[side])
+    return replace(_couple(low[0], high[0], (0, 0, ell)), rows=m.masks[~side],
+                   cols=m.masks[side])
 
 
-def _couple(low: SubsetMeasure, high: SubsetMeasure, ell: int) -> CouplingTable:
-    """Covering coupling of the conditionals given x_ell = 0 (rows) and = 1."""
+def _couple(low: SubsetMeasure, high: SubsetMeasure, event: tuple) -> CouplingTable:
+    """Covering coupling of the conditionals below one split (rows: bit 0)."""
     allowed = covers(low.masks[:, None], high.masks[None, :])
     table, value = feasible_coupling(low.masks, low.masses, high.masks, high.masses,
                                      allowed)
     if table is None:
         raise InfeasibleCoupling(
-            f"split on coordinate {ell}: moved only {value:.12f} of unit mass",
-            ((), (), ell))
+            f"split on coordinate {event[2]}: moved only {value:.12f} of unit mass",
+            event)
     return table
 
 
-class _Lattice:
-    """The distinct conditionals met by the recursion, by content key, as
-    nodes[key] = (m, [_split per coordinate]), and the solved couplings by
-    their pair of child keys: a coupling depends only on the two
-    conditionals, and many splits share a pair."""
+def _bits(mask: int, n: int) -> list:
+    """The coordinates below n set in mask, ascending (~fixed: the free ones)."""
+    return [c for c in range(n) if mask >> c & 1]
 
-    def __init__(self):
-        self.nodes = {}
-        self.kappas = {}
+
+class _Lattice:
+    """The conditionals met by the recursion, one node per orbit of their
+    fixing events (ones, zeros), masks of the root coordinates fixed to 1
+    and to 0, under the root's automorphisms: nodes[least event of the
+    orbit] = (m, [_split per coordinate]).  conditionals[content key] =
+    (orbit, positions): the node's b-th state is the conditional's state
+    positions[b] (None: the same order).  kappas holds the solved couplings
+    by their pair of child content keys, which many splits share."""
+
+    def __init__(self, root: SubsetMeasure):
+        self.n, self.group = root.n, automorphisms(root)
+        self.nodes, self.conditionals, self.kappas = {}, {}, {}
 
 
 def _key(m: SubsetMeasure) -> tuple:
     return (m.n, m.masks.tobytes(), m.masses.tobytes())
 
 
-def _visit(m: SubsetMeasure, w: SubsetMeasure, lattice: _Lattice, key: tuple) -> tuple:
-    """key (m's _key) after adding m and every conditional below it,
-    children first, to the lattice.  w is the root restricted to m's
-    event: computing each conditional from the root's masses makes an event
-    reached in another order bit-identical."""
-    if key not in lattice.nodes:
-        splits = ([_split(w, ell, lattice) for ell in range(m.n)]
+def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
+           key: tuple) -> tuple:
+    """key (m's _key) after adding m's orbit and every conditional below it,
+    children first, to the lattice.  w is the root restricted to the event.
+    A node is the root restricted to its orbit's least event, carried there
+    by an automorphism, so it is bit-identical however it is reached."""
+    if key in lattice.conditionals:
+        return key
+    orbit, g, positions = event, 0, None
+    if len(lattice.group) > 1:  # the least image and the first g reaching it
+        fixed = np.array(event)[:, None] >> np.arange(lattice.n) & 1
+        img = (1 << lattice.group) @ fixed.T
+        g = int(np.argmin(img[:, 0] << lattice.n | img[:, 1]))
+        orbit = (int(img[g, 0]), int(img[g, 1]))
+    if g:
+        perm, free = lattice.group[g], _bits(~(orbit[0] | orbit[1]), lattice.n)
+        moved = [free.index(perm[c]) for c in _bits(~(event[0] | event[1]), lattice.n)]
+        image = (w.masks[:, None] >> np.arange(m.n) & 1) @ (1 << np.array(moved))
+        positions = np.argsort(image)
+        masses = w.masses[positions]
+        m = SubsetMeasure._packed(m.n, image[positions], masses / float(masses.sum()))
+        w = SubsetMeasure._packed(m.n, m.masks, masses)
+    if orbit not in lattice.nodes:
+        splits = ([_split(w, orbit, ell, lattice) for ell in range(m.n)]
                   if m.masks.size > 1 else [])
-        lattice.nodes[key] = (m, splits)
+        lattice.nodes[orbit] = (m, splits)
+        lattice.conditionals.setdefault(_key(m), (orbit, None))
+    lattice.conditionals[key] = (orbit, positions)
     return key
 
 
-def _split(w: SubsetMeasure, ell: int, lattice: _Lattice) -> tuple:
-    """Coupling of the split on ell as (row, col, mass) arrays over its
-    support, rows and cols indexing the two children (None for a constant
-    coordinate), and the child keys.  The coupling is solved first, so the
-    first InfeasibleCoupling is the first failing SCP event in recursion
-    order; events from below are lifted to w's coordinates.  Only feasible
-    couplings are memoized, so a failure is met where it was before."""
+def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
+    """Coupling of the split of w (the root restricted to event) on its
+    coordinate ell as (row, col, mass) arrays over its support, rows and
+    cols indexing the two children (None for a constant coordinate), and
+    the child keys.  The coupling is solved first, so the first
+    InfeasibleCoupling is the first failing SCP event met, at a node's event
+    in root coordinates.  Only feasible couplings are memoized, so a failure
+    is met where it was before."""
+    ones, zeros = event
+    root_ell = _bits(~(ones | zeros), lattice.n)[ell]
     sides = halves(w, ell)
     keys = tuple(None if side is None else _key(side[0]) for side in sides)
     kappa = None
     if None not in sides:
         kappa = lattice.kappas.get(keys)
         if kappa is None:
-            mass = _couple(sides[0][0], sides[1][0], ell).mass
+            mass = _couple(sides[0][0], sides[1][0], (ones, zeros, root_ell)).mass
             kappa = lattice.kappas[keys] = np.nonzero(mass) + (mass[mass > 0.0],)
-    kids = []
-    try:
-        for bit, (side, key) in enumerate(zip(sides, keys)):
-            if side is not None:
-                kids.append(_visit(*side, lattice, key))
-    except InfeasibleCoupling as exc:
-        coords, bits, split = exc.event
-        exc.event = ((ell, *(c + (c >= ell) for c in coords)), (bit, *bits),
-                     split + (split >= ell))
-        raise
+    events = ((ones, zeros | 1 << root_ell), (ones | 1 << root_ell, zeros))
+    kids = [_visit(*side, child, lattice, key)
+            for side, key, child in zip(sides, keys, events) if side is not None]
     return kappa, kids
 
 
@@ -348,18 +380,19 @@ def _assemble(lattice: _Lattice) -> dict:
     """Off-diagonal raw walk rates of every node: the uniform average of
     its split rates, zero for a single state."""
     rates = {}
-    for key, (m, splits) in lattice.nodes.items():
+    for orbit, (m, splits) in lattice.nodes.items():
         acc = np.zeros((m.masks.size, m.masks.size))
         for ell, split in enumerate(splits):
-            _add_split(acc, m, ell, split, rates)
-        rates[key] = acc / m.n if splits else acc
+            _add_split(acc, m, ell, split, lattice, rates)
+        rates[orbit] = acc / m.n if splits else acc
     return rates
 
 
 def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
-               rates: dict) -> None:
+               lattice: _Lattice, rates: dict) -> None:
     """Add the off-diagonal rates of one split, built from its children's, to acc.
 
+    A child's node rates land on the child's states through its positions.
     Cross rates on a support pair (x, y) of the coupling kappa:
     Q(x, y) = pihat0 * pihat1 * kappa(x, y) / pi(x) and mirrored with
     pi(y), which enforces detailed balance by construction.  When the
@@ -369,13 +402,14 @@ def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
     side = (m.masks >> ell) & 1 == 1
     parts = [np.arange(m.masks.size)] if kappa is None else [
         (~side).nonzero()[0], side.nonzero()[0]]
-    if any(rates[kid].shape[0] != pos.size for kid, pos in zip(kids, parts)):
-        raise NotOnCube("lifted conditional support mismatch")
-    if kappa is None:
-        acc += rates[kids[0]]
-        return
     for kid, pos in zip(kids, parts):
-        acc[pos[:, None], pos] += rates[kid]
+        orbit, positions = lattice.conditionals[kid]
+        if rates[orbit].shape[0] != pos.size:
+            raise NotOnCube("lifted conditional support mismatch")
+        pos = pos if positions is None else pos[positions]
+        acc[pos[:, None], pos] += rates[orbit]
+    if kappa is None:
+        return
     pi = m.masses
     cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
     a, b, w = kappa
@@ -410,11 +444,12 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
     if m.n > SCP_LIMIT:
         raise StateSpaceTooLarge(f"n={m.n} exceeds scp_check limit {SCP_LIMIT}")
     try:
-        _visit(m, m, _Lattice(), _key(m))
+        _visit(m, m, (0, 0), _Lattice(m), _key(m))
     except InfeasibleCoupling as exc:
-        coords, bits, ell = exc.event
-        fixed = sorted(zip((*coords, ell), (*bits, 1), (*bits, 0)))
-        return ScpResult(False, tuple(zip(*fixed)))
+        ones, zeros, ell = exc.event
+        coords = _bits(ones | zeros | 1 << ell, m.n)
+        x_bits = tuple((ones | 1 << ell) >> c & 1 for c in coords)
+        return ScpResult(False, (tuple(coords), x_bits, tuple(ones >> c & 1 for c in coords)))
     return ScpResult(True, None)
 
 
@@ -423,19 +458,19 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     validate(m)
     if not 0 <= ell < m.n:
         raise ValueError(f"coordinate {ell} out of range for n={m.n}")
-    lattice = _Lattice()
-    split = _split(m, ell, lattice)
+    lattice = _Lattice(m)
+    split = _split(m, (0, 0), ell, lattice)
     acc = np.zeros((m.masks.size, m.masks.size))
-    _add_split(acc, m, ell, split, _assemble(lattice))
+    _add_split(acc, m, ell, split, lattice, _assemble(lattice))
     return _generator(m, acc)
 
 
 def flip_swap_average(m: SubsetMeasure) -> Generator:
     """Pre-normalization flip-swap walk (uniform average over splits)."""
     validate(m)
-    lattice = _Lattice()
-    key = _visit(m, m, lattice, _key(m))
-    return _generator(m, _assemble(lattice)[key])
+    lattice = _Lattice(m)
+    _visit(m, m, (0, 0), lattice, _key(m))
+    return _generator(m, _assemble(lattice)[0, 0])
 
 
 def normalized(gen: Generator) -> Generator:

@@ -150,14 +150,19 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
 
 
 def doubling_value(weights, values, k: int) -> float:
-    """Tr[(E[e^{F/2^k}])^{2^k}], stable for any depth via eigen-logs."""
+    """Tr[(E[e^{F/2^k}])^{2^k}] for probability weights, stable for any depth.
+
+    E[e^{F/2^k}] - I, of order 2^-k, is summed from expm1 of the per-state
+    eigenvalues, so it keeps its digits at depth, and the power is
+    exp(2^k log1p(mu)) over its eigenvalues mu.
+    """
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
     lam, vec = np.linalg.eigh(values / float(2**k))
-    mean = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.exp(lam), vec)
-    mu = np.linalg.eigvalsh(mean)
-    # mean of positive definite matrices is positive definite
-    return float(np.exp(float(2**k) * np.log(mu)).sum())
+    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam), vec)
+    mu = np.linalg.eigvalsh(excess)
+    # a mean of positive definite matrices is positive definite: mu > -1
+    return float(np.exp(float(2**k) * np.log1p(mu)).sum())
 
 
 @dataclass(frozen=True)

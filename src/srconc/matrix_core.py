@@ -87,9 +87,12 @@ def sym_power(a, t: float) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
+    """Largest singular value; max |eigenvalue| for exactly symmetric input."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+        return float(np.abs(np.linalg.eigvalsh(a)).max())
     return float(np.linalg.norm(a, 2))
 
 

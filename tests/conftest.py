@@ -22,6 +22,8 @@ def name_seed(name: str) -> int:
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+K5_EDGES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+WHEEL4_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
 
 
 def random_projection_kernel(n: int, rank: int, seed: int) -> np.ndarray:

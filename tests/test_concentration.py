@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -221,6 +222,32 @@ def test_doubling_nonincreasing_in_depth():
     floor = float(np.trace(expm(mean)))
     assert seq[-1] >= floor - 1e-9
     assert seq[-1] == pytest.approx(floor, rel=1e-6)
+
+
+def mp_doubling_value(weights, values, k: int) -> float:
+    """Tr[(E[e^{F/2^k}])^{2^k}] in 50-digit arithmetic, with the weights
+    renormalized to sum to 1 in that arithmetic."""
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(float(w)) for w in weights]
+        total = mpmath.fsum(weights)
+        mean = mpmath.zeros(values.shape[1])
+        for w, v in zip(weights, values):
+            lam, vec = mpmath.eigsy(mpmath.matrix(v.tolist()))
+            scaled = mpmath.diag([mpmath.exp(x / mpmath.mpf(2)**k) for x in lam])
+            mean += (w / total) * (vec * scaled * vec.T)
+        mu = mpmath.eigsy(mean, eigvals_only=True)
+        return float(mpmath.fsum(mpmath.exp(mpmath.mpf(2)**k * mpmath.log(x)) for x in mu))
+
+
+@pytest.mark.parametrize("name,d,seed", [("uniform_4_2", 3, 7), ("trees_k4", 2, 5)])
+def test_doubling_matches_50_digit_reference_at_depth(name, d, seed, fixture_walks):
+    """The ladder keeps its digits at depth: within 1e-12 of a 50-digit
+    evaluation from depth 12 to 60, where the deviation from I is 2^-60."""
+    w = fixture_walks[name]
+    vals = random_matrix_fn(w.states, d, seed=seed, norm_bound=0.8).gather(w.states)
+    for k in (12, 24, 36, 44, 52, 60):
+        ref = mp_doubling_value(w.pi, vals, k)
+        assert doubling_value(w.pi, vals, k) == pytest.approx(ref, rel=1e-12), k
 
 
 def test_doubling_huge_depth_stable():

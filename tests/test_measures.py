@@ -13,6 +13,7 @@ from srconc.measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
+    automorphisms,
     condition,
     covers,
     generating_polynomial,
@@ -24,7 +25,14 @@ from srconc.measures import (
     popcount,
     validate,
 )
-from conftest import C5_EDGES, K3_EDGES, K4_EDGES, random_projection_kernel
+from conftest import (
+    C5_EDGES,
+    K3_EDGES,
+    K4_EDGES,
+    K5_EDGES,
+    WHEEL4_EDGES,
+    random_projection_kernel,
+)
 
 
 def test_validate_accepts_normalized_pair():
@@ -275,10 +283,50 @@ def test_scp_check_matches_brute_force_reference(fixture_measures):
 
 
 def test_scp_check_limit():
-    probs = np.zeros(1 << 15)
+    n = measures.SCP_LIMIT + 1
+    probs = np.zeros(1 << n)
     probs[0] = 1.0
     with pytest.raises(StateSpaceTooLarge):
-        scp_check(SubsetMeasure(15, probs))
+        scp_check(SubsetMeasure(n, probs))
+
+
+def maps_onto_itself(m: SubsetMeasure, g) -> bool:
+    """g carries every support mask to a support mask of the same mass."""
+    mass = dict(zip(m.masks.tolist(), m.masses.tolist()))
+    moved = {sum(1 << int(g[c]) for c in range(m.n) if mask >> c & 1): p
+             for mask, p in mass.items()}
+    return moved == mass
+
+
+@pytest.mark.parametrize("edges,order", [(K4_EDGES, 24), (WHEEL4_EDGES, 8),
+                                         (K5_EDGES, 120)], ids=["K4", "wheel4", "K5"])
+def test_automorphisms_of_spanning_tree_measures(edges, order):
+    """The whole group: S4 on K4's edges, the dihedral group of the 4-spoke
+    wheel, S5 on K5's edges (which fills AUT_LIMIT exactly)."""
+    m = make_spanning_tree_measure(edges)
+    group = automorphisms(m)
+    assert group.shape == (order, m.n)
+    assert group[0].tolist() == list(range(m.n))
+    assert len(set(map(tuple, group.tolist()))) == order
+    assert all(sorted(g) == list(range(m.n)) and maps_onto_itself(m, g) for g in group)
+
+
+def test_automorphisms_stop_at_the_limit():
+    u = make_uniform_k_subsets(8, 4)  # all 8! permutations qualify
+    group = automorphisms(u)
+    assert group.shape == (measures.AUT_LIMIT, 8)
+    assert all(maps_onto_itself(u, g) for g in group)
+
+
+def test_automorphisms_need_bit_equal_masses():
+    # swapping the two coordinates moves mass 0.5 onto one ulp less
+    near = SubsetMeasure(2, np.array([0.0, 0.5, np.nextafter(0.5, 0.0), 0.0]))
+    assert automorphisms(near).tolist() == [[0, 1]]
+    exact = SubsetMeasure(2, np.array([0.0, 0.5, 0.5, 0.0]))
+    assert automorphisms(exact).tolist() == [[0, 1], [1, 0]]
+    dpp = make_projection_dpp(random_projection_kernel(5, 2, 1))
+    assert automorphisms(dpp).tolist() == [list(range(5))]
+    assert automorphisms(SubsetMeasure(0, np.array([1.0]))).shape == (1, 0)
 
 
 def test_make_uniform_singletons():
