@@ -21,16 +21,13 @@ Delta <= n in general, which is what makes the final spectral gap at
 least 1/(2k) (k = n/2 when the measure is not homogeneous).
 
 The recursion makes two passes over the conditionals, one node per orbit
-of their fixing events under the root's coordinate automorphisms
-(``measures.automorphisms``): a node is keyed by the least image of its
-event, and a conditional whose content is new reads its node's rates
-through a permutation.  Covering and the uniform average over splits do
-not depend on coordinate order, so a relabelled walk is still a
-flip-swap walk with the same gap bound.  The first pass solves every
-covering coupling: each is an event of the stochastic covering property,
-and up to relabelling they reach every event of positive mass, so
-``scp_check`` runs this pass alone and reports the first infeasible
-coupling as the witness.  The second assembles the generators.
+of their fixing events under the root's ``measures.automorphisms``, keyed
+by the orbit's least event; the orbit's other conditionals read the node's
+rates through a permutation (covering and the average over splits ignore
+coordinate order, so the gap bound holds).  The first pass solves every
+covering coupling, each an SCP event, reaching every event of positive mass
+up to relabelling, so ``scp_check`` runs it alone and reports the first
+infeasible coupling as the witness.  The second assembles the generators.
 """
 
 from __future__ import annotations
@@ -70,8 +67,7 @@ class MissingCoupling(ChainError):
 
 class InfeasibleCoupling(ChainError):
     """No covering coupling for event = (ones, zeros, ell): the split on
-    coordinate ell given the coordinates in the mask ones equal to 1 and
-    those in zeros equal to 0."""
+    coordinate ell given the bits of mask ones set and those of zeros clear."""
 
     def __init__(self, message: str, event: tuple):
         super().__init__(message)
@@ -298,19 +294,16 @@ def _couple(low: SubsetMeasure, high: SubsetMeasure, event: tuple) -> CouplingTa
     return table
 
 
-def _bits(mask: int, n: int) -> list:
-    """The coordinates below n set in mask, ascending (~fixed: the free ones)."""
-    return [c for c in range(n) if mask >> c & 1]
+def _free(event: tuple, n: int) -> list:
+    """The coordinates below n that event = (ones, zeros, ...) leaves free, ascending."""
+    return [c for c in range(n) if not (event[0] | event[1]) >> c & 1]
 
 
 class _Lattice:
-    """The conditionals met by the recursion, one node per orbit of their
-    fixing events (ones, zeros), masks of the root coordinates fixed to 1
-    and to 0, under the root's automorphisms: nodes[least event of the
-    orbit] = (m, [_split per coordinate]).  conditionals[content key] =
-    (orbit, positions): the node's b-th state is the conditional's state
-    positions[b] (None: the same order).  kappas holds the solved couplings
-    by their pair of child content keys, which many splits share."""
+    """nodes[least event (ones, zeros) of an orbit] = (m, [_split per
+    coordinate]); conditionals[content key] = (orbit, positions): the node's
+    b-th state is the conditional's state positions[b] (None: same order);
+    kappas[pair of child content keys] = coupling, shared by many splits."""
 
     def __init__(self, root: SubsetMeasure):
         self.n, self.group = root.n, automorphisms(root)
@@ -323,52 +316,46 @@ def _key(m: SubsetMeasure) -> tuple:
 
 def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
            key: tuple) -> tuple:
-    """key (m's _key) after adding m's orbit and every conditional below it,
-    children first, to the lattice.  w is the root restricted to the event.
-    A node is the root restricted to its orbit's least event, carried there
-    by an automorphism, so it is bit-identical however it is reached."""
+    """key (m's _key) after adding m's orbit and every conditional below it to
+    the lattice, children first.  w is the root restricted to the event; a node
+    is it carried to the orbit's least event, bit-identical however reached."""
     if key in lattice.conditionals:
         return key
-    orbit, g, positions = event, 0, None
-    if len(lattice.group) > 1:  # the least image and the first g reaching it
-        fixed = np.array(event)[:, None] >> np.arange(lattice.n) & 1
-        img = (1 << lattice.group) @ fixed.T
-        g = int(np.argmin(img[:, 0] << lattice.n | img[:, 1]))
-        orbit = (int(img[g, 0]), int(img[g, 1]))
+    img = (np.array(event)[:, None] >> np.arange(lattice.n) & 1) @ (1 << lattice.group.T)
+    g = int(np.argmin(img[0] << lattice.n | img[1]))  # the first g to the least image
+    orbit, positions = tuple(img[:, g].tolist()), None
+    free = _free(orbit, lattice.n)
     if g:
-        perm, free = lattice.group[g], _bits(~(orbit[0] | orbit[1]), lattice.n)
-        moved = [free.index(perm[c]) for c in _bits(~(event[0] | event[1]), lattice.n)]
+        moved = [free.index(lattice.group[g, c]) for c in _free(event, lattice.n)]
         image = (w.masks[:, None] >> np.arange(m.n) & 1) @ (1 << np.array(moved))
         positions = np.argsort(image)
         masses = w.masses[positions]
         m = SubsetMeasure._packed(m.n, image[positions], masses / float(masses.sum()))
         w = SubsetMeasure._packed(m.n, m.masks, masses)
     if orbit not in lattice.nodes:
-        splits = ([_split(w, orbit, ell, lattice) for ell in range(m.n)]
+        splits = ([_split(w, (*orbit, free[ell]), ell, lattice) for ell in range(m.n)]
                   if m.masks.size > 1 else [])
         lattice.nodes[orbit] = (m, splits)
-        lattice.conditionals.setdefault(_key(m), (orbit, None))
+    lattice.conditionals.setdefault(_key(m), (orbit, None))  # the first orbit keeps it
     lattice.conditionals[key] = (orbit, positions)
     return key
 
 
 def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
-    """Coupling of the split of w (the root restricted to event) on its
-    coordinate ell as (row, col, mass) arrays over its support, rows and
-    cols indexing the two children (None for a constant coordinate), and
-    the child keys.  The coupling is solved first, so the first
-    InfeasibleCoupling is the first failing SCP event met, at a node's event
-    in root coordinates.  Only feasible couplings are memoized, so a failure
-    is met where it was before."""
-    ones, zeros = event
-    root_ell = _bits(~(ones | zeros), lattice.n)[ell]
+    """Coupling of the split of w, the root restricted to (ones, zeros), on
+    its coordinate ell (root_ell of the root) as (row, col, mass) arrays over
+    its support, rows and cols indexing the two children (None for a constant
+    coordinate), and the child keys.  Solving it first makes the first
+    InfeasibleCoupling the first failing SCP event met, event = (ones, zeros,
+    root_ell); only feasible couplings are memoized, so it is met as before."""
+    ones, zeros, root_ell = event
     sides = halves(w, ell)
     keys = tuple(None if side is None else _key(side[0]) for side in sides)
     kappa = None
     if None not in sides:
         kappa = lattice.kappas.get(keys)
         if kappa is None:
-            mass = _couple(sides[0][0], sides[1][0], (ones, zeros, root_ell)).mass
+            mass = _couple(sides[0][0], sides[1][0], event).mass
             kappa = lattice.kappas[keys] = np.nonzero(mass) + (mass[mass > 0.0],)
     events = ((ones, zeros | 1 << root_ell), (ones | 1 << root_ell, zeros))
     kids = [_visit(*side, child, lattice, key)
@@ -447,7 +434,7 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
         _visit(m, m, (0, 0), _Lattice(m), _key(m))
     except InfeasibleCoupling as exc:
         ones, zeros, ell = exc.event
-        coords = _bits(ones | zeros | 1 << ell, m.n)
+        coords = [c for c in range(m.n) if (ones | zeros | 1 << ell) >> c & 1]
         x_bits = tuple((ones | 1 << ell) >> c & 1 for c in coords)
         return ScpResult(False, (tuple(coords), x_bits, tuple(ones >> c & 1 for c in coords)))
     return ScpResult(True, None)
@@ -459,7 +446,7 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     if not 0 <= ell < m.n:
         raise ValueError(f"coordinate {ell} out of range for n={m.n}")
     lattice = _Lattice(m)
-    split = _split(m, (0, 0), ell, lattice)
+    split = _split(m, (0, 0, ell), ell, lattice)
     acc = np.zeros((m.masks.size, m.masks.size))
     _add_split(acc, m, ell, split, lattice, _assemble(lattice))
     return _generator(m, acc)

@@ -35,10 +35,9 @@ MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
 PROJECTION_TOL = 1e-8
 STORAGE_LIMIT = 20  # largest ground set n a measure may live on
-# Largest n that chains.scp_check accepts: it solves couplings once per orbit
-# class of conditionals, 7,520 classes for the spanning trees of K6 (n = 15).
-SCP_LIMIT = 15
+SCP_LIMIT = 15      # largest n for chains.scp_check: K6 trees have 7,520 orbit classes
 AUT_LIMIT = 120     # automorphisms() stops once it has found this many
+AUT_WORK = 2000     # or once its search has tried this many partial maps
 
 
 class MeasureError(Exception):
@@ -219,35 +218,33 @@ def halves(m: SubsetMeasure, ell: int) -> list:
 
 
 def automorphisms(m: SubsetMeasure) -> np.ndarray:
-    """Coordinate permutations g (bit i moves to bit g[i]) that map the
-    support onto itself with masses equal bit for bit, one per row, the
-    identity first, at most AUT_LIMIT.  A depth-first search keeps the
-    pair-joint table of hashed mass classes (summed in wrapping integers, so
-    no rounding hides an automorphism) and checks each complete map on the
-    support, so stopping early only leaves some automorphisms out."""
+    """Coordinate permutations g (bit i moves to bit g[i]) mapping the support
+    onto itself with masses equal bit for bit, one per row, identity first.
+    A depth-first search keeps the pair-joint table of hashed mass classes
+    (wrapping integer sums: no rounding hides one) and checks each complete
+    map, so stopping at AUT_LIMIT found or AUT_WORK tried only leaves some out."""
     n = m.n
-    bits = m.masks[:, None] >> np.arange(n) & 1
+    bits = (m.masks[:, None] >> np.arange(n) & 1).astype(np.uint64)
     _, cls = np.unique(m.masses, return_inverse=True)
     salt = (cls.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    wide = bits.astype(np.uint64)
-    joint = (wide.T @ (wide * salt[:, None])).tolist()
+    joint = (bits.T @ (bits * salt[:, None])).tolist()
     colour = [(row[i], sorted(row)) for i, row in enumerate(joint)]
     mass_of = np.zeros(1 << n, dtype=np.int64)  # mass bits by mask, 0 off the support
     mass_of[m.masks] = m.masses.view(np.int64)
-    found, g = [], []
+    found, g, work = [], [], iter(range(AUT_WORK))
 
     def extend() -> bool:
-        """Try every image of coordinate len(g); True once AUT_LIMIT are found."""
+        """Try every image of coordinate len(g); True once the search stops."""
         i = len(g)
         if i == n:
-            if (mass_of[bits @ (1 << np.array(g, dtype=np.int64))] == mass_of[m.masks]).all():
+            if (mass_of[bits @ (1 << np.array(g, np.uint64))] == mass_of[m.masks]).all():
                 found.append(list(g))
             return len(found) == AUT_LIMIT
         for j in range(n):
             if (j not in g and colour[j] == colour[i]
                     and [joint[j][b] for b in g] == joint[i][:i]):
                 g.append(j)
-                if extend():
+                if extend() or next(work, None) is None:
                     return True
                 g.pop()
         return False

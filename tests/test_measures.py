@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -316,6 +317,33 @@ def test_automorphisms_stop_at_the_limit():
     group = automorphisms(u)
     assert group.shape == (measures.AUT_LIMIT, 8)
     assert all(maps_onto_itself(u, g) for g in group)
+
+
+def test_automorphisms_stop_on_a_design_that_pair_joints_cannot_split():
+    """The cyclic Steiner triple system on 13 points puts every pair in one
+    block, so colours and pair joints never prune; its group has order 39,
+    below AUT_LIMIT, so only AUT_WORK ends the search (13! leaves without
+    it, which the alarm turns into a failure)."""
+    blocks = {tuple(sorted((b + s) % 13 for b in base))
+              for base in ((0, 1, 4), (0, 2, 7)) for s in range(13)}
+    probs = np.zeros(1 << 13)
+    probs[[sum(1 << c for c in block) for block in blocks]] = 1.0 / 26
+    m = SubsetMeasure(13, probs)
+
+    def give_up(signum, frame):
+        raise TimeoutError("automorphism search did not stop")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(30)
+    try:
+        group = automorphisms(m)
+        result = scp_check(m)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert group[0].tolist() == list(range(13))
+    assert all(maps_onto_itself(m, g) for g in group)
+    assert result == ScpResult(False, ((0,), (1,), (0,)))
 
 
 def test_automorphisms_need_bit_equal_masses():
