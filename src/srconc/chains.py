@@ -330,8 +330,8 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
         image = (w.masks[:, None] >> np.arange(m.n) & 1) @ (1 << np.array(moved))
         positions = np.argsort(image)
         masses = w.masses[positions]
-        m = SubsetMeasure._packed(m.n, image[positions], masses / float(masses.sum()))
-        w = SubsetMeasure._packed(m.n, m.masks, masses)
+        m = SubsetMeasure(m.n, image[positions], masses / float(masses.sum()))
+        w = SubsetMeasure(m.n, m.masks, masses)
     if orbit not in lattice.nodes:
         splits = ([_split(w, (*orbit, free[ell]), ell, lattice) for ell in range(m.n)]
                   if m.masks.size > 1 else [])

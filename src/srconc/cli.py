@@ -107,17 +107,26 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
         vertices, edges = measures.graph_from_json(spec["graph"])
         return measures.make_spanning_tree_measure(edges, vertices)
     if family == "projection_dpp":
-        return measures.make_projection_dpp(matrix_core.matrix_from_json(spec["kernel"]))
+        return measures.make_projection_dpp(_kernel(spec["kernel"]))
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
-def _build_function(cfg: dict, states, n: int):
-    """Returns (MatrixFn, lipschitz or None) from the 'function' config."""
+def _kernel(obj: dict) -> np.ndarray:
+    """A kernel config; a non-finite entry is invalid input, not a numeric failure."""
+    try:
+        return matrix_core.matrix_from_json(obj)
+    except matrix_core.NonFinite as exc:
+        raise measures.NotAProjection(f"kernel: {exc}") from exc
+
+
+def _build_function(cfg: dict):
+    """From the 'function' config, a maker (states, n) -> (MatrixFn, lipschitz
+    or None); the numbers of a random spec are checked here, before any walk."""
     spec = cfg.get("function")
     if not isinstance(spec, dict):
         raise UsageError("config needs a 'function' object")
     if "inline" in spec:
-        return functional.matrix_fn_from_json(spec["inline"]), None
+        return lambda states, n: (functional.matrix_fn_from_json(spec["inline"]), None)
     rnd = spec.get("random")
     if not isinstance(rnd, dict):
         raise UsageError(f"unknown function spec {spec!r}")
@@ -125,12 +134,11 @@ def _build_function(cfg: dict, states, n: int):
     d = int(rnd.get("d", 2))
     seed = int(rnd.get("seed", cfg["seed"]))
     if kind == "table":
-        return functional.random_matrix_fn(states, d, seed,
-                                           float(rnd.get("scale", 1.0))), None
+        scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)
+        return lambda states, n: (functional.random_matrix_fn(states, d, seed, scale), None)
     if kind == "linear":
-        fn, lip = functional.random_linear_matrix_fn(n, states, d,
-                                                     float(rnd.get("L", 1.0)), seed)
-        return fn, lip
+        lip = _bounded(rnd.get("L", 1.0), "function.random.L", math.inf, True)
+        return lambda states, n: functional.random_linear_matrix_fn(n, states, d, lip, seed)
     raise UsageError(f"unknown random function kind {kind!r}")
 
 
@@ -193,8 +201,9 @@ def _certify_setup(cfg: dict, read_lambda: bool):
     if read_lambda and "lambda" in cfg:
         lam = _bounded(cfg["lambda"], "lambda", math.inf)
     m = _load_measure(cfg)
+    make_fn = _build_function(cfg)
     walk = chains.hermon_salez(m)
-    fn, lip = _build_function(cfg, walk.states, m.n)
+    fn, lip = make_fn(walk.states, m.n)
     if lam is None:
         lam = functional.scalar_spectral_gap(walk)
     return m, walk, fn, lip, lam
@@ -216,11 +225,12 @@ def _positive(value, name: str) -> int:
     return count
 
 
-def _bounded(value, name: str, upper: float) -> float:
-    """value as a float, or a UsageError unless it lies in (0, upper)."""
+def _bounded(value, name: str, upper: float, zero_ok: bool = False) -> float:
+    """value as a float, or a UsageError unless it lies in (0, upper), or in
+    [0, upper) when zero_ok."""
     x = float(value)
-    if not 0.0 < x < upper:  # also rejects NaN
-        raise UsageError(f"{name} must lie in (0, {upper}), got {x!r}")
+    if not (0.0 <= x if zero_ok else 0.0 < x) or not x < upper:  # also rejects NaN
+        raise UsageError(f"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}")
     return x
 
 
@@ -415,7 +425,7 @@ def cmd_sample(cfg: dict) -> int:
         vertices, edges = measures.graph_from_json(cfg["graph"])
         batch = samplers.wilson_spanning_tree(edges, seed, count, vertices)
     elif kind == "kdpp":
-        kernel = matrix_core.matrix_from_json(cfg["kernel"])
+        kernel = _kernel(cfg["kernel"])
         batch = samplers.sample_kdpp(kernel, seed, count)
     else:
         raise UsageError(f"unknown sampler {kind!r}")
@@ -442,7 +452,7 @@ VALIDATION_ERRORS = (measures.MeasureError, chains.ChainError,
 
 NUMERIC_ERRORS = (matrix_core.NonFinite, np.linalg.LinAlgError,
                   concentration.ConcentrationError, FloatingPointError,
-                  OverflowError)
+                  OverflowError, MemoryError)
 
 
 def build_parser() -> argparse.ArgumentParser:

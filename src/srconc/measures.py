@@ -98,33 +98,16 @@ class SubsetMeasure:
 
     masks are the subsets with nonzero mass, ascending, and masses their
     masses; negative and NaN entries are kept so that ``validate`` sees
-    them.  SubsetMeasure(n, probs) reads a dense table of 2**n masses
-    (``measure_from_json`` reads the entries) and ``probs`` is the dense
-    view.
+    them.  Only n is checked here: callers pass masks in [0, 2**n).
     """
 
     __slots__ = ("n", "masks", "masses")
 
-    def __init__(self, n: int, probs):
+    def __init__(self, n: int, masks, masses):
         _check_size(n)
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (1 << n,):
-            raise ValueError(
-                f"probability table has shape {probs.shape}, expected ({1 << n},)")
-        masks = np.flatnonzero(probs).astype(np.int64)
-        self.n, self.masks, self.masses = n, masks, probs[masks]
-
-    @classmethod
-    def _packed(cls, n: int, masks: np.ndarray, masses: np.ndarray) -> "SubsetMeasure":
-        """No checks: masks ascending int64 in [0, 2**n), masses nonzero."""
-        m = object.__new__(cls)
-        m.n, m.masks, m.masses = n, masks, masses
-        return m
-
-    @property
-    def probs(self) -> np.ndarray:
-        """Dense table of the 2**n masses (a fresh array)."""
-        return np.bincount(self.masks, self.masses, minlength=1 << self.n)
+        self.n = n
+        self.masks = np.asarray(masks, dtype=np.int64)
+        self.masses = np.asarray(masses, dtype=float)
 
     def support(self) -> np.ndarray:
         """Masks with strictly positive mass, ascending."""
@@ -183,7 +166,7 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
         if not 0 <= c < m.n:
             raise ValueError(f"coordinate {c} out of range for n={m.n}")
     if not coords:
-        return SubsetMeasure._packed(m.n, m.masks.copy(), m.masses.copy())
+        return SubsetMeasure(m.n, m.masks.copy(), m.masses.copy())
 
     sel_mask = sum(1 << c for c in coords)
     want = sum(1 << c for c, b in zip(coords, bits) if b)
@@ -196,7 +179,7 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     masks = m.masks[keep]
     for c in sorted(coords, reverse=True):
         masks = _drop_bit(masks, c)
-    return SubsetMeasure._packed(m.n - len(coords), masks, masses / total)
+    return SubsetMeasure(m.n - len(coords), masks, masses / total)
 
 
 def _drop_bit(masks, c: int):
@@ -212,8 +195,8 @@ def halves(m: SubsetMeasure, ell: int) -> list:
     side = (m.masks >> ell) & 1 == 1
     low = _drop_bit(m.masks, ell)
     parts = [(low[sel], m.masses[sel]) for sel in (~side, side)]
-    return [(SubsetMeasure._packed(m.n - 1, masks, masses / float(masses.sum())),
-             SubsetMeasure._packed(m.n - 1, masks, masses)) if masses.size else None
+    return [(SubsetMeasure(m.n - 1, masks, masses / float(masses.sum())),
+             SubsetMeasure(m.n - 1, masks, masses)) if masses.size else None
             for masks, masses in parts]
 
 
@@ -229,15 +212,16 @@ def automorphisms(m: SubsetMeasure) -> np.ndarray:
     salt = (cls.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
     joint = (bits.T @ (bits * salt[:, None])).tolist()
     colour = [(row[i], sorted(row)) for i, row in enumerate(joint)]
-    mass_of = np.zeros(1 << n, dtype=np.int64)  # mass bits by mask, 0 off the support
-    mass_of[m.masks] = m.masses.view(np.int64)
     found, g, work = [], [], iter(range(AUT_WORK))
 
     def extend() -> bool:
         """Try every image of coordinate len(g); True once the search stops."""
         i = len(g)
         if i == n:
-            if (mass_of[bits @ (1 << np.array(g, np.uint64))] == mass_of[m.masks]).all():
+            image = (bits @ (1 << np.array(g, np.uint64))).astype(np.int64)
+            order = np.argsort(image)
+            if ((image[order] == m.masks).all()
+                    and (m.masses[order].view(np.int64) == m.masses.view(np.int64)).all()):
                 found.append(list(g))
             return len(found) == AUT_LIMIT
         for j in range(n):
@@ -331,6 +315,8 @@ def _max_flow(supply, demand, allowed) -> np.ndarray:
                 into[j][i] = f
                 left[i] -= f
                 need[j] -= f
+            if left[i] == 0.0:  # f was all of it: no later column gets any
+                break
 
     while True:
         row_from = {i: -1 for i in range(rows) if left[i] > 0.0}  # -1: the source
@@ -395,32 +381,37 @@ def make_uniform_k_subsets(n: int, k: int) -> SubsetMeasure:
     _check_size(n)
     masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[popcount(masks) == k]
-    return SubsetMeasure._packed(n, masks, np.full(masks.size, 1.0 / math.comb(n, k)))
+    return SubsetMeasure(n, masks, np.full(masks.size, 1.0 / math.comb(n, k)))
 
 
 def make_bernoulli_product(ps) -> SubsetMeasure:
-    """Independent inclusion of element i with probability ps[i]."""
+    """Independent inclusion of element i with probability ps[i]; the support
+    spans only the coordinates with 0 < ps[i] < 1, the others are fixed."""
     ps = np.asarray(ps, dtype=float)
-    if ((ps < 0) | (ps > 1)).any():
+    if not ((ps >= 0) & (ps <= 1)).all():  # also rejects NaN
         raise ValueError("inclusion probabilities must lie in [0, 1]")
-    n = ps.size
-    masks = np.arange(1 << n, dtype=np.int64)
-    probs = np.ones(1 << n)
-    for i in range(n):
-        bit = ((masks >> i) & 1).astype(bool)
-        probs *= np.where(bit, ps[i], 1.0 - ps[i])
-    return SubsetMeasure(int(n), probs)
+    _check_size(ps.size)
+    masks, masses = np.zeros(1, dtype=np.int64), np.ones(1)
+    for i in range(ps.size):  # each step keeps the masks ascending
+        if ps[i] == 1.0:
+            masks |= 1 << i
+        elif ps[i] > 0.0:
+            masks = np.concatenate([masks, masks | 1 << i])
+            masses = np.concatenate([masses * (1.0 - ps[i]), masses * ps[i]])
+    return SubsetMeasure(ps.size, masks[masses > 0], masses[masses > 0])
 
 
 def projection_kernel(kernel) -> tuple[np.ndarray, int]:
     """The kernel as a float array and its rank.
 
-    Raises unless the kernel is an orthogonal projection: square, and
+    Raises unless the kernel is an orthogonal projection: square, finite, and
     symmetric and idempotent within PROJECTION_TOL of its largest entry.
     """
     k_mat = np.asarray(kernel, dtype=float)
     if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise ValueError(f"kernel must be square, got shape {k_mat.shape}")
+    if not np.isfinite(k_mat).all():
+        raise NotAProjection("kernel has non-finite entries")
     scale = max(1.0, float(np.abs(k_mat).max()))
     if np.abs(k_mat - k_mat.T).max() > PROJECTION_TOL * scale:
         raise NotAProjection("kernel is not symmetric")
@@ -432,23 +423,22 @@ def projection_kernel(kernel) -> tuple[np.ndarray, int]:
 def make_projection_dpp(kernel) -> SubsetMeasure:
     """Determinantal measure of an orthogonal projection kernel.
 
-    mu(S) = det(K_S) over subsets of size rank(K); the table is
-    renormalized to kill the tiny float drift in the determinants.
+    mu(S) = det(K_S) over subsets of size rank(K) with a positive
+    determinant; the support is renormalized to kill the tiny float drift
+    in the determinants.
     """
     k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
-    if n > STORAGE_LIMIT:
-        raise StateSpaceTooLarge(f"kernel on {n} elements exceeds limit {STORAGE_LIMIT}")
-
-    probs = np.zeros(1 << n)
+    _check_size(n)
+    dets = {}
     for bits in itertools.combinations(range(n), rank):
-        idx = np.array(bits, dtype=int)
-        det = float(np.linalg.det(k_mat[np.ix_(idx, idx)])) if rank else 1.0
-        probs[sum(1 << b for b in bits)] = max(det, 0.0)
-    total = probs.sum()
-    if total <= 0.0:
+        det = float(np.linalg.det(k_mat[np.ix_(bits, bits)])) if rank else 1.0
+        if det > 0.0:
+            dets[sum(1 << b for b in bits)] = det
+    if not dets:
         raise ZeroMassEvent("projection kernel produced an empty measure")
-    return SubsetMeasure(n, probs / total)
+    masses = np.array([dets[mask] for mask in sorted(dets)])
+    return SubsetMeasure(n, sorted(dets), masses / masses.sum())
 
 
 class _UnionFind:
@@ -500,8 +490,7 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
     """Uniform measure on spanning trees, ground set = the edge list."""
     edges, vertices = tree_edges(edges, vertices)
     n = len(edges)
-    if n > STORAGE_LIMIT:
-        raise StateSpaceTooLarge(f"{n} edges exceeds limit {STORAGE_LIMIT}")
+    _check_size(n)
     components = component_count(vertices, edges)
     if components != 1:
         raise DisconnectedGraph(f"graph has {components} components")
@@ -509,10 +498,7 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
     masks = np.arange(1 << n, dtype=np.int64)
     hits = [msk for msk in masks[popcount(masks) == vertices - 1].tolist()
             if is_spanning_tree(msk, edges, vertices)]
-    if not hits:
-        raise DisconnectedGraph("no spanning tree found")
-    return SubsetMeasure._packed(n, np.array(hits, dtype=np.int64),
-                                 np.full(len(hits), 1.0 / len(hits)))
+    return SubsetMeasure(n, hits, np.full(len(hits), 1.0 / len(hits)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +526,7 @@ def measure_from_json(obj: dict) -> SubsetMeasure:
             raise MeasureError(f"mask {mask} is listed twice")
         entries[mask] = float(entry["p"])
     masks = sorted(mask for mask, p in entries.items() if p != 0.0)
-    m = SubsetMeasure._packed(n, np.array(masks, dtype=np.int64),
-                              np.array([entries[mask] for mask in masks], dtype=float))
+    m = SubsetMeasure(n, masks, [entries[mask] for mask in masks])
     validate(m)
     return m
 

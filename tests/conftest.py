@@ -26,6 +26,15 @@ K5_EDGES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 WHEEL4_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
 
 
+def dense_measure(n: int, probs) -> measures.SubsetMeasure:
+    """The measure whose mass on mask b is probs[b], from a table of all
+    2**n masses; zero entries are left out of the support."""
+    probs = np.asarray(probs, dtype=float)
+    assert probs.shape == (1 << n,), probs.shape
+    masks = np.flatnonzero(probs)
+    return measures.SubsetMeasure(n, masks, probs[masks])
+
+
 def random_projection_kernel(n: int, rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, rank)))

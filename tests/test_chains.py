@@ -27,7 +27,7 @@ from srconc.chains import (
 )
 from srconc.measures import SubsetMeasure, ZeroMassEvent
 
-from conftest import K4_EDGES, K5_EDGES, WHEEL4_EDGES, build_fixture_measures
+from conftest import K4_EDGES, K5_EDGES, WHEEL4_EDGES, build_fixture_measures, dense_measure
 from test_measures import reference_covers, reference_scp
 
 
@@ -179,7 +179,7 @@ def test_decompose_requires_cube():
 
 
 def test_decompose_empty_part():
-    m = SubsetMeasure(2, np.array([0.0, 0.5, 0.0, 0.5]))  # x0 is always 1
+    m = dense_measure(2, np.array([0.0, 0.5, 0.0, 0.5]))  # x0 is always 1
     w = hermon_salez(m)
     with pytest.raises(EmptyPart):
         decompose(w, 0)
@@ -300,13 +300,13 @@ def test_scp_coupling_marginals_on_fixtures(fixture_measures):
 
 
 def test_scp_coupling_infeasible_on_two_point_mass():
-    m = SubsetMeasure(2, np.array([0.5, 0.0, 0.0, 0.5]))
+    m = dense_measure(2, np.array([0.5, 0.0, 0.0, 0.5]))
     with pytest.raises(InfeasibleCoupling):
         scp_coupling(m, 0)
 
 
 def test_scp_coupling_constant_coordinate():
-    m = SubsetMeasure(2, np.array([0.0, 0.5, 0.0, 0.5]))
+    m = dense_measure(2, np.array([0.0, 0.5, 0.0, 0.5]))
     with pytest.raises(EmptyPart):
         scp_coupling(m, 0)
 
@@ -351,7 +351,7 @@ def test_walk_single_coordinate_bernoulli():
 def test_walk_degenerate_coordinate():
     """A constant coordinate contributes the lifted walk of its single
     conditional rather than killing the construction."""
-    m = SubsetMeasure(2, np.array([0.0, 0.5, 0.0, 0.5]))
+    m = dense_measure(2, np.array([0.0, 0.5, 0.0, 0.5]))
     g = split_generator(m, 0)
     assert g.states.tolist() == [1, 3]
     assert np.allclose(g.rates, [[-0.5, 0.5], [0.5, -0.5]])
@@ -360,7 +360,7 @@ def test_walk_degenerate_coordinate():
 
 
 def test_walk_point_mass_is_zero():
-    m = SubsetMeasure(2, np.array([0.0, 0.0, 1.0, 0.0]))
+    m = dense_measure(2, np.array([0.0, 0.0, 1.0, 0.0]))
     w = hermon_salez(m)
     assert w.states.tolist() == [2]
     assert np.all(w.rates == 0.0)
@@ -409,7 +409,7 @@ def test_normalized_walk_contract(name, fixture_measures, fixture_walks):
         for b, y in enumerate(gen.states.tolist()):
             if a != b and gen.rates[a, b] > 0.0:
                 assert flip_swap_adjacent(x, y)
-    assert np.allclose(gen.pi, m.probs[m.support()])
+    assert np.allclose(gen.pi, m.masses[m.masses > 0.0])
 
 
 def test_walk_memoization_consistency():
@@ -449,7 +449,7 @@ def test_scp_check_assembles_no_generator(monkeypatch):
         monkeypatch.setattr(chains, name, refuse)
     trees = measures.make_spanning_tree_measure(K4_EDGES)
     assert chains.scp_check(trees).satisfied
-    two_point = SubsetMeasure(2, np.array([0.5, 0.0, 0.0, 0.5]))
+    two_point = dense_measure(2, np.array([0.5, 0.0, 0.0, 0.5]))
     result = chains.scp_check(two_point)
     assert not result.satisfied and result.witness == ((0,), (1,), (0,))
     with pytest.raises(Assembled):
@@ -488,7 +488,7 @@ def rotation_invariant(seed: int) -> SubsetMeasure:
     p, size = rng.uniform(0.2, 0.8), measures.popcount(masks)
     probs = (p ** size * (1.0 - p) ** (n - size)
              * np.exp(rng.normal(0.0, rng.uniform(0.01, 0.3), 1 << n))[cls])
-    return SubsetMeasure(n, probs / probs.sum())
+    return dense_measure(n, probs / probs.sum())
 
 
 def test_scp_witness_sound_on_symmetric_measures(monkeypatch):

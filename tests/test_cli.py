@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,8 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
+import srconc
 from srconc.cli import main
 from srconc.concentration import TAIL_CSV_COLUMNS
+
+
+# a fresh interpreter finds srconc where this one did, however pytest was started
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(srconc.__file__)), os.environ.get("PYTHONPATH")])))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -101,6 +108,38 @@ def test_validate_measure_rejects_n_out_of_range(tmp_path, capsys, n):
     code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
     assert code == 2
     assert payload["error"] == "StateSpaceTooLarge"
+
+
+@pytest.mark.parametrize("count", [32, 70])
+def test_bernoulli_too_many_coordinates_is_rejected_before_allocating(tmp_path, capsys,
+                                                                      count):
+    """32 coordinates used to die on a 32 GiB table, 70 on numpy's size cap."""
+    cfg = write_cfg(tmp_path, "b.json", {
+        "measure": {"family": "bernoulli_product", "ps": [0.5] * count}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", cfg])
+    assert (code, payload["error"]) == (2, "StateSpaceTooLarge")
+
+
+def test_bernoulli_nan_probability_fails_the_range_check(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "b.json", {
+        "measure": {"family": "bernoulli_product", "ps": [0.5, math.nan]}})
+    assert main(["validate-measure", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "[0, 1]" in err["message"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_kernel_is_invalid_input(tmp_path, capsys, bad):
+    """Both kernel readers exit 2, not 4 (an internal numeric failure)."""
+    kernel = {"d": 2, "rows": [[0.5, bad], [bad, 0.5]]}
+    dpp = write_cfg(tmp_path, "d.json", {
+        "measure": {"family": "projection_dpp", "kernel": kernel}})
+    code, payload = run_json(capsys, ["validate-measure", "--config", dpp])
+    assert (code, payload["error"]) == (2, "NotAProjection")
+    kdpp = write_cfg(tmp_path, "k.json", {"sampler": "kdpp", "kernel": kernel, "count": 5})
+    code, payload = run_json(capsys, ["sample", "--config", kdpp,
+                                      "--out", str(tmp_path / "draws.txt")])
+    assert (code, payload["error"]) == (2, "NotAProjection")
 
 
 def test_validate_measure_inline_roundtrip(tmp_path, capsys):
@@ -374,6 +413,36 @@ def test_tail_empirical_count_fails_before_the_walk(tmp_path, capsys, monkeypatc
     assert err["error"] == "usage" and "count must be at least 1" in err["message"]
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("linear", "L", math.nan), ("linear", "L", math.inf), ("linear", "L", -1.0),
+    ("table", "scale", math.nan), ("table", "scale", math.inf), ("table", "scale", -0.5)])
+def test_random_function_numbers_fail_before_the_walk(tmp_path, capsys, monkeypatch,
+                                                      kind, key, value):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before the function spec was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": kind, "d": 2, key: value}})
+    assert main(["poincare-check", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and f"function.random.{key}" in err["message"]
+
+
+@pytest.mark.parametrize("kind,key", [("linear", "L"), ("table", "scale")])
+def test_random_function_accepts_zero(tmp_path, capsys, kind, key):
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": kind, "d": 2, key: 0.0}})
+    code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
+    assert code == 0 and payload["passed"]
+
+
+def test_out_of_memory_is_a_numeric_error(tmp_path, capsys):
+    """A d = 10**7 observable asks for 728 TiB per state, more than any
+    address space holds, so the allocation fails at once."""
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 10**7}})
+    code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
+    assert code == 4 and "MemoryError" in payload["error"]
+
+
 def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "k.json", {"ks": 2})
     assert main(["compare-ks", "--config", cfg]) == 1
@@ -582,7 +651,8 @@ def test_cli_import_skips_scipy():
     code = ("import sys, srconc, srconc.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'networkx')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -590,7 +660,7 @@ def test_cli_import_skips_scipy():
 def test_console_script_installed(tmp_path):
     cfg = uniform_cfg(tmp_path, 3, 1)
     proc = subprocess.run([sys.executable, "-m", "srconc.cli", "validate-measure",
-                           "--config", cfg], capture_output=True, text=True)
+                           "--config", cfg], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
     script = subprocess.run(["srconc", "scp-check", "--config", cfg],

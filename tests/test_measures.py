@@ -1,5 +1,6 @@
 import itertools
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,33 +33,34 @@ from conftest import (
     K4_EDGES,
     K5_EDGES,
     WHEEL4_EDGES,
+    dense_measure,
     random_projection_kernel,
 )
 
 
 def test_validate_accepts_normalized_pair():
-    validate(SubsetMeasure(1, np.array([0.5, 0.5])))
+    validate(dense_measure(1, np.array([0.5, 0.5])))
 
 
 def test_validate_rejects_unnormalized():
     with pytest.raises(NotNormalized):
-        validate(SubsetMeasure(1, np.array([0.7, 0.4])))
+        validate(dense_measure(1, np.array([0.7, 0.4])))
 
 
 def test_validate_rejects_negative_mass():
     with pytest.raises(NegativeMass):
-        validate(SubsetMeasure(1, np.array([-0.1, 1.1])))
+        validate(dense_measure(1, np.array([-0.1, 1.1])))
 
 
 def test_validate_rejects_non_finite_mass():
     with pytest.raises(NotNormalized):
-        validate(SubsetMeasure(1, np.array([np.nan, 0.5])))
+        validate(dense_measure(1, np.array([np.nan, 0.5])))
     with pytest.raises(NotNormalized):
-        validate(SubsetMeasure(2, np.array([0.0, np.nan, np.nan, 1.0])))
+        validate(dense_measure(2, np.array([0.0, np.nan, np.nan, 1.0])))
     with pytest.raises(NotNormalized):
-        validate(SubsetMeasure(1, np.array([np.inf, 0.5])))
+        validate(dense_measure(1, np.array([np.inf, 0.5])))
     with pytest.raises(NegativeMass):
-        validate(SubsetMeasure(1, np.array([-np.inf, 0.5])))
+        validate(dense_measure(1, np.array([-np.inf, 0.5])))
 
 
 def test_component_count():
@@ -70,7 +72,47 @@ def test_component_count():
 
 def test_storage_cap():
     with pytest.raises(StateSpaceTooLarge):
-        SubsetMeasure(21, np.zeros(1 << 21))
+        SubsetMeasure(21, [], [])
+    with pytest.raises(StateSpaceTooLarge):
+        make_bernoulli_product([0.5] * 22)
+    with pytest.raises(StateSpaceTooLarge):
+        make_projection_dpp(np.eye(21))
+
+
+def test_bernoulli_rejects_nan_probability():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        make_bernoulli_product([0.5, np.nan])
+
+
+def test_bernoulli_support_leaves_out_certain_coordinates():
+    """Coordinates with probability 0 or 1 are fixed, so the support has
+    2**3 masks, with the masses of the full product table bit for bit."""
+    ps = [0.5, 0.0, 0.25, 1.0, 0.9]
+    table = np.ones(1 << len(ps))
+    for mask in range(table.size):
+        for i, p in enumerate(ps):
+            table[mask] *= p if mask >> i & 1 else 1.0 - p
+    m, want = make_bernoulli_product(ps), dense_measure(len(ps), table)
+    assert m.masks.size == 8
+    assert np.array_equal(m.masks, want.masks)
+    assert np.array_equal(m.masses, want.masses)
+
+
+def test_dpp_and_its_automorphisms_build_no_dense_table():
+    """n = 20 has 2**20 masks but 190 support sets: a dense float table
+    alone would take 8 MB."""
+    kern = random_projection_kernel(20, 2, seed=3)
+    tracemalloc.start()
+    try:
+        m = make_projection_dpp(kern)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        group = automorphisms(m)
+        search_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.masks.size == 190 and group.shape == (1, 20)
+    assert build_peak < 1 << 20 and search_peak < 1 << 20
 
 
 def test_generating_polynomial_pinned_points():
@@ -78,14 +120,14 @@ def test_generating_polynomial_pinned_points():
     assert generating_polynomial(m, [1.0, 1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
     # (1/3)(3 + 0 + 0)
     assert generating_polynomial(m, [3.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    point = SubsetMeasure(2, np.array([0.0, 0.0, 0.0, 1.0]))
+    point = dense_measure(2, np.array([0.0, 0.0, 0.0, 1.0]))
     assert generating_polynomial(point, [2.0, 5.0]) == pytest.approx(10.0)
 
 
 def test_generating_polynomial_matches_explicit_expansion():
     rng = np.random.default_rng(4)
     probs = rng.dirichlet(np.ones(16))
-    m = SubsetMeasure(4, probs)
+    m = dense_measure(4, probs)
     z = rng.uniform(-2.0, 2.0, size=4)
     expected = 0.0
     for mask in range(16):
@@ -112,7 +154,7 @@ def test_homogeneity_absent_for_product():
 
 
 def test_homogeneity_of_empty_set_point_mass():
-    m = SubsetMeasure(2, np.array([1.0, 0.0, 0.0, 0.0]))
+    m = dense_measure(2, np.array([1.0, 0.0, 0.0, 0.0]))
     assert homogeneity_degree(m) == 0
 
 
@@ -121,17 +163,18 @@ def test_condition_pinned_example():
     m = make_uniform_k_subsets(3, 1)
     c = condition(m, [2], [0])
     assert c.n == 2
-    assert np.allclose(c.probs, [0.0, 0.5, 0.5, 0.0])
+    assert c.masks.tolist() == [0b01, 0b10] and np.allclose(c.masses, 0.5)
 
 
 def test_condition_empty_set_is_identity():
     m = make_bernoulli_product([0.2, 0.7])
     c = condition(m, [], [])
-    assert c.n == m.n and np.array_equal(c.probs, m.probs)
+    assert c.n == m.n and np.array_equal(c.masks, m.masks)
+    assert np.array_equal(c.masses, m.masses)
 
 
 def test_condition_zero_mass_event():
-    point = SubsetMeasure(1, np.array([0.0, 1.0]))
+    point = dense_measure(1, np.array([0.0, 1.0]))
     with pytest.raises(ZeroMassEvent):
         condition(point, [0], [0])
 
@@ -139,7 +182,7 @@ def test_condition_zero_mass_event():
 def test_condition_matches_dict_oracle():
     rng = np.random.default_rng(9)
     probs = rng.dirichlet(np.ones(16))
-    m = SubsetMeasure(4, probs)
+    m = dense_measure(4, probs)
     coords, bits = [1, 3], [1, 0]
     # oracle: filter, renormalize, repack surviving coordinates 0 and 2
     table = {}
@@ -151,7 +194,7 @@ def test_condition_matches_dict_oracle():
     c = condition(m, coords, bits)
     assert c.n == 2
     for packed, mass in table.items():
-        assert c.probs[packed] == pytest.approx(mass / total, rel=1e-12)
+        assert c.mass(packed) == pytest.approx(mass / total, rel=1e-12)
 
 
 def test_covers_relation():
@@ -166,8 +209,8 @@ def reference_covers(p: SubsetMeasure, q: SubsetMeasure):
     """Coupling of p (rows) and q (columns) on covering pairs, or None."""
     rows, cols = p.support(), q.support()
     allowed = covers(rows[:, None], cols[None, :])
-    table, _ = measures.feasible_coupling(rows, p.probs[rows], cols, q.probs[cols],
-                                          allowed)
+    table, _ = measures.feasible_coupling(rows, p.masses[p.masses > 0.0], cols,
+                                          q.masses[q.masses > 0.0], allowed)
     return table
 
 
@@ -201,8 +244,8 @@ def test_measure_covers_reflexive_diagonal():
 
 
 def test_measure_covers_point_masses():
-    up = SubsetMeasure(1, np.array([0.0, 1.0]))
-    down = SubsetMeasure(1, np.array([1.0, 0.0]))
+    up = dense_measure(1, np.array([0.0, 1.0]))
+    down = dense_measure(1, np.array([1.0, 0.0]))
     table = reference_covers(up, down)
     assert table is not None
     assert table.mass[0, 0] == pytest.approx(1.0)
@@ -230,7 +273,7 @@ def test_scp_violation_witness():
     # mass only on the empty set and the full pair: conditioning on
     # coordinate 0 flips the other coordinate deterministically upward,
     # the wrong direction for covering
-    bad = SubsetMeasure(2, np.array([0.5, 0.0, 0.0, 0.5]))
+    bad = dense_measure(2, np.array([0.5, 0.0, 0.0, 0.5]))
     result = scp_check(bad)
     assert isinstance(result, ScpResult)
     assert not result
@@ -261,7 +304,7 @@ def random_scp_inputs(count: int, seed: int):
             keep = pool[:1]
         probs = np.zeros(1 << n)
         probs[keep] = rng.dirichlet(np.ones(keep.size))
-        yield f"random_{t}", SubsetMeasure(n, probs)
+        yield f"random_{t}", dense_measure(n, probs)
 
 
 def test_scp_check_matches_brute_force_reference(fixture_measures):
@@ -288,7 +331,7 @@ def test_scp_check_limit():
     probs = np.zeros(1 << n)
     probs[0] = 1.0
     with pytest.raises(StateSpaceTooLarge):
-        scp_check(SubsetMeasure(n, probs))
+        scp_check(dense_measure(n, probs))
 
 
 def maps_onto_itself(m: SubsetMeasure, g) -> bool:
@@ -328,7 +371,7 @@ def test_automorphisms_stop_on_a_design_that_pair_joints_cannot_split():
               for base in ((0, 1, 4), (0, 2, 7)) for s in range(13)}
     probs = np.zeros(1 << 13)
     probs[[sum(1 << c for c in block) for block in blocks]] = 1.0 / 26
-    m = SubsetMeasure(13, probs)
+    m = dense_measure(13, probs)
 
     def give_up(signum, frame):
         raise TimeoutError("automorphism search did not stop")
@@ -348,26 +391,33 @@ def test_automorphisms_stop_on_a_design_that_pair_joints_cannot_split():
 
 def test_automorphisms_need_bit_equal_masses():
     # swapping the two coordinates moves mass 0.5 onto one ulp less
-    near = SubsetMeasure(2, np.array([0.0, 0.5, np.nextafter(0.5, 0.0), 0.0]))
+    near = dense_measure(2, np.array([0.0, 0.5, np.nextafter(0.5, 0.0), 0.0]))
     assert automorphisms(near).tolist() == [[0, 1]]
-    exact = SubsetMeasure(2, np.array([0.0, 0.5, 0.5, 0.0]))
+    exact = dense_measure(2, np.array([0.0, 0.5, 0.5, 0.0]))
     assert automorphisms(exact).tolist() == [[0, 1], [1, 0]]
     dpp = make_projection_dpp(random_projection_kernel(5, 2, 1))
     assert automorphisms(dpp).tolist() == [list(range(5))]
-    assert automorphisms(SubsetMeasure(0, np.array([1.0]))).shape == (1, 0)
+    assert automorphisms(dense_measure(0, np.array([1.0]))).shape == (1, 0)
 
 
 def test_make_uniform_singletons():
     m = make_uniform_k_subsets(3, 1)
     for mask in (0b001, 0b010, 0b100):
         assert m.mass(mask) == pytest.approx(1.0 / 3.0)
-    assert m.probs.sum() == pytest.approx(1.0)
+    assert m.mass(0b011) == 0.0 and m.mass(0) == 0.0  # off the support
+    assert m.masses.sum() == pytest.approx(1.0)
 
 
 def test_projection_dpp_axis_kernel():
     m = make_projection_dpp(np.diag([1.0, 0.0]))
     assert m.mass(0b01) == pytest.approx(1.0)
     assert m.support().tolist() == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projection_dpp_rejects_non_finite_kernel(bad):
+    with pytest.raises(NotAProjection, match="non-finite"):
+        make_projection_dpp(np.array([[0.5, bad], [0.5, 0.5]]))
 
 
 def test_projection_dpp_rejects_non_projection():
@@ -412,7 +462,7 @@ def test_spanning_tree_measure_counts(edges, vertices, count):
     m = make_spanning_tree_measure(edges, vertices)
     supp = m.support()
     assert supp.size == count
-    assert np.allclose(m.probs[supp], 1.0 / count)
+    assert np.allclose(m.masses, 1.0 / count)
     # every support mask really is a spanning tree: right size, acyclic
     for mask in supp:
         assert int(popcount(mask)) == vertices - 1
@@ -433,7 +483,8 @@ def test_measure_json_roundtrip(fixture_measures):
     for name, (m, _) in fixture_measures.items():
         back = measures.measure_from_json(measures.measure_to_json(m))
         assert back.n == m.n, name
-        assert np.allclose(back.probs, m.probs, atol=1e-15), name
+        assert np.array_equal(back.masks, m.support()), name
+        assert np.allclose(back.masses, m.masses[m.masses > 0.0], atol=1e-15), name
 
 
 def test_measure_from_json_validates():

@@ -37,7 +37,6 @@ from srconc.functional import (
 )
 from srconc.measures import (
     MeasureError,
-    SubsetMeasure,
     ZeroMassEvent,
     condition,
     halves,
@@ -45,6 +44,8 @@ from srconc.measures import (
     validate,
 )
 from srconc.samplers import clopper_pearson_upper, empirical_tail, sample_table
+
+from conftest import dense_measure
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -93,7 +94,7 @@ def events(draw, n):
 def test_condition_matches_dense_table(data):
     n, probs = data.draw(dense_measures())
     coords, bits = data.draw(events(n))
-    m = SubsetMeasure(n, probs)
+    m = dense_measure(n, probs)
     expected = dense_condition(probs, n, coords, bits)
     if expected is None:
         with pytest.raises(ZeroMassEvent):
@@ -114,7 +115,7 @@ def test_halves_condition_in_any_order(data):
     n, probs = data.draw(dense_measures(max_n=6))
     coords, bits = data.draw(events(n))
     order = data.draw(st.permutations(range(len(coords))))
-    m = SubsetMeasure(n, probs)
+    m = dense_measure(n, probs)
     try:
         expected = condition(m, coords, bits)
     except ZeroMassEvent:
@@ -146,16 +147,6 @@ def agrees(m, coords, bits, fixed):
 
 
 @PROPERTY
-@given(dense_measures(max_n=6))
-def test_dense_view_round_trips(measure):
-    n, probs = measure
-    m = SubsetMeasure(n, probs)
-    assert np.array_equal(m.probs, probs)
-    assert np.array_equal(m.masks, np.flatnonzero(probs))
-    assert all(m.mass(mask) == probs[mask] for mask in range(1 << n))
-
-
-@PROPERTY
 @given(st.data())
 def test_validate_rejects_non_finite_mass(data):
     n = data.draw(st.integers(0, 6))
@@ -165,7 +156,7 @@ def test_validate_rejects_non_finite_mass(data):
     for mask in bad:
         probs[mask] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(MeasureError):
-        validate(SubsetMeasure(n, probs))
+        validate(dense_measure(n, probs))
     entries = [{"mask": mask, "p": float(p)} for mask, p in enumerate(probs)]
     with pytest.raises(MeasureError):
         measure_from_json({"n": n, "entries": entries})
@@ -403,16 +394,15 @@ def small_measures(draw):
                                    min_size=1 << n, max_size=1 << n)))
     if probs.sum() == 0.0:
         probs[0] = 1.0
-    return SubsetMeasure(n, probs / probs.sum())
+    return dense_measure(n, probs / probs.sum())
 
 
 def permuted(m, perm):
     """m with coordinate i moved to perm[i]."""
-    masks = np.arange(1 << m.n, dtype=np.int64)
-    moved = sum(((masks >> i) & 1) << p for i, p in enumerate(perm))
+    moved = sum(((m.masks >> i) & 1) << p for i, p in enumerate(perm))
     probs = np.zeros(1 << m.n)
-    probs[moved] = m.probs
-    return SubsetMeasure(m.n, probs)
+    probs[moved] = m.masses
+    return dense_measure(m.n, probs)
 
 
 @WALK_PROPERTY

@@ -24,7 +24,7 @@ from srconc.samplers import (
     wilson_spanning_tree,
 )
 
-from conftest import K3_EDGES, K4_EDGES, random_projection_kernel
+from conftest import K3_EDGES, K4_EDGES, dense_measure, random_projection_kernel
 
 
 def freq_within_4_sigma(draws, mask, p, count):
@@ -51,7 +51,7 @@ def test_alias_table_reconstructs_probs():
 
 
 def test_sample_table_point_mass():
-    m = measures.SubsetMeasure(3, np.eye(8)[5])
+    m = dense_measure(3, np.eye(8)[5])
     batch = sample_table(m, seed=0, count=50)
     assert (batch.draws == 5).all()
 
@@ -78,7 +78,7 @@ def test_sample_table_skewed_frequencies():
     batch = sample_table(m, seed=11, count=count)
     supp = m.support()
     for mask in supp.tolist():
-        assert freq_within_4_sigma(batch.draws, mask, m.probs[mask], count)
+        assert freq_within_4_sigma(batch.draws, mask, m.mass(mask), count)
 
 
 def test_sample_table_deterministic():
@@ -135,7 +135,7 @@ def test_wilson_matches_exact_measure():
     supp = m.support()
     assert set(batch.draws.tolist()) <= set(supp.tolist())
     for mask in supp.tolist():
-        assert freq_within_4_sigma(batch.draws, mask, m.probs[mask], count)
+        assert freq_within_4_sigma(batch.draws, mask, m.mass(mask), count)
 
 
 def test_wilson_deterministic_per_index():
@@ -208,7 +208,7 @@ def test_kdpp_matches_exact_measure():
     supp = m.support()
     assert set(batch.draws.tolist()) <= set(supp.tolist())
     for mask in supp.tolist():
-        assert freq_within_4_sigma(batch.draws, mask, m.probs[mask], count)
+        assert freq_within_4_sigma(batch.draws, mask, m.mass(mask), count)
 
 
 def test_kdpp_marginals_match_diagonal():
@@ -227,6 +227,9 @@ def test_kdpp_rejects_non_projection():
         sample_kdpp(np.diag([0.5, 0.5]), seed=0, count=1)
     with pytest.raises(NotAProjection):
         sample_kdpp(np.array([[1.0, 0.3], [0.0, 0.0]]), seed=0, count=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotAProjection, match="non-finite"):
+            sample_kdpp(np.array([[0.5, bad], [0.5, 0.5]]), seed=0, count=1)
 
 
 def test_kdpp_deterministic_per_index():
@@ -291,7 +294,7 @@ def test_empirical_tail_constant_fn():
 
 
 def test_empirical_tail_two_point_exact_mean():
-    m = measures.SubsetMeasure(1, np.array([0.3, 0.7]))
+    m = dense_measure(1, np.array([0.3, 0.7]))
     fn = MatrixFn.from_table({0: [[1.0]], 1: [[-1.0]]})
     batch = sample_table(m, seed=1, count=50_000)
     rows = empirical_tail(fn, batch, [0.7, 1.5], measure=m)
