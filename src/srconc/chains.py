@@ -33,6 +33,7 @@ infeasible coupling as the witness.  The second assembles the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +95,26 @@ class NonFiniteGenerator(ChainError):
     pass
 
 
-@dataclass(frozen=True)
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a, which no caller holds, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """a as a read-only array of dtype, copied first when writeable."""
+    a = np.asarray(a, dtype=dtype)
+    return _sealed(a.copy()) if a.flags.writeable else a
+
+
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Reversible rate matrix over an ordered state list.
 
     n is the cube dimension when states are bitmasks; None for chains on
-    abstract labels (projection chains use part indices as states).
+    abstract labels (projection chains use part indices as states).  The
+    arrays are read-only, so what is derived from a walk may be kept with
+    it, keyed by the walk itself: walks compare and hash by identity.
     """
 
     states: np.ndarray
@@ -108,9 +123,9 @@ class Generator:
     n: int | None = None
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
-        rates = np.asarray(self.rates, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
+        states = _read_only(self.states, np.int64)
+        rates = _read_only(self.rates, float)
+        pi = _read_only(self.pi, float)
         m = states.size
         if rates.shape != (m, m):
             raise ValueError(f"rates have shape {rates.shape}, expected ({m},{m})")
@@ -122,6 +137,11 @@ class Generator:
 
     def index_of(self) -> dict:
         return {int(s): i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """rate_edges(self.rates), computed once."""
+        return tuple(map(_sealed, rate_edges(self.rates)))
 
 
 def flip_swap_adjacent(x, y):
@@ -408,7 +428,7 @@ def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
 def _generator(m: SubsetMeasure, q: np.ndarray) -> Generator:
     """Generator on m's support with off-diagonal rates q (diagonal set in place)."""
     np.fill_diagonal(q, -q.sum(axis=1))
-    return Generator(m.masks.copy(), q, m.masses.copy(), n=m.n)
+    return Generator(*map(_sealed, (m.masks.copy(), q, m.masses.copy())), n=m.n)
 
 
 @dataclass(frozen=True)
@@ -465,7 +485,7 @@ def normalized(gen: Generator) -> Generator:
     top = delta(gen)
     if top <= 0.0:
         return gen
-    return Generator(gen.states, gen.rates / top, gen.pi, n=gen.n)
+    return Generator(gen.states, _sealed(gen.rates / top), gen.pi, n=gen.n)
 
 
 def hermon_salez(m: SubsetMeasure) -> Generator:

@@ -51,6 +51,7 @@ def _load_config(path: str | None, overrides: dict) -> dict:
         raise UsageError(f"out must be a file path, got {out!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("tol", 1e-8)
+    _bounded(cfg["tol"], "tol", math.inf, True)
     cfg.setdefault("trials", 100)
     return cfg
 
@@ -131,7 +132,7 @@ def _build_function(cfg: dict):
     if not isinstance(rnd, dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
-    d = int(rnd.get("d", 2))
+    d = _positive(rnd.get("d", 2), "function.random.d")
     seed = int(rnd.get("seed", cfg["seed"]))
     if kind == "table":
         scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Generator, flip_swap_adjacent, rate_edges
+from .chains import Generator, flip_swap_adjacent
 from .functional import MatrixFn, dirichlet_form, matrix_mean
 from .matrix_core import trace_power
 
@@ -60,12 +60,17 @@ class OscillationStats:
 
 
 def oscillation(gen: Generator, fn: MatrixFn, mode: str = "q_support") -> OscillationStats:
-    """v(F) = max ||F(x) - F(y)|| over adjacent state pairs."""
+    """v(F) = max ||F(x) - F(y)|| over adjacent state pairs, computed once
+    per (walk, observable, mode) and then read from fn's record of the walk."""
     if mode not in ADJACENCY_MODES:
         raise ValueError(f"mode must be one of {ADJACENCY_MODES}, got {mode!r}")
+    return fn.on_walk(gen, mode, lambda: _oscillation(gen, fn, mode))
+
+
+def _oscillation(gen: Generator, fn: MatrixFn, mode: str) -> OscillationStats:
     vals = fn.gather(gen.states)
     if mode == "q_support":
-        i, j = rate_edges(gen.rates)
+        i, j = gen.edges
     else:
         hit = flip_swap_adjacent(gen.states[:, None], gen.states[None, :])
         i, j = np.nonzero(np.triu(hit, 1))
@@ -129,8 +134,13 @@ def within(value: float, bound: float, tol: float) -> bool:
     return bool(value <= bound + tol * max(1.0, bound))
 
 
+def _spectrum(gen: Generator, fn: MatrixFn) -> TraceMgf:
+    """The centred spectrum of fn on the walk, built once per (walk, observable)."""
+    return fn.on_walk(gen, "spectrum", lambda: TraceMgf(gen.pi, fn.gather(gen.states)))
+
+
 def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
-    return TraceMgf(gen.pi, fn.gather(gen.states))(theta)
+    return _spectrum(gen, fn)(theta)
 
 
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
@@ -152,14 +162,18 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
 def doubling_value(weights, values, k: int) -> float:
     """Tr[(E[e^{F/2^k}])^{2^k}] for probability weights, stable for any depth.
 
-    E[e^{F/2^k}] - I, of order 2^-k, is summed from expm1 of the per-state
+    F is diagonalized once and its eigenvalues divided by 2^k, which is
+    exact, so this is bit for bit the value from diagonalizing F/2^k.
+    E[e^{F/2^k}] - I, of order 2^-k, is summed from expm1 of those
     eigenvalues, so it keeps its digits at depth, and the power is
     exp(2^k log1p(mu)) over its eigenvalues mu.
     """
     weights = np.asarray(weights, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lam, vec = np.linalg.eigh(values / float(2**k))
-    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam), vec)
+    return _doubling(weights, *np.linalg.eigh(np.asarray(values, dtype=float)), k)
+
+
+def _doubling(weights: np.ndarray, lam: np.ndarray, vec: np.ndarray, k: int) -> float:
+    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam / float(2**k)), vec)
     mu = np.linalg.eigvalsh(excess)
     # a mean of positive definite matrices is positive definite: mu > -1
     return float(np.exp(float(2**k) * np.log1p(mu)).sum())
@@ -185,12 +199,12 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
     av2 = alpha * v * v
     if av2 > 1.0:
         raise ScaleViolation(f"alpha * v(F)^2 = {av2:.6f} exceeds 1")
-    vals = fn.gather(gen.states)
-    base = doubling_value(gen.pi, vals, 0)
+    spectrum = np.linalg.eigh(fn.gather(gen.states))  # one for the whole ladder
+    base = _doubling(gen.pi, *spectrum, 0)
     slacks = []
     for k in range(1, int(k_max) + 1):
         s_k = 1.0 - 0.5**k
-        slacks.append(doubling_value(gen.pi, vals, k) - (1.0 - av2 * s_k) * base)
+        slacks.append(_doubling(gen.pi, *spectrum, k) - (1.0 - av2 * s_k) * base)
     slacks = np.asarray(slacks)
     scale = max(1.0, abs(base))
     return InductionReport(slacks, base, av2, scale, tol,
@@ -209,8 +223,9 @@ def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
 
 def check_mgf_bound(gen: Generator, fn: MatrixFn, lam: float, theta: float,
                     tol: float = 1e-8) -> bool:
-    mgf = TraceMgf(gen.pi, fn.gather(gen.states))
-    return mgf.rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
+    """Tr E e^{theta(F - E F)} <= mgf_bound up to tol; v(F) and the centred
+    spectrum are read from fn's record of the walk, so a grid computes each once."""
+    return _spectrum(gen, fn).rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
 
 
 @dataclass(frozen=True)

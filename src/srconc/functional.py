@@ -17,11 +17,12 @@ list via ``gather``, raising DomainMismatch for missing states.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Decomposition, Generator, rate_edges
+from .chains import Decomposition, Generator, _read_only, _sealed, rate_edges
 from .matrix_core import random_symmetric, require_symmetric, spectral_norm
 from .measures import component_count
 
@@ -46,13 +47,14 @@ class Reducible(FunctionalError):
 
 @dataclass(frozen=True)
 class MatrixFn:
-    """Symmetric d x d matrix attached to each state mask."""
+    """Symmetric d x d matrix attached to each state mask; the arrays are
+    read-only, and a writeable input is copied."""
 
     states: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
+        states = _read_only(self.states, np.int64)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 3 or values.shape[0] != states.size \
                 or values.shape[1] != values.shape[2] or values.shape[1] < 1:
@@ -60,13 +62,20 @@ class MatrixFn:
                             f"expected ({states.size}, d, d) with d >= 1")
         if not np.isfinite(values).all():
             raise BadValues("values must be finite")
-        values = (values + values.transpose(0, 2, 1)) / 2.0
+        values = _sealed((values + values.transpose(0, 2, 1)) / 2.0)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_walks", weakref.WeakKeyDictionary())
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+    def on_walk(self, gen: Generator, key: str, make):
+        """make(), computed once per key and walk, kept in a record that
+        refers to the walk weakly and so goes with it."""
+        record = self._walks.setdefault(gen, {})
+        return record[key] if key in record else record.setdefault(key, make())
 
     def gather(self, states) -> np.ndarray:
         """Value stack aligned to the given state list (a repeated state
@@ -216,7 +225,7 @@ def _symmetrized(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
 
     Raises Reducible when the rate support graph is disconnected.
     """
-    xs, ys = rate_edges(gen.rates)
+    xs, ys = gen.edges
     components = component_count(gen.states.size, zip(xs.tolist(), ys.tolist()))
     if components > 1:
         raise Reducible(components)

@@ -271,13 +271,12 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
                                     {"mask": 4, "rows": [[0.0]]}]}}, "finite"),
     ({"inline": {"d": 0, "values": [{"mask": s, "rows": []} for s in (1, 2, 4)]}},
      "d must be at least 1"),
-    ({"random": {"kind": "table", "d": 0}}, "d >= 1"),
     ({"inline": {"d": 2, "values": []}}, "at least one state"),
     ({"inline": {"d": 1, "values": [{"mask": 1, "rows": [[1.0]]},
                                     {"mask": 2, "rows": [[0.0]]},
                                     {"mask": 4, "rows": [[0.0]]},
                                     {"mask": 1, "rows": [[5.0]]}]}}, "listed twice"),
-], ids=["nan", "inline-d0", "random-d0", "inline-empty", "repeated-mask"])
+], ids=["nan", "inline-d0", "inline-empty", "repeated-mask"])
 def test_poincare_check_rejects_bad_values(tmp_path, capsys, function, needle):
     cfg = write_cfg(tmp_path, "p.json", {
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
@@ -415,7 +414,8 @@ def test_tail_empirical_count_fails_before_the_walk(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("kind,key,value", [
     ("linear", "L", math.nan), ("linear", "L", math.inf), ("linear", "L", -1.0),
-    ("table", "scale", math.nan), ("table", "scale", math.inf), ("table", "scale", -0.5)])
+    ("table", "scale", math.nan), ("table", "scale", math.inf), ("table", "scale", -0.5),
+    ("table", "d", 0), ("linear", "d", -1)])
 def test_random_function_numbers_fail_before_the_walk(tmp_path, capsys, monkeypatch,
                                                       kind, key, value):
     def no_walk(*args, **kwargs):
@@ -433,6 +433,32 @@ def test_random_function_accepts_zero(tmp_path, capsys, kind, key):
     cfg = uniform_cfg(tmp_path, function={"random": {"kind": kind, "d": 2, key: 0.0}})
     code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
     assert code == 0 and payload["passed"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["poincare-check", "validate-measure"])
+def test_bad_tol_fails_before_the_walk(tmp_path, capsys, monkeypatch, command, tol):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before tol was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 2}})
+    assert main([command, "--config", cfg, f"--tol={tol}"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "tol must lie in [0, inf)" in err["message"]
+
+
+def test_bad_tol_in_config_is_a_usage_error(tmp_path, capsys):
+    cfg = uniform_cfg(tmp_path, tol=-1.0)
+    assert main(["validate-measure", "--config", cfg]) == 1
+    assert "tol must lie" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_zero_tol_is_accepted(tmp_path, capsys):
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 2}},
+                      **{"lambda": 0.1})
+    code, payload = run_json(capsys, ["poincare-check", "--config", cfg, "--tol", "0"])
+    assert code == 0 and payload["passed"] and payload["min_eig_slack"] > 0.0
 
 
 def test_out_of_memory_is_a_numeric_error(tmp_path, capsys):

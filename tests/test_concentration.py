@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -257,6 +259,32 @@ def test_doubling_huge_depth_stable():
     assert np.isfinite(out) and out > 0.0
 
 
+def per_depth_doubling_value(weights, values, k: int) -> float:
+    """The ladder value with F/2^k diagonalized afresh at each depth."""
+    lam, vec = np.linalg.eigh(values / float(2**k))
+    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam), vec)
+    mu = np.linalg.eigvalsh(excess)
+    return float(np.exp(float(2**k) * np.log1p(mu)).sum())
+
+
+def test_one_eigendecomposition_ladder_matches_per_depth_reference(fixture_walks):
+    """Dividing the eigenvalues of F by 2^k is exact, so one eigendecomposition
+    serves the whole ladder with the same bits at depths 0 to 60."""
+    depths = range(61)
+    for i, (name, gen) in enumerate(fixture_walks.items()):
+        lam = functional.scalar_spectral_gap(gen)
+        fn = scaled_fn(gen, random_matrix_fn(gen.states, 2 + i % 3, seed=name_seed(name)),
+                       lam, 0.9)
+        vals = fn.gather(gen.states)
+        ref = [per_depth_doubling_value(gen.pi, vals, k) for k in depths]
+        assert [doubling_value(gen.pi, vals, k) for k in depths] == ref, name
+        rep = check_induction_statement(gen, fn, lam, k_max=60)
+        assert rep.base_trace == ref[0], name
+        av2 = rep.alpha_v_sq
+        assert rep.slacks.tolist() == [ref[k] - (1.0 - av2 * (1.0 - 0.5**k)) * ref[0]
+                                       for k in depths[1:]], name
+
+
 # ----------------------------------------------------------------- induction
 
 def test_induction_constant_fn_zero_slack():
@@ -331,6 +359,74 @@ def test_check_mgf_bound_inside_radius(fixture_walks):
         # alpha v^2 = 1, so any |theta| < 1 stays inside the radius
         for theta in (0.25, 0.6, 0.9, -0.6):
             assert check_mgf_bound(gen, fn, lam, theta), (name, theta)
+
+
+# ------------------------------------------------- per-walk records (memo)
+
+def test_walk_and_observable_arrays_are_read_only():
+    w = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
+    fn = random_matrix_fn(w.states, 2, seed=1)
+    for arr in (w.states, w.rates, w.pi, *w.edges, fn.states, fn.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_caller_arrays_are_copied():
+    w = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
+    rates, pi, states = w.rates.copy(), w.pi.copy(), w.states.copy()
+    gen = chains.Generator(states, rates, pi, n=4)
+    fresh = random_matrix_fn(w.states, 2, seed=3)
+    values = fresh.values.copy()
+    fn = MatrixFn(states, values)
+    before = oscillation(gen, fn)
+    rates[:] = 0.0
+    pi[:] = 1.0
+    values *= 10.0
+    states[:] = 0
+    assert (gen.rates == w.rates).all() and (gen.pi == w.pi).all()
+    assert (gen.states == w.states).all() and (fn.states == w.states).all()
+    assert (fn.values == fresh.values).all()
+    assert oscillation(gen, fn) == before == oscillation(gen, fresh)
+
+
+def test_one_observable_on_two_walks_keeps_each_walks_value(fixture_walks):
+    walk = fixture_walks["uniform_5_2"]
+    m = walk.states.size
+    complete = np.full((m, m), 1.0 / m) - np.eye(m)   # every pair adjacent
+    walks = [walk, chains.Generator(walk.states, complete, walk.pi, n=5)]
+    def make():
+        return random_linear_matrix_fn(5, walk.states, 3, 1.0, seed=8)[0]
+
+    fn = make()
+    expected = [oscillation(w, make()).v for w in walks]
+    assert expected[0] < expected[1]
+    for _ in range(3):
+        assert [oscillation(w, fn).v for w in walks] == expected
+        assert [trace_mgf(w, fn, 0.7) for w in walks] == [
+            trace_mgf(w, make(), 0.7) for w in walks]
+
+
+def test_adjacency_modes_keep_separate_records(fixture_walks):
+    gen = fixture_walks["bern_4"]
+    fn = random_matrix_fn(gen.states, 2, seed=4)
+    first = oscillation(gen, fn, "q_support")
+    second = oscillation(gen, fn, "flip_swap")
+    assert first.pairs != second.pairs
+    for mode, stats in (("q_support", first), ("flip_swap", second)):
+        assert oscillation(gen, fn, mode) == stats
+        assert oscillation(gen, random_matrix_fn(gen.states, 2, seed=4), mode) == stats
+
+
+def test_record_does_not_keep_the_walk_alive():
+    walk = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
+    fn = random_matrix_fn(walk.states, 2, seed=5)
+    oscillation(walk, fn)
+    check_mgf_bound(walk, fn, functional.scalar_spectral_gap(walk), 0.1)
+    ref = weakref.ref(walk)
+    del walk
+    gc.collect()
+    assert ref() is None
+    assert fn.dim == 2
 
 
 # --------------------------------------------------------------- tail bounds
