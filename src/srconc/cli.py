@@ -218,9 +218,18 @@ def cmd_poincare_check(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, or a UsageError unless it is an integral number (a
+    bool or a string is not; 2000.0 is)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _positive(value, name: str) -> int:
-    """value as an int, or a UsageError unless it is at least 1."""
-    count = int(value)
+    """value as an int, or a UsageError unless it is an integer of at least 1."""
+    count = _integer(value, name)
     if count < 1:
         raise UsageError(f"{name} must be at least 1, got {count}")
     return count
@@ -417,7 +426,7 @@ def cmd_sample(cfg: dict) -> int:
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
     seed = int(cfg["seed"])
-    count = int(cfg.get("count", 1000))
+    count = _integer(cfg.get("count", 1000), "count")
     if count < 0:
         raise UsageError(f"count must be at least 0, got {count}")
     if kind == "table":

@@ -139,6 +139,11 @@ def _spectrum(gen: Generator, fn: MatrixFn) -> TraceMgf:
     return fn.on_walk(gen, "spectrum", lambda: TraceMgf(gen.pi, fn.gather(gen.states)))
 
 
+def _eigh(gen: Generator, fn: MatrixFn) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of fn's value table on the walk, made once per (walk, observable)."""
+    return fn.on_walk(gen, "eigh", lambda: np.linalg.eigh(fn.gather(gen.states)))
+
+
 def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
     return _spectrum(gen, fn)(theta)
 
@@ -149,8 +154,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
     p = int(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals = fn.gather(gen.states)
-    lam, vec = np.linalg.eigh(vals)
+    lam, vec = _eigh(gen, fn)
     expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     energy = dirichlet_form(gen.rates, gen.pi, expf)
     lhs = trace_power(energy, p)
@@ -199,7 +203,7 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
     av2 = alpha * v * v
     if av2 > 1.0:
         raise ScaleViolation(f"alpha * v(F)^2 = {av2:.6f} exceeds 1")
-    spectrum = np.linalg.eigh(fn.gather(gen.states))  # one for the whole ladder
+    spectrum = _eigh(gen, fn)  # one for the whole ladder
     base = _doubling(gen.pi, *spectrum, 0)
     slacks = []
     for k in range(1, int(k_max) + 1):

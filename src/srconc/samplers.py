@@ -4,9 +4,11 @@ Randomness contract: every batch is a pure function of (seed, count).
 Draw i consumes only its own slice of a counter-based Philox stream
 keyed by the seed (a private row of uniforms for table sampling, a
 dedicated Philox key (seed, i) for the walk-based samplers), so batches
-are reproducible independently of scheduling or chunking.  Empirical
-tails read each draw's deviation from the exact E_pi F off the centred
-spectrum of the measure's support.
+are reproducible independently of scheduling or chunking.  The module
+computes the keyed streams itself (Philox4x64-10 over uint64 arrays, bit
+for bit numpy's), so Wilson and k-DPP draws advance all at once, chunk by
+chunk.  Empirical tails read each draw's deviation from the exact E_pi F
+off the centred spectrum of the measure's support.
 """
 
 from __future__ import annotations
@@ -28,12 +30,53 @@ from .measures import (
 )
 
 MASK64 = (1 << 64) - 1
+MASK32 = (1 << 32) - 1
 MASK_BITS = 63  # bits of a nonnegative int64 draw
+CHUNK_BYTES = 8 << 20  # batched sampler state per chunk, so memory does not grow with count
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([int(seed) & MASK64, int(index) & MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product a * b."""
+    a_lo, a_hi = np.uint64(a & MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & MASK32, b >> 32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (lo_hi & MASK32) + (hi_lo & MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), np.uint64(a) * b
+
+
+def _philox(seed: int, index: np.ndarray, block) -> np.ndarray:
+    """Block `block` (4 words) of the Philox4x64-10 stream keyed (seed, i)
+    for every i in index, shape (len(index), 4): the words 4*block to
+    4*block + 3 that np.random.Philox(key=[seed, i]).random_raw() returns."""
+    k1 = np.asarray(index, dtype=np.uint64)
+    c0 = np.broadcast_to(np.asarray(block, dtype=np.uint64) + np.uint64(1), k1.shape)
+    c1 = c2 = c3 = np.zeros(k1.shape, dtype=np.uint64)
+    k0 = int(seed) & MASK64
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & MASK64
+                k1 = k1 + np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1)
+
+
+def _lemire(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(n)'s draw from uint32 values x: (value, accepted);
+    a rejected x is followed by the stream's next uint32."""
+    m = x * n
+    return m >> 32, (m & MASK32) >= (np.uint64(1 << 32) - n) % n
+
+
+def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
+    """The masks draw(lo, hi) over ranges of at most CHUNK_BYTES of state."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    masks = [draw(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return SampleBatch(seed, count, np.concatenate([np.zeros(0, dtype=np.int64), *masks]))
 
 
 def _row_uniforms(seed: int, count: int, per_draw: int) -> np.ndarray:
@@ -107,33 +150,58 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     for idx, (u, v) in enumerate(edges):
         nbr[u].append((v, idx))
         nbr[v].append((u, idx))
+    degree = np.array([len(arcs) for arcs in nbr], dtype=np.uint64)
+    hops = np.zeros((vertices, max(map(len, nbr)), 2), dtype=np.int64)  # (vertex, edge)
+    for v, arcs in enumerate(nbr):
+        hops[v, :len(arcs)] = np.reshape(arcs, (-1, 2))
+    return _batched(seed, count, 8 * (2 * vertices + 10),  # hop and via, walk state
+                    lambda lo, hi: _wilson_chunk(hops, degree, seed, lo, hi))
 
-    draws = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        rng = _stream(seed, i)
-        in_tree = np.zeros(vertices, dtype=bool)
-        in_tree[0] = True
-        next_hop = np.full(vertices, -1, dtype=np.int64)
-        next_edge = np.full(vertices, -1, dtype=np.int64)
-        for start in range(1, vertices):
-            if in_tree[start]:
-                continue
-            cur = start
-            while not in_tree[cur]:
-                j = int(rng.integers(len(nbr[cur])))
-                nxt, eidx = nbr[cur][j]
-                next_hop[cur] = nxt
-                next_edge[cur] = eidx
-                cur = nxt
-            cur = start
-            while not in_tree[cur]:
-                in_tree[cur] = True
-                cur = int(next_hop[cur])
-        mask = 0
-        for w in range(1, vertices):
-            mask |= 1 << int(next_edge[w])
-        draws[i] = mask
-    return SampleBatch(seed, count, draws)
+
+def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Draws lo..hi-1 in lockstep, one walk or retrace step of each per
+    iteration: walk from the lowest vertex not in the tree until it is hit,
+    reading stream (seed, i) one uint32 per step off a vertex of degree > 1
+    (Lemire rejections aside), then retrace the last exits, reading none."""
+    vertices = degree.size
+    in_tree = np.zeros((hi - lo, vertices), dtype=bool)
+    in_tree[:, 0] = True
+    hop = np.zeros(in_tree.shape, dtype=np.int64)  # last exit of each vertex
+    via = np.zeros(in_tree.shape, dtype=np.int64)  # and its edge
+    row = np.arange(hi - lo) if vertices > 1 else np.zeros(0, dtype=np.int64)
+    start, cur = np.ones_like(row), np.ones_like(row)
+    walking = np.ones(row.size, dtype=bool)
+    used = np.zeros(row.size, dtype=np.uint64)  # uint32 values read
+    words = np.zeros((row.size, 4), dtype=np.uint64)  # the block holding the next one
+    while row.size:
+        deg = degree[cur]
+        reads = walking & (deg > 1)  # integers(1) reads nothing; _lemire gives it 0
+        fresh = reads & (used % 8 == 0)  # reads run in order, 8 to a block
+        words[fresh] = _philox(seed, row[fresh] + lo, used[fresh] >> 3)
+        word = words[np.arange(row.size), (used >> 1) & 3]
+        pick, ok = _lemire(word >> ((used & 1) << 5) & MASK32, deg)
+        used += reads
+        step = np.flatnonzero(walking & ok)
+        back = np.flatnonzero(~walking)
+
+        r, v = row[step], cur[step]
+        hop[r, v], via[r, v] = hops[v, pick[step].astype(np.int64)].T
+        cur[step] = hop[r, v]
+        hit = step[in_tree[r, cur[step]]]
+        walking[hit], cur[hit] = False, start[hit]
+
+        r = row[back]
+        in_tree[r, cur[back]] = True
+        cur[back] = hop[r, cur[back]]
+        done = back[in_tree[r, cur[back]]]
+        left = ~in_tree[row[done]]  # every vertex below the last start is in the tree
+        more = left.any(axis=1)
+        start[done[more]] = cur[done[more]] = left[more].argmax(axis=1)
+        walking[done[more]] = True
+        live = ~np.isin(np.arange(row.size), done[~more])
+        row, start, cur, walking, used, words = (
+            a[live] for a in (row, start, cur, walking, used, words))
+    return np.bitwise_or.reduce(np.left_shift(1, via[:, 1:]), axis=1)
 
 
 def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
@@ -141,31 +209,34 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
 
     Chain rule on the kernel: pick an item proportional to the residual
     diagonal, take the Schur complement, repeat rank(K) times.  Draws are
-    int64 masks, so at most MASK_BITS elements.
+    int64 masks, so at most MASK_BITS elements.  Step s of draw i uses
+    word s of stream (seed, i) as Generator.random(); a chunk steps at once.
     """
     k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
     if n > MASK_BITS:
         raise StateSpaceTooLarge(f"kernel on {n} elements exceeds the {MASK_BITS}-bit masks")
+    return _batched(seed, count, 8 * n * n, lambda lo, hi: _kdpp_chunk(k_mat, rank, seed, lo, hi))
 
-    draws = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        rng = _stream(seed, i)
-        work = k_mat.copy()
-        mask = 0
-        for _ in range(rank):
-            diag = np.clip(np.diag(work).copy(), 0.0, None)
-            for b in range(n):
-                if (mask >> b) & 1:
-                    diag[b] = 0.0
-            total = diag.sum()
-            pick = int(np.searchsorted(np.cumsum(diag), rng.random() * total))
-            pick = min(pick, n - 1)
-            pivot = work[pick, pick]
-            work = work - np.outer(work[:, pick], work[pick, :]) / pivot
-            mask |= 1 << pick
-        draws[i] = mask
-    return SampleBatch(seed, count, draws)
+
+def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    n = k_mat.shape[0]
+    work = np.repeat(k_mat[None], hi - lo, axis=0)
+    taken = np.zeros((hi - lo, n), dtype=bool)
+    rows, diag = np.arange(hi - lo), np.arange(n)
+    for s in range(rank):
+        if s % 4 == 0:
+            raw = _philox(seed, np.arange(lo, hi, dtype=np.uint64), s // 4)
+        u = (raw[:, s % 4] >> 11) * 2.0**-53
+        weights = np.clip(work[:, diag, diag], 0.0, None)
+        weights[taken] = 0.0
+        total = weights.sum(axis=1)
+        # searchsorted's left side: the count of cumulative sums below u * total
+        pick = np.minimum((np.cumsum(weights, axis=1) < (u * total)[:, None]).sum(axis=1), n - 1)
+        col, row, pivot = work[rows, :, pick], work[rows, pick, :], work[rows, pick, pick]
+        work -= col[:, :, None] * row[:, None, :] / pivot[:, None, None]
+        taken[rows, pick] = True
+    return taken @ np.left_shift(1, np.arange(n, dtype=np.int64))
 
 
 def clopper_pearson_upper(successes: int, trials: int,
@@ -216,8 +287,7 @@ def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]
 def dump_batch(batch: SampleBatch, path) -> None:
     """Newline-delimited lowercase hex masks."""
     with open(path, "w") as fh:
-        for mask in batch.draws:
-            fh.write(f"{int(mask):x}\n")
+        fh.write("".join(f"{mask:x}\n" for mask in batch.draws.tolist()))
 
 
 def load_batch(path, seed: int = 0) -> SampleBatch:

@@ -311,7 +311,7 @@ def test_ineq_suite_rejects_no_trials(tmp_path, capsys, trials):
     assert json.loads(captured.err)["error"] == "usage"
 
 
-@pytest.mark.parametrize("dims", [[0], [3, -1], [], 3])
+@pytest.mark.parametrize("dims", [[0], [3, -1], [], 3, [2.5], ["3"]])
 def test_ineq_suite_rejects_bad_dims(tmp_path, capsys, dims):
     cfg = write_cfg(tmp_path, "i.json", {"trials": 2, "dims": dims})
     assert main(["ineq-suite", "--config", cfg]) == 1
@@ -379,13 +379,14 @@ def test_grid_needs_a_point(tmp_path, capsys, command, grid):
     ("tail", "t_grid", {"max": math.nan}), ("tail", "t_grid", {"max": math.inf}),
     ("tail", "t_grid", {"max": -1.0}),
     ("tail", "ks", {"c": math.nan}), ("tail", "ks", {"c": 0.0}),
-    ("compare-ks", "ks", {"c": math.nan}), ("compare-ks", "ks", {"c": math.inf})],
+    ("compare-ks", "ks", {"c": math.nan}), ("compare-ks", "ks", {"c": math.inf}),
+    ("tail", "t_grid", {"points": 2.5}), ("mgf", "theta_grid", {"points": True})],
     ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode", "ks-int",
          "lambda-nan", "lambda-inf", "lambda-negative", "lambda-zero",
          "mgf-lambda-nan", "mgf-lambda-inf", "fraction-nan", "fraction-2",
          "fraction-1", "fraction-negative", "t-max-nan", "t-max-inf",
          "t-max-negative", "ks-c-nan", "ks-c-zero", "compare-ks-c-nan",
-         "compare-ks-c-inf"])
+         "compare-ks-c-inf", "t-points-fraction", "theta-points-bool"])
 def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
                                                 command, key, value):
     def no_walk(*args, **kwargs):
@@ -410,6 +411,20 @@ def test_tail_empirical_count_fails_before_the_walk(tmp_path, capsys, monkeypatc
     assert main(["tail", "--config", cfg]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage" and "count must be at least 1" in err["message"]
+
+
+@pytest.mark.parametrize("count", [1.5, True, "12"], ids=["fraction", "bool", "string"])
+def test_tail_empirical_count_must_be_an_integer(tmp_path, capsys, monkeypatch, count):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before the count was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 2}},
+                      mode="empirical", count=count)
+    assert main(["tail", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage"
+    assert err["message"] == f"count must be an integer, got {count!r}"
 
 
 @pytest.mark.parametrize("kind,key,value", [
@@ -587,6 +602,23 @@ def test_sample_table_to_file(tmp_path, capsys):
     assert {int(s, 16) for s in lines} <= {1, 2, 4}
 
 
+def test_integral_float_counts_draw_like_ints(tmp_path, capsys):
+    outs = []
+    for count in (25, 25.0):
+        outs.append(tmp_path / f"draws-{count!r}.hex")
+        cfg = uniform_cfg(tmp_path, 3, 1, count=count)
+        assert main(["sample", "--config", cfg, "--out", str(outs[-1])]) == 0
+    tails = []
+    for count in (2000, 2000.0):
+        cfg = uniform_cfg(tmp_path, function={"random": {"kind": "table", "d": 2}},
+                          mode="empirical", count=count)
+        assert main(["tail", "--config", cfg]) == 0
+        tails.append(capsys.readouterr().out)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().split()) == 25
+    assert tails[0] == tails[1]
+
+
 def test_sample_requires_out(tmp_path, capsys):
     cfg = uniform_cfg(tmp_path, 3, 1, count=5)
     assert main(["sample", "--config", cfg]) == 1
@@ -595,8 +627,11 @@ def test_sample_requires_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra,needle", [
     ({"count": 200_000}, "needs --out"),
-    ({"count": -1, "out": "draws.hex"}, "count must be at least 0")],
-    ids=["no-out", "negative-count"])
+    ({"count": -1, "out": "draws.hex"}, "count must be at least 0"),
+    ({"count": 1.5, "out": "draws.hex"}, "count must be an integer, got 1.5"),
+    ({"count": True, "out": "draws.hex"}, "count must be an integer, got True"),
+    ({"count": "12", "out": "draws.hex"}, "count must be an integer, got '12'")],
+    ids=["no-out", "negative-count", "fraction-count", "bool-count", "string-count"])
 def test_sample_checks_its_config_before_drawing(tmp_path, capsys, monkeypatch,
                                                  extra, needle):
     def no_draws(*args, **kwargs):

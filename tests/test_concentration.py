@@ -417,6 +417,23 @@ def test_adjacency_modes_keep_separate_records(fixture_walks):
         assert oscillation(gen, random_matrix_fn(gen.states, 2, seed=4), mode) == stats
 
 
+def test_ladder_and_dirichlet_bound_share_one_eigh(fixture_walks, monkeypatch):
+    gen = fixture_walks["uniform_5_2"]
+    lam = functional.scalar_spectral_gap(gen)
+    fn, _ = random_linear_matrix_fn(5, gen.states, 3, 0.5, seed=9)
+    first = (check_dirichlet_trace_bound(gen, fn, 2), check_induction_statement(gen, fn, lam, 6))
+    tables = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: tables.append(a.shape) or eigh(a))
+    again = random_linear_matrix_fn(5, gen.states, 3, 0.5, seed=9)[0]
+    report = check_induction_statement(gen, again, lam, 6)
+    assert check_dirichlet_trace_bound(gen, again, 2) == first[0]
+    assert check_dirichlet_trace_bound(gen, again, 3) == check_dirichlet_trace_bound(gen, fn, 3)
+    assert tables == [(gen.states.size, 3, 3)]
+    assert report.base_trace == first[1].base_trace
+    assert np.array_equal(report.slacks, first[1].slacks)
+
+
 def test_record_does_not_keep_the_walk_alive():
     walk = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
     fn = random_matrix_fn(walk.states, 2, seed=5)

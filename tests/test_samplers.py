@@ -11,8 +11,11 @@ from srconc.measures import (
     NotAProjection,
     StateSpaceTooLarge,
     is_spanning_tree,
+    projection_kernel,
+    tree_edges,
 )
 from srconc.samplers import (
+    MASK64,
     SampleBatch,
     _build_alias,
     clopper_pearson_upper,
@@ -237,6 +240,165 @@ def test_kdpp_deterministic_per_index():
     a = sample_kdpp(kern, seed=5, count=30)
     b = sample_kdpp(kern, seed=5, count=60)
     assert np.array_equal(a.draws, b.draws[:30])
+
+
+# ------------------------------------------- batched samplers vs per-draw loops
+
+WHEEL4_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
+
+
+def _stream(seed, index):
+    key = np.array([int(seed) & MASK64, int(index) & MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_wilson(edges, seed, count, vertices=None):
+    """One generator and one loop-erased walk per draw: the scalar sampler
+    the batched one must reproduce bit for bit."""
+    edges, vertices = tree_edges(edges, vertices)
+    nbr = [[] for _ in range(vertices)]
+    for idx, (u, v) in enumerate(edges):
+        nbr[u].append((v, idx))
+        nbr[v].append((u, idx))
+    draws = np.zeros(count, dtype=np.int64)
+    for i in range(count):
+        rng = _stream(seed, i)
+        in_tree = np.zeros(vertices, dtype=bool)
+        in_tree[0] = True
+        next_hop = np.full(vertices, -1, dtype=np.int64)
+        next_edge = np.full(vertices, -1, dtype=np.int64)
+        for start in range(1, vertices):
+            if in_tree[start]:
+                continue
+            cur = start
+            while not in_tree[cur]:
+                j = int(rng.integers(len(nbr[cur])))
+                nxt, eidx = nbr[cur][j]
+                next_hop[cur] = nxt
+                next_edge[cur] = eidx
+                cur = nxt
+            cur = start
+            while not in_tree[cur]:
+                in_tree[cur] = True
+                cur = int(next_hop[cur])
+        mask = 0
+        for w in range(1, vertices):
+            mask |= 1 << int(next_edge[w])
+        draws[i] = mask
+    return draws
+
+
+def reference_kdpp(kernel, seed, count):
+    """One generator and one chain-rule pass per draw (see reference_wilson)."""
+    k_mat, rank = projection_kernel(kernel)
+    n = k_mat.shape[0]
+    draws = np.zeros(count, dtype=np.int64)
+    for i in range(count):
+        rng = _stream(seed, i)
+        work = k_mat.copy()
+        mask = 0
+        for _ in range(rank):
+            diag = np.clip(np.diag(work).copy(), 0.0, None)
+            for b in range(n):
+                if (mask >> b) & 1:
+                    diag[b] = 0.0
+            total = diag.sum()
+            pick = int(np.searchsorted(np.cumsum(diag), rng.random() * total))
+            pick = min(pick, n - 1)
+            pivot = work[pick, pick]
+            work = work - np.outer(work[:, pick], work[pick, :]) / pivot
+            mask |= 1 << pick
+        draws[i] = mask
+    return draws
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 5, -1])
+def test_philox_blocks_match_numpy(seed):
+    index = np.arange(40, dtype=np.uint64)
+    for block in range(3):
+        got = samplers._philox(seed, index, block)
+        for i in index.tolist():
+            key = np.array([seed & MASK64, i], dtype=np.uint64)
+            want = np.random.Philox(key=key).random_raw(4 * (block + 1))[4 * block:]
+            assert np.array_equal(got[i], want)
+
+
+def test_lemire_matches_integers_with_rejections():
+    """n = 3 * 2**30 + 1 rejects about a quarter of the uint32 values."""
+    n = 3 * 2**30 + 1
+    rejected = 0
+    for i in range(200):
+        raw = np.concatenate([samplers._philox(11, np.array([i]), b)[0] for b in range(4)])
+        values = np.stack([raw & samplers.MASK32, raw >> 32], axis=1).ravel()  # low half first
+        for x in values:
+            pick, ok = samplers._lemire(x, np.uint64(n))
+            if ok:
+                break
+            rejected += 1
+        assert int(pick) == int(_stream(11, i).integers(n))
+    assert rejected > 20
+
+
+def test_kdpp_matches_the_per_draw_reference():
+    rng = np.random.default_rng(1996)
+    ranks = set()
+    for t in range(20):
+        n = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, min(n, 6) + 1))
+        ranks.add(rank)
+        kern = random_projection_kernel(n, rank, seed=t)
+        assert np.array_equal(sample_kdpp(kern, t, 150).draws, reference_kdpp(kern, t, 150))
+    assert max(ranks) > 4  # a second Philox block per draw
+
+
+@pytest.mark.parametrize("edges", [
+    K3_EDGES, K4_EDGES, WHEEL4_EDGES, list(itertools.combinations(range(6), 2)),
+    [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)]],
+    ids=["K3", "K4", "wheel4", "K6", "path", "parallel"])
+def test_wilson_matches_the_per_draw_reference(edges):
+    for seed in (3, -1):
+        assert np.array_equal(wilson_spanning_tree(edges, seed, 200).draws,
+                              reference_wilson(edges, seed, 200))
+
+
+@pytest.mark.parametrize("sampler", ["wilson", "kdpp"])
+def test_batches_do_not_depend_on_the_chunks(monkeypatch, sampler):
+    kern = random_projection_kernel(5, 2, seed=12)
+    draw, reference = {
+        "wilson": (lambda c: wilson_spanning_tree(WHEEL4_EDGES, 7, c),
+                   lambda c: reference_wilson(WHEEL4_EDGES, 7, c)),
+        "kdpp": (lambda c: sample_kdpp(kern, 7, c), lambda c: reference_kdpp(kern, 7, c)),
+    }[sampler]
+    ranges = []
+    batched = samplers._batched
+
+    def spy(seed, count, row_bytes, chunk):
+        def recorded(lo, hi):
+            ranges.append((lo, hi))
+            return chunk(lo, hi)
+        return batched(seed, count, row_bytes, recorded)
+
+    monkeypatch.setattr(samplers, "_batched", spy)
+    monkeypatch.setattr(samplers, "CHUNK_BYTES", 1000)
+    draw(30)
+    step = ranges[0][1]
+    assert 1 < step < 15 and ranges[1] == (step, 2 * step)
+    want = reference(2 * step + 1)
+    for count in (0, 1, step - 1, step, step + 1, 2 * step + 1):
+        batch = draw(count)
+        assert batch.count == count and np.array_equal(batch.draws, want[:count])
+
+
+def test_golden_draws():
+    """Literal draws, so that a numpy upgrade cannot move the streams unseen."""
+    assert wilson_spanning_tree(K4_EDGES, 9, 8).draws.tolist() == [
+        0x16, 0x1c, 0x34, 0x19, 0xe, 0x7, 0x13, 0xe]
+    assert wilson_spanning_tree(WHEEL4_EDGES, 2**63 + 5, 6).draws.tolist() == [
+        0xd4, 0x59, 0x63, 0xd2, 0x1d, 0x59]
+    # an exact rank-3 projection: three orthonormal columns with entries 0, +-1/2
+    h = np.array([[1, 1, 1, 1, 0, 0], [1, -1, 0, 0, 1, 1], [0, 0, 1, -1, 1, -1]]).T / 2
+    assert sample_kdpp(h @ h.T, 9, 10).draws.tolist() == [
+        0x1a, 0x23, 0xb, 0x1a, 0x29, 0x15, 0xd, 0xd, 0xd, 0x1a]
 
 
 # ----------------------------------------------------------- clopper-pearson
