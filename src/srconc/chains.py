@@ -43,6 +43,7 @@ from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
+    as_integer,
     automorphisms,
     covers,
     feasible_coupling,
@@ -50,6 +51,7 @@ from .measures import (
     popcount,
     validate,
 )
+from .matrix_core import within
 
 RATE_TOL = 1e-10
 
@@ -140,8 +142,9 @@ class Generator:
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """rate_edges(self.rates), computed once."""
-        return tuple(map(_sealed, rate_edges(self.rates)))
+        """Index pairs x < y with a nonzero rate in either direction, computed once."""
+        support = self.rates != 0.0
+        return tuple(map(_sealed, np.nonzero(np.triu(support | support.T, 1))))
 
 
 def flip_swap_adjacent(x, y):
@@ -161,32 +164,26 @@ def delta(gen: Generator) -> float:
     return float(np.max(-np.diag(gen.rates), initial=0.0)) + 0.0
 
 
-def rate_edges(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs x < y with a nonzero rate in either direction."""
-    support = rates != 0.0
-    return np.nonzero(np.triu(support | support.T, 1))
-
-
 def validate_generator(gen: Generator) -> None:
     """Raise on non-finite entries, negative rates, bad row sums, or broken
     detailed balance."""
     q = gen.rates
     if not (np.isfinite(q).all() and np.isfinite(gen.pi).all()):
         raise NonFiniteGenerator("rates and pi must be finite")
-    scale = max(1.0, float(np.abs(q).max(initial=0.0)))
+    scale = float(np.abs(q).max(initial=0.0))
     off = q.copy()
     np.fill_diagonal(off, 0.0)
-    if off.min(initial=0.0) < -RATE_TOL * scale:
+    if not within(-off.min(initial=0.0), 0.0, RATE_TOL, scale):
         i, j = np.unravel_index(np.argmin(off), off.shape)
         raise NegativeRate(f"rate {q[i, j]!r} at ({i},{j})")
     rowdev = np.abs(q.sum(axis=1)).max(initial=0.0)
-    if rowdev > RATE_TOL * scale:
+    if not within(rowdev, 0.0, RATE_TOL, scale):
         raise RowSumViolation(f"row sums deviate from 0 by {rowdev:.3e}")
     if gen.pi.size == 0 or gen.pi.min() <= 0.0:
         raise ZeroMassEvent("stationary law must be positive on the state list")
     flows = gen.pi[:, None] * q
     dev = np.abs(flows - flows.T).max(initial=0.0)
-    if dev > RATE_TOL * max(1.0, float(np.abs(flows).max(initial=0.0))):
+    if not within(dev, 0.0, RATE_TOL, float(np.abs(flows).max(initial=0.0))):
         raise DetailedBalanceViolation(f"pi(x)Q(x,y) asymmetric by {dev:.3e}")
 
 
@@ -502,7 +499,7 @@ def generator_to_json(gen: Generator) -> dict:
 
 
 def generator_from_json(obj: dict, n: int | None = None) -> Generator:
-    gen = Generator(np.asarray(obj["states"], dtype=np.int64),
+    gen = Generator(np.array([as_integer(s, "state") for s in obj["states"]], dtype=np.int64),
                     np.asarray(obj["Q"], dtype=float),
                     np.asarray(obj["pi"], dtype=float), n=n)
     validate_generator(gen)

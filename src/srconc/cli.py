@@ -49,9 +49,8 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a file path, got {out!r}")
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("tol", 1e-8)
-    _bounded(cfg["tol"], "tol", math.inf, True)
+    cfg["seed"] = measures.as_integer(cfg.get("seed", 0), "seed")
+    cfg["tol"] = _bounded(cfg.get("tol", 1e-8), "tol", math.inf, True)
     cfg.setdefault("trials", 100)
     return cfg
 
@@ -101,7 +100,8 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
         return measures.measure_from_json(spec["inline"])
     family = spec.get("family")
     if family == "uniform_k_subsets":
-        return measures.make_uniform_k_subsets(int(spec["n"]), int(spec["k"]))
+        return measures.make_uniform_k_subsets(measures.as_integer(spec["n"], "measure.n"),
+                                               measures.as_integer(spec["k"], "measure.k"))
     if family == "bernoulli_product":
         return measures.make_bernoulli_product(spec["ps"])
     if family == "spanning_tree":
@@ -114,6 +114,7 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
 
 def _kernel(obj: dict) -> np.ndarray:
     """A kernel config; a non-finite entry is invalid input, not a numeric failure."""
+    measures.as_integer(obj["d"], "kernel.d")
     try:
         return matrix_core.matrix_from_json(obj)
     except matrix_core.NonFinite as exc:
@@ -133,7 +134,7 @@ def _build_function(cfg: dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
     d = _positive(rnd.get("d", 2), "function.random.d")
-    seed = int(rnd.get("seed", cfg["seed"]))
+    seed = measures.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
     if kind == "table":
         scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)
         return lambda states, n: (functional.random_matrix_fn(states, d, seed, scale), None)
@@ -212,24 +213,15 @@ def _certify_setup(cfg: dict, read_lambda: bool):
 
 def cmd_poincare_check(cfg: dict) -> int:
     _, walk, fn, _, lam = _certify_setup(cfg, True)
-    report = functional.check_matrix_poincare(walk, fn, lam, float(cfg["tol"]))
+    report = functional.check_matrix_poincare(walk, fn, lam, cfg["tol"])
     _emit({"lambda": report.lambda_claimed, "min_eig_slack": report.min_eig_slack,
            "scale": report.scale, "passed": report.passed}, cfg.get("out"))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, or a UsageError unless it is an integral number (a
-    bool or a string is not; 2000.0 is)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _positive(value, name: str) -> int:
-    """value as an int, or a UsageError unless it is an integer of at least 1."""
-    count = _integer(value, name)
+    """value as an int, or a usage error unless it is an integer of at least 1."""
+    count = measures.as_integer(value, name)
     if count < 1:
         raise UsageError(f"{name} must be at least 1, got {count}")
     return count
@@ -260,8 +252,7 @@ def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
 
 def cmd_ineq_suite(cfg: dict) -> int:
     trials = _positive(cfg["trials"], "trials")
-    seed = int(cfg["seed"])
-    tol = float(cfg["tol"])
+    seed, tol = cfg["seed"], cfg["tol"]
     dims = cfg.get("dims", [3, 4])
     if not isinstance(dims, list) or not dims:
         raise UsageError(f"dims must be a non-empty list, got {dims!r}")
@@ -347,8 +338,7 @@ def cmd_mgf(cfg: dict) -> int:
         raise UsageError("constant function: mgf grid is unbounded")
     theta_max = math.sqrt(frac * lam) / v
     thetas = np.linspace(theta_max / points, theta_max, points)
-    spectrum = concentration.TraceMgf(walk.pi, fn.gather(walk.states))
-    rows = spectrum.rows(thetas, lam, v, float(cfg["tol"]))
+    rows = concentration.spectrum(walk, fn).rows(thetas, lam, v, cfg["tol"])
     _emit_csv(["theta", "trace_mgf", "bound", "ok"],
               [[*row[:3], str(row[3])] for row in rows], cfg.get("out"))
     return EXIT_OK if all(row[3] for row in rows) else EXIT_VIOLATION
@@ -367,7 +357,7 @@ def cmd_tail(cfg: dict) -> int:
     v = concentration.oscillation(walk, fn).v
     d = fn.dim
     k = measures.homogeneity_degree(m)
-    spectrum = concentration.TraceMgf(walk.pi, fn.gather(walk.states))
+    spectrum = concentration.spectrum(walk, fn)
     mu = matrix_core.spectral_norm(spectrum.mean)
 
     if t_hi is None:
@@ -377,11 +367,10 @@ def cmd_tail(cfg: dict) -> int:
     if mode == "exact":
         probs, cis = spectrum.tail(ts), [None] * points
     else:
-        batch = samplers.sample_table(m, int(cfg["seed"]), count)
+        batch = samplers.sample_table(m, cfg["seed"], count)
         emp = samplers.sampled_tail(walk.states, spectrum.devs, batch, ts)
         probs, cis = [r.estimate for r in emp], [r.ci_upper for r in emp]
 
-    tol = float(cfg["tol"])
     rows = []
     violated = False
     with_ks = k is not None and k >= 2 and mu > 0
@@ -390,7 +379,7 @@ def cmd_tail(cfg: dict) -> int:
         bs = concentration.tail_bound_sr(t, int(k), float(lip), d) if k and lip else None
         bk = concentration.ks_bound(t / mu, mu, int(k), d, c_ks) if with_ks else None
         if mode == "exact":
-            violated |= not all(concentration.within(prob, bound, tol)
+            violated |= not all(matrix_core.within(prob, bound, cfg["tol"], bound)
                                 for bound in (bp, bs) if bound is not None)
         rows.append(concentration.TailRow(t, float(prob), ci, bp, bs, bk))
     _emit_csv(concentration.TAIL_CSV_COLUMNS,
@@ -401,16 +390,21 @@ def cmd_tail(cfg: dict) -> int:
 
 def cmd_compare_ks(cfg: dict) -> int:
     ks_cfg = _section(cfg, "ks")
-    k_values = [int(k) for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
+    k_values = [measures.as_integer(k, "ks.k_values entry")
+                for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
+    if min(k_values, default=2) < 2:
+        raise UsageError(f"ks.k_values entries must be at least 2, got {min(k_values)}")
     c = _bounded(ks_cfg.get("c", 1.0), "ks.c", math.inf)
-    factors = [float(f) for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]
+    factors = [_bounded(f, "ks.mu_factors entry", math.inf)
+               for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]
+    eps_spec = ks_cfg.get("eps", "inv_sqrt_k")
+    eps = None if eps_spec == "inv_sqrt_k" else _bounded(eps_spec, "ks.eps", math.inf)
     rows = []
     for k in k_values:
-        eps_spec = ks_cfg.get("eps", "inv_sqrt_k")
-        eps = 1.0 / math.sqrt(k) if eps_spec == "inv_sqrt_k" else float(eps_spec)
-        mu_star = concentration.ks_crossover_threshold(k, eps)
+        eps_k = 1.0 / math.sqrt(k) if eps is None else eps
+        mu_star = concentration.ks_crossover_threshold(k, eps_k)
         for f in factors:
-            rec = concentration.ks_crossover(k, f * mu_star, eps, c)
+            rec = concentration.ks_crossover(k, f * mu_star, eps_k, c)
             rows.append([rec.k, rec.mu, rec.eps, rec.lhs, rec.rhs,
                          str(rec.ours_better), rec.margin, str(rec.near_crossover),
                          rec.exponent_sr, rec.exponent_ks, rec.dominator])
@@ -425,18 +419,17 @@ def cmd_sample(cfg: dict) -> int:
     if not out:
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
-    seed = int(cfg["seed"])
-    count = _integer(cfg.get("count", 1000), "count")
+    count = measures.as_integer(cfg.get("count", 1000), "count")
     if count < 0:
         raise UsageError(f"count must be at least 0, got {count}")
     if kind == "table":
-        batch = samplers.sample_table(_load_measure(cfg), seed, count)
+        batch = samplers.sample_table(_load_measure(cfg), cfg["seed"], count)
     elif kind == "wilson":
         vertices, edges = measures.graph_from_json(cfg["graph"])
-        batch = samplers.wilson_spanning_tree(edges, seed, count, vertices)
+        batch = samplers.wilson_spanning_tree(edges, cfg["seed"], count, vertices)
     elif kind == "kdpp":
         kernel = _kernel(cfg["kernel"])
-        batch = samplers.sample_kdpp(kernel, seed, count)
+        batch = samplers.sample_kdpp(kernel, cfg["seed"], count)
     else:
         raise UsageError(f"unknown sampler {kind!r}")
     samplers.dump_batch(batch, out)
@@ -488,7 +481,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, {"seed": args.seed, "tol": args.tol,
                                          "trials": args.trials, "out": args.out})
         return COMMANDS[args.command](cfg)
-    except UsageError as exc:
+    except (UsageError, measures.NotAnInteger) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except NUMERIC_ERRORS as exc:

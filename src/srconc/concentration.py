@@ -28,7 +28,7 @@ import numpy as np
 
 from .chains import Generator, flip_swap_adjacent
 from .functional import MatrixFn, dirichlet_form, matrix_mean
-from .matrix_core import trace_power
+from .matrix_core import trace_power, within
 
 ADJACENCY_MODES = ("q_support", "flip_swap")
 PROBE_EDGES = 16    # edges with the largest norm bounds whose exact norm
@@ -121,7 +121,7 @@ class TraceMgf:
     def rows(self, thetas, lam: float, v: float, tol: float) -> list[tuple]:
         """(theta, Tr E e^{theta(F - E F)}, mgf_bound, within tol) per theta."""
         bounds = [mgf_bound(float(theta), lam, v, self.dim) for theta in thetas]
-        return [(float(theta), float(value), bound, within(value, bound, tol))
+        return [(float(theta), float(value), bound, within(value, bound, tol, bound))
                 for theta, value, bound in zip(thetas, self.curve(thetas), bounds)]
 
     def tail(self, ts) -> np.ndarray:
@@ -129,12 +129,7 @@ class TraceMgf:
         return np.array([float(self.weights[self.devs >= t].sum()) for t in ts])
 
 
-def within(value: float, bound: float, tol: float) -> bool:
-    """value <= bound up to tol, relative once the bound exceeds 1."""
-    return bool(value <= bound + tol * max(1.0, bound))
-
-
-def _spectrum(gen: Generator, fn: MatrixFn) -> TraceMgf:
+def spectrum(gen: Generator, fn: MatrixFn) -> TraceMgf:
     """The centred spectrum of fn on the walk, built once per (walk, observable)."""
     return fn.on_walk(gen, "spectrum", lambda: TraceMgf(gen.pi, fn.gather(gen.states)))
 
@@ -145,7 +140,7 @@ def _eigh(gen: Generator, fn: MatrixFn) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
-    return _spectrum(gen, fn)(theta)
+    return spectrum(gen, fn)(theta)
 
 
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
@@ -156,11 +151,11 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
         raise ValueError(f"p must be >= 1, got {p}")
     lam, vec = _eigh(gen, fn)
     expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
-    energy = dirichlet_form(gen.rates, gen.pi, expf)
+    energy = dirichlet_form(gen, expf)
     lhs = trace_power(energy, p)
     v = oscillation(gen, fn).v
     rhs = v ** (2 * p) * float(gen.pi @ np.exp(2 * p * lam).sum(axis=1))
-    return within(lhs, rhs, tol)
+    return within(lhs, rhs, tol, rhs)
 
 
 def doubling_value(weights, values, k: int) -> float:
@@ -203,16 +198,16 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
     av2 = alpha * v * v
     if av2 > 1.0:
         raise ScaleViolation(f"alpha * v(F)^2 = {av2:.6f} exceeds 1")
-    spectrum = _eigh(gen, fn)  # one for the whole ladder
-    base = _doubling(gen.pi, *spectrum, 0)
+    eig = _eigh(gen, fn)  # one for the whole ladder
+    base = _doubling(gen.pi, *eig, 0)
     slacks = []
     for k in range(1, int(k_max) + 1):
         s_k = 1.0 - 0.5**k
-        slacks.append(_doubling(gen.pi, *spectrum, k) - (1.0 - av2 * s_k) * base)
+        slacks.append(_doubling(gen.pi, *eig, k) - (1.0 - av2 * s_k) * base)
     slacks = np.asarray(slacks)
     scale = max(1.0, abs(base))
     return InductionReport(slacks, base, av2, scale, tol,
-                           bool((slacks >= -tol * scale).all()))
+                           within(-slacks.min(initial=np.inf), 0.0, tol, scale))
 
 
 def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
@@ -229,7 +224,7 @@ def check_mgf_bound(gen: Generator, fn: MatrixFn, lam: float, theta: float,
                     tol: float = 1e-8) -> bool:
     """Tr E e^{theta(F - E F)} <= mgf_bound up to tol; v(F) and the centred
     spectrum are read from fn's record of the walk, so a grid computes each once."""
-    return _spectrum(gen, fn).rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
+    return spectrum(gen, fn).rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
 
 
 @dataclass(frozen=True)

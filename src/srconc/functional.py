@@ -10,9 +10,9 @@ obtained from lambda * Var <= E coincides with the spectral gap of the
 additive symmetrization of Q in L^2(pi).  Variance is
 Var_pi[F] = E[F^2] - E[F]^2.
 
-The numeric core functions take plain weight/value arrays; a MatrixFn
-carries the (state mask -> matrix) table and aligns itself to a state
-list via ``gather``, raising DomainMismatch for missing states.
+The mean and variance take plain weight/value arrays, the Dirichlet form
+a walk; a MatrixFn carries the (state mask -> matrix) table and aligns
+itself to a state list via ``gather``, raising DomainMismatch for missing states.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Decomposition, Generator, _read_only, _sealed, rate_edges
-from .matrix_core import random_symmetric, require_symmetric, spectral_norm
-from .measures import component_count
+from .chains import Decomposition, Generator, _read_only, _sealed
+from .matrix_core import random_symmetric, require_symmetric, spectral_norm, within
+from .measures import as_integer, component_count
 
 
 class FunctionalError(Exception):
@@ -150,18 +150,16 @@ def matrix_variance(weights, values) -> np.ndarray:
                      centered, centered)
 
 
-def dirichlet_form(rates, weights, values) -> np.ndarray:
-    """(1/2) sum_{x,y} pi(x) Q(x,y) (F(x) - F(y))^2.
+def dirichlet_form(gen: Generator, values) -> np.ndarray:
+    """(1/2) sum_{x,y} pi(x) Q(x,y) (F(x) - F(y))^2 with values[i] = F(gen.states[i]).
 
-    Summed over the edges x < y of the rate support with the flow
-    W_xy + W_yx, W_xy = pi(x) Q(x,y): the E edge differences D_e give one
-    GEMM of D as d x (E d) by (W D) as (E d) x d, in O(E d^2) memory.
+    Summed over the walk's cached edges x < y (``Generator.edges``) with the
+    flow W_xy + W_yx, W_xy = pi(x) Q(x,y): the E edge differences D_e give
+    one GEMM of D as d x (E d) by (W D) as (E d) x d, in O(E d^2) memory.
     """
-    rates = np.asarray(rates, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
-    x, y = rate_edges(rates)
-    flow = weights[x] * rates[x, y] + weights[y] * rates[y, x]
+    x, y = gen.edges
+    flow = gen.pi[x] * gen.rates[x, y] + gen.pi[y] * gen.rates[y, x]
     diff = values[x] - values[y]
     d = values.shape[1]
     weighted = diff * flow[:, None, None]
@@ -197,23 +195,18 @@ def check_decompositions(dec: Decomposition, fn: MatrixFn) -> DecompositionResid
     fhat = project_fn(dec, fn)
 
     total_var = matrix_variance(gen.pi, vals)
-    within = sum(pihat[i] * matrix_variance(dec.restrictions[i].pi,
-                                            fn.gather(dec.parts[i]))
-                 for i in range(len(dec.parts)))
+    inner = sum(pihat[i] * matrix_variance(dec.restrictions[i].pi,
+                                           fn.gather(dec.parts[i]))
+                for i in range(len(dec.parts)))
     across = matrix_variance(pihat, fhat.values)
-    var_res = float(np.abs(total_var - within - across).max())
+    var_res = float(np.abs(total_var - inner - across).max())
 
-    total_dir = dirichlet_form(gen.rates, gen.pi, vals)
-    within_dir = sum(pihat[i] * dirichlet_form(dec.restrictions[i].rates,
-                                               dec.restrictions[i].pi,
-                                               fn.gather(dec.parts[i]))
-                     for i in range(len(dec.parts)))
-    pos = gen.index_of()
-    labels = np.full(gen.states.size, -1)
-    for i, part in enumerate(dec.parts):
-        labels[[pos[int(s)] for s in part]] = i
-    cross = dirichlet_form(gen.rates * (labels[:, None] != labels[None, :]),
-                           gen.pi, vals)
+    total_dir = dirichlet_form(gen, vals)
+    within_dir = sum(pihat[i] * dirichlet_form(part_walk, fn.gather(part))
+                     for i, (part, part_walk) in enumerate(zip(dec.parts, dec.restrictions)))
+    side = np.isin(gen.states, dec.parts[1])
+    cross = dirichlet_form(Generator(gen.states, gen.rates * (side[:, None] != side),
+                                     gen.pi), vals)
     dir_res = float(np.abs(total_dir - within_dir - cross).max())
 
     scale = max(1.0, spectral_norm(total_var), spectral_norm(total_dir))
@@ -278,7 +271,7 @@ def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
                           tol: float = 1e-8) -> PoincareReport:
     """Does lambda * Var_pi[F] <= E_Q(F, F) hold in the PSD order?"""
     vals = fn.gather(gen.states)
-    energy = dirichlet_form(gen.rates, gen.pi, vals)
+    energy = dirichlet_form(gen, vals)
     var = matrix_variance(gen.pi, vals)
     spread = spectral_norm(var)
     # Var = 0 (one state, or F constant) satisfies the inequality for every
@@ -286,7 +279,7 @@ def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
     lam_var, lam_spread = (lam * var, abs(lam) * spread) if spread > 0.0 else (var, 0.0)
     slack = float(np.linalg.eigvalsh(energy - lam_var).min())
     scale = max(1.0, spectral_norm(energy), lam_spread)
-    passed = slack >= -tol * scale
+    passed = within(-slack, 0.0, tol, scale)
     return PoincareReport(float(lam), slack, scale, tol, passed,
                           None if passed else fn)
 
@@ -300,14 +293,14 @@ def matrix_fn_to_json(fn: MatrixFn) -> dict:
 
 
 def matrix_fn_from_json(obj: dict) -> MatrixFn:
-    d = int(obj["d"])
+    d = as_integer(obj["d"], "d")
     if d < 1:
         raise BadValues(f"d must be at least 1, got {d}")
     if not obj["values"]:
         raise BadValues("values must list at least one state")
     mats = {}
     for entry in obj["values"]:
-        mask = int(entry["mask"])
+        mask = as_integer(entry["mask"], "mask")
         if mask in mats:
             raise BadValues(f"mask {mask} is listed twice")
         mat = np.asarray(entry["rows"], dtype=float)

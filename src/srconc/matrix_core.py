@@ -2,15 +2,14 @@
 
 All matrix functions are evaluated through a full eigendecomposition:
 f(A) = U f(L) U^T with A = U L U^T from ``numpy.linalg.eigh``.  PSD
-order comparisons are eigenvalue checks with a tolerance scaled by the
-operand norms.  Integrals over [0, 1] (the derivative-of-exp identity
-and the weighted-power integral bound) use Gauss-Legendre quadrature,
-64 nodes by default.
+order comparisons are eigenvalue checks, and every verdict is ``within``
+with a tolerance scaled by the operand norms.  Integrals over [0, 1] (the
+derivative-of-exp identity and the weighted-power integral bound) use
+Gauss-Legendre quadrature, 64 nodes by default.
 
 The ``check_*`` functions return booleans rather than raising: each one
 evaluates both sides of an inequality that is supposed to be a theorem
-for its admissible inputs and reports whether the numeric slack stays
-above -tol * scale.
+for its admissible inputs and reports whether they are ``within`` tol.
 """
 
 from __future__ import annotations
@@ -52,16 +51,29 @@ class NotPSD(MatrixError):
     pass
 
 
+def within(value: float, bound: float, tol: float, scale: float) -> bool:
+    """value <= bound + tol * max(1, scale), the tolerance rule of every scaled
+    verdict; a slack s >= 0 is within(-s, 0.0, tol, scale)."""
+    return bool(value <= bound + tol * max(1.0, scale))
+
+
 def require_symmetric(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > 1e-10 * scale:
+    if not within(np.abs(a - a.T).max(), 0.0, 1e-10, float(np.abs(a).max())):
         raise NotSymmetric(f"{name} is not symmetric")
     return (a + a.T) / 2.0
+
+
+def _psd_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of symmetric a, eigenvalues clipped to 0; NotPSD below -1e-10 * max(1, |lam|)."""
+    lam, vec = np.linalg.eigh(a)
+    if not within(-lam.min(initial=0.0), 0.0, 1e-10, float(np.abs(lam).max(initial=0.0))):
+        raise NotPSD(f"{name} must be PSD, has eigenvalue {lam.min():.3e}")
+    return np.clip(lam, 0.0, None), vec
 
 
 def sym_apply(a, fn) -> np.ndarray:
@@ -77,12 +89,7 @@ def sym_expm(a) -> np.ndarray:
 
 def sym_power(a, t: float) -> np.ndarray:
     """Fractional power of a PSD matrix; tiny negative eigenvalues clip to 0."""
-    a = require_symmetric(a)
-    lam, vec = np.linalg.eigh(a)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if lam.min(initial=0.0) < -1e-10 * scale:
-        raise NotPSD(f"matrix has eigenvalue {lam.min():.3e}")
-    lam = np.clip(lam, 0.0, None)
+    lam, vec = _psd_eigh(require_symmetric(a), "matrix")
     return (vec * lam**t) @ vec.T
 
 
@@ -97,10 +104,8 @@ def spectral_norm(a) -> float:
 
 
 def is_psd(a, tol: float = 1e-10) -> bool:
-    a = require_symmetric(a)
-    lam = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    return bool(lam.min(initial=0.0) >= -tol * scale)
+    lam = np.linalg.eigvalsh(require_symmetric(a))
+    return within(-lam.min(initial=0.0), 0.0, tol, float(np.abs(lam).max(initial=0.0)))
 
 
 def psd_leq(a, b, tol: float = 1e-9) -> bool:
@@ -110,8 +115,7 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
     if a.shape != b.shape:
         raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
     gap = np.linalg.eigvalsh(b - a).min()
-    scale = max(1.0, spectral_norm(a), spectral_norm(b))
-    return bool(gap >= -tol * scale)
+    return within(-gap, 0.0, tol, max(spectral_norm(a), spectral_norm(b)))
 
 
 def schatten_norm(a, p) -> float:
@@ -151,8 +155,7 @@ def check_trace_monotone(fn, a, h, tol: float = 1e-8) -> bool:
         raise PreconditionViolated("a <= h does not hold in the PSD order")
     lhs = float(fn(np.linalg.eigvalsh(a)).sum())
     rhs = float(fn(np.linalg.eigvalsh(h)).sum())
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return lhs <= rhs + tol * scale
+    return within(lhs, rhs, tol, max(abs(lhs), abs(rhs)))
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,7 @@ def check_operator_jensen(fn, decomp: IdentityDecomposition, mats,
     if form == "trace":
         lhs = float(fn(np.linalg.eigvalsh(mixed)).sum())
         rhs = float(np.trace(pushed))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return lhs <= rhs + tol * scale
+        return within(lhs, rhs, tol, max(abs(lhs), abs(rhs)))
     raise ValueError(f"form must be 'operator' or 'trace', got {form!r}")
 
 
@@ -269,13 +271,7 @@ def check_int_norm_bound(a, b, x, p, tol: float = 1e-8,
     a = require_symmetric(a, "a")
     b = require_symmetric(b, "b")
     x = require_symmetric(x, "x")
-    la, ua = np.linalg.eigh(a)
-    lb, ub = np.linalg.eigh(b)
-    if la.min(initial=0.0) < -1e-10 * max(1.0, np.abs(la).max(initial=0.0)):
-        raise NotPSD("a must be PSD")
-    if lb.min(initial=0.0) < -1e-10 * max(1.0, np.abs(lb).max(initial=0.0)):
-        raise NotPSD("b must be PSD")
-    la, lb = np.clip(la, 0.0, None), np.clip(lb, 0.0, None)
+    (la, ua), (lb, ub) = _psd_eigh(a, "a"), _psd_eigh(b, "b")
     nodes, weights = _gl_nodes(quad_points)
     acc = np.zeros_like(x)
     for t, w in zip(nodes, weights):
@@ -284,7 +280,7 @@ def check_int_norm_bound(a, b, x, p, tol: float = 1e-8,
         acc += w * (left @ x @ right)
     lhs = schatten_norm(acc, p)
     rhs = 0.5 * schatten_norm(a @ x + x @ b, p)
-    return lhs <= rhs + tol * max(1.0, rhs)
+    return within(lhs, rhs, tol, rhs)
 
 
 def check_lemma_var(pairs, p: int, tol: float = 1e-8) -> bool:
@@ -314,7 +310,7 @@ def check_lemma_var(pairs, p: int, tol: float = 1e-8) -> bool:
         tr_y = float(np.exp(2 * p * np.linalg.eigvalsh(y)).sum())
         rhs += 0.5 * w * osc ** (2 * p) * (tr_x + tr_y)
     lhs = trace_power(mean_sq, p)
-    return lhs <= rhs + tol * max(1.0, abs(rhs))
+    return within(lhs, rhs, tol, rhs)  # rhs >= 0
 
 
 def random_symmetric(rng: np.random.Generator, d: int,
@@ -335,8 +331,8 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["d"])
+    d = obj["d"]  # compared, never truncated: 2.0 matches two rows, 2.5 none
     a = np.asarray(obj["rows"], dtype=float)
     if a.shape != (d, d):
-        raise DimMismatch(f"rows have shape {a.shape}, header says d={d}")
+        raise DimMismatch(f"rows have shape {a.shape}, header says d={d!r}")
     return require_symmetric(a)

@@ -72,6 +72,19 @@ class MaskOutOfRange(MeasureError):
     pass
 
 
+class NotAnInteger(ValueError):
+    """A count, size or mask read from input that is not an integral number."""
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int, or NotAnInteger unless it is an integral number (a
+    bool or a string is not; 4.0 is): the one integer rule of every reader."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise NotAnInteger(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def popcount(masks):
     """Number of set bits, elementwise on an integer array (or scalar)."""
     return np.bitwise_count(np.asarray(masks, dtype=np.int64))
@@ -515,11 +528,11 @@ def measure_to_json(m: SubsetMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> SubsetMeasure:
-    n = int(obj["n"])
+    n = as_integer(obj["n"], "n")
     _check_size(n)
     entries = {}
     for entry in obj["entries"]:
-        mask = int(entry["mask"])
+        mask = as_integer(entry["mask"], "mask")
         if not 0 <= mask < 1 << n:
             raise MaskOutOfRange(f"mask {mask} outside [0, {1 << n}) for n={n}")
         if mask in entries:
@@ -532,6 +545,7 @@ def measure_from_json(obj: dict) -> SubsetMeasure:
 
 
 def graph_from_json(obj: dict) -> tuple[int, list[tuple[int, int]]]:
-    vertices = int(obj["vertices"])
-    edges = [(int(u), int(v)) for u, v in obj["edges"]]
+    vertices = as_integer(obj["vertices"], "vertices")
+    edges = [(as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint"))
+             for u, v in obj["edges"]]
     return vertices, edges

@@ -542,3 +542,10 @@ def test_generator_json_validates():
     obj = {"states": [0, 1], "pi": [0.5, 0.5], "Q": [[-1.0, 2.0], [1.0, -1.0]]}
     with pytest.raises(RowSumViolation):
         generator_from_json(obj)
+
+
+def test_generator_json_states_are_not_truncated():
+    obj = {"states": [0.0, 1.0], "pi": [0.5, 0.5], "Q": [[-1.0, 1.0], [1.0, -1.0]]}
+    assert generator_from_json(obj, n=1).states.tolist() == [0, 1]
+    with pytest.raises(measures.NotAnInteger, match="state must be an integer, got 1.7"):
+        generator_from_json(dict(obj, states=[0, 1.7]), n=1)

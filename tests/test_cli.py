@@ -499,7 +499,7 @@ def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
     ("compare-ks", {"ks": {"k_values": None}}, "TypeError", "NoneType"),
     ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": 0}},
      "IndexError", "0-dimensional"),
-    ("ineq-suite", {"seed": None}, "TypeError", "NoneType"),
+    ("ineq-suite", {"seed": None}, "usage", "seed must be an integer, got None"),
 ], ids=["path-fd", "path-list", "out-bool", "out-fd", "ks-null", "ps-scalar",
         "seed-null"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, cfg, error,
@@ -675,6 +675,127 @@ def test_sample_kdpp(tmp_path, capsys):
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     assert {int(s, 16) for s in out.read_text().split()} == {1}
+
+
+# ------------------------------------------------- integer-only numbers
+
+@pytest.mark.parametrize("ks,needle", [
+    ({"k_values": [8.7]}, "ks.k_values entry must be an integer, got 8.7"),
+    ({"k_values": [8, 1]}, "ks.k_values entries must be at least 2, got 1"),
+    ({"mu_factors": [math.nan]}, "ks.mu_factors entry must lie in (0, inf), got nan"),
+    ({"mu_factors": [1.0, -2.0]}, "ks.mu_factors entry must lie in (0, inf), got -2.0"),
+    ({"eps": -0.5}, "ks.eps must lie in (0, inf), got -0.5"),
+    ({"eps": math.nan}, "ks.eps must lie in (0, inf), got nan")],
+    ids=["k-fraction", "k-one", "mu-nan", "mu-negative", "eps-negative", "eps-nan"])
+def test_compare_ks_numbers_are_usage_errors(tmp_path, capsys, ks, needle):
+    cfg = write_cfg(tmp_path, "k.json", {"ks": ks})
+    assert main(["compare-ks", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "usage", "message": needle}
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, True, "3"],
+                         ids=["fraction", "nan", "bool", "string"])
+@pytest.mark.parametrize("key", ["seed", "function.random.seed"])
+def test_seeds_must_be_integers_before_the_walk(tmp_path, capsys, monkeypatch, key, seed):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk built before the seed was checked")
+
+    monkeypatch.setattr("srconc.chains.hermon_salez", no_walk)
+    rnd = {"kind": "table", "d": 2}
+    extra = {"seed": seed} if key == "seed" else {}
+    if key != "seed":
+        rnd["seed"] = seed
+    cfg = uniform_cfg(tmp_path, function={"random": rnd}, **extra)
+    assert main(["poincare-check", "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "usage", "message": f"{key} must be an integer, got {seed!r}"}
+
+
+def test_sample_rejects_a_fractional_seed(tmp_path, capsys):
+    cfg = uniform_cfg(tmp_path, 3, 1, count=5, seed=1.5)
+    out = tmp_path / "draws.hex"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+    assert "seed must be an integer" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+def test_integral_float_seeds_draw_like_ints(tmp_path, capsys):
+    outs = []
+    for seed in (7, 7.0):
+        outs.append(tmp_path / f"draws-{seed!r}.hex")
+        cfg = uniform_cfg(tmp_path, 4, 2, count=50, seed=seed)
+        assert main(["sample", "--config", cfg, "--out", str(outs[-1])]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+K4_GRAPH = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+UNIT_KERNEL = {"d": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command,cfg,needle", [
+    ("validate-measure", {"measure": {"family": "uniform_k_subsets", "n": 4.7, "k": 2}},
+     "measure.n must be an integer, got 4.7"),
+    ("validate-measure", {"measure": {"family": "uniform_k_subsets", "n": 4, "k": 2.2}},
+     "measure.k must be an integer, got 2.2"),
+    ("validate-measure", {"measure": {"inline": {
+        "n": 2.9, "entries": [{"mask": 1, "p": 1.0}]}}}, "n must be an integer, got 2.9"),
+    ("validate-measure", {"measure": {"inline": {
+        "n": 2, "entries": [{"mask": 1.5, "p": 1.0}]}}}, "mask must be an integer, got 1.5"),
+    ("validate-measure", {"measure": {"family": "spanning_tree",
+                                      "graph": dict(K4_GRAPH, vertices=4.9)}},
+     "vertices must be an integer, got 4.9"),
+    ("scp-check", {"measure": {"family": "spanning_tree", "graph": dict(
+        K4_GRAPH, edges=[[0, 1.7], *K4_GRAPH["edges"][1:]])}},
+     "edge endpoint must be an integer, got 1.7"),
+    ("sample", {"sampler": "wilson", "count": 5, "out": "draws.hex",
+                "graph": dict(K4_GRAPH, vertices=4.9)}, "vertices must be an integer"),
+    ("validate-measure", {"measure": {"family": "projection_dpp",
+                                      "kernel": dict(UNIT_KERNEL, d=2.5)}},
+     "kernel.d must be an integer, got 2.5"),
+    ("sample", {"sampler": "kdpp", "count": 5, "out": "draws.hex",
+                "kernel": dict(UNIT_KERNEL, d=2.5)}, "kernel.d must be an integer"),
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 1},
+                        "function": {"inline": {"d": 2.5, "values": [
+                            {"mask": m, "rows": [[1.0, 0.0], [0.0, 1.0]]} for m in (1, 2)]}}},
+     "d must be an integer, got 2.5"),
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 1},
+                        "function": {"inline": {"d": 1, "values": [
+                            {"mask": 1, "rows": [[1.0]]}, {"mask": 2.5, "rows": [[0.0]]}]}}},
+     "mask must be an integer, got 2.5"),
+], ids=["uniform-n", "uniform-k", "inline-n", "inline-mask", "graph-vertices",
+        "graph-endpoint", "wilson-vertices", "kernel-d", "kdpp-d", "function-d",
+        "function-mask"])
+def test_json_readers_reject_non_integral_counts_and_masks(tmp_path, capsys, monkeypatch,
+                                                           command, cfg, needle):
+    monkeypatch.chdir(tmp_path)  # the relative out, if anything wrote it
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and needle in err["message"]
+    assert captured.out == "" and not (tmp_path / "draws.hex").exists()
+
+
+def test_json_readers_take_integral_floats(tmp_path, capsys):
+    payloads = []
+    for spec in ({"family": "uniform_k_subsets", "n": 4, "k": 2},
+                 {"family": "uniform_k_subsets", "n": 4.0, "k": 2.0},
+                 {"family": "spanning_tree", "graph": K4_GRAPH},
+                 {"family": "spanning_tree", "graph": {
+                     "vertices": 4.0, "edges": [[float(u), float(v)]
+                                                for u, v in K4_GRAPH["edges"]]}},
+                 {"inline": {"n": 2, "entries": [{"mask": 1, "p": 0.5}, {"mask": 2, "p": 0.5}]}},
+                 {"inline": {"n": 2.0, "entries": [{"mask": 1.0, "p": 0.5},
+                                                   {"mask": 2.0, "p": 0.5}]}},
+                 {"family": "projection_dpp", "kernel": UNIT_KERNEL},
+                 {"family": "projection_dpp", "kernel": dict(UNIT_KERNEL, d=2.0)}):
+        code, payload = run_json(capsys, ["validate-measure", "--config", write_cfg(
+            tmp_path, "c.json", {"measure": spec})])
+        assert code == 0
+        payloads.append(payload)
+    assert payloads[0::2] == payloads[1::2]
 
 
 # ----------------------------------------------------------------- plumbing

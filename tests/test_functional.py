@@ -119,7 +119,7 @@ def test_dirichlet_form_double_loop_oracle():
     w = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
     fn = random_matrix_fn(w.states, 3, seed=1)
     vals = fn.gather(w.states)
-    got = dirichlet_form(w.rates, w.pi, vals)
+    got = dirichlet_form(w, vals)
     m = w.states.size
     ref = np.zeros((3, 3))
     for x in range(m):
@@ -136,14 +136,14 @@ def test_dirichlet_form_scalar_quadratic_identity():
     rng = np.random.default_rng(2)
     f = rng.standard_normal(w.states.size)
     vals = f[:, None, None] * np.eye(1)
-    e = dirichlet_form(w.rates, w.pi, vals)[0, 0]
+    e = dirichlet_form(w, vals)[0, 0]
     assert e == pytest.approx(float((w.pi * f) @ (-w.rates @ f)))
 
 
 def test_dirichlet_form_constant_zero():
     w = chains.hermon_salez(measures.make_uniform_k_subsets(3, 1))
     vals = np.broadcast_to(np.diag([1.0, 5.0]), (3, 2, 2))
-    assert np.abs(dirichlet_form(w.rates, w.pi, vals)).max() == 0.0
+    assert np.abs(dirichlet_form(w, vals)).max() == 0.0
 
 
 # ------------------------------------------------- two-level decompositions

@@ -313,3 +313,10 @@ def test_matrix_json_roundtrip():
     assert np.allclose(back, a, atol=1e-15)
     with pytest.raises(DimMismatch):
         mc.matrix_from_json({"d": 2, "rows": [[1.0, 0.0, 0.0]]})
+
+
+def test_matrix_json_d_is_compared_not_truncated():
+    rows = [[1.0, 0.0], [0.0, 2.0]]
+    assert np.array_equal(mc.matrix_from_json({"d": 2.0, "rows": rows}), rows)
+    with pytest.raises(DimMismatch, match="d=2.5"):
+        mc.matrix_from_json({"d": 2.5, "rows": rows})

@@ -1,4 +1,5 @@
 import itertools
+import re
 import signal
 import tracemalloc
 
@@ -497,6 +498,18 @@ def test_graph_from_json():
     vertices, edges = measures.graph_from_json(
         {"vertices": 3, "edges": [[0, 1], [1, 2]]})
     assert vertices == 3 and edges == [(0, 1), (1, 2)]
+
+
+def test_as_integer_is_the_one_integer_rule():
+    assert [measures.as_integer(v, "x") for v in (4, 4.0, np.int64(4), -2.0)] == [4, 4, 4, -2]
+    for bad in (4.5, float("nan"), float("inf"), True, np.bool_(True), "4", None, [4]):
+        with pytest.raises(measures.NotAnInteger,
+                           match=re.escape(f"x must be an integer, got {bad!r}")):
+            measures.as_integer(bad, "x")
+    with pytest.raises(measures.NotAnInteger):
+        measures.graph_from_json({"vertices": 3, "edges": [[0, 1], [1, 2.5]]})
+    with pytest.raises(measures.NotAnInteger):
+        measures.measure_from_json({"n": 1.5, "entries": [{"mask": 0, "p": 1.0}]})
 
 
 def test_feasible_coupling_reports_shortfall():

@@ -231,7 +231,7 @@ def pairwise_oscillation(walk, fn, mode):
 def test_edge_dirichlet_form_matches_dense_einsum(case):
     walk, fn = case
     vals = fn.gather(walk.states)
-    got = dirichlet_form(walk.rates, walk.pi, vals)
+    got = dirichlet_form(walk, vals)
     ref = dense_dirichlet(walk.rates, walk.pi, vals)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
