@@ -163,16 +163,17 @@ def doubling_value(weights, values, k: int) -> float:
 
     F is diagonalized once and its eigenvalues divided by 2^k, which is
     exact, so this is bit for bit the value from diagonalizing F/2^k.
-    E[e^{F/2^k}] - I, of order 2^-k, is summed from expm1 of those
-    eigenvalues, so it keeps its digits at depth, and the power is
-    exp(2^k log1p(mu)) over its eigenvalues mu.
+    E[e^{F/2^k}] - I, of order 2^-k, is one GEMM of the stacked eigenvectors
+    scaled by expm1 of those eigenvalues, so it keeps its digits at depth,
+    and the power is exp(2^k log1p(mu)) over its eigenvalues mu.
     """
     weights = np.asarray(weights, dtype=float)
     return _doubling(weights, *np.linalg.eigh(np.asarray(values, dtype=float)), k)
 
 
 def _doubling(weights: np.ndarray, lam: np.ndarray, vec: np.ndarray, k: int) -> float:
-    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam / float(2**k)), vec)
+    cols = vec.transpose(1, 0, 2).reshape(vec.shape[1], -1)  # cols[i, (x, j)] = vec[x, i, j]
+    excess = (cols * (weights[:, None] * np.expm1(lam / float(2**k))).ravel()) @ cols.T
     mu = np.linalg.eigvalsh(excess)
     # a mean of positive definite matrices is positive definite: mu > -1
     return float(np.exp(float(2**k) * np.log1p(mu)).sum())

@@ -320,6 +320,19 @@ def test_ineq_suite_rejects_bad_dims(tmp_path, capsys, dims):
     assert json.loads(captured.err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("tol,code,duhamel", [(1e-8, 0, 0), (0.0, 3, 40)])
+def test_ineq_suite_output_is_pinned(tmp_path, capsys, tol, code, duhamel):
+    """Byte for byte what the suite printed when each quadrature was a loop over
+    its 64 nodes; at tol 0 no Duhamel residual is below the tolerance."""
+    cfg = write_cfg(tmp_path, "i.json", {"trials": 40, "tol": tol, "dims": [1, 2, 5, 8]})
+    assert main(["ineq-suite", "--config", cfg, "--seed", "5"]) == code
+    names = ("diff_square_convex", "dirichlet_trace", "int_norm", "jensen_quartic_trace",
+             "jensen_square_operator", "lemma_var", "trace_monotone")
+    want = {"all_passed": code == 0, "trials": 40,
+            "violations": {**dict.fromkeys(names, 0), "duhamel": duhamel}}
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_ineq_suite_trials_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "i.json", {"trials": 50})
     code, payload = run_json(capsys, ["ineq-suite", "--config", cfg,

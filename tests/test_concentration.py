@@ -260,9 +260,19 @@ def test_doubling_huge_depth_stable():
 
 
 def per_depth_doubling_value(weights, values, k: int) -> float:
-    """The ladder value with F/2^k diagonalized afresh at each depth."""
+    """The ladder value with F/2^k diagonalized afresh at each depth, through
+    the library's contraction (one GEMM over the stacked eigenvectors)."""
     lam, vec = np.linalg.eigh(values / float(2**k))
-    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam), vec)
+    cols = vec.transpose(1, 0, 2).reshape(vec.shape[1], -1)
+    excess = (cols * (weights[:, None] * np.expm1(lam)).ravel()) @ cols.T
+    mu = np.linalg.eigvalsh(excess)
+    return float(np.exp(float(2**k) * np.log1p(mu)).sum())
+
+
+def einsum_doubling_value(weights, values, k: int) -> float:
+    """The ladder value with the four-operand einsum contraction the GEMM replaced."""
+    lam, vec = np.linalg.eigh(values)
+    excess = np.einsum("x,xij,xj,xkj->ik", weights, vec, np.expm1(lam / float(2**k)), vec)
     mu = np.linalg.eigvalsh(excess)
     return float(np.exp(float(2**k) * np.log1p(mu)).sum())
 
@@ -283,6 +293,24 @@ def test_one_eigendecomposition_ladder_matches_per_depth_reference(fixture_walks
         av2 = rep.alpha_v_sq
         assert rep.slacks.tolist() == [ref[k] - (1.0 - av2 * (1.0 - 0.5**k)) * ref[0]
                                        for k in depths[1:]], name
+
+
+def test_gemm_ladder_matches_the_einsum_contraction(fixture_walks):
+    """The one-GEMM contraction sums in another order than the einsum: values
+    agree to 1e-13 relative and slacks to 1e-13 of the induction check's scale."""
+    depths = range(61)
+    for i, (name, gen) in enumerate(fixture_walks.items()):
+        lam = functional.scalar_spectral_gap(gen)
+        fn = scaled_fn(gen, random_matrix_fn(gen.states, 2 + i % 3, seed=name_seed(name)),
+                       lam, 0.9)
+        vals = fn.gather(gen.states)
+        ref = [einsum_doubling_value(gen.pi, vals, k) for k in depths]
+        got = [doubling_value(gen.pi, vals, k) for k in depths]
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), name
+        rep = check_induction_statement(gen, fn, lam, k_max=60)
+        av2 = rep.alpha_v_sq
+        want = [ref[k] - (1.0 - av2 * (1.0 - 0.5**k)) * ref[0] for k in depths[1:]]
+        assert rep.slacks == pytest.approx(want, rel=0.0, abs=1e-13 * max(1.0, abs(ref[0]))), name
 
 
 # ----------------------------------------------------------------- induction

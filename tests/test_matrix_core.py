@@ -148,6 +148,18 @@ def test_identity_decomposition_validation():
         IdentityDecomposition((np.eye(2), np.eye(2))).validate()
 
 
+def test_identity_decomposition_rejects_nan():
+    # a NaN defect or weight compares False both ways, so it must fail the test
+    with pytest.raises(BadDecomposition):
+        IdentityDecomposition((np.full((2, 2), np.nan),)).validate()
+    for weights in ([np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5]):
+        with pytest.raises(BadDecomposition):
+            IdentityDecomposition.from_weights(weights, 2)
+    nan_factor = IdentityDecomposition((np.eye(2), np.full((2, 2), np.nan)))
+    with pytest.raises(BadDecomposition):
+        check_operator_jensen(np.square, nan_factor, [np.eye(2), np.eye(2)], "operator")
+
+
 def test_jensen_single_factor_equality():
     dec = IdentityDecomposition((np.eye(3),))
     a = random_symmetric(np.random.default_rng(2), 3, 1.0)
@@ -297,6 +309,9 @@ def test_lemma_var_rejects_bad_weights():
     a = np.eye(2)
     with pytest.raises(PreconditionViolated):
         check_lemma_var([(0.7, a, a), (0.7, a, a)], 1)
+    for pairs in ([(np.nan, a, a), (1.0, a, a)], [(np.nan, a, a)]):
+        with pytest.raises(PreconditionViolated):
+            check_lemma_var(pairs, 1)
 
 
 def test_random_symmetric_norm_bound():
@@ -320,3 +335,97 @@ def test_matrix_json_d_is_compared_not_truncated():
     assert np.array_equal(mc.matrix_from_json({"d": 2.0, "rows": rows}), rows)
     with pytest.raises(DimMismatch, match="d=2.5"):
         mc.matrix_from_json({"d": 2.5, "rows": rows})
+    with pytest.raises(DimMismatch, match="d=True"):  # (1, 1) == (True, True)
+        mc.matrix_from_json({"d": True, "rows": [[2.0]]})
+
+
+# ------------------------------------ quadratures against the per-node loops
+
+def loop_duhamel_residual(x, y, quad_points):
+    """The per-node loop the eigenbasis rule replaced: e^{tX}(X-Y)e^{(1-t)Y}
+    formed from d x d products at each Gauss-Legendre node."""
+    x, y = mc.require_symmetric(x), mc.require_symmetric(y)
+    lx, ux = np.linalg.eigh(x)
+    ly, uy = np.linalg.eigh(y)
+    nodes, weights = mc._gl_nodes(quad_points)
+    acc = np.zeros_like(x)
+    for t, w in zip(nodes, weights):
+        left = (ux * np.exp(t * lx)) @ ux.T
+        right = (uy * np.exp((1 - t) * ly)) @ uy.T
+        acc += w * (left @ (x - y) @ right)
+    target = (ux * np.exp(lx)) @ ux.T - (uy * np.exp(ly)) @ uy.T
+    return spectral_norm(target - acc)
+
+
+def loop_int_norm_integral(a, b, x):
+    """The per-node loop for int_0^1 a^t x b^(1-t) dt, on the clipped eigenpairs."""
+    (la, ua), (lb, ub) = mc._psd_eigh(a, "a"), mc._psd_eigh(b, "b")
+    nodes, weights = mc._gl_nodes(mc.DEFAULT_QUAD_POINTS)
+    acc = np.zeros_like(x)
+    for t, w in zip(nodes, weights):
+        left = (ua * la**t) @ ua.T
+        right = (ub * lb ** (1 - t)) @ ub.T
+        acc += w * (left @ x @ right)
+    return acc
+
+
+def assert_duhamel_agrees(x, y, quad_points=mc.DEFAULT_QUAD_POINTS, tol=1e-8):
+    got, want = duhamel_residual(x, y, quad_points), loop_duhamel_residual(x, y, quad_points)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert (got < tol) == (want < tol)
+
+
+INT_NORM_TOLS = (1e-8, 0.0, -1e-2, -0.3)  # the negative ones make both verdicts occur
+
+
+def int_norm_verdicts(a, b, x, p):
+    """(new verdicts, loop verdicts) at each tolerance, after checking that the
+    two integrals agree within 1e-12 of the loop's max-norm."""
+    a, b, x = (mc.require_symmetric(m) for m in (a, b, x))
+    want = loop_int_norm_integral(a, b, x)
+    got = mc._gl_integral(x, *mc._psd_eigh(a, "a"), *mc._psd_eigh(b, "b"),
+                          np.power.outer, mc.DEFAULT_QUAD_POINTS)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    lhs, rhs = schatten_norm(want, p), 0.5 * schatten_norm(a @ x + x @ b, p)
+    return ([check_int_norm_bound(a, b, x, p, tol) for tol in INT_NORM_TOLS],
+            [bool(lhs <= rhs + tol * max(1.0, rhs)) for tol in INT_NORM_TOLS])
+
+
+def test_duhamel_matches_the_loop_on_criterion5_streams():
+    for trial in range(1000):  # criterion 5's duhamel stream (index 5), dims 3 and 4
+        rng = np.random.default_rng([5, 5, trial])
+        d = (3, 4)[trial % 2]
+        assert_duhamel_agrees(random_symmetric(rng, d, 2.0), random_symmetric(rng, d, 2.0))
+
+
+def test_duhamel_matches_the_loop_on_random_pairs():
+    rng = np.random.default_rng(2024)
+    for trial in range(600):
+        d, bound = int(rng.integers(1, 9)), float(rng.uniform(0.1, 6.0))
+        x, y = random_symmetric(rng, d, bound), random_symmetric(rng, d, bound)
+        assert_duhamel_agrees(x, y, (2, 8, 64)[trial % 3])  # coarse rules miss 1e-8
+
+
+def test_int_norm_matches_the_loop_on_criterion5_streams():
+    verdicts = set()
+    for trial in range(1000):  # criterion 5's int_norm stream (index 4), dims 3 and 4
+        rng = np.random.default_rng([5, 4, trial])
+        d = (3, 4)[trial % 2]
+        a, b, x = (random_symmetric(rng, d, 1.5) for _ in range(3))
+        p = (2, 4, np.inf)[int(rng.integers(3))]
+        got, want = int_norm_verdicts(a @ a.T, b @ b.T, x, p)
+        assert got == want, trial
+        verdicts.update(got)
+    assert verdicts == {True, False}
+
+
+def test_int_norm_matches_the_loop_on_random_pairs():
+    rng = np.random.default_rng(2025)
+    for trial in range(300):
+        d = int(rng.integers(1, 9))
+        g1, g2 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        rank = int(rng.integers(0, d + 1))  # singular a: eigenvalues clipped to 0
+        a = g1[:, :rank] @ g1[:, :rank].T
+        x = random_symmetric(rng, d, float(rng.uniform(0.1, 6.0)))
+        got, want = int_norm_verdicts(a, g2 @ g2.T, x, (2, 4, np.inf)[trial % 3])
+        assert got == want, trial
