@@ -7,6 +7,9 @@ One JSON config document drives every subcommand; --seed, --tol,
 violated, 4 internal numeric failure.  Validation failures emit a
 machine-readable {"error": ..., "message": ...} JSON object.  Config
 numbers are range-checked before any walk is built or draw is made.
+
+Each command imports the layers it calls when it runs, so a start-up pays
+only for those: `compare-ks` loads `ks` and no walk layer.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from . import chains, concentration, functional, matrix_core, measures, samplers
+from . import measures
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +106,10 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
         return measures.make_uniform_k_subsets(measures.as_integer(spec["n"], "measure.n"),
                                                measures.as_integer(spec["k"], "measure.k"))
     if family == "bernoulli_product":
-        return measures.make_bernoulli_product(spec["ps"])
+        ps = spec["ps"]
+        if isinstance(ps, list):
+            ps = [measures.as_real(p, "measure.ps entry") for p in ps]
+        return measures.make_bernoulli_product(ps)
     if family == "spanning_tree":
         vertices, edges = measures.graph_from_json(spec["graph"])
         return measures.make_spanning_tree_measure(edges, vertices)
@@ -114,6 +120,7 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
 
 def _kernel(obj: dict) -> np.ndarray:
     """A kernel config; a non-finite entry is invalid input, not a numeric failure."""
+    from . import matrix_core
     measures.as_integer(obj["d"], "kernel.d")
     try:
         return matrix_core.matrix_from_json(obj)
@@ -124,6 +131,7 @@ def _kernel(obj: dict) -> np.ndarray:
 def _build_function(cfg: dict):
     """From the 'function' config, a maker (states, n) -> (MatrixFn, lipschitz
     or None); the numbers of a random spec are checked here, before any walk."""
+    from . import functional
     spec = cfg.get("function")
     if not isinstance(spec, dict):
         raise UsageError("config needs a 'function' object")
@@ -157,6 +165,7 @@ def cmd_validate_measure(cfg: dict) -> int:
 
 
 def cmd_scp_check(cfg: dict) -> int:
+    from . import chains
     m = _load_measure(cfg)
     result = chains.scp_check(m)
     payload = {"scp": bool(result), "witness": None}
@@ -169,6 +178,7 @@ def cmd_scp_check(cfg: dict) -> int:
 
 
 def _walk_summary(m):
+    from . import chains, functional
     raw = chains.flip_swap_average(m)
     walk = chains.normalized(raw)
     chains.validate_generator(walk)
@@ -180,6 +190,7 @@ def _walk_summary(m):
 
 
 def cmd_build_walk(cfg: dict) -> int:
+    from . import chains
     m = _load_measure(cfg)
     raw, walk, gap, k, bound = _walk_summary(m)
     payload = chains.generator_to_json(walk)
@@ -199,6 +210,7 @@ def cmd_build_walk(cfg: dict) -> int:
 def _certify_setup(cfg: dict, read_lambda: bool):
     """(measure, walk, function, lipschitz or None, lam): lam is the config's
     "lambda" when read_lambda and it is given, else the walk's spectral gap."""
+    from . import chains, functional
     lam = None
     if read_lambda and "lambda" in cfg:
         lam = _bounded(cfg["lambda"], "lambda", math.inf)
@@ -212,6 +224,7 @@ def _certify_setup(cfg: dict, read_lambda: bool):
 
 
 def cmd_poincare_check(cfg: dict) -> int:
+    from . import functional
     _, walk, fn, _, lam = _certify_setup(cfg, True)
     report = functional.check_matrix_poincare(walk, fn, lam, cfg["tol"])
     _emit({"lambda": report.lambda_claimed, "min_eig_slack": report.min_eig_slack,
@@ -230,7 +243,7 @@ def _positive(value, name: str) -> int:
 def _bounded(value, name: str, upper: float, zero_ok: bool = False) -> float:
     """value as a float, or a UsageError unless it lies in (0, upper), or in
     [0, upper) when zero_ok."""
-    x = float(value)
+    x = measures.as_real(value, name)
     if not (0.0 <= x if zero_ok else 0.0 < x) or not x < upper:  # also rejects NaN
         raise UsageError(f"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}")
     return x
@@ -251,6 +264,7 @@ def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
 
 
 def cmd_ineq_suite(cfg: dict) -> int:
+    from . import chains, concentration, functional, matrix_core
     trials = _positive(cfg["trials"], "trials")
     seed, tol = cfg["seed"], cfg["tol"]
     dims = cfg.get("dims", [3, 4])
@@ -330,6 +344,7 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
 
 def cmd_mgf(cfg: dict) -> int:
+    from . import concentration
     grid_cfg, points = _grid(cfg, "theta_grid", 20)
     frac = _bounded(grid_cfg.get("max_fraction", 0.9), "theta_grid.max_fraction", 1.0)
     _, walk, fn, _, lam = _certify_setup(cfg, True)
@@ -345,6 +360,7 @@ def cmd_mgf(cfg: dict) -> int:
 
 
 def cmd_tail(cfg: dict) -> int:
+    from . import concentration, matrix_core
     grid_cfg, points = _grid(cfg, "t_grid", 50)
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "empirical"):
@@ -367,6 +383,7 @@ def cmd_tail(cfg: dict) -> int:
     if mode == "exact":
         probs, cis = spectrum.tail(ts), [None] * points
     else:
+        from . import samplers
         batch = samplers.sample_table(m, cfg["seed"], count)
         emp = samplers.sampled_tail(walk.states, spectrum.devs, batch, ts)
         probs, cis = [r.estimate for r in emp], [r.ci_upper for r in emp]
@@ -389,6 +406,7 @@ def cmd_tail(cfg: dict) -> int:
 
 
 def cmd_compare_ks(cfg: dict) -> int:
+    from . import ks
     ks_cfg = _section(cfg, "ks")
     k_values = [measures.as_integer(k, "ks.k_values entry")
                 for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
@@ -402,9 +420,9 @@ def cmd_compare_ks(cfg: dict) -> int:
     rows = []
     for k in k_values:
         eps_k = 1.0 / math.sqrt(k) if eps is None else eps
-        mu_star = concentration.ks_crossover_threshold(k, eps_k)
+        mu_star = ks.ks_crossover_threshold(k, eps_k)
         for f in factors:
-            rec = concentration.ks_crossover(k, f * mu_star, eps_k, c)
+            rec = ks.ks_crossover(k, f * mu_star, eps_k, c)
             rows.append([rec.k, rec.mu, rec.eps, rec.lhs, rec.rhs,
                          str(rec.ours_better), rec.margin, str(rec.near_crossover),
                          rec.exponent_sr, rec.exponent_ks, rec.dominator])
@@ -415,6 +433,7 @@ def cmd_compare_ks(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
+    from . import samplers
     out = cfg.get("out")
     if not out:
         raise UsageError("sample needs --out for the batch dump")
@@ -448,14 +467,23 @@ COMMANDS = {
     "sample": cmd_sample,
 }
 
-VALIDATION_ERRORS = (measures.MeasureError, chains.ChainError,
-                     functional.FunctionalError, matrix_core.DimMismatch,
-                     matrix_core.NotSymmetric, matrix_core.PreconditionViolated,
-                     matrix_core.BadDecomposition, matrix_core.NotPSD)
+# The library errors main reports, by the layer that defines them.  main
+# reads them when an exception reaches it, and only from the layers imported
+# by then: a layer that was never imported cannot have raised.
+VALIDATION_ERRORS = {
+    "measures": ("MeasureError",), "chains": ("ChainError",),
+    "functional": ("FunctionalError",),
+    "matrix_core": ("DimMismatch", "NotSymmetric", "PreconditionViolated",
+                    "BadDecomposition", "NotPSD")}
 
-NUMERIC_ERRORS = (matrix_core.NonFinite, np.linalg.LinAlgError,
-                  concentration.ConcentrationError, FloatingPointError,
-                  OverflowError, MemoryError)
+NUMERIC_ERRORS = {"matrix_core": ("NonFinite",), "concentration": ("ConcentrationError",)}
+
+
+def _loaded(errors: dict, *builtin: type) -> tuple:
+    """builtin and the classes of errors whose layer is in sys.modules."""
+    return (*builtin, *(getattr(sys.modules[f"{__package__}.{layer}"], name)
+                        for layer, names in errors.items()
+                        if f"{__package__}.{layer}" in sys.modules for name in names))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,13 +509,14 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, {"seed": args.seed, "tol": args.tol,
                                          "trials": args.trials, "out": args.out})
         return COMMANDS[args.command](cfg)
-    except (UsageError, measures.NotAnInteger) as exc:
+    except (UsageError, measures.NotANumber) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except NUMERIC_ERRORS as exc:
+    except _loaded(NUMERIC_ERRORS, np.linalg.LinAlgError, FloatingPointError,
+                   OverflowError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_NUMERIC
-    except VALIDATION_ERRORS as exc:
+    except _loaded(VALIDATION_ERRORS) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_VALIDATION
     except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:

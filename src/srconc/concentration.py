@@ -324,49 +324,6 @@ def ks_bound(eps: float, mu: float, k: int, d: int, c: float = 1.0) -> float:
     return float(d) * math.exp(-c * eps * eps * mu / (math.log(k) + eps))
 
 
-@dataclass(frozen=True)
-class KsCrossover:
-    k: int
-    mu: float
-    eps: float
-    lhs: float                  # k + eps mu sqrt(k)
-    rhs: float                  # mu log k + eps mu
-    ours_better: bool           # lhs <= rhs
-    margin: float               # (rhs - lhs) / max(1, |lhs|, |rhs|)
-    near_crossover: bool
-    exponent_sr: float          # t^2 / (32 (k + t sqrt(k))) at t = eps mu, L = 1
-    exponent_ks: float          # c eps^2 mu / (log k + eps)
-    dominator: str              # which closed form decays faster
-
-
-def ks_crossover(k: int, mu: float, eps: float, c: float = 1.0) -> KsCrossover:
-    """Evaluate the exponent comparison at t = eps * mu with unit Lipschitz."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    lhs = k + eps * mu * math.sqrt(k)
-    rhs = mu * math.log(k) + eps * mu
-    t = eps * mu
-    exp_sr = t * t / (32.0 * (k + t * math.sqrt(k))) if t > 0 else 0.0
-    exp_ks = c * eps * eps * mu / (math.log(k) + eps)
-    margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-    return KsCrossover(int(k), float(mu), float(eps), float(lhs), float(rhs),
-                       lhs <= rhs, float(margin), abs(margin) <= 0.1,
-                       float(exp_sr), float(exp_ks),
-                       "sr" if exp_sr >= exp_ks else "ks")
-
-
-def ks_crossover_threshold(k: int, eps: float) -> float:
-    """Smallest mu with k + eps mu sqrt(k) <= mu log k + eps mu.
-
-    The comparison is affine in mu, so the threshold is k / slope with
-    slope = log k + eps - eps sqrt(k), and infinite when slope <= 0.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    slope = math.log(k) + eps - eps * math.sqrt(k)
-    return k / slope if slope > 0.0 else float("inf")
-
-
 # ---------------------------------------------------------------------------
 # tail report plumbing
 

@@ -72,7 +72,11 @@ class MaskOutOfRange(MeasureError):
     pass
 
 
-class NotAnInteger(ValueError):
+class NotANumber(ValueError):
+    """A number read from input that is not one: a bool, a string, a list."""
+
+
+class NotAnInteger(NotANumber):
     """A count, size or mask read from input that is not an integral number."""
 
 
@@ -83,6 +87,15 @@ def as_integer(value, name: str) -> int:
             or isinstance(value, float) and not value.is_integer():
         raise NotAnInteger(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """value as a float, or NotANumber unless it is an int or a float (a bool
+    or a string is not; NaN is, and is left to the caller's range check):
+    the one real-number rule of every reader."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float, np.floating)):
+        raise NotANumber(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def popcount(masks):
@@ -537,7 +550,7 @@ def measure_from_json(obj: dict) -> SubsetMeasure:
             raise MaskOutOfRange(f"mask {mask} outside [0, {1 << n}) for n={n}")
         if mask in entries:
             raise MeasureError(f"mask {mask} is listed twice")
-        entries[mask] = float(entry["p"])
+        entries[mask] = as_real(entry["p"], "p")
     masks = sorted(mask for mask, p in entries.items() if p != 0.0)
     m = SubsetMeasure(n, masks, [entries[mask] for mask in masks])
     validate(m)

@@ -23,6 +23,7 @@ from srconc import (
     measures,
     samplers,
 )
+from srconc.ks import ks_crossover, ks_crossover_threshold
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -343,7 +344,7 @@ def test_criterion_10_crossover():
         k = int(rng.integers(2, 2000))
         mu = float(rng.uniform(0.5, 500))
         eps = float(rng.uniform(0.001, 2.0))
-        rec = cc.ks_crossover(k, mu, eps)
+        rec = ks_crossover(k, mu, eps)
         lhs = k + eps * mu * math.sqrt(k)
         rhs = mu * math.log(k) + eps * mu
         assert rec.lhs == lhs and rec.rhs == rhs
@@ -353,13 +354,13 @@ def test_criterion_10_crossover():
     margins = []
     for k in ks:
         eps = 1.0 / math.sqrt(k)
-        mu_star = cc.ks_crossover_threshold(k, eps)
+        mu_star = ks_crossover_threshold(k, eps)
         lo = k / (2 * math.log(k))
         hi = 2 * k / math.log(k)
         margins.append((mu_star - lo, hi - mu_star))
         assert lo <= mu_star <= hi, (k, mu_star, lo, hi)
-        assert not cc.ks_crossover(k, mu_star * 0.999, eps).ours_better
-        assert cc.ks_crossover(k, mu_star * 1.001, eps).ours_better
+        assert not ks_crossover(k, mu_star * 0.999, eps).ours_better
+        assert ks_crossover(k, mu_star * 1.001, eps).ours_better
     record(10, True,
            f"comparator exact on 200 random triples; mu* inside "
            f"[k/(2 log k), 2k/log k] for k in {ks}")

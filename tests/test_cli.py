@@ -393,13 +393,20 @@ def test_grid_needs_a_point(tmp_path, capsys, command, grid):
     ("tail", "t_grid", {"max": -1.0}),
     ("tail", "ks", {"c": math.nan}), ("tail", "ks", {"c": 0.0}),
     ("compare-ks", "ks", {"c": math.nan}), ("compare-ks", "ks", {"c": math.inf}),
-    ("tail", "t_grid", {"points": 2.5}), ("mgf", "theta_grid", {"points": True})],
+    ("tail", "t_grid", {"points": 2.5}), ("mgf", "theta_grid", {"points": True}),
+    ("poincare-check", "tol", "1e-8"), ("poincare-check", "tol", True),
+    ("poincare-check", "lambda", "0.5"), ("mgf", "theta_grid", {"max_fraction": True}),
+    ("tail", "t_grid", {"max": "2"}), ("tail", "ks", {"c": True}),
+    ("compare-ks", "ks", {"c": True}), ("compare-ks", "ks", {"mu_factors": ["2"]}),
+    ("compare-ks", "ks", {"eps": "0.5"})],
     ids=["theta-list", "theta-no-points", "t-int", "t-no-points", "mode", "ks-int",
          "lambda-nan", "lambda-inf", "lambda-negative", "lambda-zero",
          "mgf-lambda-nan", "mgf-lambda-inf", "fraction-nan", "fraction-2",
          "fraction-1", "fraction-negative", "t-max-nan", "t-max-inf",
          "t-max-negative", "ks-c-nan", "ks-c-zero", "compare-ks-c-nan",
-         "compare-ks-c-inf", "t-points-fraction", "theta-points-bool"])
+         "compare-ks-c-inf", "t-points-fraction", "theta-points-bool",
+         "tol-string", "tol-bool", "lambda-string", "fraction-bool", "t-max-string",
+         "ks-c-bool", "compare-ks-c-bool", "compare-ks-mu-string", "compare-ks-eps-string"])
 def test_bad_grid_or_mode_fails_before_the_walk(tmp_path, capsys, monkeypatch,
                                                 command, key, value):
     def no_walk(*args, **kwargs):
@@ -513,8 +520,16 @@ def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
     ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": 0}},
      "IndexError", "0-dimensional"),
     ("ineq-suite", {"seed": None}, "usage", "seed must be an integer, got None"),
+    ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": ["0.5", True]}},
+     "usage", "measure.ps entry must be a real number, got '0.5'"),
+    ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": [0.5, True]}},
+     "usage", "measure.ps entry must be a real number, got True"),
+    ("validate-measure", {"measure": {"inline": {
+        "n": 1, "entries": [{"mask": 0, "p": "0.5"}, {"mask": 1, "p": 0.5}]}}},
+     "usage", "p must be a real number, got '0.5'"),
+    ("validate-measure", {"tol": "1e-8"}, "usage", "tol must be a real number, got '1e-8'"),
 ], ids=["path-fd", "path-list", "out-bool", "out-fd", "ks-null", "ps-scalar",
-        "seed-null"])
+        "seed-null", "ps-string", "ps-bool", "inline-p-string", "tol-string"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, cfg, error,
                                            needle):
     code = main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
@@ -850,6 +865,73 @@ def test_cli_import_skips_scipy():
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+WALK_LAYERS = {"cli", "measures", "matrix_core", "chains"}
+CERTIFY_LAYERS = WALK_LAYERS | {"functional"}
+TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
+
+
+@pytest.mark.parametrize("command,extra,layers", [
+    ("compare-ks", None, {"cli", "measures", "ks"}),
+    ("validate-measure", {}, {"cli", "measures"}),
+    ("scp-check", {}, WALK_LAYERS),
+    ("build-walk", {}, CERTIFY_LAYERS),
+    ("poincare-check", {}, CERTIFY_LAYERS),
+    ("mgf", {}, TAIL_LAYERS),
+    ("tail", {}, TAIL_LAYERS),
+    ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | {"samplers"}),
+    ("sample", {"count": 5, "out": "draws.hex"}, TAIL_LAYERS | {"samplers"}),
+], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
+        "mgf", "tail", "tail-empirical", "sample"])
+def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
+    argv = [command]
+    if extra is not None:
+        argv += ["--config", uniform_cfg(tmp_path, 4, 2, function={"random": {
+            "kind": "table", "d": 2}}, **extra)]
+    code = ("import json, sys; from srconc.cli import main; "
+            f"code = main({argv!r}); "
+            "print(json.dumps([code, sorted(m.removeprefix('srconc.') for m in sys.modules "
+            "if m.startswith('srconc.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers)]
+
+
+def test_package_import_loads_no_layer():
+    code = ("import sys, srconc; "
+            "print(sorted(m for m in sys.modules if m.startswith('srconc.'))); "
+            "print(srconc.chains is sys.modules['srconc.chains'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
+
+
+NON_SCP = {"inline": {"n": 2, "entries": [{"mask": 0, "p": 0.5}, {"mask": 3, "p": 0.5}]}}
+
+
+@pytest.mark.parametrize("command,cfg,code,error", [
+    ("build-walk", {"measure": NON_SCP}, 2, "InfeasibleCoupling"),
+    ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
+        "d": 2, "rows": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}}, 2, "DimMismatch"),
+    ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
+        "d": 2, "rows": [[1.0, 0.5], [0.0, 0.0]]}}}, 2, "NotSymmetric"),
+    # one ulp below 1, this seed's largest theta lands on the radius by rounding
+    ("mgf", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+             "function": {"random": {"kind": "table", "d": 2, "seed": 6}},
+             "theta_grid": {"max_fraction": 0.9999999999999999, "points": 1}},
+     4, "OutOfRadius"),
+], ids=["chains", "matrix-core-shape", "matrix-core-symmetry", "concentration"])
+def test_each_layer_error_keeps_its_exit_code(tmp_path, command, cfg, code, error):
+    """main reads a layer's error classes only once the command has imported
+    the layer, so each case runs in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "srconc.cli", command, "--config",
+                           write_cfg(tmp_path, "c.json", cfg)],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout)["error"] == error
 
 
 def test_console_script_installed(tmp_path):

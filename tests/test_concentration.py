@@ -20,8 +20,6 @@ from srconc.concentration import (
     doubling_value,
     exact_tail,
     ks_bound,
-    ks_crossover,
-    ks_crossover_threshold,
     laplace_tail,
     mgf_bound,
     oscillation,
@@ -31,6 +29,7 @@ from srconc.concentration import (
     trace_mgf,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
+from srconc.ks import ks_crossover, ks_crossover_threshold
 
 from conftest import K4_EDGES, name_seed
 

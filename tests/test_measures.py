@@ -512,6 +512,20 @@ def test_as_integer_is_the_one_integer_rule():
         measures.measure_from_json({"n": 1.5, "entries": [{"mask": 0, "p": 1.0}]})
 
 
+def test_as_real_is_the_one_real_number_rule():
+    got = [measures.as_real(v, "x") for v in (4, 0.5, np.int64(4), np.float32(0.5), -2.0)]
+    assert got == [4.0, 0.5, 4.0, 0.5, -2.0] and all(type(x) is float for x in got)
+    assert np.isnan(measures.as_real(float("nan"), "x"))  # left to the range checks
+    for bad in (True, np.bool_(False), "0.5", None, [0.5]):
+        with pytest.raises(measures.NotANumber,
+                           match=re.escape(f"x must be a real number, got {bad!r}")):
+            measures.as_real(bad, "x")
+    with pytest.raises(measures.NotANumber, match="p must be a real number, got '0.5'"):
+        measures.measure_from_json({"n": 1, "entries": [{"mask": 0, "p": "0.5"},
+                                                        {"mask": 1, "p": 0.5}]})
+    assert issubclass(measures.NotAnInteger, measures.NotANumber)
+
+
 def test_feasible_coupling_reports_shortfall():
     # disjointly supported marginals with no allowed pairs at all
     table, value = measures.feasible_coupling(

@@ -1,0 +1,69 @@
+"""The package namespace: every public name resolves lazily to the object
+of the module that defines it."""
+
+import importlib
+
+import pytest
+
+import srconc
+
+# the names the package exported when it imported every layer up front,
+# by the module that defines each
+EXPORTS = {
+    "measures": [
+        "SubsetMeasure", "CouplingTable", "condition", "generating_polynomial",
+        "homogeneity_degree", "make_bernoulli_product", "make_projection_dpp",
+        "make_spanning_tree_measure", "make_uniform_k_subsets", "validate"],
+    "matrix_core": [
+        "IdentityDecomposition", "check_diff_square_convex", "check_int_norm_bound",
+        "check_lemma_var", "check_operator_jensen", "check_trace_monotone",
+        "duhamel_residual", "psd_leq", "schatten_norm", "spectral_norm", "sym_expm",
+        "trace_power"],
+    "chains": [
+        "Decomposition", "Generator", "ScpResult", "chi", "crude_chi_bound", "decompose",
+        "delta", "flip_swap_adjacent", "flip_swap_average", "hermon_salez", "scp_check",
+        "scp_coupling", "split_generator", "validate_generator"],
+    "functional": [
+        "MatrixFn", "PoincareReport", "check_decompositions", "check_matrix_poincare",
+        "dirichlet_form", "matrix_mean", "matrix_poincare_constant", "matrix_variance",
+        "project_fn", "random_linear_matrix_fn", "random_matrix_fn", "scalar_spectral_gap"],
+    "concentration": [
+        "InductionReport", "OscillationStats", "TailBound", "TraceMgf",
+        "check_dirichlet_trace_bound", "check_induction_statement", "check_mgf_bound",
+        "doubling_value", "exact_tail", "ks_bound", "laplace_tail", "mgf_bound",
+        "oscillation", "tail_bound_poincare", "tail_bound_sr", "tail_bound_sr_composed",
+        "trace_mgf"],
+    "samplers": [
+        "SampleBatch", "clopper_pearson_upper", "empirical_tail", "sample_kdpp",
+        "sample_table", "wilson_spanning_tree"],
+    "ks": ["KsCrossover", "ks_crossover", "ks_crossover_threshold"],
+}
+HOMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module,name", HOMES, ids=[name for _, name in HOMES])
+def test_public_name_is_the_defining_modules_object(module, name):
+    home = importlib.import_module(f"srconc.{module}")
+    namespace = {}
+    exec(f"from srconc import {name}", namespace)
+    assert getattr(srconc, name) is getattr(home, name)
+    assert namespace[name] is getattr(home, name)
+    assert getattr(home, name).__module__ == home.__name__
+
+
+def test_all_and_dir_list_every_public_name():
+    names = {name for _, name in HOMES}
+    assert set(srconc.__all__) == names and len(srconc.__all__) == len(names)
+    assert names | set(EXPORTS) | {"cli", "__version__"} <= set(dir(srconc))
+
+
+def test_submodules_resolve_as_attributes():
+    for module in (*EXPORTS, "cli"):
+        assert getattr(srconc, module) is importlib.import_module(f"srconc.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'srconc' has no attribute 'no_such_name'"):
+        srconc.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from srconc import no_such_name", {})
