@@ -40,10 +40,10 @@ import numpy as np
 from .measures import (
     SCP_LIMIT,
     CouplingTable,
+    InvalidInput,
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
-    as_integer,
     automorphisms,
     covers,
     feasible_coupling,
@@ -56,7 +56,7 @@ from .matrix_core import within
 RATE_TOL = 1e-10
 
 
-class ChainError(Exception):
+class ChainError(InvalidInput):
     """Base class for generator validation and construction failures."""
 
 
@@ -496,11 +496,3 @@ def generator_to_json(gen: Generator) -> dict:
         "pi": [float(p) for p in gen.pi],
         "Q": [[float(v) for v in row] for row in gen.rates],
     }
-
-
-def generator_from_json(obj: dict, n: int | None = None) -> Generator:
-    gen = Generator(np.array([as_integer(s, "state") for s in obj["states"]], dtype=np.int64),
-                    np.asarray(obj["Q"], dtype=float),
-                    np.asarray(obj["pi"], dtype=float), n=n)
-    validate_generator(gen)
-    return gen

@@ -4,9 +4,11 @@ One JSON config document drives every subcommand; --seed, --tol,
 --trials and --out override the matching config keys.  Exit codes:
 0 all asserted checks passed, 1 usage or config parse problem,
 2 input validation failure, 3 an asserted inequality or property was
-violated, 4 internal numeric failure.  Validation failures emit a
-machine-readable {"error": ..., "message": ...} JSON object.  Config
-numbers are range-checked before any walk is built or draw is made.
+violated, 4 internal numeric failure.  The exit code of a library error
+is its class: 2 for a `measures.InvalidInput`, 4 for a
+`measures.NumericFailure`.  Validation failures emit a machine-readable
+{"error": ..., "message": ...} JSON object.  Config numbers are
+range-checked before any walk is built or draw is made.
 
 Each command imports the layers it calls when it runs, so a start-up pays
 only for those: `compare-ks` loads `ks` and no walk layer.
@@ -352,6 +354,8 @@ def cmd_mgf(cfg: dict) -> int:
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
     theta_max = math.sqrt(frac * lam) / v
+    while theta_max * theta_max * (v * v / lam) >= 1.0:  # sqrt(frac * lam) / v can round onto it
+        theta_max = math.nextafter(theta_max, 0.0)
     thetas = np.linspace(theta_max / points, theta_max, points)
     rows = concentration.spectrum(walk, fn).rows(thetas, lam, v, cfg["tol"])
     _emit_csv(["theta", "trace_mgf", "bound", "ok"],
@@ -467,25 +471,6 @@ COMMANDS = {
     "sample": cmd_sample,
 }
 
-# The library errors main reports, by the layer that defines them.  main
-# reads them when an exception reaches it, and only from the layers imported
-# by then: a layer that was never imported cannot have raised.
-VALIDATION_ERRORS = {
-    "measures": ("MeasureError",), "chains": ("ChainError",),
-    "functional": ("FunctionalError",),
-    "matrix_core": ("DimMismatch", "NotSymmetric", "PreconditionViolated",
-                    "BadDecomposition", "NotPSD")}
-
-NUMERIC_ERRORS = {"matrix_core": ("NonFinite",), "concentration": ("ConcentrationError",)}
-
-
-def _loaded(errors: dict, *builtin: type) -> tuple:
-    """builtin and the classes of errors whose layer is in sys.modules."""
-    return (*builtin, *(getattr(sys.modules[f"{__package__}.{layer}"], name)
-                        for layer, names in errors.items()
-                        if f"{__package__}.{layer}" in sys.modules for name in names))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srconc")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -512,11 +497,11 @@ def main(argv=None) -> int:
     except (UsageError, measures.NotANumber) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except _loaded(NUMERIC_ERRORS, np.linalg.LinAlgError, FloatingPointError,
-                   OverflowError, MemoryError) as exc:
+    except (measures.NumericFailure, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError, MemoryError) as exc:  # before InvalidInput: NonFinite is both
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_NUMERIC
-    except _loaded(VALIDATION_ERRORS) as exc:
+    except measures.InvalidInput as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_VALIDATION
     except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:

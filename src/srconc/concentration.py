@@ -2,9 +2,8 @@
 
 Notation: lam is always the actual Poincare constant (spectral gap) and
 alpha = 1/lam its inverse; the two are never conflated.  v(F) is the
-largest spectral-norm jump of F over adjacent states, where adjacency
-defaults to the support of the generator ("q_support") and can be
-widened to all flip-swap pairs of the state masks ("flip_swap").
+largest spectral-norm jump of F across the walk's transitions, the edges
+of the generator's rate support (the support of the Dirichlet form).
 
 The doubling ladder: with S_k = 1 - 2^{-k},
 
@@ -26,17 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Generator, flip_swap_adjacent
+from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
 from .matrix_core import trace_power, within
+from .measures import NumericFailure
 
-ADJACENCY_MODES = ("q_support", "flip_swap")
 PROBE_EDGES = 16    # edges with the largest norm bounds whose exact norm
                     # bounds v(F) from below in `oscillation`
 REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
 
 
-class ConcentrationError(Exception):
+class ConcentrationError(NumericFailure):
     pass
 
 
@@ -55,29 +54,22 @@ class EmptyGrid(ConcentrationError):
 @dataclass(frozen=True)
 class OscillationStats:
     v: float
-    adjacency_mode: str
     pairs: int
 
 
-def oscillation(gen: Generator, fn: MatrixFn, mode: str = "q_support") -> OscillationStats:
-    """v(F) = max ||F(x) - F(y)|| over adjacent state pairs, computed once
-    per (walk, observable, mode) and then read from fn's record of the walk."""
-    if mode not in ADJACENCY_MODES:
-        raise ValueError(f"mode must be one of {ADJACENCY_MODES}, got {mode!r}")
-    return fn.on_walk(gen, mode, lambda: _oscillation(gen, fn, mode))
+def oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
+    """v(F) = max ||F(x) - F(y)|| over the walk's edges, computed once per
+    (walk, observable) and then read from fn's record of the walk."""
+    return fn.on_walk(gen, "oscillation", lambda: _oscillation(gen, fn))
 
 
-def _oscillation(gen: Generator, fn: MatrixFn, mode: str) -> OscillationStats:
+def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     vals = fn.gather(gen.states)
-    if mode == "q_support":
-        i, j = gen.edges
-    else:
-        hit = flip_swap_adjacent(gen.states[:, None], gen.states[None, :])
-        i, j = np.nonzero(np.triu(hit, 1))
+    i, j = gen.edges
     diffs = vals[i] - vals[j]
     scale = float(np.abs(diffs).max(initial=0.0))
     if scale == 0.0:
-        return OscillationStats(0.0, mode, int(i.size))
+        return OscillationStats(0.0, int(i.size))
     # The Schatten 4-norm ||D'D||_F^(1/2) bounds ||D||_2 from above, so only
     # edges whose bound reaches the largest exact norm among the probed
     # edges can attain the max, and only they get the exact (SVD) norm.  The
@@ -91,7 +83,7 @@ def _oscillation(gen: Generator, fn: MatrixFn, mode: str) -> OscillationStats:
     floor = float(np.linalg.norm(diffs[top], 2, axis=(1, 2)).max())
     keep = bound >= floor / scale * (1.0 - 1e-12)
     v = float(np.linalg.norm(diffs[keep], 2, axis=(1, 2)).max(initial=floor))
-    return OscillationStats(v, mode, int(i.size))
+    return OscillationStats(v, int(i.size))
 
 
 class TraceMgf:

@@ -24,10 +24,10 @@ import numpy as np
 
 from .chains import Decomposition, Generator, _read_only, _sealed
 from .matrix_core import random_symmetric, require_symmetric, spectral_norm, within
-from .measures import as_integer, component_count
+from .measures import InvalidInput, as_integer, as_matrix, component_count
 
 
-class FunctionalError(Exception):
+class FunctionalError(InvalidInput):
     pass
 
 
@@ -284,14 +284,6 @@ def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
                           None if passed else fn)
 
 
-def matrix_fn_to_json(fn: MatrixFn) -> dict:
-    return {
-        "d": int(fn.dim),
-        "values": [{"mask": int(s), "rows": [[float(v) for v in row] for row in mat]}
-                   for s, mat in zip(fn.states, fn.values)],
-    }
-
-
 def matrix_fn_from_json(obj: dict) -> MatrixFn:
     d = as_integer(obj["d"], "d")
     if d < 1:
@@ -303,7 +295,7 @@ def matrix_fn_from_json(obj: dict) -> MatrixFn:
         mask = as_integer(entry["mask"], "mask")
         if mask in mats:
             raise BadValues(f"mask {mask} is listed twice")
-        mat = np.asarray(entry["rows"], dtype=float)
+        mat = as_matrix(entry["rows"], "value entry")
         if mat.shape != (d, d):
             raise BadValues(f"value at mask {entry['mask']} has shape {mat.shape}")
         mats[mask] = mat

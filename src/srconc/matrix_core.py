@@ -20,15 +20,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from .measures import InvalidInput, NumericFailure, as_matrix
+
 DEFAULT_QUAD_POINTS = 64
 DECOMP_TOL = 1e-10
 
 
-class MatrixError(Exception):
+class MatrixError(InvalidInput):
     """Base class for matrix precondition and validation failures."""
 
 
-class NonFinite(MatrixError):
+class NonFinite(MatrixError, NumericFailure):
     pass
 
 
@@ -324,14 +326,9 @@ def random_symmetric(rng: np.random.Generator, d: int,
     return a
 
 
-def matrix_to_json(a) -> dict:
-    a = require_symmetric(a)
-    return {"d": int(a.shape[0]), "rows": [[float(v) for v in row] for row in a]}
-
-
 def matrix_from_json(obj: dict) -> np.ndarray:
     d = obj["d"]  # compared, never truncated: 2.0 matches two rows, 2.5 none
-    a = np.asarray(obj["rows"], dtype=float)
+    a = as_matrix(obj["rows"], "rows entry")
     if isinstance(d, bool) or a.shape != (d, d):  # (1, 1) == (True, True)
         raise DimMismatch(f"rows have shape {a.shape}, header says d={d!r}")
     return require_symmetric(a)

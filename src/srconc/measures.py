@@ -40,7 +40,15 @@ AUT_LIMIT = 120     # automorphisms() stops once it has found this many
 AUT_WORK = 2000     # or once its search has tried this many partial maps
 
 
-class MeasureError(Exception):
+class InvalidInput(Exception):
+    """Base class of the input a check rejects: the CLI exits 2."""
+
+
+class NumericFailure(Exception):
+    """Base class of the numeric preconditions that fail mid-run: the CLI exits 4."""
+
+
+class MeasureError(InvalidInput):
     """Base class for measure construction and validation failures."""
 
 
@@ -96,6 +104,14 @@ def as_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float, np.floating)):
         raise NotANumber(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def as_matrix(rows, name: str) -> np.ndarray:
+    """rows, nested lists of reals, as a float array: every entry is read by
+    as_real, and the shape is left to the caller's check."""
+    if not isinstance(rows, list):
+        return np.asarray(as_real(rows, name))
+    return np.asarray([as_matrix(row, name) for row in rows], dtype=float)
 
 
 def popcount(masks):
@@ -529,15 +545,6 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def measure_to_json(m: SubsetMeasure) -> dict:
-    keep = m.masses > 0.0
-    return {
-        "n": int(m.n),
-        "entries": [{"mask": int(msk), "p": float(p)}
-                    for msk, p in zip(m.masks[keep], m.masses[keep])],
-    }
 
 
 def measure_from_json(obj: dict) -> SubsetMeasure:

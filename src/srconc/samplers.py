@@ -14,11 +14,10 @@ off the centred spectrum of the measure's support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .concentration import TraceMgf
-from .functional import DomainMismatch, MatrixFn
 from .measures import (
     DisconnectedGraph,
     StateSpaceTooLarge,
@@ -28,6 +27,9 @@ from .measures import (
     tree_edges,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .functional import MatrixFn
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -261,6 +263,7 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
                    measure: SubsetMeasure) -> list[EmpiricalTailRow]:
     """Empirical P[||F - E_pi F|| >= t] with a one-sided upper CI per t,
     centred at the exact mean over the measure's support."""
+    from .concentration import TraceMgf
     validate(measure)
     spectrum = TraceMgf(measure.masses, fn.gather(measure.masks))
     return sampled_tail(measure.masks, spectrum.devs, batch, ts)
@@ -269,6 +272,7 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
 def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]:
     """Empirical tail of the batch, reading each draw's deviation from devs
     (aligned to the ascending states)."""
+    from .functional import DomainMismatch
     if batch.count == 0:
         raise ValueError("empty batch")
     pos = np.minimum(np.searchsorted(states, batch.draws), states.size - 1)
@@ -288,9 +292,3 @@ def dump_batch(batch: SampleBatch, path) -> None:
     """Newline-delimited lowercase hex masks."""
     with open(path, "w") as fh:
         fh.write("".join(f"{mask:x}\n" for mask in batch.draws.tolist()))
-
-
-def load_batch(path, seed: int = 0) -> SampleBatch:
-    with open(path) as fh:
-        draws = [int(line.strip(), 16) for line in fh if line.strip()]
-    return SampleBatch(seed, len(draws), np.asarray(draws, dtype=np.int64))

@@ -35,6 +35,24 @@ def dense_measure(n: int, probs) -> measures.SubsetMeasure:
     return measures.SubsetMeasure(n, masks, probs[masks])
 
 
+def flip_swap_walk(gen: chains.Generator) -> chains.Generator:
+    """A reversible generator on gen's states, uniform pi, whose edges are
+    all the flip-swap pairs of the state masks."""
+    rates = chains.flip_swap_adjacent(gen.states[:, None], gen.states[None, :]).astype(float)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return chains.Generator(gen.states, rates, np.full(gen.states.size, 1.0 / gen.states.size),
+                            n=gen.n)
+
+
+def flip_swap_oscillation(states, fn) -> float:
+    """max ||F(x) - F(y)||_2 over the flip-swap pairs of the state masks,
+    the exact norm of every pair."""
+    hit = chains.flip_swap_adjacent(states[:, None], states[None, :])
+    vals = fn.gather(states)
+    i, j = np.nonzero(np.triu(hit, 1))
+    return float(np.linalg.norm(vals[i] - vals[j], 2, axis=(1, 2)).max(initial=0.0))
+
+
 def random_projection_kernel(n: int, rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, rank)))

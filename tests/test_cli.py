@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import srconc
+from srconc import chains, concentration, functional, matrix_core, measures
 from srconc.cli import main
 from srconc.concentration import TAIL_CSV_COLUMNS
 
@@ -357,6 +358,25 @@ def test_mgf_curve_under_bound(tmp_path, capsys):
         assert float(val) <= float(bound) + 1e-8
 
 
+# one ulp below 1: sqrt(frac * lam) / v squared lands on the radius for this seed
+RADIUS_CFG = {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+              "function": {"random": {"kind": "table", "d": 2, "seed": 6}},
+              "theta_grid": {"max_fraction": 0.9999999999999999, "points": 1}}
+
+
+def test_mgf_grid_stays_inside_the_radius(tmp_path, capsys):
+    code, rows = run_csv(capsys, ["mgf", "--config", write_cfg(tmp_path, "m.json", RADIUS_CFG)])
+    assert code in (0, 3)
+    assert len(rows) == 2 and all(math.isfinite(float(x)) for x in rows[1][:3])
+    # an ordinary fraction keeps its largest theta, sqrt(frac * lam) / v
+    cfg = dict(RADIUS_CFG, theta_grid={"max_fraction": 0.9, "points": 1})
+    walk = chains.hermon_salez(measures.make_uniform_k_subsets(3, 1))
+    v = concentration.oscillation(walk, functional.random_matrix_fn(walk.states, 2, 6)).v
+    lam = functional.scalar_spectral_gap(walk)
+    _, rows = run_csv(capsys, ["mgf", "--config", write_cfg(tmp_path, "m.json", cfg)])
+    assert rows[1][0] == repr(math.sqrt(0.9 * lam) / v)
+
+
 def test_mgf_rejects_constant_function(tmp_path, capsys):
     inline = {"d": 1, "values": [{"mask": 1, "rows": [[1.0]]},
                                  {"mask": 2, "rows": [[1.0]]},
@@ -528,8 +548,20 @@ def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
         "n": 1, "entries": [{"mask": 0, "p": "0.5"}, {"mask": 1, "p": 0.5}]}}},
      "usage", "p must be a real number, got '0.5'"),
     ("validate-measure", {"tol": "1e-8"}, "usage", "tol must be a real number, got '1e-8'"),
+    ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
+        "d": 2, "rows": [["1.0", 0.0], [0.0, False]]}}},
+     "usage", "rows entry must be a real number, got '1.0'"),
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 1},
+                        "function": {"inline": {"d": 1, "values": [
+                            {"mask": 1, "rows": [["2.5"]]}, {"mask": 2, "rows": [[1.0]]}]}}},
+     "usage", "value entry must be a real number, got '2.5'"),
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 1},
+                        "function": {"inline": {"d": 1, "values": [
+                            {"mask": 1, "rows": [[True]]}, {"mask": 2, "rows": [[1.0]]}]}}},
+     "usage", "value entry must be a real number, got True"),
 ], ids=["path-fd", "path-list", "out-bool", "out-fd", "ks-null", "ps-scalar",
-        "seed-null", "ps-string", "ps-bool", "inline-p-string", "tol-string"])
+        "seed-null", "ps-string", "ps-bool", "inline-p-string", "tol-string",
+        "kernel-rows-string-bool", "inline-value-string", "inline-value-bool"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, cfg, error,
                                            needle):
     code = main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
@@ -881,7 +913,7 @@ TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
     ("mgf", {}, TAIL_LAYERS),
     ("tail", {}, TAIL_LAYERS),
     ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | {"samplers"}),
-    ("sample", {"count": 5, "out": "draws.hex"}, TAIL_LAYERS | {"samplers"}),
+    ("sample", {"count": 5, "out": "draws.hex"}, {"cli", "measures", "samplers"}),
 ], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
         "mgf", "tail", "tail-empirical", "sample"])
 def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
@@ -912,26 +944,35 @@ def test_package_import_loads_no_layer():
 NON_SCP = {"inline": {"n": 2, "entries": [{"mask": 0, "p": 0.5}, {"mask": 3, "p": 0.5}]}}
 
 
-@pytest.mark.parametrize("command,cfg,code,error", [
-    ("build-walk", {"measure": NON_SCP}, 2, "InfeasibleCoupling"),
+class FreshMatrixError(matrix_core.MatrixError):
+    """A MatrixError subclass that no code of the package names."""
+
+
+@pytest.mark.parametrize("command,cfg,raises,code,error", [
+    ("build-walk", {"measure": NON_SCP}, None, 2, "InfeasibleCoupling"),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
-        "d": 2, "rows": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}}, 2, "DimMismatch"),
+        "d": 2, "rows": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}}, None, 2, "DimMismatch"),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
-        "d": 2, "rows": [[1.0, 0.5], [0.0, 0.0]]}}}, 2, "NotSymmetric"),
-    # one ulp below 1, this seed's largest theta lands on the radius by rounding
-    ("mgf", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
-             "function": {"random": {"kind": "table", "d": 2, "seed": 6}},
-             "theta_grid": {"max_fraction": 0.9999999999999999, "points": 1}},
+        "d": 2, "rows": [[1.0, 0.5], [0.0, 0.0]]}}}, None, 2, "NotSymmetric"),
+    ("mgf", RADIUS_CFG, ("concentration.mgf_bound", concentration.OutOfRadius),
      4, "OutOfRadius"),
-], ids=["chains", "matrix-core-shape", "matrix-core-symmetry", "concentration"])
-def test_each_layer_error_keeps_its_exit_code(tmp_path, command, cfg, code, error):
-    """main reads a layer's error classes only once the command has imported
-    the layer, so each case runs in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-m", "srconc.cli", command, "--config",
-                           write_cfg(tmp_path, "c.json", cfg)],
-                          capture_output=True, text=True, env=CHILD_ENV)
-    assert (proc.returncode, proc.stderr) == (code, "")
-    assert json.loads(proc.stdout)["error"] == error
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+                        "function": {"random": {"kind": "table", "d": 2}}},
+     ("functional.check_matrix_poincare", FreshMatrixError), 2, "FreshMatrixError"),
+], ids=["chains", "matrix-core-shape", "matrix-core-symmetry", "concentration",
+        "new-matrix-error"])
+def test_each_layer_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, command, cfg,
+                                              raises, code, error):
+    """The exit code goes by the error's class, a subclass no table names
+    included; raises = (library function, error class) makes that function
+    raise the error."""
+    if raises is not None:
+        def fail(*args):
+            raise raises[1]("raised inside the command")
+        monkeypatch.setattr(f"srconc.{raises[0]}", fail)
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == code
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["error"] == error
 
 
 def test_console_script_installed(tmp_path):

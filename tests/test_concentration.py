@@ -31,7 +31,7 @@ from srconc.concentration import (
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
 from srconc.ks import ks_crossover, ks_crossover_threshold
 
-from conftest import K4_EDGES, name_seed
+from conftest import K4_EDGES, flip_swap_oscillation, flip_swap_walk, name_seed
 
 
 def rademacher_fn(d: int = 2) -> tuple[chains.Generator, MatrixFn]:
@@ -42,10 +42,9 @@ def rademacher_fn(d: int = 2) -> tuple[chains.Generator, MatrixFn]:
     return gen, fn
 
 
-def scaled_fn(gen, fn, lam: float, target_av2: float,
-              mode: str = "q_support") -> MatrixFn:
+def scaled_fn(gen, fn, lam: float, target_av2: float) -> MatrixFn:
     """Rescale fn so alpha v(F)^2 lands exactly on target_av2."""
-    v = oscillation(gen, fn, mode).v
+    v = oscillation(gen, fn).v
     c = math.sqrt(target_av2 * lam) / v
     return MatrixFn(fn.states, fn.values * c)
 
@@ -73,15 +72,11 @@ def test_oscillation_linear_fn_within_2L():
     m = measures.make_uniform_k_subsets(5, 2)
     w = chains.hermon_salez(m)
     fn, worst = random_linear_matrix_fn(5, w.states, 3, lipschitz=0.9, seed=4)
-    # flip-swap neighbours differ in at most two coordinates
-    assert oscillation(w, fn, "flip_swap").v <= 2 * worst + 1e-12
-    assert oscillation(w, fn, "q_support").v <= oscillation(w, fn, "flip_swap").v
-
-
-def test_oscillation_mode_checked():
-    gen, fn = rademacher_fn()
-    with pytest.raises(ValueError):
-        oscillation(gen, fn, "hamming")
+    # flip-swap neighbours differ in at most two coordinates, and every
+    # transition of the walk is a flip or a swap
+    flip_swap_v = flip_swap_oscillation(w.states, fn)
+    assert flip_swap_v <= 2 * worst + 1e-12
+    assert oscillation(w, fn).v <= flip_swap_v
 
 
 def test_oscillation_two_point_value():
@@ -109,9 +104,10 @@ def reference_oscillation(gen, fn, mode):
 
 @pytest.mark.parametrize("mode", ["q_support", "flip_swap"])
 def test_oscillation_matches_pairwise_loop(fixture_walks, mode):
+    """On the walk's edges, and on a generator whose edges are all flip-swap pairs."""
     for name, walk in fixture_walks.items():
         fn = random_matrix_fn(walk.states, 3, seed=name_seed(name))
-        stats = oscillation(walk, fn, mode)
+        stats = oscillation(walk if mode == "q_support" else flip_swap_walk(walk), fn)
         assert (stats.v, stats.pairs) == reference_oscillation(walk, fn, mode), name
 
 
@@ -431,17 +427,6 @@ def test_one_observable_on_two_walks_keeps_each_walks_value(fixture_walks):
         assert [oscillation(w, fn).v for w in walks] == expected
         assert [trace_mgf(w, fn, 0.7) for w in walks] == [
             trace_mgf(w, make(), 0.7) for w in walks]
-
-
-def test_adjacency_modes_keep_separate_records(fixture_walks):
-    gen = fixture_walks["bern_4"]
-    fn = random_matrix_fn(gen.states, 2, seed=4)
-    first = oscillation(gen, fn, "q_support")
-    second = oscillation(gen, fn, "flip_swap")
-    assert first.pairs != second.pairs
-    for mode, stats in (("q_support", first), ("flip_swap", second)):
-        assert oscillation(gen, fn, mode) == stats
-        assert oscillation(gen, random_matrix_fn(gen.states, 2, seed=4), mode) == stats
 
 
 def test_ladder_and_dirichlet_bound_share_one_eigh(fixture_walks, monkeypatch):

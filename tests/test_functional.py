@@ -11,7 +11,6 @@ from srconc.functional import (
     check_matrix_poincare,
     dirichlet_form,
     matrix_fn_from_json,
-    matrix_fn_to_json,
     matrix_mean,
     matrix_poincare_constant,
     matrix_variance,
@@ -291,7 +290,9 @@ def test_search_single_state():
 
 def test_matrix_fn_json_roundtrip():
     fn = random_matrix_fn([1, 2, 4, 8], 3, seed=12)
-    back = matrix_fn_from_json(matrix_fn_to_json(fn))
+    back = matrix_fn_from_json({
+        "d": fn.dim, "values": [{"mask": int(s), "rows": mat.tolist()}
+                                for s, mat in zip(fn.states, fn.values)]})
     assert back.states.tolist() == fn.states.tolist()
     assert np.allclose(back.values, fn.values)
 

@@ -1,7 +1,10 @@
 """The package namespace: every public name resolves lazily to the object
-of the module that defines it."""
+of the module that defines it, and every public function has a caller."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,27 @@ def test_unknown_name_raises_attribute_error():
         srconc.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec("from srconc import no_such_name", {})
+
+
+def test_every_public_function_is_exported_or_called():
+    """A module-level public function is in srconc.__all__, is referenced by
+    other code of the package, or is named by the benchmark; one that only
+    the tests call is dead code."""
+    src = Path(srconc.__file__).parent
+    bench = "".join(path.read_text()
+                    for path in (Path(__file__).parents[1] / "bench").glob("*.py"))
+    defined, referenced = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.col_offset == 0:
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    idle = [f"{module}: {name}" for module, name in defined
+            if not name.startswith("_") and name not in srconc.__all__
+            and name not in referenced and not re.search(rf"\b{name}\b", bench)]
+    assert idle == []

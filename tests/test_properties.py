@@ -45,7 +45,7 @@ from srconc.measures import (
 )
 from srconc.samplers import clopper_pearson_upper, empirical_tail, sample_table
 
-from conftest import dense_measure
+from conftest import dense_measure, flip_swap_oscillation, flip_swap_walk
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -211,17 +211,13 @@ def dense_dirichlet(rates, weights, values):
     return 0.5 * np.einsum("xy,xyij,xyjk->ik", flows, diff, diff)
 
 
-def pairwise_oscillation(walk, fn, mode):
-    """max ||F(x) - F(y)||_2 by one SVD norm per adjacent pair."""
+def pairwise_oscillation(walk, fn):
+    """max ||F(x) - F(y)||_2 by one SVD norm per pair joined by a rate."""
     vals = fn.gather(walk.states)
     worst = 0.0
     for i in range(walk.states.size):
         for j in range(i + 1, walk.states.size):
-            if mode == "q_support":
-                hit = walk.rates[i, j] > 0.0 or walk.rates[j, i] > 0.0
-            else:
-                hit = chains.flip_swap_adjacent(int(walk.states[i]), int(walk.states[j]))
-            if hit:
+            if walk.rates[i, j] > 0.0 or walk.rates[j, i] > 0.0:
                 worst = max(worst, float(np.linalg.norm(vals[i] - vals[j], 2)))
     return worst
 
@@ -240,8 +236,20 @@ def test_edge_dirichlet_form_matches_dense_einsum(case):
 @WALK_PROPERTY
 @given(walk_functions(), st.sampled_from(["q_support", "flip_swap"]))
 def test_pruned_oscillation_is_bit_identical(case, mode):
+    """On the walk's edges, and on a generator whose edges are all flip-swap pairs."""
     walk, fn = case
-    assert oscillation(walk, fn, mode).v == pairwise_oscillation(walk, fn, mode)
+    gen = walk if mode == "q_support" else flip_swap_walk(walk)
+    assert oscillation(gen, fn).v == pairwise_oscillation(gen, fn)
+
+
+@WALK_PROPERTY
+@given(scp_walks(), st.integers(1, 4), st.integers(0, 2**16))
+def test_walk_oscillation_is_within_the_flip_swap_maximum(walk, d, seed):
+    """Every transition of the walk flips or swaps one bit, and a linear F
+    moves by at most 2L across a flip-swap pair."""
+    fn, lip = random_linear_matrix_fn(walk.n, walk.states, d, 1.0, seed)
+    flip_swap_v = flip_swap_oscillation(walk.states, fn)
+    assert oscillation(walk, fn).v <= flip_swap_v <= 2 * lip + 1e-12
 
 
 def test_oscillation_keeps_every_edge_at_equal_norms():
@@ -250,9 +258,9 @@ def test_oscillation_keeps_every_edge_at_equal_norms():
     walk = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
     bits = (walk.states[:, None] >> np.arange(4)) & 1
     fn = MatrixFn(walk.states, bits[:, :, None] * np.eye(4))
-    for mode in ("q_support", "flip_swap"):
-        stats = oscillation(walk, fn, mode)
-        assert stats.v == pairwise_oscillation(walk, fn, mode) == 1.0
+    for gen in (walk, flip_swap_walk(walk)):
+        stats = oscillation(gen, fn)
+        assert stats.v == pairwise_oscillation(gen, fn) == 1.0
         assert stats.pairs == 24 // 2
 
 
@@ -265,8 +273,8 @@ def test_oscillation_max_outside_the_probed_edges():
     e11 = np.diag([1.0, 0.0, 0.0, 0.0])
     fn = MatrixFn(walk.states, (walk.states & 1)[:, None, None] * 0.8 * np.eye(4)
                   + ((walk.states >> 1) & 1)[:, None, None] * e11)
-    for mode in ("q_support", "flip_swap"):
-        assert oscillation(walk, fn, mode).v == pairwise_oscillation(walk, fn, mode) == 1.0
+    for gen in (walk, flip_swap_walk(walk)):
+        assert oscillation(gen, fn).v == pairwise_oscillation(gen, fn) == 1.0
 
 
 # ------------------------------------- the centred spectrum (TraceMgf)

@@ -21,7 +21,6 @@ from srconc.samplers import (
     clopper_pearson_upper,
     dump_batch,
     empirical_tail,
-    load_batch,
     sample_kdpp,
     sample_table,
     wilson_spanning_tree,
@@ -520,9 +519,7 @@ def test_dump_load_roundtrip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 64
     assert all(line == line.lower() for line in lines)
-    back = load_batch(path, seed=21)
-    assert np.array_equal(back.draws, batch.draws)
-    assert back.count == 64
+    assert [int(line, 16) for line in lines] == batch.draws.tolist()
 
 
 def test_batch_shape_check():
