@@ -354,8 +354,9 @@ def cmd_mgf(cfg: dict) -> int:
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
     theta_max = math.sqrt(frac * lam) / v
-    while theta_max * theta_max * (v * v / lam) >= 1.0:  # sqrt(frac * lam) / v can round onto it
-        theta_max = math.nextafter(theta_max, 0.0)
+    for _ in range(3):  # sqrt(frac * lam) / v can round onto the radius by an ulp or two
+        if theta_max * theta_max * (v * v / lam) >= 1.0:
+            theta_max = math.nextafter(theta_max, 0.0)
     thetas = np.linspace(theta_max / points, theta_max, points)
     rows = concentration.spectrum(walk, fn).rows(thetas, lam, v, cfg["tol"])
     _emit_csv(["theta", "trace_mgf", "bound", "ok"],

@@ -375,6 +375,11 @@ def test_mgf_grid_stays_inside_the_radius(tmp_path, capsys):
     lam = functional.scalar_spectral_gap(walk)
     _, rows = run_csv(capsys, ["mgf", "--config", write_cfg(tmp_path, "m.json", cfg)])
     assert rows[1][0] == repr(math.sqrt(0.9 * lam) / v)
+    # v^2 / lam overflows: the step-down gives up after a few ulps and the radius
+    # check still refuses the grid
+    cfg = dict(RADIUS_CFG, **{"lambda": 1e-310})
+    code, err = run_json(capsys, ["mgf", "--config", write_cfg(tmp_path, "m.json", cfg)])
+    assert (code, err["error"]) == (4, "OutOfRadius")
 
 
 def test_mgf_rejects_constant_function(tmp_path, capsys):
