@@ -7,7 +7,8 @@ states, with detailed balance pi(x) Q(x,y) = pi(y) Q(y,x).
 
 ``decompose`` splits a cube chain on one coordinate into a two-state
 projection chain and per-part restriction chains.  ``chi`` measures the
-quality of couplings attached to such a decomposition, and
+quality of the split's one covering coupling (part 0 rows, part 1
+columns, read transposed for the reverse direction), and
 ``crude_chi_bound`` is the coupling-free lower bound on the same ratio.
 
 ``hermon_salez`` builds the flip-swap walk for a measure with the
@@ -32,7 +33,7 @@ infeasible coupling as the witness.  The second assembles the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,8 +51,8 @@ from .measures import (
     halves,
     popcount,
     validate,
+    within,
 )
-from .matrix_core import within
 
 RATE_TOL = 1e-10
 
@@ -61,10 +62,6 @@ class ChainError(InvalidInput):
 
 
 class EmptyPart(ChainError):
-    pass
-
-
-class MissingCoupling(ChainError):
     pass
 
 
@@ -189,18 +186,12 @@ def validate_generator(gen: Generator) -> None:
 
 @dataclass
 class Decomposition:
-    """Two-level view of a chain: projection across parts, restrictions within.
-
-    couplings maps ordered part pairs (i, j) to a CouplingTable of the
-    conditioned stationary laws pi_i (rows) and pi_j (columns); they are
-    attached by the caller, e.g. from ``scp_coupling``.
-    """
+    """Two-level view of a chain: projection across parts, restrictions within."""
 
     source: Generator
     parts: list
     projection: Generator
     restrictions: list
-    couplings: dict = field(default_factory=dict)
 
 
 def decompose(gen: Generator, ell: int) -> Decomposition:
@@ -237,48 +228,43 @@ def decompose(gen: Generator, ell: int) -> Decomposition:
     return Decomposition(gen, [gen.states[idx] for idx in sel], projection, restrictions)
 
 
-def _coupling_entries(dec: Decomposition):
-    """Yield (i, j, x_idx, y_idx, kappa_mass) over attached coupling supports."""
-    src = dec.source.index_of()
-    for (i, j), table in dec.couplings.items():
-        for a, b in zip(*np.nonzero(table.mass > 0.0)):
-            x_idx, y_idx = src[int(table.rows[a])], src[int(table.cols[b])]
-            yield i, j, x_idx, y_idx, float(table.mass[a, b])
+def _coupled_pairs(gen: Generator, kappa: CouplingTable) -> tuple:
+    """(i, j, x, y, mass) for both directions (0, 1) and (1, 0) of the split's
+    coupling: x and y index gen's states in parts i and j over its support."""
+    src = gen.index_of()
+    a, b = np.nonzero(kappa.mass > 0.0)
+    rows = np.array([src[s] for s in kappa.rows[a].tolist()], dtype=np.int64)
+    cols = np.array([src[s] for s in kappa.cols[b].tolist()], dtype=np.int64)
+    mass = kappa.mass[a, b]
+    return (0, 1, rows, cols, mass), (1, 0, cols, rows, mass)
 
 
-def chi(gen: Generator, dec: Decomposition) -> float:
+def chi(gen: Generator, dec: Decomposition, kappa: CouplingTable) -> float:
     """Coupling quality: min pi(x)Q(x,y) / (pihat(i) Qhat(i,j) kappa_ij(x,y)).
 
-    The minimum runs over ordered part pairs with Qhat(i,j) > 0 and over
-    the support of the attached couplings; a missing coupling for such a
-    pair raises MissingCoupling.
+    kappa couples the conditioned laws of part 0 (rows) and part 1
+    (columns), kappa_10 is its transpose, and the minimum runs over the
+    directions with Qhat(i,j) > 0 and over kappa's support.
     """
-    qhat = dec.projection.rates
-    pihat = dec.projection.pi
-    for i, j in zip(*np.nonzero(qhat > 0.0)):
-        if i != j and (i, j) not in dec.couplings:
-            raise MissingCoupling(f"no coupling attached for part pair ({i},{j})")
+    qhat, pihat = dec.projection.rates, dec.projection.pi
     best = np.inf
-    for i, j, x_idx, y_idx, kappa in _coupling_entries(dec):
-        if qhat[i, j] <= 0.0:
-            continue
-        denom = pihat[i] * qhat[i, j] * kappa
-        num = gen.pi[x_idx] * gen.rates[x_idx, y_idx]
-        best = min(best, num / denom)
+    for i, j, x, y, mass in _coupled_pairs(gen, kappa):
+        if qhat[i, j] > 0.0:
+            ratio = gen.pi[x] * gen.rates[x, y] / (pihat[i] * qhat[i, j] * mass)
+            best = min(best, ratio.min(initial=np.inf))
     return float(best)
 
 
-def crude_chi_bound(gen: Generator, dec: Decomposition) -> float:
-    """Coupling-free floor: min over coupling supports of
+def crude_chi_bound(gen: Generator, dec: Decomposition, kappa: CouplingTable) -> float:
+    """Coupling-free floor: min over kappa's support, in both directions, of
     max{Q(x,y)/Qhat(i,j), Q(y,x)/Qhat(j,i)}."""
     qhat = dec.projection.rates
     best = np.inf
-    for i, j, x_idx, y_idx, _ in _coupling_entries(dec):
-        if qhat[i, j] <= 0.0:
-            continue
-        forward = gen.rates[x_idx, y_idx] / qhat[i, j]
-        backward = gen.rates[y_idx, x_idx] / qhat[j, i] if qhat[j, i] > 0.0 else 0.0
-        best = min(best, max(forward, backward))
+    for i, j, x, y, _ in _coupled_pairs(gen, kappa):
+        if qhat[i, j] > 0.0:
+            forward = gen.rates[x, y] / qhat[i, j]
+            backward = gen.rates[y, x] / qhat[j, i] if qhat[j, i] > 0.0 else 0.0
+            best = min(best, np.maximum(forward, backward).min(initial=np.inf))
     return float(best)
 
 

@@ -121,13 +121,12 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
 
 
 def _kernel(obj: dict) -> np.ndarray:
-    """A kernel config; a non-finite entry is invalid input, not a numeric failure."""
-    from . import matrix_core
-    measures.as_integer(obj["d"], "kernel.d")
-    try:
-        return matrix_core.matrix_from_json(obj)
-    except matrix_core.NonFinite as exc:
-        raise measures.NotAProjection(f"kernel: {exc}") from exc
+    """A kernel config's rows, d x d; measures.projection_kernel checks the rest."""
+    d = measures.as_integer(obj["d"], "kernel.d")
+    rows = measures.as_matrix(obj["rows"], "rows entry")
+    if rows.shape != (d, d):
+        raise measures.NotAProjection(f"kernel rows have shape {rows.shape}, d is {d}")
+    return rows
 
 
 def _build_function(cfg: dict):
@@ -401,12 +400,10 @@ def cmd_tail(cfg: dict) -> int:
         bs = concentration.tail_bound_sr(t, int(k), float(lip), d) if k and lip else None
         bk = concentration.ks_bound(t / mu, mu, int(k), d, c_ks) if with_ks else None
         if mode == "exact":
-            violated |= not all(matrix_core.within(prob, bound, cfg["tol"], bound)
+            violated |= not all(measures.within(prob, bound, cfg["tol"], bound)
                                 for bound in (bp, bs) if bound is not None)
-        rows.append(concentration.TailRow(t, float(prob), ci, bp, bs, bk))
-    _emit_csv(concentration.TAIL_CSV_COLUMNS,
-              [[r.t, r.exact_or_empirical, r.ci_upper, r.bound_poincare,
-                r.bound_sr, r.bound_ks, r.dominator] for r in rows], cfg.get("out"))
+        rows.append([t, float(prob), ci, bp, bs, bk, concentration.tail_dominator(bp, bs, bk)])
+    _emit_csv(concentration.TAIL_CSV_COLUMNS, rows, cfg.get("out"))
     return EXIT_VIOLATION if violated else EXIT_OK
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
-from .matrix_core import trace_power, within
-from .measures import NumericFailure
+from .matrix_core import trace_power
+from .measures import NumericFailure, within
 
 PROBE_EDGES = 16    # edges with the largest norm bounds whose exact norm
                     # bounds v(F) from below in `oscillation`
@@ -323,21 +323,9 @@ TAIL_CSV_COLUMNS = ("t", "exact_or_empirical", "ci_upper", "bound_poincare",
                     "bound_sr", "bound_ks", "dominator")
 
 
-@dataclass(frozen=True)
-class TailRow:
-    t: float
-    exact_or_empirical: float
-    ci_upper: float | None
-    bound_poincare: float | None
-    bound_sr: float | None
-    bound_ks: float | None
-
-    @property
-    def dominator(self) -> str:
-        named = {"poincare": self.bound_poincare, "sr": self.bound_sr,
-                 "ks": self.bound_ks}
-        live = {k: v for k, v in named.items() if v is not None}
-        if not live:
-            return ""
-        return min(live, key=live.get)
-
+def tail_dominator(bound_poincare, bound_sr, bound_ks) -> str:
+    """Name of the least bound given (not None), ties going to poincare, then
+    sr, then ks; "" when none is given."""
+    named = {"poincare": bound_poincare, "sr": bound_sr, "ks": bound_ks}
+    live = {k: v for k, v in named.items() if v is not None}
+    return min(live, key=live.get) if live else ""

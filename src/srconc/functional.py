@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Decomposition, Generator, _read_only, _sealed
-from .matrix_core import random_symmetric, require_symmetric, spectral_norm, within
-from .measures import InvalidInput, as_integer, as_matrix, component_count
+from .matrix_core import random_symmetric, require_symmetric, spectral_norm
+from .measures import InvalidInput, as_integer, as_matrix, component_count, within
 
 
 class FunctionalError(InvalidInput):
@@ -298,5 +298,7 @@ def matrix_fn_from_json(obj: dict) -> MatrixFn:
         mat = as_matrix(entry["rows"], "value entry")
         if mat.shape != (d, d):
             raise BadValues(f"value at mask {entry['mask']} has shape {mat.shape}")
+        if np.isfinite(mat).all():  # a non-finite value is MatrixFn's BadValues
+            require_symmetric(mat, f"value at mask {mask}")
         mats[mask] = mat
     return MatrixFn(np.array(list(mats), dtype=np.int64), np.stack(list(mats.values())))

@@ -3,10 +3,11 @@
 All matrix functions are evaluated through a full eigendecomposition:
 f(A) = U f(L) U^T with A = U L U^T from ``numpy.linalg.eigh``.  PSD
 order comparisons are eigenvalue checks, and every verdict is ``within``
-with a tolerance scaled by the operand norms.  Integrals over [0, 1] (the
-derivative-of-exp identity and the weighted-power integral bound) use
-Gauss-Legendre quadrature, 64 nodes by default, evaluated in the
-eigenbases of the two operands, where the integrand is entrywise.
+(the one tolerance rule, which lives in ``measures``) with a tolerance
+scaled by the operand norms.  Integrals over [0, 1] (the derivative-of-exp
+identity and the weighted-power integral bound) use Gauss-Legendre
+quadrature, 64 nodes by default, evaluated in the eigenbases of the two
+operands, where the integrand is entrywise.
 
 The ``check_*`` functions return booleans rather than raising: each one
 evaluates both sides of an inequality that is supposed to be a theorem
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import InvalidInput, NumericFailure, as_matrix
+from .measures import InvalidInput, NumericFailure, within
 
 DEFAULT_QUAD_POINTS = 64
 DECOMP_TOL = 1e-10
@@ -52,12 +53,6 @@ class BadDecomposition(MatrixError):
 
 class NotPSD(MatrixError):
     pass
-
-
-def within(value: float, bound: float, tol: float, scale: float) -> bool:
-    """value <= bound + tol * max(1, scale), the tolerance rule of every scaled
-    verdict; a slack s >= 0 is within(-s, 0.0, tol, scale)."""
-    return bool(value <= bound + tol * max(1.0, scale))
 
 
 def require_symmetric(a, name: str = "matrix") -> np.ndarray:
@@ -324,11 +319,3 @@ def random_symmetric(rng: np.random.Generator, d: int,
         if nrm > 0:
             a *= norm_bound * rng.uniform(0.2, 1.0) / nrm
     return a
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    d = obj["d"]  # compared, never truncated: 2.0 matches two rows, 2.5 none
-    a = as_matrix(obj["rows"], "rows entry")
-    if isinstance(d, bool) or a.shape != (d, d):  # (1, 1) == (True, True)
-        raise DimMismatch(f"rows have shape {a.shape}, header says d={d!r}")
-    return require_symmetric(a)

@@ -21,6 +21,12 @@ measure given the smaller assignment covers the conditional given the
 larger one.  ``chains.scp_check`` decides it with the recursion that
 builds the flip-swap walk; this module supplies the pieces (``halves``,
 ``covers``, ``feasible_coupling``) and the size guard SCP_LIMIT.
+
+As the bottom layer it also holds what the layers above share: the error
+bases ``InvalidInput`` and ``NumericFailure``, the input readers
+``as_integer``, ``as_real`` and ``as_matrix``, and ``within``, the one
+tolerance rule of every scaled verdict.  ``projection_kernel`` is the one
+check a projection kernel passes.
 """
 
 from __future__ import annotations
@@ -112,6 +118,12 @@ def as_matrix(rows, name: str) -> np.ndarray:
     if not isinstance(rows, list):
         return np.asarray(as_real(rows, name))
     return np.asarray([as_matrix(row, name) for row in rows], dtype=float)
+
+
+def within(value: float, bound: float, tol: float, scale: float) -> bool:
+    """value <= bound + tol * max(1, scale), the tolerance rule of every scaled
+    verdict; a slack s >= 0 is within(-s, 0.0, tol, scale)."""
+    return bool(value <= bound + tol * max(1.0, scale))
 
 
 def popcount(masks):
@@ -303,11 +315,6 @@ class CouplingTable:
         off = self.mass[~self.support]
         return float(np.abs(off).max(initial=0.0))
 
-    def transpose(self) -> "CouplingTable":
-        return CouplingTable(self.cols.copy(), self.rows.copy(), self.mass.T.copy(),
-                             self.col_marginal.copy(), self.row_marginal.copy(),
-                             self.support.T.copy())
-
 
 def feasible_coupling(row_masks, row_probs, col_masks, col_probs, allowed):
     """Transportation feasibility on an explicit bipartite support.
@@ -444,20 +451,22 @@ def make_bernoulli_product(ps) -> SubsetMeasure:
 
 
 def projection_kernel(kernel) -> tuple[np.ndarray, int]:
-    """The kernel as a float array and its rank.
+    """The kernel, symmetrized, as a float array and its rank: the one check
+    a kernel passes.
 
     Raises unless the kernel is an orthogonal projection: square, finite, and
-    symmetric and idempotent within PROJECTION_TOL of its largest entry.
+    symmetric and idempotent ``within`` PROJECTION_TOL of its largest entry.
     """
     k_mat = np.asarray(kernel, dtype=float)
     if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise ValueError(f"kernel must be square, got shape {k_mat.shape}")
     if not np.isfinite(k_mat).all():
         raise NotAProjection("kernel has non-finite entries")
-    scale = max(1.0, float(np.abs(k_mat).max()))
-    if np.abs(k_mat - k_mat.T).max() > PROJECTION_TOL * scale:
+    scale = float(np.abs(k_mat).max())
+    if not within(np.abs(k_mat - k_mat.T).max(), 0.0, PROJECTION_TOL, scale):
         raise NotAProjection("kernel is not symmetric")
-    if np.abs(k_mat @ k_mat - k_mat).max() > PROJECTION_TOL * scale:
+    k_mat = (k_mat + k_mat.T) / 2.0
+    if not within(np.abs(k_mat @ k_mat - k_mat).max(), 0.0, PROJECTION_TOL, scale):
         raise NotAProjection("kernel is not idempotent within 1e-8")
     return k_mat, int(round(float(np.trace(k_mat))))
 

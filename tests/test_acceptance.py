@@ -113,10 +113,7 @@ def test_criterion_04_decomposition_identities():
             assert res.variance_residual < 1e-10 * res.scale, (name, ell)
             assert res.dirichlet_residual < 1e-10 * res.scale, (name, ell)
 
-            kappa = chains.scp_coupling(m, ell)
-            dec.couplings[(0, 1)] = kappa
-            dec.couplings[(1, 0)] = kappa.transpose()
-            chi = chains.chi(gen, dec)
+            chi = chains.chi(gen, dec, chains.scp_coupling(m, ell))
             lam_hat = functional.scalar_spectral_gap(dec.projection)
             lam_parts = []
             for restriction in dec.restrictions:

@@ -9,7 +9,6 @@ from srconc.chains import (
     EmptyPart,
     Generator,
     InfeasibleCoupling,
-    MissingCoupling,
     NegativeRate,
     NonFiniteGenerator,
     NotOnCube,
@@ -195,42 +194,28 @@ def test_chi_two_state_singletons():
     point = measures.CouplingTable(np.array([0]), np.array([1]),
                                    np.array([[1.0]]), np.array([1.0]),
                                    np.array([1.0]), np.array([[True]]))
-    dec.couplings[(0, 1)] = point
-    dec.couplings[(1, 0)] = point.transpose()
-    assert chi(g, dec) == pytest.approx(1.0)
-    assert crude_chi_bound(g, dec) == pytest.approx(1.0)
+    assert chi(g, dec, point) == pytest.approx(1.0)
+    assert crude_chi_bound(g, dec, point) == pytest.approx(1.0)
 
 
 def test_chi_on_recursive_split():
     """The split construction makes pi(x)Q(x,y) = pihat0 pihat1 kappa(x,y)
-    exactly, so chi equals 1 whatever feasible coupling is attached."""
+    exactly, so chi equals 1 whatever feasible coupling is passed."""
     m = measures.make_uniform_k_subsets(2, 1)
     g = split_generator(m, 0)
     assert np.allclose(g.rates, [[-0.5, 0.5], [0.5, -0.5]])
     dec = decompose(g, 0)
     kap = scp_coupling(m, 0)
-    dec.couplings[(0, 1)] = kap
-    dec.couplings[(1, 0)] = kap.transpose()
     assert dec.projection.rates[0, 1] == pytest.approx(dec.projection.pi[1])
     assert dec.projection.rates[1, 0] == pytest.approx(dec.projection.pi[0])
-    assert chi(g, dec) == pytest.approx(1.0)
+    assert chi(g, dec, kap) == pytest.approx(1.0)
 
 
 def test_chi_on_recursive_split_uniform42():
     m = measures.make_uniform_k_subsets(4, 2)
     g = split_generator(m, 2)
     dec = decompose(g, 2)
-    kap = scp_coupling(m, 2)
-    dec.couplings[(0, 1)] = kap
-    dec.couplings[(1, 0)] = kap.transpose()
-    assert chi(g, dec) == pytest.approx(1.0)
-
-
-def test_chi_missing_coupling():
-    g = two_state_gen(1.0, 1.0)
-    dec = decompose(g, 0)
-    with pytest.raises(MissingCoupling):
-        chi(g, dec)
+    assert chi(g, dec, scp_coupling(m, 2)) == pytest.approx(1.0)
 
 
 def test_chi_zero_on_off_rate_support():
@@ -243,10 +228,8 @@ def test_chi_zero_on_off_rate_support():
         np.array([[0.0, 0.5], [0.5, 0.0]]),
         np.array([0.5, 0.5]), np.array([0.5, 0.5]),
         np.array([[False, True], [True, False]]))
-    dec.couplings[(0, 1)] = anti
-    dec.couplings[(1, 0)] = anti.transpose()
     assert np.allclose(dec.projection.rates, [[-1.0, 1.0], [1.0, -1.0]])
-    assert chi(g, dec) == 0.0
+    assert chi(g, dec, anti) == 0.0
 
 
 def test_crude_bound_never_exceeds_chi_denominator_free_cases(fixture_measures):
@@ -257,10 +240,64 @@ def test_crude_bound_never_exceeds_chi_denominator_free_cases(fixture_measures):
         g = split_generator(m, 0)
         dec = decompose(g, 0)
         kap = scp_coupling(m, 0)
-        dec.couplings[(0, 1)] = kap
-        dec.couplings[(1, 0)] = kap.transpose()
-        assert crude_chi_bound(g, dec) > 0.0
-        assert chi(g, dec) > 0.0
+        assert crude_chi_bound(g, dec, kap) > 0.0
+        assert chi(g, dec, kap) > 0.0
+
+
+def ref_entries(gen, kappa):
+    """The attached-couplings loop chi and crude_chi_bound replaced: kappa as
+    the (0, 1) coupling and its transpose as (1, 0), one support entry at a
+    time, as (i, j, x index, y index, mass)."""
+    src = gen.index_of()
+    tables = {(0, 1): (kappa.rows, kappa.cols, kappa.mass),
+              (1, 0): (kappa.cols, kappa.rows, kappa.mass.T)}
+    for (i, j), (rows, cols, mass) in tables.items():
+        for a, b in zip(*np.nonzero(mass > 0.0)):
+            yield i, j, src[int(rows[a])], src[int(cols[b])], float(mass[a, b])
+
+
+def ref_chi(gen, dec, kappa):
+    qhat, pihat = dec.projection.rates, dec.projection.pi
+    best = np.inf
+    for i, j, x_idx, y_idx, mass in ref_entries(gen, kappa):
+        if qhat[i, j] <= 0.0:
+            continue
+        denom = pihat[i] * qhat[i, j] * mass
+        num = gen.pi[x_idx] * gen.rates[x_idx, y_idx]
+        best = min(best, num / denom)
+    return float(best)
+
+
+def ref_crude(gen, dec, kappa):
+    qhat = dec.projection.rates
+    best = np.inf
+    for i, j, x_idx, y_idx, _ in ref_entries(gen, kappa):
+        if qhat[i, j] <= 0.0:
+            continue
+        forward = gen.rates[x_idx, y_idx] / qhat[i, j]
+        backward = gen.rates[y_idx, x_idx] / qhat[j, i] if qhat[j, i] > 0.0 else 0.0
+        best = min(best, max(forward, backward))
+    return float(best)
+
+
+def test_chi_matches_the_attached_couplings_loop_bit_for_bit(fixture_measures, fixture_walks):
+    """On every non-constant split of the fixtures, of the normalized walk and
+    of the split's own generator, both ratios equal the loop's bit for bit."""
+    checked = 0
+    for name, (m, _) in fixture_measures.items():
+        for ell in range(m.n):
+            bits = (m.support() >> ell) & 1
+            if bits.min() == bits.max():
+                continue
+            kappa = scp_coupling(m, ell)
+            for g in (fixture_walks[name], split_generator(m, ell)):
+                dec = decompose(g, ell)
+                for new, ref in ((chi, ref_chi), (crude_chi_bound, ref_crude)):
+                    got, want = new(g, dec, kappa), ref(g, dec, kappa)
+                    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), \
+                        (name, ell, new.__name__, got, want)
+                checked += 1
+    assert checked > 100
 
 
 # ------------------------------------------------------------ scp couplings

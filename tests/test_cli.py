@@ -270,6 +270,8 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
     ({"inline": {"d": 1, "values": [{"mask": 1, "rows": [[float("nan")]]},
                                     {"mask": 2, "rows": [[1.0]]},
                                     {"mask": 4, "rows": [[0.0]]}]}}, "finite"),
+    ({"inline": {"d": 2, "values": [{"mask": s, "rows": [[0.0, float("nan")], [0.0, 0.0]]}
+                                    for s in (1, 2, 4)]}}, "finite"),
     ({"inline": {"d": 0, "values": [{"mask": s, "rows": []} for s in (1, 2, 4)]}},
      "d must be at least 1"),
     ({"inline": {"d": 2, "values": []}}, "at least one state"),
@@ -277,7 +279,7 @@ def test_poincare_check_violation_exit_code(tmp_path, capsys):
                                     {"mask": 2, "rows": [[0.0]]},
                                     {"mask": 4, "rows": [[0.0]]},
                                     {"mask": 1, "rows": [[5.0]]}]}}, "listed twice"),
-], ids=["nan", "inline-d0", "inline-empty", "repeated-mask"])
+], ids=["nan", "nan-asymmetric", "inline-d0", "inline-empty", "repeated-mask"])
 def test_poincare_check_rejects_bad_values(tmp_path, capsys, function, needle):
     cfg = write_cfg(tmp_path, "p.json", {
         "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
@@ -863,6 +865,32 @@ def test_json_readers_take_integral_floats(tmp_path, capsys):
     assert payloads[0::2] == payloads[1::2]
 
 
+@pytest.mark.parametrize("kernel,code,error", [
+    ({"d": 2.0, "rows": [[1.0, 0.0], [0.0, 0.0]]}, 0, None),
+    ({"d": 2, "rows": [[1.0, 5e-9], [0.0, 0.0]]}, 0, None),
+    ({"d": 2.5, "rows": [[1.0, 0.0], [0.0, 0.0]]}, 1, "usage"),
+    ({"d": True, "rows": [[1.0]]}, 1, "usage"),
+    ({"d": 3, "rows": [[1.0, 0.0], [0.0, 0.0]]}, 2, "NotAProjection"),
+    ({"d": 2, "rows": [[1.0, 0.0, 0.0]]}, 2, "NotAProjection"),
+], ids=["d-integral-float", "asymmetric-5e-9", "d-fraction", "d-bool", "d-above-rows",
+        "rows-not-square"])
+def test_kernel_reader_compares_d_with_the_rows(tmp_path, capsys, kernel, code, error):
+    """Both kernel readers take d as an integer (2.0 is one), refuse rows that
+    are not d x d, and accept what measures.projection_kernel accepts: symmetry
+    and idempotency within PROJECTION_TOL of the largest entry."""
+    dpp = write_cfg(tmp_path, "d.json", {"measure": {"family": "projection_dpp",
+                                                     "kernel": kernel}})
+    kdpp = write_cfg(tmp_path, "k.json", {"sampler": "kdpp", "kernel": kernel, "count": 5,
+                                          "out": str(tmp_path / "draws.hex")})
+    for argv in (["validate-measure", "--config", dpp], ["sample", "--config", kdpp]):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if error == "usage":
+            assert json.loads(err)["error"] == "usage"
+        elif error is not None:
+            assert json.loads(out)["error"] == error
+
+
 # ----------------------------------------------------------------- plumbing
 
 def test_unknown_command_usage_exit(capsys):
@@ -904,8 +932,8 @@ def test_cli_import_skips_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-WALK_LAYERS = {"cli", "measures", "matrix_core", "chains"}
-CERTIFY_LAYERS = WALK_LAYERS | {"functional"}
+WALK_LAYERS = {"cli", "measures", "chains"}
+CERTIFY_LAYERS = WALK_LAYERS | {"matrix_core", "functional"}
 TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
 
 
@@ -919,8 +947,12 @@ TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
     ("tail", {}, TAIL_LAYERS),
     ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | {"samplers"}),
     ("sample", {"count": 5, "out": "draws.hex"}, {"cli", "measures", "samplers"}),
+    ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": UNIT_KERNEL}},
+     {"cli", "measures"}),
+    ("sample", {"sampler": "kdpp", "kernel": UNIT_KERNEL, "count": 5, "out": "draws.hex"},
+     {"cli", "measures", "samplers"}),
 ], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
-        "mgf", "tail", "tail-empirical", "sample"])
+        "mgf", "tail", "tail-empirical", "sample", "validate-measure-kernel", "sample-kdpp"])
 def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
     argv = [command]
     if extra is not None:
@@ -953,19 +985,30 @@ class FreshMatrixError(matrix_core.MatrixError):
     """A MatrixError subclass that no code of the package names."""
 
 
+# MatrixFn would symmetrize [[0, 5], [0, 0]] to [[0, 2.5], [2.5, 0]]; the reader refuses it
+ASYMMETRIC_VALUE_CFG = {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 1},
+                        "function": {"inline": {"d": 2, "values": [
+                            {"mask": 1, "rows": [[0.0, 5.0], [0.0, 0.0]]},
+                            {"mask": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}]}}}
+
+
 @pytest.mark.parametrize("command,cfg,raises,code,error", [
     ("build-walk", {"measure": NON_SCP}, None, 2, "InfeasibleCoupling"),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
-        "d": 2, "rows": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}}, None, 2, "DimMismatch"),
+        "d": 2, "rows": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}}, None, 2, "NotAProjection"),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": {
-        "d": 2, "rows": [[1.0, 0.5], [0.0, 0.0]]}}}, None, 2, "NotSymmetric"),
+        "d": 2, "rows": [[1.0, 0.5], [0.0, 0.0]]}}}, None, 2, "NotAProjection"),
+    ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+                        "function": {"random": {"kind": "table", "d": 2}}},
+     ("functional.check_matrix_poincare", matrix_core.DimMismatch), 2, "DimMismatch"),
+    ("poincare-check", ASYMMETRIC_VALUE_CFG, None, 2, "NotSymmetric"),
     ("mgf", RADIUS_CFG, ("concentration.mgf_bound", concentration.OutOfRadius),
      4, "OutOfRadius"),
     ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
                         "function": {"random": {"kind": "table", "d": 2}}},
      ("functional.check_matrix_poincare", FreshMatrixError), 2, "FreshMatrixError"),
-], ids=["chains", "matrix-core-shape", "matrix-core-symmetry", "concentration",
-        "new-matrix-error"])
+], ids=["chains", "kernel-shape", "kernel-symmetry", "matrix-core-shape",
+        "matrix-core-symmetry", "concentration", "new-matrix-error"])
 def test_each_layer_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, command, cfg,
                                               raises, code, error):
     """The exit code goes by the error's class, a subclass no table names

@@ -12,7 +12,6 @@ from srconc.concentration import (
     EmptyGrid,
     OutOfRadius,
     ScaleViolation,
-    TailRow,
     TraceMgf,
     check_dirichlet_trace_bound,
     check_induction_statement,
@@ -26,6 +25,7 @@ from srconc.concentration import (
     tail_bound_poincare,
     tail_bound_sr,
     tail_bound_sr_composed,
+    tail_dominator,
     trace_mgf,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
@@ -661,10 +661,7 @@ def test_ks_exponent_fields_match_formulas():
 
 # ----------------------------------------------------------------- reporting
 
-def test_tail_row_dominator():
-    row = TailRow(1.0, 0.1, None, 0.5, 0.3, 0.4)
-    assert row.dominator == "sr"
-    row2 = TailRow(1.0, 0.1, None, 0.2, None, None)
-    assert row2.dominator == "poincare"
-    row3 = TailRow(1.0, 0.1, None, None, None, None)
-    assert row3.dominator == ""
+def test_tail_dominator():
+    assert tail_dominator(0.5, 0.3, 0.4) == "sr"
+    assert tail_dominator(0.2, None, None) == "poincare"
+    assert tail_dominator(None, None, None) == ""

@@ -322,23 +322,6 @@ def test_random_symmetric_norm_bound():
         assert spectral_norm(a) <= 1.5 + 1e-12
 
 
-def test_matrix_json_roundtrip():
-    a = random_symmetric(np.random.default_rng(71), 3, 1.0)
-    back = mc.matrix_from_json({"d": 3, "rows": a.tolist()})
-    assert np.array_equal(back, a)
-    with pytest.raises(DimMismatch):
-        mc.matrix_from_json({"d": 2, "rows": [[1.0, 0.0, 0.0]]})
-
-
-def test_matrix_json_d_is_compared_not_truncated():
-    rows = [[1.0, 0.0], [0.0, 2.0]]
-    assert np.array_equal(mc.matrix_from_json({"d": 2.0, "rows": rows}), rows)
-    with pytest.raises(DimMismatch, match="d=2.5"):
-        mc.matrix_from_json({"d": 2.5, "rows": rows})
-    with pytest.raises(DimMismatch, match="d=True"):  # (1, 1) == (True, True)
-        mc.matrix_from_json({"d": True, "rows": [[2.0]]})
-
-
 # ------------------------------------ quadratures against the per-node loops
 
 def loop_duhamel_residual(x, y, quad_points):

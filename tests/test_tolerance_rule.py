@@ -1,7 +1,7 @@
 """The one tolerance rule and the walk as the reader of its own edges,
 checked against the expressions they replaced.
 
-Every scaled verdict is ``matrix_core.within(value, bound, tol, scale)``.
+Every scaled verdict is ``measures.within(value, bound, tol, scale)``.
 Before it, each checker spelled the rule inline, in one of two forms:
 ``lhs <= rhs + tol * max(1, s)`` or ``slack >= -tol * max(1, s)`` (and
 ``x > tol * max(1, s)`` where a violation raises).  The ``ref_*`` functions
@@ -294,13 +294,14 @@ def test_within_matches_every_inline_form_at_the_ulp(bound, tol, scale):
     edge = bound + tol * max(1.0, scale)
     for steps in range(-3, 4):
         value = ulps(edge, steps)
-        assert mx.within(value, bound, tol, scale) == (value <= bound + tol * max(1.0, scale))
+        assert measures.within(value, bound, tol, scale) == \
+            (value <= bound + tol * max(1.0, scale))
         slack = ulps(-tol * max(1.0, scale), steps)
-        assert mx.within(-slack, 0.0, tol, scale) == (slack >= -tol * max(1.0, scale))
+        assert measures.within(-slack, 0.0, tol, scale) == (slack >= -tol * max(1.0, scale))
         excess = ulps(tol * max(1.0, scale), steps)
-        assert (not mx.within(excess, 0.0, tol, scale)) == (excess > tol * max(1.0, scale))
-    assert not mx.within(np.nan, bound, tol, scale)
-    assert not mx.within(-np.nan, 0.0, tol, scale)
+        assert (not measures.within(excess, 0.0, tol, scale)) == (excess > tol * max(1.0, scale))
+    assert not measures.within(np.nan, bound, tol, scale)
+    assert not measures.within(-np.nan, 0.0, tol, scale)
 
 
 # --------------------------------------------- the walk-side certificates
@@ -410,19 +411,19 @@ def test_decomposition_residuals_match_the_label_loop_bit_for_bit(fixture_walks)
 
 # ----------------------------------------------------------- the guard
 
-RULE_SPELLINGS = ("tol * max(1", ">= -tol", "< -1e-10 *", "RATE_TOL *")
+RULE_SPELLINGS = ("tol * max(1", ">= -tol", "< -1e-10 *", "RATE_TOL *", "_TOL * scale")
 
 
 def test_the_tolerance_rule_is_spelled_only_in_within():
-    src = Path(mx.__file__).parent
-    tree = ast.parse((src / "matrix_core.py").read_text())
+    src = Path(measures.__file__).parent
+    tree = ast.parse((src / "measures.py").read_text())
     rule = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "within")
     inside, outside = [], []
     for path in sorted(src.glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if any(spelling in line for spelling in RULE_SPELLINGS):
-                home = path.name == "matrix_core.py" and \
+                home = path.name == "measures.py" and \
                     rule.lineno <= number <= rule.end_lineno
                 (inside if home else outside).append(f"{path.name}:{number}: {line.strip()}")
     assert outside == []
