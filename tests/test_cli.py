@@ -961,11 +961,12 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, 
     code = ("import json, sys; from srconc.cli import main; "
             f"code = main({argv!r}); "
             "print(json.dumps([code, sorted(m.removeprefix('srconc.') for m in sys.modules "
-            "if m.startswith('srconc.'))]))")
+            "if m.startswith('srconc.')), "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers)]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers), []]
 
 
 def test_package_import_loads_no_layer():

@@ -94,3 +94,16 @@ def test_every_public_function_is_exported_or_called():
             if not name.startswith("_") and name not in srconc.__all__
             and name not in referenced and not re.search(rf"\b{name}\b", bench)]
     assert idle == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is a test oracle only: no import of it anywhere under srconc,
+    at module level or inside a function."""
+    imports = []
+    for path in sorted(Path(srconc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                imports.append((path.name, node.module))
+    assert imports and [(f, m) for f, m in imports if m.split(".")[0] == "scipy"] == []

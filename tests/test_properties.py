@@ -43,7 +43,7 @@ from srconc.measures import (
     measure_from_json,
     validate,
 )
-from srconc.samplers import clopper_pearson_upper, empirical_tail, sample_table
+from srconc.samplers import _cp_upper, clopper_pearson_upper, empirical_tail, sample_table
 
 from conftest import dense_measure, flip_swap_oscillation, flip_swap_walk
 
@@ -341,6 +341,30 @@ def test_tails_read_the_centred_spectrum_bit_for_bit(case, seed):
     rows = empirical_tail(fn, batch, ts, measure=m)
     assert [(r.t, r.estimate, r.ci_upper) for r in rows] == \
         reference_empirical_tail(fn, batch, ts, m)
+
+
+@st.composite
+def cp_batches(draw):
+    """(successes, trials) rows, a shuffle of them and a confidence."""
+    trials = draw(st.lists(st.sampled_from([1, 2, 3, 7, 40, 1_000, 20_000, 100_000])
+                           | st.integers(1, 100_000), min_size=1, max_size=40))
+    rows = [(draw(st.sampled_from([0, 1, n - 1, n])) if draw(st.booleans())
+             else draw(st.integers(0, n)), n) for n in trials]
+    order = draw(st.permutations(range(len(rows))))
+    return rows, order, draw(st.floats(1e-6, 1 - 1e-6))
+
+
+@PROPERTY
+@given(cp_batches())
+def test_cp_upper_rows_do_not_depend_on_their_batch(case):
+    """Each row of a batch, shuffled or not, is bit-identical to its
+    one-element call: windows are padded with exact zeros, every row sums in
+    order and runs the same Newton steps."""
+    rows, order, conf = case
+    s, n = np.array(rows).T
+    batch = _cp_upper(s, n, conf)
+    assert batch.tolist() == [clopper_pearson_upper(int(a), int(b), conf) for a, b in rows]
+    assert _cp_upper(s[order], n[order], conf).tolist() == batch[order].tolist()
 
 
 @WALK_PROPERTY

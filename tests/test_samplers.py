@@ -1,7 +1,9 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import beta, binom
 
 from srconc import chains, functional, measures, samplers
@@ -411,13 +413,69 @@ def test_cp_upper_matches_binomial_cdf():
 
 
 def test_cp_upper_matches_beta_quantile():
-    # the limit is the confidence quantile of Beta(s + 1, n - s)
+    # the limit is the confidence quantile of Beta(s + 1, n - s); scipy's is
+    # an oracle to 1e-12 relative, not a pin on its last bits
     rng = np.random.default_rng(2011)
     for _ in range(100):
         n = int(rng.integers(1, 500))
         s = int(rng.integers(0, n))
         conf = float(rng.uniform(0.5, 0.999))
-        assert clopper_pearson_upper(s, n, conf) == float(beta.ppf(conf, s + 1, n - s))
+        ref = float(beta.ppf(conf, s + 1, n - s))
+        assert abs(clopper_pearson_upper(s, n, conf) - ref) <= 1e-12 * ref
+
+
+GRID_TRIALS = [1, 2, 5, 37, 500, 20_000, 100_000, 1_000_000]
+GRID_CONFIDENCES = [0.5, 0.9, 0.95, 0.99, 0.999]
+
+
+def grid_successes(n):
+    """0..n at both edges and at the quantiles in between."""
+    edges = np.concatenate([np.arange(min(n, 6) + 1), n - np.arange(min(n, 6) + 1)])
+    quantiles = (n * np.array([1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                               0.99, 0.999])).astype(np.int64)
+    return np.unique(np.concatenate([edges, quantiles]))
+
+
+@pytest.mark.parametrize("conf", GRID_CONFIDENCES)
+@pytest.mark.parametrize("n", GRID_TRIALS)
+def test_cp_upper_matches_betaincinv_on_a_grid(n, conf):
+    """Relative error against scipy's betaincinv: 1e-12 up to 10^5 trials,
+    1e-10 at 10^6, where betaincinv itself drifts (see the next test)."""
+    s = grid_successes(n)
+    got = samplers._cp_upper(s, n, conf)
+    ref = np.where(s == n, 1.0, betaincinv(s + 1, np.maximum(n - s, 1), conf))
+    assert np.all(np.abs(got - ref) <= (1e-12 if n <= 100_000 else 1e-10) * ref)
+    assert [clopper_pearson_upper(int(x), n, conf) for x in s] == got.tolist()
+
+
+def reference_cp_error(s, n, conf, p):
+    """(p - p*) / p* to first order, from the binomial CDF at p summed in
+    40 digits: (F(p) - (1 - conf)) / (p F'(p)), F'(p) = -(n - s) b(s) / (1 - p)."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        b = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(s + 1)
+                       - mpmath.loggamma(n - s + 1) + s * mpmath.log(p)
+                       + (n - s) * mpmath.log1p(-p))
+        term, cdf, odds = b, b, (1 - p) / p
+        for x in range(s, 0, -1):
+            term *= x * odds / (n - x + 1)
+            cdf += term
+            if term < cdf * mpmath.mpf(10) ** -36:
+                break
+        return float((cdf - (1 - mpmath.mpf(conf))) * (1 - p) / (-(n - s) * b * p))
+
+
+@pytest.mark.parametrize("n", [5, 37, 500, 20_000, 100_000, 1_000_000])
+def test_cp_upper_matches_a_40_digit_reference(n):
+    """Within 1e-14 relative of the exact quantile, also where betaincinv is
+    off by up to 1e-11 (a few successes in 10^5 or 10^6 trials) and at the
+    extreme confidences where three Newton steps would not be enough."""
+    s = np.unique([1, 2, 3, 6, n // 2, n - 2, n - 1])
+    s = s[s < n]
+    for conf in (1e-6, 0.5, 0.95, 0.999, 1 - 1e-6):
+        got = samplers._cp_upper(s, n, conf)
+        assert max(abs(reference_cp_error(int(x), n, conf, p))
+                   for x, p in zip(s, got)) <= 1e-14
 
 
 def test_cp_upper_closed_form_zero_successes():
@@ -442,6 +500,15 @@ def test_cp_upper_rejects():
         clopper_pearson_upper(11, 10)
     with pytest.raises(ValueError):
         clopper_pearson_upper(0, 0)
+    # confidence strictly inside (0, 1), read as a real
+    for conf in (1.5, -0.2, float("nan"), 0.0, 1.0, True, "0.9", None):
+        with pytest.raises(ValueError):
+            clopper_pearson_upper(3, 10, conf)
+    # counts read as integers: 4.0 is one, 3.5, a bool or a string is not
+    assert clopper_pearson_upper(4.0, 10.0) == clopper_pearson_upper(4, 10)
+    for successes, trials in ((3.5, 10), (True, 10), (3, True), ("3", 10), (3, 10.5)):
+        with pytest.raises(ValueError):
+            clopper_pearson_upper(successes, trials)
 
 
 # ------------------------------------------------------------ empirical tail
