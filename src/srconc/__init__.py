@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "measures": (
-        "SubsetMeasure", "CouplingTable", "condition", "generating_polynomial",
+        "SubsetMeasure", "Coupling", "condition", "generating_polynomial",
         "homogeneity_degree", "make_bernoulli_product", "make_projection_dpp",
         "make_spanning_tree_measure", "make_uniform_k_subsets", "validate"),
     "matrix_core": (

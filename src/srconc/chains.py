@@ -7,9 +7,10 @@ states, with detailed balance pi(x) Q(x,y) = pi(y) Q(y,x).
 
 ``decompose`` splits a cube chain on one coordinate into a two-state
 projection chain and per-part restriction chains.  ``chi`` measures the
-quality of the split's one covering coupling (part 0 rows, part 1
-columns, read transposed for the reverse direction), and
-``crude_chi_bound`` is the coupling-free lower bound on the same ratio.
+quality of the split's one covering coupling, a ``measures.Coupling``
+whose rows and columns index the states of part 0 and part 1 (read
+transposed for the reverse direction), and ``crude_chi_bound`` is the
+coupling-free lower bound on the same ratio.
 
 ``hermon_salez`` builds the flip-swap walk for a measure with the
 stochastic covering property: recursively construct walks for both
@@ -33,14 +34,14 @@ infeasible coupling as the witness.  The second assembles the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .measures import (
     SCP_LIMIT,
-    CouplingTable,
+    Coupling,
     InvalidInput,
     StateSpaceTooLarge,
     SubsetMeasure,
@@ -134,9 +135,6 @@ class Generator:
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "pi", pi)
 
-    def index_of(self) -> dict:
-        return {int(s): i for i, s in enumerate(self.states)}
-
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs x < y with a nonzero rate in either direction, computed once."""
@@ -222,45 +220,44 @@ def decompose(gen: Generator, ell: int) -> Decomposition:
     for i, idx in enumerate(sel):
         block = gen.rates[np.ix_(idx, idx)].copy()
         np.fill_diagonal(block, 0.0)
-        np.fill_diagonal(block, -block.sum(axis=1))
+        np.fill_diagonal(block, 0.0 - block.sum(axis=1))
         restrictions.append(Generator(gen.states[idx], block,
                                       gen.pi[idx] / pihat[i], n=gen.n))
     return Decomposition(gen, [gen.states[idx] for idx in sel], projection, restrictions)
 
 
-def _coupled_pairs(gen: Generator, kappa: CouplingTable) -> tuple:
+def _coupled_pairs(gen: Generator, dec: Decomposition, kappa: Coupling) -> tuple:
     """(i, j, x, y, mass) for both directions (0, 1) and (1, 0) of the split's
     coupling: x and y index gen's states in parts i and j over its support."""
-    src = gen.index_of()
-    a, b = np.nonzero(kappa.mass > 0.0)
-    rows = np.array([src[s] for s in kappa.rows[a].tolist()], dtype=np.int64)
-    cols = np.array([src[s] for s in kappa.cols[b].tolist()], dtype=np.int64)
-    mass = kappa.mass[a, b]
-    return (0, 1, rows, cols, mass), (1, 0, cols, rows, mass)
+    part0, part1 = (np.flatnonzero(np.isin(gen.states, part)) for part in dec.parts)
+    rows, cols = part0[kappa.row], part1[kappa.col]
+    return (0, 1, rows, cols, kappa.mass), (1, 0, cols, rows, kappa.mass)
 
 
-def chi(gen: Generator, dec: Decomposition, kappa: CouplingTable) -> float:
+def chi(gen: Generator, dec: Decomposition, kappa: Coupling) -> float:
     """Coupling quality: min pi(x)Q(x,y) / (pihat(i) Qhat(i,j) kappa_ij(x,y)).
 
     kappa couples the conditioned laws of part 0 (rows) and part 1
-    (columns), kappa_10 is its transpose, and the minimum runs over the
-    directions with Qhat(i,j) > 0 and over kappa's support.
+    (columns): kappa.row and kappa.col index dec.parts[0] and dec.parts[1],
+    as ``scp_coupling`` returns them.  kappa_10 is its transpose, and the
+    minimum runs over the directions with Qhat(i,j) > 0 and over kappa's
+    support.
     """
     qhat, pihat = dec.projection.rates, dec.projection.pi
     best = np.inf
-    for i, j, x, y, mass in _coupled_pairs(gen, kappa):
+    for i, j, x, y, mass in _coupled_pairs(gen, dec, kappa):
         if qhat[i, j] > 0.0:
             ratio = gen.pi[x] * gen.rates[x, y] / (pihat[i] * qhat[i, j] * mass)
             best = min(best, ratio.min(initial=np.inf))
     return float(best)
 
 
-def crude_chi_bound(gen: Generator, dec: Decomposition, kappa: CouplingTable) -> float:
+def crude_chi_bound(gen: Generator, dec: Decomposition, kappa: Coupling) -> float:
     """Coupling-free floor: min over kappa's support, in both directions, of
     max{Q(x,y)/Qhat(i,j), Q(y,x)/Qhat(j,i)}."""
     qhat = dec.projection.rates
     best = np.inf
-    for i, j, x, y, _ in _coupled_pairs(gen, kappa):
+    for i, j, x, y, _ in _coupled_pairs(gen, dec, kappa):
         if qhat[i, j] > 0.0:
             forward = gen.rates[x, y] / qhat[i, j]
             backward = gen.rates[y, x] / qhat[j, i] if qhat[j, i] > 0.0 else 0.0
@@ -268,33 +265,34 @@ def crude_chi_bound(gen: Generator, dec: Decomposition, kappa: CouplingTable) ->
     return float(best)
 
 
-def scp_coupling(m: SubsetMeasure, ell: int) -> CouplingTable:
+def scp_coupling(m: SubsetMeasure, ell: int) -> Coupling:
     """Coupling of the two coordinate conditionals on flip-swap pairs.
 
-    Rows are full-cube masks with x_ell = 0, columns have x_ell = 1; the
-    support is restricted to pairs whose free coordinates cover, which
+    Rows index m's masks with x_ell = 0 and columns those with x_ell = 1,
+    each ascending, which is decompose(walk, ell).parts for any walk of m;
+    the support is restricted to pairs whose free coordinates cover, which
     across this boundary are exactly the flip-swap adjacent pairs.  Raises
     InfeasibleCoupling when max-flow cannot move all the mass, i.e. the
     covering property fails at the SCP event ({ell}, e_ell, 0).
     """
+    validate(m)
+    if not 0 <= ell < m.n:
+        raise ValueError(f"coordinate {ell} out of range for n={m.n}")
     low, high = halves(m, ell)
     if low is None or high is None:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
-    side = (m.masks >> ell) & 1 == 1
-    return replace(_couple(low[0], high[0], (0, 0, ell)), rows=m.masks[~side],
-                   cols=m.masks[side])
+    return _couple(low[0], high[0], (0, 0, ell))
 
 
-def _couple(low: SubsetMeasure, high: SubsetMeasure, event: tuple) -> CouplingTable:
+def _couple(low: SubsetMeasure, high: SubsetMeasure, event: tuple) -> Coupling:
     """Covering coupling of the conditionals below one split (rows: bit 0)."""
-    allowed = covers(low.masks[:, None], high.masks[None, :])
-    table, value = feasible_coupling(low.masks, low.masses, high.masks, high.masses,
-                                     allowed)
-    if table is None:
+    kappa, value = feasible_coupling(low.masses, high.masses,
+                                     covers(low.masks[:, None], high.masks[None, :]))
+    if kappa is None:
         raise InfeasibleCoupling(
             f"split on coordinate {event[2]}: moved only {value:.12f} of unit mass",
             event)
-    return table
+    return kappa
 
 
 def _free(event: tuple, n: int) -> list:
@@ -346,11 +344,11 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
 
 def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
     """Coupling of the split of w, the root restricted to (ones, zeros), on
-    its coordinate ell (root_ell of the root) as (row, col, mass) arrays over
-    its support, rows and cols indexing the two children (None for a constant
-    coordinate), and the child keys.  Solving it first makes the first
-    InfeasibleCoupling the first failing SCP event met, event = (ones, zeros,
-    root_ell); only feasible couplings are memoized, so it is met as before."""
+    its coordinate ell (root_ell of the root), rows and cols indexing the two
+    children (None for a constant coordinate), and the child keys.  Solving
+    it first makes the first InfeasibleCoupling the first failing SCP event
+    met, event = (ones, zeros, root_ell); only feasible couplings are
+    memoized (as ``_couple`` returns them), so it is met as before."""
     ones, zeros, root_ell = event
     sides = halves(w, ell)
     keys = tuple(None if side is None else _key(side[0]) for side in sides)
@@ -358,8 +356,7 @@ def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple
     if None not in sides:
         kappa = lattice.kappas.get(keys)
         if kappa is None:
-            mass = _couple(sides[0][0], sides[1][0], event).mass
-            kappa = lattice.kappas[keys] = np.nonzero(mass) + (mass[mass > 0.0],)
+            kappa = lattice.kappas[keys] = _couple(sides[0][0], sides[1][0], event)
     events = ((ones, zeros | 1 << root_ell), (ones | 1 << root_ell, zeros))
     kids = [_visit(*side, child, lattice, key)
             for side, key, child in zip(sides, keys, events) if side is not None]
@@ -410,7 +407,7 @@ def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
 
 def _generator(m: SubsetMeasure, q: np.ndarray) -> Generator:
     """Generator on m's support with off-diagonal rates q (diagonal set in place)."""
-    np.fill_diagonal(q, -q.sum(axis=1))
+    np.fill_diagonal(q, 0.0 - q.sum(axis=1))  # 0.0, not -0.0, where a state has no exits
     return Generator(*map(_sealed, (m.masks.copy(), q, m.masses.copy())), n=m.n)
 
 

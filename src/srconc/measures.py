@@ -9,11 +9,11 @@ conditioning touches only the support.
 The covering relation used throughout: x covers y (written x |> y here)
 iff x == y or x == y | (1 << i) for a single bit i missing from y.  A
 measure p covers a measure q when some coupling of p (rows) and q
-(columns) puts all its mass on covering pairs.  Coupling existence is
-decided by a small max-flow solver for the bipartite transportation
-problem (greedy warm start, then breadth-first augmenting paths) on
-float supplies and demands; comparisons use an absolute tolerance of
-1e-10.
+(columns) puts all its mass on covering pairs.  A small max-flow solver
+for the bipartite transportation problem (greedy warm start, then
+breadth-first augmenting paths) decides whether one exists, within an
+absolute tolerance of 1e-10, and a coupling is stored by its support too:
+a ``Coupling`` of (row, col, mass) arrays, one entry per pair with mass.
 
 The stochastic covering property (SCP) asks that for every conditioning
 set S and every pair of assignments x |> y on S, the conditional of the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,53 +291,31 @@ def automorphisms(m: SubsetMeasure) -> np.ndarray:
     return np.array(found, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class CouplingTable:
-    """Joint table over rows x cols with declared marginals and support.
+class Coupling(NamedTuple):
+    """A coupling stored by its support: mass[t] > 0 sits on the pair
+    (row[t], col[t]), indices into the row and column supports, and each
+    pair appears at most once."""
 
-    mass[i, j] is the coupling weight on (rows[i], cols[j]); support is a
-    boolean array of the same shape and all mass outside it is zero.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
     mass: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    support: np.ndarray
-
-    def max_marginal_deviation(self) -> float:
-        dr = np.abs(self.mass.sum(axis=1) - self.row_marginal).max(initial=0.0)
-        dc = np.abs(self.mass.sum(axis=0) - self.col_marginal).max(initial=0.0)
-        return float(max(dr, dc))
-
-    def off_support_mass(self) -> float:
-        off = self.mass[~self.support]
-        return float(np.abs(off).max(initial=0.0))
 
 
-def feasible_coupling(row_masks, row_probs, col_masks, col_probs, allowed):
+def feasible_coupling(row_probs, col_probs, allowed):
     """Transportation feasibility on an explicit bipartite support.
 
-    Returns (CouplingTable or None, attained flow value).  Feasible means
-    max-flow reaches 1 within COUPLING_TOL; the returned table is the
-    flow itself, so marginal deviations are at the float-summation level.
+    Returns (Coupling or None, attained flow value).  Feasible means
+    max-flow reaches 1 within COUPLING_TOL; the coupling returned is the
+    flow itself, so its marginals deviate at the float-summation level.
     """
-    row_masks = np.asarray(row_masks, dtype=np.int64)
-    col_masks = np.asarray(col_masks, dtype=np.int64)
-    row_probs = np.asarray(row_probs, dtype=float)
-    col_probs = np.asarray(col_probs, dtype=float)
-    allowed = np.asarray(allowed, dtype=bool)
-    mass = _max_flow(row_probs, col_probs, allowed)
-    value = float(mass.sum())
-    if value < 1.0 - COUPLING_TOL:
-        return None, value
-    return CouplingTable(row_masks, col_masks, mass, row_probs.copy(),
-                         col_probs.copy(), allowed.copy()), value
+    kappa = _max_flow(np.asarray(row_probs, dtype=float), np.asarray(col_probs, dtype=float),
+                      np.asarray(allowed, dtype=bool))
+    value = float(kappa.mass.sum())
+    return (None if value < 1.0 - COUPLING_TOL else kappa), value
 
 
-def _max_flow(supply, demand, allowed) -> np.ndarray:
-    """Maximum flow table from row supplies to column demands.
+def _max_flow(supply, demand, allowed) -> Coupling:
+    """Maximum flow from row supplies to column demands, by its support.
 
     Allowed pairs are uncapacitated.  A greedy pass ships what it can in
     row-major order; then each round searches breadth-first from every row
@@ -347,7 +325,8 @@ def _max_flow(supply, demand, allowed) -> np.ndarray:
     the number of rounds whatever the float capacities, and each
     augmentation empties its bottleneck exactly, since x - x == 0 in
     floating point.  The supports are sparse and mostly a few masks wide,
-    so plain lists and dicts beat array operations here.
+    so plain lists and dicts beat array operations here, and the flow is
+    returned column by column from them, with no rows x cols table.
     """
     rows, cols = allowed.shape
     adj = [[] for _ in range(rows)]
@@ -412,11 +391,9 @@ def _max_flow(supply, demand, allowed) -> np.ndarray:
         left[src] -= step
         need[sink] -= step
 
-    flow = np.zeros((rows, cols))
-    for j, carried in enumerate(into):
-        for i, f in carried.items():
-            flow[i, j] = f
-    return flow
+    return Coupling(np.array([i for carried in into for i in carried], dtype=np.int64),
+                    np.repeat(np.arange(cols), [len(carried) for carried in into]),
+                    np.array([f for carried in into for f in carried.values()], dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,23 @@ def dense_measure(n: int, probs) -> measures.SubsetMeasure:
     return measures.SubsetMeasure(n, masks, probs[masks])
 
 
+def coupling_entries(kappa: measures.Coupling) -> dict:
+    """{(row, col): mass} of a coupling's support; each pair is listed once."""
+    entries = {(i, j): f for i, j, f in zip(kappa.row.tolist(), kappa.col.tolist(),
+                                            kappa.mass.tolist())}
+    assert len(entries) == kappa.mass.size
+    return entries
+
+
+def marginal_deviation(kappa: measures.Coupling, supply, demand) -> float:
+    """Largest gap between a coupling's row and column sums and its marginals."""
+    supply, demand = np.asarray(supply), np.asarray(demand)
+    rows = np.bincount(kappa.row, kappa.mass, minlength=supply.size)
+    cols = np.bincount(kappa.col, kappa.mass, minlength=demand.size)
+    return float(max(np.abs(rows - supply).max(initial=0.0),
+                     np.abs(cols - demand).max(initial=0.0)))
+
+
 def flip_swap_walk(gen: chains.Generator) -> chains.Generator:
     """A reversible generator on gen's states, uniform pi, whose edges are
     all the flip-swap pairs of the state masks."""

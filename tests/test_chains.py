@@ -25,9 +25,17 @@ from srconc.chains import (
     split_generator,
     validate_generator,
 )
-from srconc.measures import SubsetMeasure, ZeroMassEvent
+from srconc.measures import NotNormalized, SubsetMeasure, ZeroMassEvent
 
-from conftest import K4_EDGES, K5_EDGES, WHEEL4_EDGES, build_fixture_measures, dense_measure
+from conftest import (
+    K4_EDGES,
+    K5_EDGES,
+    WHEEL4_EDGES,
+    build_fixture_measures,
+    coupling_entries,
+    dense_measure,
+    marginal_deviation,
+)
 from test_measures import reference_covers, reference_scp
 
 
@@ -191,9 +199,9 @@ def test_chi_two_state_singletons():
     """Singleton parts force the point-mass coupling and the ratio is 1."""
     g = two_state_gen(1.7, 0.6)
     dec = decompose(g, 0)
-    point = measures.CouplingTable(np.array([0]), np.array([1]),
-                                   np.array([[1.0]]), np.array([1.0]),
-                                   np.array([1.0]), np.array([[True]]))
+    assert [r.rates.tolist() for r in dec.restrictions] == [[[0.0]], [[0.0]]]
+    assert not any(np.signbit(r.rates).any() for r in dec.restrictions)  # 0.0, not -0.0
+    point = measures.Coupling(np.array([0]), np.array([0]), np.array([1.0]))
     assert chi(g, dec, point) == pytest.approx(1.0)
     assert crude_chi_bound(g, dec, point) == pytest.approx(1.0)
 
@@ -223,11 +231,9 @@ def test_chi_zero_on_off_rate_support():
     an error: the coupling is feasible but useless."""
     g = flip_walk_cube2()
     dec = decompose(g, 0)
-    anti = measures.CouplingTable(
-        np.array([0, 2]), np.array([1, 3]),
-        np.array([[0.0, 0.5], [0.5, 0.0]]),
-        np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-        np.array([[False, True], [True, False]]))
+    # parts [0, 2] and [1, 3]: mass on the pairs (0, 3) and (2, 1)
+    anti = measures.Coupling(np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
+    assert [part.tolist() for part in dec.parts] == [[0, 2], [1, 3]]
     assert np.allclose(dec.projection.rates, [[-1.0, 1.0], [1.0, -1.0]])
     assert chi(g, dec, anti) == 0.0
 
@@ -244,22 +250,23 @@ def test_crude_bound_never_exceeds_chi_denominator_free_cases(fixture_measures):
         assert chi(g, dec, kap) > 0.0
 
 
-def ref_entries(gen, kappa):
+def ref_entries(gen, dec, kappa):
     """The attached-couplings loop chi and crude_chi_bound replaced: kappa as
     the (0, 1) coupling and its transpose as (1, 0), one support entry at a
     time, as (i, j, x index, y index, mass)."""
-    src = gen.index_of()
-    tables = {(0, 1): (kappa.rows, kappa.cols, kappa.mass),
-              (1, 0): (kappa.cols, kappa.rows, kappa.mass.T)}
-    for (i, j), (rows, cols, mass) in tables.items():
-        for a, b in zip(*np.nonzero(mass > 0.0)):
-            yield i, j, src[int(rows[a])], src[int(cols[b])], float(mass[a, b])
+    src = {int(s): i for i, s in enumerate(gen.states)}
+    entries = coupling_entries(kappa)
+    rows, cols = ([src[int(s)] for s in part] for part in dec.parts)
+    for (a, b), mass in entries.items():
+        yield 0, 1, rows[a], cols[b], mass
+    for (a, b), mass in entries.items():
+        yield 1, 0, cols[b], rows[a], mass
 
 
 def ref_chi(gen, dec, kappa):
     qhat, pihat = dec.projection.rates, dec.projection.pi
     best = np.inf
-    for i, j, x_idx, y_idx, mass in ref_entries(gen, kappa):
+    for i, j, x_idx, y_idx, mass in ref_entries(gen, dec, kappa):
         if qhat[i, j] <= 0.0:
             continue
         denom = pihat[i] * qhat[i, j] * mass
@@ -271,7 +278,7 @@ def ref_chi(gen, dec, kappa):
 def ref_crude(gen, dec, kappa):
     qhat = dec.projection.rates
     best = np.inf
-    for i, j, x_idx, y_idx, _ in ref_entries(gen, kappa):
+    for i, j, x_idx, y_idx, _ in ref_entries(gen, dec, kappa):
         if qhat[i, j] <= 0.0:
             continue
         forward = gen.rates[x_idx, y_idx] / qhat[i, j]
@@ -302,22 +309,33 @@ def test_chi_matches_the_attached_couplings_loop_bit_for_bit(fixture_measures, f
 
 # ------------------------------------------------------------ scp couplings
 
+def scp_sides(m, ell):
+    """(masks, conditional masses) of m's two sides of coordinate ell, in the
+    order scp_coupling's rows and columns index them."""
+    side = (m.masks >> ell) & 1 == 1
+    return [(m.masks[sel], m.masses[sel] / m.masses[sel].sum()) for sel in (~side, side)]
+
+
+def scp_pairs(m, ell, kap):
+    """scp_coupling(m, ell) = kap as {(row mask, col mask): mass}."""
+    (rows, _), (cols, _) = scp_sides(m, ell)
+    return {(int(rows[i]), int(cols[j])): f for (i, j), f in coupling_entries(kap).items()}
+
+
 def test_scp_coupling_swap_pair():
-    kap = scp_coupling(measures.make_uniform_k_subsets(2, 1), 0)
-    assert kap.rows.tolist() == [2]
-    assert kap.cols.tolist() == [1]
-    assert np.allclose(kap.mass, [[1.0]])
+    m = measures.make_uniform_k_subsets(2, 1)
+    kap = scp_coupling(m, 0)
+    assert scp_pairs(m, 0, kap) == pytest.approx({(2, 1): 1.0})
 
 
 def test_scp_coupling_cube_is_diagonal():
     """On the product measure the only admissible transport matches each
     row state with its bit-0 flip, giving the diagonal table."""
-    kap = scp_coupling(measures.make_bernoulli_product([0.5, 0.5]), 0)
-    assert kap.rows.tolist() == [0, 2]
-    assert kap.cols.tolist() == [1, 3]
-    assert np.allclose(kap.mass, [[0.5, 0.0], [0.0, 0.5]])
-    assert kap.max_marginal_deviation() <= 1e-10
-    assert kap.off_support_mass() == 0.0
+    m = measures.make_bernoulli_product([0.5, 0.5])
+    kap = scp_coupling(m, 0)
+    assert scp_pairs(m, 0, kap) == pytest.approx({(0, 1): 0.5, (2, 3): 0.5})
+    (_, low), (_, high) = scp_sides(m, 0)
+    assert marginal_deviation(kap, low, high) <= 1e-10
 
 
 def test_scp_coupling_marginals_on_fixtures(fixture_measures):
@@ -328,11 +346,10 @@ def test_scp_coupling_marginals_on_fixtures(fixture_measures):
             if bits.min() == bits.max():
                 continue
             kap = scp_coupling(m, ell)
-            assert kap.max_marginal_deviation() <= 1e-9
-            for i, x in enumerate(kap.rows.tolist()):
-                for j, y in enumerate(kap.cols.tolist()):
-                    if kap.mass[i, j] > 0.0:
-                        assert flip_swap_adjacent(x, y)
+            (_, low), (_, high) = scp_sides(m, ell)
+            assert marginal_deviation(kap, low, high) <= 1e-9
+            for x, y in scp_pairs(m, ell, kap):
+                assert flip_swap_adjacent(x, y)
 
 
 def test_scp_coupling_infeasible_on_two_point_mass():
@@ -345,6 +362,17 @@ def test_scp_coupling_constant_coordinate():
     m = dense_measure(2, np.array([0.0, 0.5, 0.0, 0.5]))
     with pytest.raises(EmptyPart):
         scp_coupling(m, 0)
+
+
+@pytest.mark.parametrize("m,ell,error,match", [
+    *[(measures.make_uniform_k_subsets(4, 2), ell, ValueError,
+       rf"^coordinate {ell} out of range for n=4$") for ell in (4, 64, 99, -1)],
+    (SubsetMeasure(2, [1, 2], [0.7, 0.7]), 0, NotNormalized, "total mass"),
+])
+def test_scp_coupling_checks_its_input_as_split_generator_does(m, ell, error, match):
+    for solve in (scp_coupling, split_generator):
+        with pytest.raises(error, match=match):
+            solve(m, ell)
 
 
 # -------------------------------------------------------------- walk values
@@ -440,7 +468,6 @@ def test_normalized_walk_contract(name, fixture_measures, fixture_walks):
     gen = fixture_walks[name]
     validate_generator(gen)
     assert delta(gen) <= 1.0 + 1e-10
-    idx = gen.index_of()
     for a, x in enumerate(gen.states.tolist()):
         for b, y in enumerate(gen.states.tolist()):
             if a != b and gen.rates[a, b] > 0.0:

@@ -226,7 +226,7 @@ def test_build_walk_point_mass_emits_strict_json(tmp_path, capsys):
 
 
 def test_point_mass_walk_and_poincare_check(tmp_path, capsys):
-    # one state: no exits (delta 0.0, not -0.0) and zero variance, so the
+    # one state: no exits (delta and Q 0.0, not -0.0) and zero variance, so the
     # Poincare inequality holds even at the infinite gap
     cfg = write_cfg(tmp_path, "point.json", {
         "measure": {"inline": {"n": 2, "entries": [{"mask": 1, "p": 1.0}]}},
@@ -237,6 +237,7 @@ def test_point_mass_walk_and_poincare_check(tmp_path, capsys):
         assert code == 0
         for key in ("delta", "delta_raw"):
             assert walk[key] == 0.0 and math.copysign(1.0, walk[key]) == 1.0
+        assert [math.copysign(1.0, v) for row in walk["Q"] for v in row] == [1.0]
         code, payload = run_json(capsys, ["poincare-check", "--config", cfg])
     assert code == 0
     assert payload["passed"] is True

@@ -34,7 +34,9 @@ from conftest import (
     K4_EDGES,
     K5_EDGES,
     WHEEL4_EDGES,
+    coupling_entries,
     dense_measure,
+    marginal_deviation,
     random_projection_kernel,
 )
 
@@ -210,8 +212,8 @@ def reference_covers(p: SubsetMeasure, q: SubsetMeasure):
     """Coupling of p (rows) and q (columns) on covering pairs, or None."""
     rows, cols = p.support(), q.support()
     allowed = covers(rows[:, None], cols[None, :])
-    table, _ = measures.feasible_coupling(rows, p.masses[p.masses > 0.0], cols,
-                                          q.masses[q.masses > 0.0], allowed)
+    table, _ = measures.feasible_coupling(p.masses[p.masses > 0.0], q.masses[q.masses > 0.0],
+                                          allowed)
     return table
 
 
@@ -240,8 +242,8 @@ def test_measure_covers_reflexive_diagonal():
     m = make_uniform_k_subsets(3, 2)
     table = reference_covers(m, m)
     assert table is not None
-    assert table.max_marginal_deviation() < 1e-10
-    assert table.off_support_mass() == 0.0
+    assert marginal_deviation(table, m.masses, m.masses) < 1e-10
+    assert covers(m.masks[table.row], m.masks[table.col]).all()
 
 
 def test_measure_covers_point_masses():
@@ -249,7 +251,7 @@ def test_measure_covers_point_masses():
     down = dense_measure(1, np.array([1.0, 0.0]))
     table = reference_covers(up, down)
     assert table is not None
-    assert table.mass[0, 0] == pytest.approx(1.0)
+    assert coupling_entries(table) == {(0, 0): pytest.approx(1.0)}
     assert reference_covers(down, up) is None
 
 
@@ -530,9 +532,8 @@ def test_as_real_is_the_one_real_number_rule():
 
 def test_feasible_coupling_reports_shortfall():
     # disjointly supported marginals with no allowed pairs at all
-    table, value = measures.feasible_coupling(
-        np.array([0]), np.array([1.0]), np.array([3]), np.array([1.0]),
-        np.array([[False]]))
+    table, value = measures.feasible_coupling(np.array([1.0]), np.array([1.0]),
+                                              np.array([[False]]))
     assert table is None and value == 0.0
 
 
@@ -576,8 +577,7 @@ def test_feasible_coupling_matches_lp(kind):
     verdicts = set()
     for _ in range(60):
         p, q, allowed = _transport_instance(rng, kind)
-        table, value = measures.feasible_coupling(np.arange(p.size), p,
-                                                  np.arange(q.size), q, allowed)
+        table, value = measures.feasible_coupling(p, q, allowed)
         lp = _lp_max_flow(p, q, allowed)
         assert abs(value - lp) <= 1e-9
         threshold = 1.0 - measures.COUPLING_TOL
@@ -586,12 +586,32 @@ def test_feasible_coupling_matches_lp(kind):
         if table is not None:
             verdicts.add(True)
             # the table is the flow, so its marginals miss by the shortfall at most
-            assert table.max_marginal_deviation() < 1e-12 + (1.0 - value)
-            assert table.off_support_mass() == 0.0
+            assert marginal_deviation(table, p, q) < 1e-12 + (1.0 - value)
+            assert allowed[table.row, table.col].all()
             assert (table.mass >= 0.0).all()
         else:
             verdicts.add(False)
     assert verdicts == ({True} if kind == "feasible" else {True, False})
+
+
+def test_feasible_coupling_stays_sparse():
+    """One solve on a 3000 x 3000 banded support allocates per allowed pair,
+    not per table entry: a dense float flow table alone would take 72 MB."""
+    size = 3000
+    idx = np.arange(size)
+    allowed = np.abs(idx[:, None] - idx[None, :]) <= 2
+    ii, jj = np.nonzero(allowed)
+    w = np.random.default_rng(0).random(ii.size)
+    w /= w.sum()
+    supply, demand = np.bincount(ii, w), np.bincount(jj, w)
+    tracemalloc.start()
+    try:
+        table, value = measures.feasible_coupling(supply, demand, allowed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table is not None and value == pytest.approx(1.0, abs=1e-12)
+    assert peak < 8 << 20
 
 
 def test_conditional_covering_instance_by_hand():
@@ -603,8 +623,6 @@ def test_conditional_covering_instance_by_hand():
     high = condition(m, [3], [1])
     table = reference_covers(low, high)
     assert table is not None
-    assert table.max_marginal_deviation() < 1e-10
-    for i, x in enumerate(table.rows):
-        for j, y in enumerate(table.cols):
-            if table.mass[i, j] > 0:
-                assert covers(int(x), int(y))
+    assert marginal_deviation(table, low.masses, high.masses) < 1e-10
+    for i, j in coupling_entries(table):
+        assert covers(int(low.masks[i]), int(high.masks[j]))

@@ -1,5 +1,5 @@
-"""Property tests for the support-indexed measure storage, the edge-list
-walk kernels, the centred spectrum behind the mgf and tail numbers,
+"""Property tests for the support-indexed measure and coupling storage, the
+edge-list walk kernels, the centred spectrum behind the mgf and tail numbers,
 coordinate permutations, the walk gap on projection DPPs and the CLI
 config boundary.
 
@@ -45,7 +45,7 @@ from srconc.measures import (
 )
 from srconc.samplers import _cp_upper, clopper_pearson_upper, empirical_tail, sample_table
 
-from conftest import dense_measure, flip_swap_oscillation, flip_swap_walk
+from conftest import dense_measure, flip_swap_oscillation, flip_swap_walk, marginal_deviation
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -160,6 +160,46 @@ def test_validate_rejects_non_finite_mass(data):
     entries = [{"mask": mask, "p": float(p)} for mask, p in enumerate(probs)]
     with pytest.raises(MeasureError):
         measure_from_json({"n": n, "entries": entries})
+
+
+# --------------------------------------------------- couplings by support
+
+@st.composite
+def transport_instances(draw):
+    """(supply, demand, allowed, feasible): the marginals of random weights on
+    the allowed pairs (feasible), or two unrelated laws (often not)."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+    weights = st.lists(st.floats(1e-6, 1.0), min_size=rows * cols, max_size=rows * cols)
+    w = np.array(draw(weights)).reshape(rows, cols) * allowed
+    if draw(st.booleans()) and w.sum() > 0.0:
+        w /= w.sum()
+        return w.sum(axis=1), w.sum(axis=0), allowed, True
+    supply, demand = w.sum(axis=1) + 1e-3, w.sum(axis=0) + 1e-3
+    return supply / supply.sum(), demand / demand.sum(), allowed, False
+
+
+@PROPERTY
+@given(transport_instances())
+def test_coupling_lies_on_allowed_pairs_within_its_marginals(case):
+    """The solver's flow, feasible or not: each pair allowed and listed once
+    with mass > 0, row and column sums within supply and demand; a feasible
+    verdict returns that flow with marginals met within 1e-10."""
+    supply, demand, allowed, feasible = case
+    flow = measures._max_flow(supply, demand, allowed)
+    assert allowed[flow.row, flow.col].all()
+    assert len(set(zip(flow.row.tolist(), flow.col.tolist()))) == flow.mass.size
+    assert (flow.mass > 0.0).all()
+    assert (np.bincount(flow.row, flow.mass, supply.size) <= supply + 1e-12).all()
+    assert (np.bincount(flow.col, flow.mass, demand.size) <= demand + 1e-12).all()
+    kappa, value = measures.feasible_coupling(supply, demand, allowed)
+    assert value == float(flow.mass.sum())
+    if feasible:
+        assert kappa is not None
+    if kappa is not None:
+        assert all(map(np.array_equal, kappa, flow))
+        assert marginal_deviation(kappa, supply, demand) < 1e-10
 
 
 # ------------------------------------------------ edge-list walk kernels

@@ -191,7 +191,7 @@ def old_check_decompositions(dec, fn):
                                                    dec.restrictions[i].pi,
                                                    fn.gather(dec.parts[i]))
                      for i in range(len(dec.parts)))
-    pos = gen.index_of()
+    pos = {int(s): i for i, s in enumerate(gen.states)}
     labels = np.full(gen.states.size, -1)
     for i, part in enumerate(dec.parts):
         labels[[pos[int(s)] for s in part]] = i
