@@ -47,7 +47,6 @@ from .measures import (
     SubsetMeasure,
     ZeroMassEvent,
     automorphisms,
-    covers,
     feasible_coupling,
     halves,
     popcount,
@@ -284,10 +283,20 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> Coupling:
     return _couple(low[0], high[0], (0, 0, ell))
 
 
+def _covering(low: np.ndarray, high: np.ndarray) -> list:
+    """adj[i] = the indices of the masks in high that low[i] covers, ascending:
+    low[i] with one of its bits cleared, highest bit first, then low[i]."""
+    index = {mask: j for j, mask in enumerate(high.tolist())}
+    adj = []
+    for x in low.tolist():
+        below = (x ^ 1 << b for b in range(x.bit_length() - 1, -1, -1) if x >> b & 1)
+        adj.append([index[y] for y in (*below, x) if y in index])
+    return adj
+
+
 def _couple(low: SubsetMeasure, high: SubsetMeasure, event: tuple) -> Coupling:
     """Covering coupling of the conditionals below one split (rows: bit 0)."""
-    kappa, value = feasible_coupling(low.masses, high.masses,
-                                     covers(low.masks[:, None], high.masks[None, :]))
+    kappa, value = feasible_coupling(low.masses, high.masses, _covering(low.masks, high.masks))
     if kappa is None:
         raise InfeasibleCoupling(
             f"split on coordinate {event[2]}: moved only {value:.12f} of unit mass",

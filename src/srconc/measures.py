@@ -11,16 +11,17 @@ iff x == y or x == y | (1 << i) for a single bit i missing from y.  A
 measure p covers a measure q when some coupling of p (rows) and q
 (columns) puts all its mass on covering pairs.  A small max-flow solver
 for the bipartite transportation problem (greedy warm start, then
-breadth-first augmenting paths) decides whether one exists, within an
-absolute tolerance of 1e-10, and a coupling is stored by its support too:
-a ``Coupling`` of (row, col, mass) arrays, one entry per pair with mass.
+breadth-first augmenting paths, on each row's list of allowed columns)
+decides whether one exists, within an absolute tolerance of 1e-10, and a
+coupling is stored by its support too: a ``Coupling`` of (row, col, mass)
+arrays, one entry per pair with mass.
 
 The stochastic covering property (SCP) asks that for every conditioning
 set S and every pair of assignments x |> y on S, the conditional of the
 measure given the smaller assignment covers the conditional given the
 larger one.  ``chains.scp_check`` decides it with the recursion that
 builds the flip-swap walk; this module supplies the pieces (``halves``,
-``covers``, ``feasible_coupling``) and the size guard SCP_LIMIT.
+``feasible_coupling``) and the size guard SCP_LIMIT.
 
 As the bottom layer it also holds what the layers above share: the error
 bases ``InvalidInput`` and ``NumericFailure``, the input readers
@@ -129,17 +130,6 @@ def within(value: float, bound: float, tol: float, scale: float) -> bool:
 def popcount(masks):
     """Number of set bits, elementwise on an integer array (or scalar)."""
     return np.bitwise_count(np.asarray(masks, dtype=np.int64))
-
-
-def covers(x, y):
-    """Elementwise: x == y or x equals y with exactly one extra bit set.
-
-    Broadcasts, so covers(rows[:, None], cols[None, :]) is the whole
-    covering table of two mask lists.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    return ((x | y) == x) & (popcount(x ^ y) <= 1)
 
 
 def _check_size(n: int) -> None:
@@ -301,38 +291,35 @@ class Coupling(NamedTuple):
     mass: np.ndarray
 
 
-def feasible_coupling(row_probs, col_probs, allowed):
-    """Transportation feasibility on an explicit bipartite support.
+def feasible_coupling(row_probs, col_probs, adj):
+    """Transportation feasibility on an explicit bipartite support: adj[i]
+    lists row i's allowed columns, ascending.
 
     Returns (Coupling or None, attained flow value).  Feasible means
     max-flow reaches 1 within COUPLING_TOL; the coupling returned is the
     flow itself, so its marginals deviate at the float-summation level.
     """
-    kappa = _max_flow(np.asarray(row_probs, dtype=float), np.asarray(col_probs, dtype=float),
-                      np.asarray(allowed, dtype=bool))
+    kappa = _max_flow(np.asarray(row_probs, dtype=float), np.asarray(col_probs, dtype=float), adj)
     value = float(kappa.mass.sum())
     return (None if value < 1.0 - COUPLING_TOL else kappa), value
 
 
-def _max_flow(supply, demand, allowed) -> Coupling:
+def _max_flow(supply, demand, adj) -> Coupling:
     """Maximum flow from row supplies to column demands, by its support.
 
-    Allowed pairs are uncapacitated.  A greedy pass ships what it can in
-    row-major order; then each round searches breadth-first from every row
-    with supply left, along allowed row->col arcs and along col->row arcs
-    that carry flow (cancelling it), and augments the first column with
-    demand left by the path's bottleneck.  Shortest augmenting paths bound
-    the number of rounds whatever the float capacities, and each
-    augmentation empties its bottleneck exactly, since x - x == 0 in
+    The allowed pairs are given as adjacency lists, adj[i] holding row i's
+    columns ascending, and are uncapacitated.  A greedy pass ships what it
+    can in row-major order; then each round searches breadth-first from
+    every row with supply left, along allowed row->col arcs and along
+    col->row arcs that carry flow (cancelling it), and augments the first
+    column with demand left by the path's bottleneck.  Shortest augmenting
+    paths bound the number of rounds whatever the float capacities, and
+    each augmentation empties its bottleneck exactly, since x - x == 0 in
     floating point.  The supports are sparse and mostly a few masks wide,
     so plain lists and dicts beat array operations here, and the flow is
     returned column by column from them, with no rows x cols table.
     """
-    rows, cols = allowed.shape
-    adj = [[] for _ in range(rows)]
-    ii, jj = np.nonzero(allowed)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        adj[i].append(j)
+    rows, cols = supply.size, demand.size
     left = supply.tolist()
     need = demand.tolist()
     into = [{} for _ in range(cols)]  # into[j][i] = flow on (i, j), kept > 0
@@ -493,12 +480,6 @@ def component_count(vertices: int, edges) -> int:
     return vertices - sum(uf.union(int(u), int(v)) for u, v in edges)
 
 
-def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
-    """True iff the selected edges form a spanning tree on all vertices."""
-    chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]
-    return len(chosen) == vertices - 1 and component_count(vertices, chosen) == 1
-
-
 def tree_edges(edges, vertices: int | None = None) -> tuple[list[tuple[int, int]], int]:
     """The edge list as int pairs and the vertex count (default: one past
     the largest endpoint); raises ValueError on a self-loop or an endpoint
@@ -523,10 +504,20 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
     if components != 1:
         raise DisconnectedGraph(f"graph has {components} components")
 
-    masks = np.arange(1 << n, dtype=np.int64)
-    hits = [msk for msk in masks[popcount(masks) == vertices - 1].tolist()
-            if is_spanning_tree(msk, edges, vertices)]
-    return SubsetMeasure(n, hits, np.full(len(hits), 1.0 / len(hits)))
+    hits = []
+
+    def grow(i: int, mask: int, component: list, missing: int) -> None:
+        """Record the spanning trees adding missing edges of edges[i:] to forest mask."""
+        if missing == 0:
+            hits.append(mask)
+        elif n - i >= missing:
+            a, b = (component[v] for v in edges[i])
+            if a != b:
+                grow(i + 1, mask | 1 << i, [a if c == b else c for c in component], missing - 1)
+            grow(i + 1, mask, component, missing)
+
+    grow(0, 0, list(range(vertices)), vertices - 1)
+    return SubsetMeasure(n, sorted(hits), np.full(len(hits), 1.0 / len(hits)))
 
 
 # ---------------------------------------------------------------------------

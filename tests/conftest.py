@@ -35,6 +35,30 @@ def dense_measure(n: int, probs) -> measures.SubsetMeasure:
     return measures.SubsetMeasure(n, masks, probs[masks])
 
 
+def covers(x, y):
+    """Elementwise: x == y or x equals y with exactly one extra bit set.
+
+    Broadcasts, so covers(rows[:, None], cols[None, :]) is the whole
+    covering table of two mask lists: the reference the walk's listed
+    covering pairs are checked against.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    return ((x | y) == x) & (measures.popcount(x ^ y) <= 1)
+
+
+def adjacency(allowed) -> list:
+    """A rows x cols bool table as the solver's adjacency lists: row i's
+    allowed columns, ascending."""
+    return [np.flatnonzero(row).tolist() for row in np.asarray(allowed, dtype=bool)]
+
+
+def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
+    """True iff the selected edges form a spanning tree on all vertices."""
+    chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]
+    return len(chosen) == vertices - 1 and measures.component_count(vertices, chosen) == 1
+
+
 def coupling_entries(kappa: measures.Coupling) -> dict:
     """{(row, col): mass} of a coupling's support; each pair is listed once."""
     entries = {(i, j): f for i, j, f in zip(kappa.row.tolist(), kappa.col.tolist(),

@@ -1,8 +1,10 @@
 """Differential gate for the coupling solver: the support-only solver
 (measures.feasible_coupling returning a Coupling of (row, col, mass)
 triplets) against the dense-table solver it replaced, kept here verbatim
-as the reference.  Every solve must give the same verdict and the same
-flow, bit for bit, and walks built on either solver must be identical."""
+as the reference.  The library solver takes each row's allowed columns as
+a list; the reference reads the same pairs as its bool table.  Every solve
+must give the same verdict and the same flow, bit for bit, and walks built
+on either solver must be identical."""
 
 from dataclasses import dataclass
 
@@ -12,7 +14,13 @@ import pytest
 from srconc import chains, measures
 from srconc.measures import COUPLING_TOL
 
-from conftest import K5_EDGES, build_fixture_measures, coupling_entries, random_projection_kernel
+from conftest import (
+    K5_EDGES,
+    adjacency,
+    build_fixture_measures,
+    coupling_entries,
+    random_projection_kernel,
+)
 from test_measures import _transport_instance
 
 # ------------------------------------------------ the dense reference solver
@@ -149,24 +157,34 @@ def _max_flow(supply, demand, allowed) -> np.ndarray:
 # ----------------------------------------------------------------- the gate
 
 
-def reference_solver(supply, demand, allowed):
+def dense_table(supply, demand, adj) -> np.ndarray:
+    """The rows x cols bool table of the adjacency lists, the reference's input."""
+    allowed = np.zeros((len(supply), len(demand)), dtype=bool)
+    for i, cols in enumerate(adj):
+        allowed[i, cols] = True
+    return allowed
+
+
+def reference_solver(supply, demand, adj):
     """The reference behind feasible_coupling's signature, its table read as triplets."""
     table, value = feasible_coupling(np.arange(len(supply)), supply,
-                                     np.arange(len(demand)), demand, allowed)
+                                     np.arange(len(demand)), demand,
+                                     dense_table(supply, demand, adj))
     if table is None:
         return None, value
     row, col = np.nonzero(table.mass)
     return measures.Coupling(row, col, table.mass[row, col]), value
 
 
-def compared_solve(supply, demand, allowed):
+def compared_solve(supply, demand, adj):
     """feasible_coupling's answer, after checking that the flow equals the
     reference's nonzeros bit for bit and that the verdicts agree."""
-    flow = _max_flow(np.asarray(supply), np.asarray(demand), np.asarray(allowed))
+    allowed = dense_table(supply, demand, adj)
+    flow = _max_flow(np.asarray(supply), np.asarray(demand), allowed)
     ii, jj = np.nonzero(flow)
     want = {(i, j): f for i, j, f in zip(ii.tolist(), jj.tolist(), flow[ii, jj].tolist())}
-    assert coupling_entries(measures._max_flow(supply, demand, allowed)) == want
-    kappa, value = measures.feasible_coupling(supply, demand, allowed)
+    assert coupling_entries(measures._max_flow(supply, demand, adj)) == want
+    kappa, value = measures.feasible_coupling(supply, demand, adj)
     table, ref_value = feasible_coupling(np.arange(len(supply)), supply,
                                          np.arange(len(demand)), demand, allowed)
     assert (kappa is None) == (table is None)
@@ -210,5 +228,5 @@ def test_transport_instances_match_the_dense_reference(kind):
     verdicts = set()
     for _ in range(60):
         p, q, allowed = _transport_instance(rng, kind)
-        verdicts.add(compared_solve(p, q, allowed)[0] is not None)
+        verdicts.add(compared_solve(p, q, adjacency(allowed))[0] is not None)
     assert verdicts == ({True} if kind == "feasible" else {True, False})

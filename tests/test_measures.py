@@ -18,7 +18,6 @@ from srconc.measures import (
     ZeroMassEvent,
     automorphisms,
     condition,
-    covers,
     generating_polynomial,
     homogeneity_degree,
     make_bernoulli_product,
@@ -34,8 +33,11 @@ from conftest import (
     K4_EDGES,
     K5_EDGES,
     WHEEL4_EDGES,
+    adjacency,
     coupling_entries,
+    covers,
     dense_measure,
+    is_spanning_tree,
     marginal_deviation,
     random_projection_kernel,
 )
@@ -211,7 +213,7 @@ def test_covers_relation():
 def reference_covers(p: SubsetMeasure, q: SubsetMeasure):
     """Coupling of p (rows) and q (columns) on covering pairs, or None."""
     rows, cols = p.support(), q.support()
-    allowed = covers(rows[:, None], cols[None, :])
+    allowed = adjacency(covers(rows[:, None], cols[None, :]))
     table, _ = measures.feasible_coupling(p.masses[p.masses > 0.0], q.masses[q.masses > 0.0],
                                           allowed)
     return table
@@ -455,10 +457,22 @@ def tree_count_oracle(edges, vertices):
     return int(round(np.linalg.det(lap[1:, 1:])))
 
 
+def wheel_edges(spokes: int) -> list:
+    """The wheel with hub 0 and rim 1, ..., spokes: spokes first, then the rim."""
+    rim = range(1, spokes + 1)
+    return [(0, v) for v in rim] + [(v, v % spokes + 1) for v in rim]
+
+
 @pytest.mark.parametrize("edges,vertices,count", [
     (K3_EDGES, 3, 3),
     (K4_EDGES, 4, 16),
     (C5_EDGES, 5, 5),
+    (WHEEL4_EDGES, 5, 45),
+    (K5_EDGES, 5, 125),
+    ([(a, b) for a in range(6) for b in range(a + 1, 6)], 6, 1296),
+    (wheel_edges(10), 11, 15125),
+    ([(0, 1), (1, 2), (0, 1), (2, 0)], 3, 5),
+    ([], 1, 1),
 ])
 def test_spanning_tree_measure_counts(edges, vertices, count):
     assert tree_count_oracle(edges, vertices) == count
@@ -466,10 +480,12 @@ def test_spanning_tree_measure_counts(edges, vertices, count):
     supp = m.support()
     assert supp.size == count
     assert np.allclose(m.masses, 1.0 / count)
-    # every support mask really is a spanning tree: right size, acyclic
-    for mask in supp:
-        assert int(popcount(mask)) == vertices - 1
-        assert measures.is_spanning_tree(int(mask), edges, vertices)
+    # the support is exactly the candidate masks of the right size that
+    # pass the union-find spanning-tree test, ascending
+    candidates = np.arange(1 << len(edges))
+    candidates = candidates[popcount(candidates) == vertices - 1].tolist()
+    assert supp.tolist() == [mask for mask in candidates
+                             if is_spanning_tree(mask, edges, vertices)]
 
 
 def test_spanning_tree_measure_rejects_disconnected():
@@ -532,8 +548,7 @@ def test_as_real_is_the_one_real_number_rule():
 
 def test_feasible_coupling_reports_shortfall():
     # disjointly supported marginals with no allowed pairs at all
-    table, value = measures.feasible_coupling(np.array([1.0]), np.array([1.0]),
-                                              np.array([[False]]))
+    table, value = measures.feasible_coupling(np.array([1.0]), np.array([1.0]), [[]])
     assert table is None and value == 0.0
 
 
@@ -577,7 +592,7 @@ def test_feasible_coupling_matches_lp(kind):
     verdicts = set()
     for _ in range(60):
         p, q, allowed = _transport_instance(rng, kind)
-        table, value = measures.feasible_coupling(p, q, allowed)
+        table, value = measures.feasible_coupling(p, q, adjacency(allowed))
         lp = _lp_max_flow(p, q, allowed)
         assert abs(value - lp) <= 1e-9
         threshold = 1.0 - measures.COUPLING_TOL
@@ -604,13 +619,30 @@ def test_feasible_coupling_stays_sparse():
     w = np.random.default_rng(0).random(ii.size)
     w /= w.sum()
     supply, demand = np.bincount(ii, w), np.bincount(jj, w)
+    adj = adjacency(allowed)
     tracemalloc.start()
     try:
-        table, value = measures.feasible_coupling(supply, demand, allowed)
+        table, value = measures.feasible_coupling(supply, demand, adj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table is not None and value == pytest.approx(1.0, abs=1e-12)
+    assert peak < 8 << 20
+
+
+def test_scp_check_lists_covering_pairs():
+    """The coupling pass lists each row's covering columns instead of
+    building rows x cols covering tables: on uniform(14, 7), whose top
+    split is 1716 x 1716, scp_check stays below 8 MB (3.4 MB measured;
+    about 30 MB with the dense tables)."""
+    m = make_uniform_k_subsets(14, 7)
+    tracemalloc.start()
+    try:
+        result = scp_check(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result
     assert peak < 8 << 20
 
 

@@ -45,7 +45,14 @@ from srconc.measures import (
 )
 from srconc.samplers import _cp_upper, clopper_pearson_upper, empirical_tail, sample_table
 
-from conftest import dense_measure, flip_swap_oscillation, flip_swap_walk, marginal_deviation
+from conftest import (
+    adjacency,
+    covers,
+    dense_measure,
+    flip_swap_oscillation,
+    flip_swap_walk,
+    marginal_deviation,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -187,19 +194,45 @@ def test_coupling_lies_on_allowed_pairs_within_its_marginals(case):
     with mass > 0, row and column sums within supply and demand; a feasible
     verdict returns that flow with marginals met within 1e-10."""
     supply, demand, allowed, feasible = case
-    flow = measures._max_flow(supply, demand, allowed)
+    flow = measures._max_flow(supply, demand, adjacency(allowed))
     assert allowed[flow.row, flow.col].all()
     assert len(set(zip(flow.row.tolist(), flow.col.tolist()))) == flow.mass.size
     assert (flow.mass > 0.0).all()
     assert (np.bincount(flow.row, flow.mass, supply.size) <= supply + 1e-12).all()
     assert (np.bincount(flow.col, flow.mass, demand.size) <= demand + 1e-12).all()
-    kappa, value = measures.feasible_coupling(supply, demand, allowed)
+    kappa, value = measures.feasible_coupling(supply, demand, adjacency(allowed))
     assert value == float(flow.mass.sum())
     if feasible:
         assert kappa is not None
     if kappa is not None:
         assert all(map(np.array_equal, kappa, flow))
         assert marginal_deviation(kappa, supply, demand) < 1e-10
+
+
+@st.composite
+def mask_lists(draw):
+    """(rows, cols): ascending mask lists on n <= 12 bits.  The columns mix
+    rows with one bit cleared, rows themselves and arbitrary masks, which no
+    row may cover; mask 0 is in both lists in about half the cases."""
+    n = draw(st.integers(0, 12))
+    masks = st.integers(0, (1 << n) - 1)
+    rows = draw(st.sets(masks, max_size=30))
+    near = sorted({x & ~(1 << b) for x in rows for b in range(n)} | rows)
+    cols = draw(st.sets(st.sampled_from(near), max_size=30)) if near else set()
+    cols |= draw(st.sets(masks, max_size=10))
+    if draw(st.booleans()):
+        rows.add(0)
+        cols.add(0)
+    return np.array(sorted(rows), dtype=np.int64), np.array(sorted(cols), dtype=np.int64)
+
+
+@PROPERTY
+@given(mask_lists())
+def test_covering_lists_the_rows_of_the_covering_table(case):
+    """The walk's listed covering pairs are, row by row and in order, the
+    nonzero columns of the broadcast covering predicate."""
+    rows, cols = case
+    assert chains._covering(rows, cols) == adjacency(covers(rows[:, None], cols[None, :]))
 
 
 # ------------------------------------------------ edge-list walk kernels

@@ -12,7 +12,6 @@ from srconc.measures import (
     DisconnectedGraph,
     NotAProjection,
     StateSpaceTooLarge,
-    is_spanning_tree,
     projection_kernel,
     tree_edges,
 )
@@ -28,7 +27,7 @@ from srconc.samplers import (
     wilson_spanning_tree,
 )
 
-from conftest import K3_EDGES, K4_EDGES, dense_measure, random_projection_kernel
+from conftest import K3_EDGES, K4_EDGES, dense_measure, is_spanning_tree, random_projection_kernel
 
 
 def freq_within_4_sigma(draws, mask, p, count):
