@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -81,9 +82,7 @@ def _emit_csv(header, rows, out: str | None) -> None:
     def render(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                             for v in row])
+        writer.writerows(rows)
 
     if out:
         with open(out, "w", newline="") as fh:
@@ -178,8 +177,9 @@ def cmd_scp_check(cfg: dict) -> int:
     return EXIT_OK if result else EXIT_VALIDATION
 
 
-def _walk_summary(m):
+def cmd_build_walk(cfg: dict) -> int:
     from . import chains, functional
+    m = _load_measure(cfg)
     raw = chains.flip_swap_average(m)
     walk = chains.normalized(raw)
     chains.validate_generator(walk)
@@ -187,13 +187,6 @@ def _walk_summary(m):
     k = measures.homogeneity_degree(m)
     k_eff = k if k not in (None, 0) else m.n / 2.0
     bound = 1.0 / (2.0 * k_eff) if k_eff > 0 else 0.0
-    return raw, walk, gap, k, bound
-
-
-def cmd_build_walk(cfg: dict) -> int:
-    from . import chains
-    m = _load_measure(cfg)
-    raw, walk, gap, k, bound = _walk_summary(m)
     payload = chains.generator_to_json(walk)
     payload.update({
         "n": m.n,
@@ -287,17 +280,13 @@ def cmd_ineq_suite(cfg: dict) -> int:
         bump = matrix_core.random_symmetric(rng, d, 1.0)
         return matrix_core.check_trace_monotone(np.exp, a, a + bump @ bump.T, tol)
 
-    def t_jensen_sq(rng, d):
-        w = rng.dirichlet(np.ones(3))
-        dec = matrix_core.IdentityDecomposition.from_weights(w, d)
-        mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(3)]
-        return matrix_core.check_operator_jensen(np.square, dec, mats, "operator", tol)
-
-    def t_jensen_quartic(rng, d):
-        w = rng.dirichlet(np.ones(3))
-        dec = matrix_core.IdentityDecomposition.from_weights(w, d)
-        mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(3)]
-        return matrix_core.check_operator_jensen(lambda x: x**4, dec, mats, "trace", tol)
+    def t_jensen(fn, form):
+        def trial(rng, d):
+            w = rng.dirichlet(np.ones(3))
+            dec = matrix_core.IdentityDecomposition.from_weights(w, d)
+            mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(3)]
+            return matrix_core.check_operator_jensen(fn, dec, mats, form, tol)
+        return trial
 
     def t_diff_sq(rng, d):
         mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(4)]
@@ -330,8 +319,8 @@ def cmd_ineq_suite(cfg: dict) -> int:
                                                          int(rng.integers(1, 3)), tol)
 
     run("trace_monotone", t_monotone)
-    run("jensen_square_operator", t_jensen_sq)
-    run("jensen_quartic_trace", t_jensen_quartic)
+    run("jensen_square_operator", t_jensen(np.square, "operator"))
+    run("jensen_quartic_trace", t_jensen(lambda x: x**4, "trace"))
     run("diff_square_convex", t_diff_sq)
     run("duhamel", t_duhamel)
     run("int_norm", t_int_norm)
@@ -358,8 +347,7 @@ def cmd_mgf(cfg: dict) -> int:
             theta_max = math.nextafter(theta_max, 0.0)
     thetas = np.linspace(theta_max / points, theta_max, points)
     rows = concentration.spectrum(walk, fn).rows(thetas, lam, v, cfg["tol"])
-    _emit_csv(["theta", "trace_mgf", "bound", "ok"],
-              [[*row[:3], str(row[3])] for row in rows], cfg.get("out"))
+    _emit_csv(["theta", "trace_mgf", "bound", "ok"], rows, cfg.get("out"))
     return EXIT_OK if all(row[3] for row in rows) else EXIT_VIOLATION
 
 
@@ -423,14 +411,12 @@ def cmd_compare_ks(cfg: dict) -> int:
     for k in k_values:
         eps_k = 1.0 / math.sqrt(k) if eps is None else eps
         mu_star = ks.ks_crossover_threshold(k, eps_k)
-        for f in factors:
-            rec = ks.ks_crossover(k, f * mu_star, eps_k, c)
-            rows.append([rec.k, rec.mu, rec.eps, rec.lhs, rec.rhs,
-                         str(rec.ours_better), rec.margin, str(rec.near_crossover),
-                         rec.exponent_sr, rec.exponent_ks, rec.dominator])
-    _emit_csv(["k", "mu", "eps", "lhs", "rhs", "ours_better", "margin",
-               "near_crossover", "exponent_sr", "exponent_ks", "dominator"],
-              rows, cfg.get("out"))
+        if math.isinf(mu_star):
+            raise UsageError(f"no crossover at k = {k}, eps = {eps_k}: log k + eps <= eps sqrt k")
+        rows += [dataclasses.astuple(ks.ks_crossover(k, f * mu_star, eps_k, c))
+                 for f in factors]
+    _emit_csv([field.name for field in dataclasses.fields(ks.KsCrossover)], rows,
+              cfg.get("out"))
     return EXIT_OK
 
 

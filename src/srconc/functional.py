@@ -218,8 +218,7 @@ def _symmetrized(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
 
     Raises Reducible when the rate support graph is disconnected.
     """
-    xs, ys = gen.edges
-    components = component_count(gen.states.size, zip(xs.tolist(), ys.tolist()))
+    components = component_count(gen.states.size, np.column_stack(gen.edges))
     if components > 1:
         raise Reducible(components)
     root = np.sqrt(gen.pi)

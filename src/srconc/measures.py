@@ -456,28 +456,23 @@ def make_projection_dpp(kernel) -> SubsetMeasure:
     return SubsetMeasure(n, sorted(dets), masses / masses.sum())
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def component_count(vertices: int, edges) -> int:
-    """Connected components of the undirected graph on range(vertices)."""
-    uf = _UnionFind(vertices)
-    return vertices - sum(uf.union(int(u), int(v)) for u, v in edges)
+    """Connected components of the undirected graph on range(vertices).
+
+    Every vertex starts as its own root.  Each round hooks the larger root
+    of every edge onto the smaller with np.minimum.at, then sets root =
+    root[root] until no pointer moves.  Roots only decrease, so the rounds
+    end; they stop at the first round that hooks nothing, where every edge
+    joins equal roots, and the count is the vertices that are their own root.
+    """
+    root = np.arange(vertices)
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while (hook := root[u] != root[v]).any():
+        a, b = root[u[hook]], root[v[hook]]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return int(np.count_nonzero(root == np.arange(vertices)))
 
 
 def tree_edges(edges, vertices: int | None = None) -> tuple[list[tuple[int, int]], int]:

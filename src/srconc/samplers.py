@@ -84,11 +84,6 @@ def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
     return SampleBatch(seed, count, np.concatenate([np.zeros(0, dtype=np.int64), *masks]))
 
 
-def _row_uniforms(seed: int, count: int, per_draw: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
-    return gen.random((count, per_draw))
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     seed: int
@@ -130,7 +125,7 @@ def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
         raise ValueError(f"count must be >= 0, got {count}")
     supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
-    u = _row_uniforms(seed, count, 2)
+    u = np.random.Generator(np.random.Philox(key=int(seed) & MASK64)).random((count, 2))
     cell = np.minimum((u[:, 0] * supp.size).astype(np.int64), supp.size - 1)
     take_alias = u[:, 1] >= thresh[cell]
     cell = np.where(take_alias, alias[cell], cell)

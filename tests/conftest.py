@@ -53,6 +53,27 @@ def adjacency(allowed) -> list:
     return [np.flatnonzero(row).tolist() for row in np.asarray(allowed, dtype=bool)]
 
 
+def reference_component_count(vertices: int, edges) -> int:
+    """Connected components by a union-find with path halving, one edge at a
+    time: the reference the array routine measures.component_count is
+    checked against."""
+    parent = list(range(vertices))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    count = vertices
+    for u, v in edges:
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[ru] = rv
+            count -= 1
+    return count
+
+
 def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
     """True iff the selected edges form a spanning tree on all vertices."""
     chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]

@@ -371,6 +371,7 @@ def test_mgf_grid_stays_inside_the_radius(tmp_path, capsys):
     code, rows = run_csv(capsys, ["mgf", "--config", write_cfg(tmp_path, "m.json", RADIUS_CFG)])
     assert code in (0, 3)
     assert len(rows) == 2 and all(math.isfinite(float(x)) for x in rows[1][:3])
+    assert rows[1][3] == ("True" if code == 0 else "False")
     # an ordinary fraction keeps its largest theta, sqrt(frac * lam) / v
     cfg = dict(RADIUS_CFG, theta_grid={"max_fraction": 0.9, "points": 1})
     walk = chains.hermon_salez(measures.make_uniform_k_subsets(3, 1))
@@ -650,8 +651,11 @@ def test_compare_ks_sweep(tmp_path, capsys):
         "ks": {"k_values": [16, 64], "mu_factors": [0.5, 2.0]}})
     code, rows = run_csv(capsys, ["compare-ks", "--config", cfg])
     assert code == 0
-    assert rows[0][0] == "k"
+    assert rows[0] == ["k", "mu", "eps", "lhs", "rhs", "ours_better", "margin",
+                       "near_crossover", "exponent_sr", "exponent_ks", "dominator"]
     assert len(rows) == 5
+    assert {row[5] for row in rows[1:]} == {"True", "False"}
+    assert {row[7] for row in rows[1:]} <= {"True", "False"}
     for row in rows[1:]:
         better = row[5] == "True"
         factor_above = float(row[1]) > 0 and float(row[4]) >= float(row[3])
@@ -753,8 +757,11 @@ def test_sample_kdpp(tmp_path, capsys):
     ({"mu_factors": [math.nan]}, "ks.mu_factors entry must lie in (0, inf), got nan"),
     ({"mu_factors": [1.0, -2.0]}, "ks.mu_factors entry must lie in (0, inf), got -2.0"),
     ({"eps": -0.5}, "ks.eps must lie in (0, inf), got -0.5"),
-    ({"eps": math.nan}, "ks.eps must lie in (0, inf), got nan")],
-    ids=["k-fraction", "k-one", "mu-nan", "mu-negative", "eps-negative", "eps-nan"])
+    ({"eps": math.nan}, "ks.eps must lie in (0, inf), got nan"),
+    ({"eps": 1.0, "k_values": [8, 1024]},
+     "no crossover at k = 1024, eps = 1.0: log k + eps <= eps sqrt k")],
+    ids=["k-fraction", "k-one", "mu-nan", "mu-negative", "eps-negative", "eps-nan",
+         "eps-no-crossover"])
 def test_compare_ks_numbers_are_usage_errors(tmp_path, capsys, ks, needle):
     cfg = write_cfg(tmp_path, "k.json", {"ks": ks})
     assert main(["compare-ks", "--config", cfg]) == 1

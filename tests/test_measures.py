@@ -75,6 +75,15 @@ def test_component_count():
     assert measures.component_count(3, []) == 3
 
 
+def test_component_count_on_a_long_path():
+    """A 20,000-vertex path in random vertex order is one component, and
+    cutting it at one edge makes two."""
+    order = np.random.default_rng(5).permutation(20_000)
+    path = np.column_stack([order[:-1], order[1:]])
+    assert measures.component_count(20_000, path) == 1
+    assert measures.component_count(20_000, np.delete(path, 9_999, axis=0)) == 2
+
+
 def test_storage_cap():
     with pytest.raises(StateSpaceTooLarge):
         SubsetMeasure(21, [], [])

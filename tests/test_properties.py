@@ -1,7 +1,7 @@
 """Property tests for the support-indexed measure and coupling storage, the
-edge-list walk kernels, the centred spectrum behind the mgf and tail numbers,
-coordinate permutations, the walk gap on projection DPPs and the CLI
-config boundary.
+component count, the edge-list walk kernels, the centred spectrum behind
+the mgf and tail numbers, coordinate permutations, the walk gap on
+projection DPPs and the CLI config boundary.
 
 Hypothesis draws the inputs from a fixed seed (derandomize=True), so every
 run checks the same examples.
@@ -52,6 +52,7 @@ from conftest import (
     flip_swap_oscillation,
     flip_swap_walk,
     marginal_deviation,
+    reference_component_count,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -233,6 +234,27 @@ def test_covering_lists_the_rows_of_the_covering_table(case):
     nonzero columns of the broadcast covering predicate."""
     rows, cols = case
     assert chains._covering(rows, cols) == adjacency(covers(rows[:, None], cols[None, :]))
+
+
+@st.composite
+def multigraphs(draw):
+    """(vertices, edges): up to 30 vertices, 0 allowed, and up to 40 edges
+    with self-loops and repeats; vertices no edge touches stay isolated."""
+    vertices = draw(st.integers(0, 30))
+    if vertices == 0:
+        return 0, []
+    ends = st.integers(0, vertices - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=40))
+    if edges:
+        edges = edges + draw(st.lists(st.sampled_from(edges), max_size=10))
+    return vertices, edges
+
+
+@PROPERTY
+@given(multigraphs())
+def test_component_count_matches_the_union_find(graph):
+    vertices, edges = graph
+    assert measures.component_count(vertices, edges) == reference_component_count(vertices, edges)
 
 
 # ------------------------------------------------ edge-list walk kernels
