@@ -46,6 +46,7 @@ from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
     ZeroMassEvent,
+    as_coordinate,
     automorphisms,
     feasible_coupling,
     halves,
@@ -201,8 +202,7 @@ def decompose(gen: Generator, ell: int) -> Decomposition:
     """
     if gen.n is None:
         raise NotOnCube("decompose needs a cube chain with bitmask states")
-    if not 0 <= ell < gen.n:
-        raise ValueError(f"coordinate {ell} out of range for n={gen.n}")
+    ell = as_coordinate(ell, gen.n)
     bit = ((gen.states >> ell) & 1).astype(bool)
     sel = [np.flatnonzero(~bit), np.flatnonzero(bit)]
     if sel[0].size == 0 or sel[1].size == 0:
@@ -275,8 +275,7 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> Coupling:
     covering property fails at the SCP event ({ell}, e_ell, 0).
     """
     validate(m)
-    if not 0 <= ell < m.n:
-        raise ValueError(f"coordinate {ell} out of range for n={m.n}")
+    ell = as_coordinate(ell, m.n)
     low, high = halves(m, ell)
     if low is None or high is None:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
@@ -452,8 +451,7 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
 def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     """Pre-normalization generator of a single coordinate split."""
     validate(m)
-    if not 0 <= ell < m.n:
-        raise ValueError(f"coordinate {ell} out of range for n={m.n}")
+    ell = as_coordinate(ell, m.n)
     lattice = _Lattice(m)
     split = _split(m, (0, 0, ell), ell, lattice)
     acc = np.zeros((m.masks.size, m.masks.size))

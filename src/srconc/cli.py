@@ -17,6 +17,7 @@ only for those: `compare-ks` loads `ks` and no walk layer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -79,16 +80,10 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _emit_csv(header, rows, out: str | None) -> None:
-    def render(fh):
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-    if out:
-        with open(out, "w", newline="") as fh:
-            render(fh)
-    else:
-        render(sys.stdout)
 
 
 def _load_measure(cfg: dict) -> measures.SubsetMeasure:
@@ -141,7 +136,7 @@ def _build_function(cfg: dict):
     if not isinstance(rnd, dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
-    d = _positive(rnd.get("d", 2), "function.random.d")
+    d = _at_least(rnd.get("d", 2), "function.random.d", 1)
     seed = measures.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
     if kind == "table":
         scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)
@@ -226,11 +221,10 @@ def cmd_poincare_check(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _positive(value, name: str) -> int:
-    """value as an int, or a usage error unless it is an integer of at least 1."""
-    count = measures.as_integer(value, name)
-    if count < 1:
-        raise UsageError(f"{name} must be at least 1, got {count}")
+def _at_least(value, name: str, low: int) -> int:
+    """value as an int, or a usage error unless it is an integer of at least low."""
+    if (count := measures.as_integer(value, name)) < low:
+        raise UsageError(f"{name} must be at least {low}, got {count}")
     return count
 
 
@@ -254,26 +248,23 @@ def _section(cfg: dict, key: str) -> dict:
 def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
     """The cfg[key] grid object and its point count (default points)."""
     grid = _section(cfg, key)
-    return grid, _positive(grid.get("points", points), f"{key}.points")
+    return grid, _at_least(grid.get("points", points), f"{key}.points", 1)
 
 
 def cmd_ineq_suite(cfg: dict) -> int:
     from . import chains, concentration, functional, matrix_core
-    trials = _positive(cfg["trials"], "trials")
+    trials = _at_least(cfg["trials"], "trials", 1)
     seed, tol = cfg["seed"], cfg["tol"]
     dims = cfg.get("dims", [3, 4])
     if not isinstance(dims, list) or not dims:
         raise UsageError(f"dims must be a non-empty list, got {dims!r}")
-    dims = [_positive(d, "dims entry") for d in dims]
+    dims = [_at_least(d, "dims entry", 1) for d in dims]
     counts: dict[str, int] = {}
 
     def run(name, fun):
-        bad = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, zlib.crc32(name.encode()), trial])
-            if not fun(rng, dims[trial % len(dims)]):
-                bad += 1
-        counts[name] = bad
+        tag = zlib.crc32(name.encode())
+        counts[name] = sum(not fun(np.random.default_rng([seed, tag, t]), dims[t % len(dims)])
+                           for t in range(trials))
 
     def t_monotone(rng, d):
         a = matrix_core.random_symmetric(rng, d, 1.5)
@@ -341,11 +332,7 @@ def cmd_mgf(cfg: dict) -> int:
     v = concentration.oscillation(walk, fn).v
     if v <= 0.0:
         raise UsageError("constant function: mgf grid is unbounded")
-    theta_max = math.sqrt(frac * lam) / v
-    for _ in range(3):  # sqrt(frac * lam) / v can round onto the radius by an ulp or two
-        if theta_max * theta_max * (v * v / lam) >= 1.0:
-            theta_max = math.nextafter(theta_max, 0.0)
-    thetas = np.linspace(theta_max / points, theta_max, points)
+    thetas = concentration.mgf_grid(lam, v, frac, points)
     rows = concentration.spectrum(walk, fn).rows(thetas, lam, v, cfg["tol"])
     _emit_csv(["theta", "trace_mgf", "bound", "ok"], rows, cfg.get("out"))
     return EXIT_OK if all(row[3] for row in rows) else EXIT_VIOLATION
@@ -360,7 +347,7 @@ def cmd_tail(cfg: dict) -> int:
     c_ks = _bounded(_section(cfg, "ks").get("c", 1.0), "ks.c", math.inf)
     t_hi = _bounded(grid_cfg["max"], "t_grid.max", math.inf) if "max" in grid_cfg else None
     if mode == "empirical":
-        count = _positive(cfg.get("count", 100000), "count")
+        count = _at_least(cfg.get("count", 100000), "count", 1)
     m, walk, fn, lip, lam = _certify_setup(cfg, False)
     v = concentration.oscillation(walk, fn).v
     d = fn.dim
@@ -400,8 +387,7 @@ def cmd_compare_ks(cfg: dict) -> int:
     ks_cfg = _section(cfg, "ks")
     k_values = [measures.as_integer(k, "ks.k_values entry")
                 for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
-    if min(k_values, default=2) < 2:
-        raise UsageError(f"ks.k_values entries must be at least 2, got {min(k_values)}")
+    _at_least(min(k_values, default=2), "ks.k_values entries", 2)
     c = _bounded(ks_cfg.get("c", 1.0), "ks.c", math.inf)
     factors = [_bounded(f, "ks.mu_factors entry", math.inf)
                for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]
@@ -426,9 +412,7 @@ def cmd_sample(cfg: dict) -> int:
     if not out:
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
-    count = measures.as_integer(cfg.get("count", 1000), "count")
-    if count < 0:
-        raise UsageError(f"count must be at least 0, got {count}")
+    count = _at_least(cfg.get("count", 1000), "count", 0)
     if kind == "table":
         batch = samplers.sample_table(_load_measure(cfg), cfg["seed"], count)
     elif kind == "wilson":

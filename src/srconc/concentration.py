@@ -27,11 +27,9 @@ import numpy as np
 
 from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
-from .matrix_core import trace_power
-from .measures import NumericFailure, within
+from .matrix_core import as_power, trace_power
+from .measures import NumericFailure, as_integer, within
 
-PROBE_EDGES = 16    # edges with the largest norm bounds whose exact norm
-                    # bounds v(F) from below in `oscillation`
 REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
 
 
@@ -71,16 +69,14 @@ def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     if scale == 0.0:
         return OscillationStats(0.0, int(i.size))
     # The Schatten 4-norm ||D'D||_F^(1/2) bounds ||D||_2 from above, so only
-    # edges whose bound reaches the largest exact norm among the probed
-    # edges can attain the max, and only they get the exact (SVD) norm.  The
+    # edges whose bound reaches the exact norm of the edge with the largest
+    # bound can attain the max, and only they get the exact (SVD) norm.  The
     # 1e-12 margin absorbs rounding; dividing by the largest entry keeps the
     # fourth powers from under- or overflowing.
     unit = diffs / scale
     gram = unit.transpose(0, 2, 1) @ unit
     bound = np.sqrt(np.sqrt(np.einsum("eij,eij->e", gram, gram)))
-    probe = min(PROBE_EDGES, bound.size)
-    top = np.argpartition(bound, -probe)[-probe:]
-    floor = float(np.linalg.norm(diffs[top], 2, axis=(1, 2)).max())
+    floor = float(np.linalg.norm(diffs[bound.argmax()], 2))
     keep = bound >= floor / scale * (1.0 - 1e-12)
     v = float(np.linalg.norm(diffs[keep], 2, axis=(1, 2)).max(initial=floor))
     return OscillationStats(v, int(i.size))
@@ -138,9 +134,7 @@ def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
                                 tol: float = 1e-8) -> bool:
     """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}]."""
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = as_power(p)
     lam, vec = _eigh(gen, fn)
     expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     energy = dirichlet_form(gen, expf)
@@ -184,7 +178,8 @@ class InductionReport:
 def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
                               k_max: int, tol: float = 1e-8) -> InductionReport:
     """Slack of the doubling ladder for k = 1..k_max."""
-    if lam <= 0.0:
+    k_max = as_integer(k_max, "k_max")
+    if not lam > 0.0:
         raise ScaleViolation(f"lam must be positive, got {lam}")
     alpha = 1.0 / lam
     v = oscillation(gen, fn).v
@@ -194,7 +189,7 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
     eig = _eigh(gen, fn)  # one for the whole ladder
     base = _doubling(gen.pi, *eig, 0)
     slacks = []
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         s_k = 1.0 - 0.5**k
         slacks.append(_doubling(gen.pi, *eig, k) - (1.0 - av2 * s_k) * base)
     slacks = np.asarray(slacks)
@@ -203,11 +198,27 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
                            within(-slacks.min(initial=np.inf), 0.0, tol, scale))
 
 
+def _radius(theta: float, lam: float, v: float) -> float:
+    """theta^2 alpha v^2, which mgf_bound needs below 1."""
+    if not lam > 0.0:
+        raise ScaleViolation(f"lam must be positive, got {lam}")
+    return theta * theta * (v * v / lam)
+
+
+def mgf_grid(lam: float, v: float, frac: float, points: int) -> np.ndarray:
+    """points thetas evenly spaced up to sqrt(frac lam) / v, the fraction frac < 1
+    of the radius; the quotient can round onto the radius, so the top steps
+    down by at most three ulps while mgf_bound would refuse it."""
+    top = math.sqrt(frac * lam) / v
+    for _ in range(3):
+        if _radius(top, lam, v) >= 1.0:
+            top = math.nextafter(top, 0.0)
+    return np.linspace(top / points, top, points)
+
+
 def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
     """d / (1 - theta^2 alpha v^2) inside the radius theta^2 alpha v^2 < 1."""
-    if lam <= 0.0:
-        raise ScaleViolation(f"lam must be positive, got {lam}")
-    x = theta * theta * (v * v / lam)
+    x = _radius(theta, lam, v)
     if x >= 1.0:
         raise OutOfRadius(f"theta^2 alpha v^2 = {x:.6f} outside (0, 1)")
     return float(d) / (1.0 - x)
@@ -230,7 +241,7 @@ def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
     """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam))))."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ScaleViolation(f"lam must be positive, got {lam}")
     if v <= 0.0:
         return TailBound(0.0, 0.0)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import InvalidInput, NumericFailure, within
+from .measures import InvalidInput, NumericFailure, as_integer, within
 
 DEFAULT_QUAD_POINTS = 64
 DECOMP_TOL = 1e-10
@@ -126,20 +126,23 @@ def schatten_norm(a, p) -> float:
     sv = np.linalg.svd(a, compute_uv=False)
     if p == np.inf or p == "inf":
         return float(sv.max(initial=0.0))
-    p = int(p)
-    if p <= 0 or p % 2 != 0:
+    if (p := as_integer(p, "p")) <= 0 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer or inf, got {p}")
     return float((sv**p).sum() ** (1.0 / p))
 
 
+def as_power(p) -> int:
+    """p as an int, or a ValueError unless it is an integer of at least 1:
+    the one rule of a trace power's exponent."""
+    if (p := as_integer(p, "p")) < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return p
+
+
 def trace_power(a, p: int) -> float:
     """Tr[a^p] through eigenvalues; p a positive integer."""
-    a = require_symmetric(a)
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    lam = np.linalg.eigvalsh(a)
-    return float((lam**p).sum())
+    p = as_power(p)
+    return float((np.linalg.eigvalsh(require_symmetric(a))**p).sum())
 
 
 def check_trace_monotone(fn, a, h, tol: float = 1e-8) -> bool:
@@ -287,9 +290,7 @@ def check_lemma_var(pairs, p: int, tol: float = 1e-8) -> bool:
         Tr[(E[(e^X - e^Y)^2])^p]
             <= (1/2) E[ ||X - Y||^{2p} (Tr e^{2pX} + Tr e^{2pY}) ].
     """
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = as_power(p)
     weights = np.array([w for w, _, _ in pairs], dtype=float)
     if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):  # NaN fails
         raise PreconditionViolated("weights must be convex coefficients")

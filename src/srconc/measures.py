@@ -25,9 +25,9 @@ builds the flip-swap walk; this module supplies the pieces (``halves``,
 
 As the bottom layer it also holds what the layers above share: the error
 bases ``InvalidInput`` and ``NumericFailure``, the input readers
-``as_integer``, ``as_real`` and ``as_matrix``, and ``within``, the one
-tolerance rule of every scaled verdict.  ``projection_kernel`` is the one
-check a projection kernel passes.
+``as_integer``, ``as_coordinate``, ``as_real`` and ``as_matrix``, ``within``,
+the one tolerance rule of every scaled verdict, and ``projection_kernel``,
+the one check a projection kernel passes.
 """
 
 from __future__ import annotations
@@ -102,6 +102,14 @@ def as_integer(value, name: str) -> int:
             or isinstance(value, float) and not value.is_integer():
         raise NotAnInteger(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_coordinate(c, n: int) -> int:
+    """c as an int, or a ValueError unless it is an integer in [0, n): the one
+    rule of every coordinate a split or a conditioning event names."""
+    if not 0 <= (c := as_integer(c, "coordinate")) < n:
+        raise ValueError(f"coordinate {c} out of range for n={n}")
+    return c
 
 
 def as_real(value, name: str) -> float:
@@ -200,15 +208,12 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     touched: it is sliced on the fixed bits, which are then squeezed out,
     and squeezing keeps the slice ascending.
     """
-    coords = [int(c) for c in coords]
-    bits = [int(b) for b in bits]
-    if len(coords) != len(bits):
-        raise ValueError("coords and bits must have equal length")
+    coords = [as_coordinate(c, m.n) for c in coords]
+    bits = [as_integer(b, "bit") for b in bits]
+    if len(coords) != len(bits) or not set(bits) <= {0, 1}:
+        raise ValueError(f"need one bit, 0 or 1, per coordinate, got bits {bits}")
     if len(set(coords)) != len(coords):
         raise ValueError("repeated conditioning coordinate")
-    for c in coords:
-        if not 0 <= c < m.n:
-            raise ValueError(f"coordinate {c} out of range for n={m.n}")
     if not coords:
         return SubsetMeasure(m.n, m.masks.copy(), m.masses.copy())
 
@@ -479,7 +484,7 @@ def tree_edges(edges, vertices: int | None = None) -> tuple[list[tuple[int, int]
     """The edge list as int pairs and the vertex count (default: one past
     the largest endpoint); raises ValueError on a self-loop or an endpoint
     outside range(vertices), since neither can appear in a spanning tree."""
-    edges = [(int(u), int(v)) for u, v in edges]
+    edges = [(as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint")) for u, v in edges]
     if vertices is None:
         vertices = 1 + max(max(u, v) for u, v in edges)
     for u, v in edges:

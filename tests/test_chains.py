@@ -368,11 +368,29 @@ def test_scp_coupling_constant_coordinate():
     *[(measures.make_uniform_k_subsets(4, 2), ell, ValueError,
        rf"^coordinate {ell} out of range for n=4$") for ell in (4, 64, 99, -1)],
     (SubsetMeasure(2, [1, 2], [0.7, 0.7]), 0, NotNormalized, "total mass"),
+    *[(measures.make_uniform_k_subsets(4, 2), ell, measures.NotAnInteger,
+       rf"^coordinate must be an integer, got {ell!r}$") for ell in (True, 1.5)],
 ])
 def test_scp_coupling_checks_its_input_as_split_generator_does(m, ell, error, match):
     for solve in (scp_coupling, split_generator):
         with pytest.raises(error, match=match):
             solve(m, ell)
+
+
+@pytest.mark.parametrize("ell,error", [(True, measures.NotAnInteger),
+                                       (1.5, measures.NotAnInteger),
+                                       (-1, ValueError), (4, ValueError)])
+def test_every_coordinate_user_refuses_what_as_coordinate_refuses(ell, error):
+    """decompose, scp_coupling, split_generator and measures.condition read a
+    coordinate through measures.as_coordinate: the same error and message."""
+    m = measures.make_uniform_k_subsets(4, 2)
+    with pytest.raises(error) as rule:
+        measures.as_coordinate(ell, 4)
+    for use in (lambda: decompose(hermon_salez(m), ell), lambda: scp_coupling(m, ell),
+                lambda: split_generator(m, ell), lambda: measures.condition(m, [ell], [0])):
+        with pytest.raises(error) as got:
+            use()
+        assert str(got.value) == str(rule.value)
 
 
 # -------------------------------------------------------------- walk values

@@ -21,6 +21,7 @@ from srconc.concentration import (
     ks_bound,
     laplace_tail,
     mgf_bound,
+    mgf_grid,
     oscillation,
     tail_bound_poincare,
     tail_bound_sr,
@@ -29,6 +30,8 @@ from srconc.concentration import (
     trace_mgf,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
+from srconc.matrix_core import as_power
+from srconc.measures import NotAnInteger
 from srconc.ks import ks_crossover, ks_crossover_threshold
 
 from conftest import K4_EDGES, flip_swap_oscillation, flip_swap_walk, name_seed
@@ -185,8 +188,12 @@ def test_dirichlet_trace_bound_random(fixture_walks):
 
 def test_dirichlet_trace_bound_rejects_bad_p():
     gen, fn = rademacher_fn()
-    with pytest.raises(ValueError):
-        check_dirichlet_trace_bound(gen, fn, 0)
+    for p in (0, 2.5, True):
+        with pytest.raises(ValueError) as rule:
+            as_power(p)
+        with pytest.raises(ValueError) as got:
+            check_dirichlet_trace_bound(gen, fn, p)
+        assert str(got.value) == str(rule.value)
 
 
 # ------------------------------------------------------------------ doubling
@@ -353,6 +360,11 @@ def test_induction_scale_violations():
     with pytest.raises(ScaleViolation):
         # v = 2, lam = 2 gives alpha v^2 = 2 > 1
         check_induction_statement(gen, fn, lam=2.0, k_max=3)
+    with pytest.raises(ScaleViolation):
+        check_induction_statement(gen, fn, lam=math.nan, k_max=3)
+    for k_max in (2.5, True):
+        with pytest.raises(NotAnInteger):
+            check_induction_statement(gen, fn, lam=8.0, k_max=k_max)
 
 
 # ----------------------------------------------------------------- mgf bound
@@ -368,8 +380,31 @@ def test_mgf_bound_out_of_radius():
         mgf_bound(1.0, 1.0, 1.0, 2)
     with pytest.raises(OutOfRadius):
         mgf_bound(2.0, 1.0, 1.0, 2)
+    for lam in (-1.0, 0.0, math.nan):
+        with pytest.raises(ScaleViolation):
+            mgf_bound(0.5, lam, 1.0, 2)
+
+
+def test_mgf_grid_top_steps_inside_the_radius():
+    """At one ulp below the full radius, sqrt(frac lam) / v often rounds onto
+    it; the grid's top then steps down, by at most three ulps, to a theta
+    mgf_bound accepts.  At an ordinary fraction the top is the quotient."""
+    frac = math.nextafter(1.0, 0.0)
+    steps = []
+    for lam, v in np.random.default_rng(0).uniform(0.05, 3.0, (500, 2)):
+        grid = mgf_grid(lam, v, frac, 4)
+        top, quotient = grid[-1], math.sqrt(frac * lam) / v
+        assert mgf_bound(top, lam, v, 1) > 0.0
+        below = [quotient]
+        while below[-1] > top:
+            below.append(math.nextafter(below[-1], 0.0))
+        assert below[-1] == top
+        steps.append(len(below) - 1)
+        assert np.array_equal(grid, np.linspace(top / 4, top, 4))
+    assert 0 < max(steps) <= 3 and min(steps) == 0
+    assert mgf_grid(2.0, 1.5, 0.9, 1)[0] == math.sqrt(0.9 * 2.0) / 1.5
     with pytest.raises(ScaleViolation):
-        mgf_bound(0.5, -1.0, 1.0, 2)
+        mgf_grid(math.nan, 1.0, 0.9, 3)
 
 
 def test_check_mgf_bound_inside_radius(fixture_walks):
@@ -480,8 +515,9 @@ def test_tail_poincare_zero_oscillation():
 def test_tail_poincare_rejects():
     with pytest.raises(ValueError):
         tail_bound_poincare(0.0, 1.0, 1.0, 1)
-    with pytest.raises(ScaleViolation):
-        tail_bound_poincare(1.0, -2.0, 1.0, 1)
+    for lam in (-2.0, math.nan):
+        with pytest.raises(ScaleViolation):
+            tail_bound_poincare(1.0, lam, 1.0, 1)
 
 
 def test_tail_sr_frozen_value():

@@ -100,6 +100,24 @@ def test_schatten_norm_rejects_odd_p():
         schatten_norm(np.eye(2), 3)
 
 
+@pytest.mark.parametrize("p", [2.5, True, "2"])
+def test_schatten_norm_reads_p_as_an_integer(p):
+    with pytest.raises(ValueError, match=f"^p must be an integer, got {p!r}$"):
+        schatten_norm(np.diag([3.0, 4.0]), p)
+    assert schatten_norm(np.diag([3.0, 4.0]), 2.0) == schatten_norm(np.diag([3.0, 4.0]), 2)
+
+
+@pytest.mark.parametrize("p,match", [(2.5, "^p must be an integer, got 2.5$"),
+                                     (True, "^p must be an integer, got True$"),
+                                     (0, "^p must be >= 1, got 0$")])
+def test_power_users_read_p_through_as_power(p, match):
+    a = np.diag([1.0, 2.0])
+    for use in (mc.as_power, lambda p: trace_power(a, p),
+                lambda p: check_lemma_var([(1.0, a, a)], p)):
+        with pytest.raises(ValueError, match=match):
+            use(p)
+
+
 def test_schatten_triangle_inequality():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -193,6 +193,16 @@ def test_condition_zero_mass_event():
         condition(point, [0], [0])
 
 
+@pytest.mark.parametrize("bits,error", [([2], ValueError), ([-1], ValueError),
+                                        ([True], measures.NotAnInteger),
+                                        ([0.5], measures.NotAnInteger),
+                                        ([0, 1], ValueError)])
+def test_condition_refuses_bits_other_than_one_0_or_1_per_coordinate(bits, error):
+    m = make_uniform_k_subsets(3, 1)
+    with pytest.raises(error):
+        condition(m, [0], bits)
+
+
 def test_condition_matches_dict_oracle():
     rng = np.random.default_rng(9)
     probs = rng.dirichlet(np.ones(16))

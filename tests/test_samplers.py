@@ -158,7 +158,8 @@ def test_wilson_rejects_more_edges_than_mask_bits():
         wilson_spanning_tree(k13, seed=0, count=1)
 
 
-@pytest.mark.parametrize("edges,vertices", [([(0, 0), (0, 1)], 2), ([(0, 1), (1, 2)], 2)])
+@pytest.mark.parametrize("edges,vertices", [([(0, 0), (0, 1)], 2), ([(0, 1), (1, 2)], 2),
+                                            ([(0, 1.5), (1, 2)], None), ([(0, True), (0, 2)], None)])
 def test_wilson_rejects_what_the_tree_measure_rejects(edges, vertices):
     with pytest.raises(ValueError) as from_measure:
         measures.make_spanning_tree_measure(edges, vertices)

@@ -11,7 +11,8 @@ over the fixture walks, and at tolerances within a few ulps of the point
 where a verdict flips.  ``old_dirichlet_form`` and
 ``old_check_decompositions`` are the bare-array forms that rescanned the
 rate matrix; the walk-side results must match them bit for bit.  The last
-test keeps the rule spelled in one place.
+tests keep this rule, and each input rule that several layers apply, spelled
+in one place.
 """
 
 import ast
@@ -428,3 +429,25 @@ def test_the_tolerance_rule_is_spelled_only_in_within():
                 (inside if home else outside).append(f"{path.name}:{number}: {line.strip()}")
     assert outside == []
     assert any("return" in line for line in inside)  # the rule itself is found
+
+
+# spelling -> the one module of the package whose one line holds it
+ONE_HOME = {
+    "out of range for n=": "measures.py",      # measures.as_coordinate
+    "p must be >= 1": "matrix_core.py",        # matrix_core.as_power
+    "(v * v / lam)": "concentration.py",       # the mgf radius, concentration._radius
+}
+
+
+@pytest.mark.parametrize("spelling", ONE_HOME)
+def test_each_input_rule_is_spelled_in_one_module(spelling):
+    src = Path(measures.__file__).parent
+    found = [path.name for path in sorted(src.glob("*.py"))
+             for line in path.read_text().splitlines() if spelling in line]
+    assert found == [ONE_HOME[spelling]]
+
+
+def test_the_cli_spells_its_integer_floor_once():
+    text = (Path(measures.__file__).parent / "cli.py").read_text()
+    assert text.count("must be at least") == 1
+    assert 'f"{name} must be at least {low}, got {count}"' in text
