@@ -1,15 +1,15 @@
 """Verification lab for matrix Poincare inequalities and matrix Bernstein
 tail bounds over negatively dependent subset measures.
 
-Layers, bottom up: ``measures`` (support-indexed subset measures,
-conditioning, covering couplings, constructive families), ``matrix_core``
-(symmetric-matrix primitives and trace-inequality checkers), ``chains``
-(reversible generators, coordinate decompositions, the recursive
-flip-swap walk and the SCP check it decides), ``functional`` (matrix
-observables, variance and Dirichlet forms, spectral gaps), ``concentration``
-(trace-mgf ladder and tail bounds), ``samplers`` (seeded draws and empirical
-tails), ``ks`` (the crossover table against the Kyng-Song tail, stdlib
-only), and ``cli`` (the ``srconc`` command).
+Layers, bottom up: ``inputs`` (error bases and number readers, stdlib only),
+``measures`` (support-indexed subset measures, conditioning, covering
+couplings, constructive families), ``matrix_core`` (symmetric-matrix
+primitives and trace-inequality checkers), ``chains`` (reversible generators,
+coordinate decompositions, the recursive flip-swap walk and the SCP check it
+decides), ``functional`` (matrix observables, variance and Dirichlet forms,
+spectral gaps), ``concentration`` (trace-mgf ladder and tail bounds),
+``samplers`` (seeded draws and empirical tails), ``ks`` (the crossover table
+against the Kyng-Song tail, stdlib only), and ``cli`` (the ``srconc`` command).
 
 The package imports no layer up front: ``srconc.X`` and ``from srconc import
 X`` load the module that defines X on first use (PEP 562), so a command pays
@@ -47,7 +47,7 @@ _EXPORTS = {
         "sample_table", "wilson_spanning_tree"),
     "ks": ("KsCrossover", "ks_crossover", "ks_crossover_threshold"),
 }
-_SUBMODULES = (*_EXPORTS, "cli")
+_SUBMODULES = ("inputs", *_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)

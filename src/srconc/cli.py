@@ -5,13 +5,13 @@ One JSON config document drives every subcommand; --seed, --tol,
 0 all asserted checks passed, 1 usage or config parse problem,
 2 input validation failure, 3 an asserted inequality or property was
 violated, 4 internal numeric failure.  The exit code of a library error
-is its class: 2 for a `measures.InvalidInput`, 4 for a
-`measures.NumericFailure`.  Validation failures emit a machine-readable
+is its class: 2 for an `inputs.InvalidInput`, 4 for an
+`inputs.NumericFailure`.  Validation failures emit a machine-readable
 {"error": ..., "message": ...} JSON object.  Config numbers are
 range-checked before any walk is built or draw is made.
 
-Each command imports the layers it calls when it runs, so a start-up pays
-only for those: `compare-ks` loads `ks` and no walk layer.
+Each command imports the layers it calls when it runs, numpy included, so
+`compare-ks`, `--help` and an early config error start without numpy.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ import math
 import sys
 import zlib
 
-import numpy as np
-
-from . import measures
+from . import inputs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,7 +54,7 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a file path, got {out!r}")
-    cfg["seed"] = measures.as_integer(cfg.get("seed", 0), "seed")
+    cfg["seed"] = inputs.as_integer(cfg.get("seed", 0), "seed")
     cfg["tol"] = _bounded(cfg.get("tol", 1e-8), "tol", math.inf, True)
     cfg.setdefault("trials", 100)
     return cfg
@@ -86,7 +84,8 @@ def _emit_csv(header, rows, out: str | None) -> None:
         writer.writerows(rows)
 
 
-def _load_measure(cfg: dict) -> measures.SubsetMeasure:
+def _load_measure(cfg: dict):
+    from . import measures
     spec = cfg.get("measure")
     if not isinstance(spec, dict):
         raise UsageError("config needs a 'measure' object")
@@ -99,12 +98,12 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
         return measures.measure_from_json(spec["inline"])
     family = spec.get("family")
     if family == "uniform_k_subsets":
-        return measures.make_uniform_k_subsets(measures.as_integer(spec["n"], "measure.n"),
-                                               measures.as_integer(spec["k"], "measure.k"))
+        return measures.make_uniform_k_subsets(inputs.as_integer(spec["n"], "measure.n"),
+                                               inputs.as_integer(spec["k"], "measure.k"))
     if family == "bernoulli_product":
         ps = spec["ps"]
         if isinstance(ps, list):
-            ps = [measures.as_real(p, "measure.ps entry") for p in ps]
+            ps = [inputs.as_real(p, "measure.ps entry") for p in ps]
         return measures.make_bernoulli_product(ps)
     if family == "spanning_tree":
         vertices, edges = measures.graph_from_json(spec["graph"])
@@ -114,9 +113,10 @@ def _load_measure(cfg: dict) -> measures.SubsetMeasure:
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
-def _kernel(obj: dict) -> np.ndarray:
+def _kernel(obj: dict):
     """A kernel config's rows, d x d; measures.projection_kernel checks the rest."""
-    d = measures.as_integer(obj["d"], "kernel.d")
+    from . import measures
+    d = inputs.as_integer(obj["d"], "kernel.d")
     rows = measures.as_matrix(obj["rows"], "rows entry")
     if rows.shape != (d, d):
         raise measures.NotAProjection(f"kernel rows have shape {rows.shape}, d is {d}")
@@ -137,7 +137,7 @@ def _build_function(cfg: dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
     d = _at_least(rnd.get("d", 2), "function.random.d", 1)
-    seed = measures.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
+    seed = inputs.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
     if kind == "table":
         scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)
         return lambda states, n: (functional.random_matrix_fn(states, d, seed, scale), None)
@@ -152,6 +152,7 @@ def _build_function(cfg: dict):
 
 
 def cmd_validate_measure(cfg: dict) -> int:
+    from . import measures
     m = _load_measure(cfg)
     measures.validate(m)
     _emit({"valid": True, "n": m.n, "support_size": int(m.support().size),
@@ -173,7 +174,7 @@ def cmd_scp_check(cfg: dict) -> int:
 
 
 def cmd_build_walk(cfg: dict) -> int:
-    from . import chains, functional
+    from . import chains, functional, measures
     m = _load_measure(cfg)
     raw = chains.flip_swap_average(m)
     walk = chains.normalized(raw)
@@ -199,10 +200,10 @@ def cmd_build_walk(cfg: dict) -> int:
 def _certify_setup(cfg: dict, read_lambda: bool):
     """(measure, walk, function, lipschitz or None, lam): lam is the config's
     "lambda" when read_lambda and it is given, else the walk's spectral gap."""
-    from . import chains, functional
     lam = None
     if read_lambda and "lambda" in cfg:
         lam = _bounded(cfg["lambda"], "lambda", math.inf)
+    from . import chains, functional
     m = _load_measure(cfg)
     make_fn = _build_function(cfg)
     walk = chains.hermon_salez(m)
@@ -223,7 +224,7 @@ def cmd_poincare_check(cfg: dict) -> int:
 
 def _at_least(value, name: str, low: int) -> int:
     """value as an int, or a usage error unless it is an integer of at least low."""
-    if (count := measures.as_integer(value, name)) < low:
+    if (count := inputs.as_integer(value, name)) < low:
         raise UsageError(f"{name} must be at least {low}, got {count}")
     return count
 
@@ -231,7 +232,7 @@ def _at_least(value, name: str, low: int) -> int:
 def _bounded(value, name: str, upper: float, zero_ok: bool = False) -> float:
     """value as a float, or a UsageError unless it lies in (0, upper), or in
     [0, upper) when zero_ok."""
-    x = measures.as_real(value, name)
+    x = inputs.as_real(value, name)
     if not (0.0 <= x if zero_ok else 0.0 < x) or not x < upper:  # also rejects NaN
         raise UsageError(f"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}")
     return x
@@ -252,13 +253,15 @@ def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
 
 
 def cmd_ineq_suite(cfg: dict) -> int:
-    from . import chains, concentration, functional, matrix_core
     trials = _at_least(cfg["trials"], "trials", 1)
     seed, tol = cfg["seed"], cfg["tol"]
     dims = cfg.get("dims", [3, 4])
     if not isinstance(dims, list) or not dims:
         raise UsageError(f"dims must be a non-empty list, got {dims!r}")
     dims = [_at_least(d, "dims entry", 1) for d in dims]
+    import numpy as np
+
+    from . import chains, concentration, functional, matrix_core, measures
     counts: dict[str, int] = {}
 
     def run(name, fun):
@@ -325,9 +328,9 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
 
 def cmd_mgf(cfg: dict) -> int:
-    from . import concentration
     grid_cfg, points = _grid(cfg, "theta_grid", 20)
     frac = _bounded(grid_cfg.get("max_fraction", 0.9), "theta_grid.max_fraction", 1.0)
+    from . import concentration
     _, walk, fn, _, lam = _certify_setup(cfg, True)
     v = concentration.oscillation(walk, fn).v
     if v <= 0.0:
@@ -339,7 +342,6 @@ def cmd_mgf(cfg: dict) -> int:
 
 
 def cmd_tail(cfg: dict) -> int:
-    from . import concentration, matrix_core
     grid_cfg, points = _grid(cfg, "t_grid", 50)
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "empirical"):
@@ -348,6 +350,9 @@ def cmd_tail(cfg: dict) -> int:
     t_hi = _bounded(grid_cfg["max"], "t_grid.max", math.inf) if "max" in grid_cfg else None
     if mode == "empirical":
         count = _at_least(cfg.get("count", 100000), "count", 1)
+    import numpy as np
+
+    from . import concentration, matrix_core, measures
     m, walk, fn, lip, lam = _certify_setup(cfg, False)
     v = concentration.oscillation(walk, fn).v
     d = fn.dim
@@ -385,7 +390,7 @@ def cmd_tail(cfg: dict) -> int:
 def cmd_compare_ks(cfg: dict) -> int:
     from . import ks
     ks_cfg = _section(cfg, "ks")
-    k_values = [measures.as_integer(k, "ks.k_values entry")
+    k_values = [inputs.as_integer(k, "ks.k_values entry")
                 for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
     _at_least(min(k_values, default=2), "ks.k_values entries", 2)
     c = _bounded(ks_cfg.get("c", 1.0), "ks.c", math.inf)
@@ -407,12 +412,12 @@ def cmd_compare_ks(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    from . import samplers
     out = cfg.get("out")
     if not out:
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
     count = _at_least(cfg.get("count", 1000), "count", 0)
+    from . import measures, samplers
     if kind == "table":
         batch = samplers.sample_table(_load_measure(cfg), cfg["seed"], count)
     elif kind == "wilson":
@@ -462,14 +467,15 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, {"seed": args.seed, "tol": args.tol,
                                          "trials": args.trials, "out": args.out})
         return COMMANDS[args.command](cfg)
-    except (UsageError, measures.NotANumber) as exc:
+    except (UsageError, inputs.NotANumber) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (measures.NumericFailure, np.linalg.LinAlgError, FloatingPointError,
-            OverflowError, MemoryError) as exc:  # before InvalidInput: NonFinite is both
+    # before InvalidInput: NonFinite is both; no LinAlgError without numpy loaded
+    except (inputs.NumericFailure, *inputs.numpy_types("linalg.LinAlgError"),
+            FloatingPointError, OverflowError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_NUMERIC
-    except measures.InvalidInput as exc:
+    except inputs.InvalidInput as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_VALIDATION
     except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:

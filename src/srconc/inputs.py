@@ -1,0 +1,51 @@
+"""The numpy-free bottom of the package: the error bases, and the one integer
+and the one real-number rule of every reader.  ``measures`` re-exports each
+name; the CLI reads a config and reports its errors without numpy."""
+
+from __future__ import annotations
+
+import functools
+import sys
+
+
+class InvalidInput(Exception):
+    """Base class of the input a check rejects: the CLI exits 2."""
+
+
+class NumericFailure(Exception):
+    """Base class of the numeric preconditions that fail mid-run: the CLI exits 4."""
+
+
+class NotANumber(ValueError):
+    """A number read from input that is not one: a bool, a string, a list."""
+
+
+class NotAnInteger(NotANumber):
+    """A count, size or mask read from input that is not an integral number."""
+
+
+def numpy_types(*paths: str) -> tuple:
+    """numpy's classes at the dotted paths, or () while numpy is not imported:
+    no value or error can be an instance of them then."""
+    np = sys.modules.get("numpy")
+    return tuple(functools.reduce(getattr, path.split("."), np) for path in paths if np)
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int, or NotAnInteger unless it is an integral number (a
+    bool or a string is not; 4.0 is): the one integer rule of every reader."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            and not isinstance(value, numpy_types("integer")) \
+            or isinstance(value, float) and not value.is_integer():
+        raise NotAnInteger(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """value as a float, or NotANumber unless it is an int or a float (a bool
+    or a string is not; NaN is, and is left to the caller's range check):
+    the one real-number rule of every reader."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            and not isinstance(value, numpy_types("integer", "floating")):
+        raise NotANumber(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -4,9 +4,8 @@ against the Kyng-Song sparsification tail at t = eps mu, unit Lipschitz.
 `ks_crossover` evaluates the comparison k + eps mu sqrt(k) <= mu log k +
 eps mu and both exponents at one (k, mu, eps); `ks_crossover_threshold` is
 the smallest mu where it holds, in closed form.  The module needs only
-the standard library, so `compare-ks` loads neither the walk nor the
-concentration layer; the Kyng-Song tail itself, `ks_bound`, stays in
-`concentration`.
+the standard library, so `compare-ks` loads neither the walk layers nor
+numpy; the Kyng-Song tail itself, `ks_bound`, stays in `concentration`.
 """
 
 from __future__ import annotations

@@ -23,11 +23,10 @@ larger one.  ``chains.scp_check`` decides it with the recursion that
 builds the flip-swap walk; this module supplies the pieces (``halves``,
 ``feasible_coupling``) and the size guard SCP_LIMIT.
 
-As the bottom layer it also holds what the layers above share: the error
-bases ``InvalidInput`` and ``NumericFailure``, the input readers
-``as_integer``, ``as_coordinate``, ``as_real`` and ``as_matrix``, ``within``,
-the one tolerance rule of every scaled verdict, and ``projection_kernel``,
-the one check a projection kernel passes.
+As the bottom numpy layer it also holds what the layers above share: the
+readers ``as_coordinate`` and ``as_matrix``, ``within``, the one tolerance
+rule of every scaled verdict, ``projection_kernel``, the one check a
+projection kernel passes, and the re-exported names of ``inputs``.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .inputs import InvalidInput, NotANumber, NotAnInteger, NumericFailure, as_integer, as_real
+
 MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
 PROJECTION_TOL = 1e-8
@@ -45,14 +46,6 @@ STORAGE_LIMIT = 20  # largest ground set n a measure may live on
 SCP_LIMIT = 15      # largest n for chains.scp_check: K6 trees have 7,520 orbit classes
 AUT_LIMIT = 120     # automorphisms() stops once it has found this many
 AUT_WORK = 2000     # or once its search has tried this many partial maps
-
-
-class InvalidInput(Exception):
-    """Base class of the input a check rejects: the CLI exits 2."""
-
-
-class NumericFailure(Exception):
-    """Base class of the numeric preconditions that fail mid-run: the CLI exits 4."""
 
 
 class MeasureError(InvalidInput):
@@ -87,38 +80,12 @@ class MaskOutOfRange(MeasureError):
     pass
 
 
-class NotANumber(ValueError):
-    """A number read from input that is not one: a bool, a string, a list."""
-
-
-class NotAnInteger(NotANumber):
-    """A count, size or mask read from input that is not an integral number."""
-
-
-def as_integer(value, name: str) -> int:
-    """value as an int, or NotAnInteger unless it is an integral number (a
-    bool or a string is not; 4.0 is): the one integer rule of every reader."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise NotAnInteger(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def as_coordinate(c, n: int) -> int:
     """c as an int, or a ValueError unless it is an integer in [0, n): the one
     rule of every coordinate a split or a conditioning event names."""
     if not 0 <= (c := as_integer(c, "coordinate")) < n:
         raise ValueError(f"coordinate {c} out of range for n={n}")
     return c
-
-
-def as_real(value, name: str) -> float:
-    """value as a float, or NotANumber unless it is an int or a float (a bool
-    or a string is not; NaN is, and is left to the caller's range check):
-    the one real-number rule of every reader."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float, np.floating)):
-        raise NotANumber(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def as_matrix(rows, name: str) -> np.ndarray:

@@ -940,28 +940,31 @@ def test_cli_import_skips_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-WALK_LAYERS = {"cli", "measures", "chains"}
+BASE_LAYERS = {"cli", "inputs"}
+MEASURE_LAYERS = BASE_LAYERS | {"measures"}
+WALK_LAYERS = MEASURE_LAYERS | {"chains"}
 CERTIFY_LAYERS = WALK_LAYERS | {"matrix_core", "functional"}
 TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
 
 
 @pytest.mark.parametrize("command,extra,layers", [
-    ("compare-ks", None, {"cli", "measures", "ks"}),
-    ("validate-measure", {}, {"cli", "measures"}),
+    ("compare-ks", None, BASE_LAYERS | {"ks"}),
+    ("validate-measure", {}, MEASURE_LAYERS),
     ("scp-check", {}, WALK_LAYERS),
     ("build-walk", {}, CERTIFY_LAYERS),
     ("poincare-check", {}, CERTIFY_LAYERS),
     ("mgf", {}, TAIL_LAYERS),
     ("tail", {}, TAIL_LAYERS),
     ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | {"samplers"}),
-    ("sample", {"count": 5, "out": "draws.hex"}, {"cli", "measures", "samplers"}),
+    ("sample", {"count": 5, "out": "draws.hex"}, MEASURE_LAYERS | {"samplers"}),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": UNIT_KERNEL}},
-     {"cli", "measures"}),
+     MEASURE_LAYERS),
     ("sample", {"sampler": "kdpp", "kernel": UNIT_KERNEL, "count": 5, "out": "draws.hex"},
-     {"cli", "measures", "samplers"}),
+     MEASURE_LAYERS | {"samplers"}),
 ], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
         "mgf", "tail", "tail-empirical", "sample", "validate-measure-kernel", "sample-kdpp"])
 def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
+    """numpy loads with measures and never without it."""
     argv = [command]
     if extra is not None:
         argv += ["--config", uniform_cfg(tmp_path, 4, 2, function={"random": {
@@ -969,12 +972,45 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, 
     code = ("import json, sys; from srconc.cli import main; "
             f"code = main({argv!r}); "
             "print(json.dumps([code, sorted(m.removeprefix('srconc.') for m in sys.modules "
-            "if m.startswith('srconc.')), "
+            "if m.startswith('srconc.')), 'numpy' in sys.modules, "
             "[m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers), []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers),
+                                                        "measures" in layers, []]
+
+
+@pytest.mark.parametrize("argv,cfg,code", [
+    (["compare-ks"], None, 0),
+    (["compare-ks"], {"ks": {"k_values": [8, 16], "mu_factors": [1.0], "eps": 0.5}}, 0),
+    (["--help"], None, 0),
+    (["no-such-command"], None, 1),
+    (["scp-check"], {"seed": True, "measure": {"family": "uniform_k_subsets", "n": 3, "k": 1}},
+     1),
+    (["mgf"], {"theta_grid": {"points": 0}, "measure": {"family": "uniform_k_subsets", "n": 3,
+                                                        "k": 1}}, 1),
+], ids=["compare-ks", "compare-ks-config", "help", "unknown-command", "seed-bool",
+        "theta-points-0"])
+def test_numpy_free_paths_never_import_numpy(tmp_path, capsys, monkeypatch, argv, cfg, code):
+    """A command or error that touches no array leaves numpy and measures
+    unloaded, and its exit code and output are those of an in-process run
+    that has numpy loaded."""
+    if cfg is not None:
+        argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    probe = ("import json, sys; from srconc.cli import main; "
+             f"code = main({argv!r}); "
+             "print(json.dumps([code, 'numpy' in sys.modules, "
+             "'srconc.measures' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(CHILD_ENV, COLUMNS="80"), cwd=tmp_path)
+    *out, flags = proc.stdout.splitlines(keepends=True)
+    assert json.loads(flags) == [code, False, False], proc.stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    assert capsys.readouterr() == ("".join(out), proc.stderr)
+    if cfg is not None and code != 0:
+        assert json.loads(proc.stderr)["error"] == "usage"
 
 
 def test_package_import_loads_no_layer():
@@ -1016,8 +1052,10 @@ ASYMMETRIC_VALUE_CFG = {"measure": {"family": "uniform_k_subsets", "n": 2, "k": 
     ("poincare-check", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
                         "function": {"random": {"kind": "table", "d": 2}}},
      ("functional.check_matrix_poincare", FreshMatrixError), 2, "FreshMatrixError"),
+    ("build-walk", {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1}},
+     ("functional.scalar_spectral_gap", np.linalg.LinAlgError), 4, "LinAlgError"),
 ], ids=["chains", "kernel-shape", "kernel-symmetry", "matrix-core-shape",
-        "matrix-core-symmetry", "concentration", "new-matrix-error"])
+        "matrix-core-symmetry", "concentration", "new-matrix-error", "numpy-linalg"])
 def test_each_layer_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, command, cfg,
                                               raises, code, error):
     """The exit code goes by the error's class, a subclass no table names

@@ -1,12 +1,15 @@
 import itertools
+import math
 import re
 import signal
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from srconc import measures
+from srconc import inputs, measures
 from srconc.chains import ScpResult, scp_check
 from srconc.measures import (
     DisconnectedGraph,
@@ -563,6 +566,53 @@ def test_as_real_is_the_one_real_number_rule():
         measures.measure_from_json({"n": 1, "entries": [{"mask": 0, "p": "0.5"},
                                                         {"mask": 1, "p": 0.5}]})
     assert issubclass(measures.NotAnInteger, measures.NotANumber)
+
+
+def _numpy_as_integer(value, name):
+    """as_integer as written with numpy's classes named up front: the oracle."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise measures.NotAnInteger(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numpy_as_real(value, name):
+    """as_real as written with numpy's classes named up front: the oracle."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float, np.floating)):
+        raise measures.NotANumber(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+READER_INPUTS = [4, -2, 4.0, 4.5, True, False, np.bool_(True), "4", None, [4], Fraction(4),
+                 Fraction(1, 2), Decimal(4), Decimal("0.5"), np.int64(4), np.uint8(7),
+                 np.float32(4.0), np.float32(0.5), np.float64(4.0), np.float64(0.5),
+                 math.inf, -math.inf, math.nan]
+
+
+def _outcome(reader, value):
+    try:
+        got = reader(value, "x")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(got), "nan" if got != got else got
+
+
+@pytest.mark.parametrize("reader,oracle", [(inputs.as_integer, _numpy_as_integer),
+                                           (inputs.as_real, _numpy_as_real)],
+                         ids=["as_integer", "as_real"])
+def test_numpy_free_readers_accept_and_refuse_as_before(reader, oracle):
+    """The readers name no numpy class yet keep the rule written with them:
+    a Fraction or a Decimal is refused, a numpy integer is read."""
+    got = [_outcome(reader, v) for v in READER_INPUTS]
+    assert got == [_outcome(oracle, v) for v in READER_INPUTS]
+    for value in (Fraction(4), Fraction(1, 2), Decimal(4), np.bool_(True)):
+        assert issubclass(_outcome(reader, value)[0], measures.NotANumber)
+
+
+def test_measures_reexports_the_input_layer():
+    for name in ("InvalidInput", "NumericFailure", "NotANumber", "NotAnInteger",
+                 "as_integer", "as_real"):
+        assert getattr(measures, name) is getattr(inputs, name)
 
 
 def test_feasible_coupling_reports_shortfall():

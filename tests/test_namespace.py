@@ -4,6 +4,7 @@ of the module that defines it, and every public function has a caller."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,36 @@ def test_no_module_of_the_package_imports_scipy():
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 imports.append((path.name, node.module))
     assert imports and [(f, m) for f, m in imports if m.split(".")[0] == "scipy"] == []
+
+
+STDLIB_ONLY = ("cli.py", "inputs.py", "ks.py")
+
+
+def _module_level_imports(tree):
+    """The imports a module runs when it is loaded: none inside a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("filename", STDLIB_ONLY)
+def test_stdlib_only_modules_import_no_third_party_package_on_load(filename):
+    """cli, inputs and ks import at module level only the standard library and
+    each other, so a start-up that touches no array never pays for numpy."""
+    own = {name.removesuffix(".py") for name in STDLIB_ONLY}
+    tree = ast.parse((Path(srconc.__file__).parent / filename).read_text())
+    bad = []
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.Import):
+            names, allowed = [alias.name for alias in node.names], sys.stdlib_module_names
+        elif node.level:  # from . import x, from .x import y
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            allowed = own
+        else:
+            names, allowed = [node.module], sys.stdlib_module_names
+        bad += [name for name in names if name.split(".")[0] not in allowed]
+    assert bad == []
