@@ -22,6 +22,14 @@ pre-normalization average has Delta <= 2k on k-homogeneous inputs and
 Delta <= n in general, which is what makes the final spectral gap at
 least 1/(2k) (k = n/2 when the measure is not homogeneous).
 
+A coordinate that a conditional fixes (set in every mask of its support,
+or clear in every one) splits into the conditional's own walk.  With F
+its free coordinates, c = n - |F| fixed ones and A the average over F, the
+average over all n is (|F| A + c A) / n = A by induction, so a node holds
+free coordinates only: a conditional with several states and fixed
+coordinates reads the node of the event that fixes them too, whose masks
+are its own with those bits dropped, in the same order.
+
 The recursion makes two passes over the conditionals, one node per orbit
 of their fixing events under the root's ``measures.automorphisms``, keyed
 by the orbit's least event; the orbit's other conditionals read the node's
@@ -29,13 +37,15 @@ rates through a permutation (covering and the average over splits ignore
 coordinate order, so the gap bound holds).  The first pass solves every
 covering coupling, each an SCP event, reaching every event of positive mass
 up to relabelling, so ``scp_check`` runs it alone and reports the first
-infeasible coupling as the witness.  The second assembles the generators.
+infeasible coupling as the witness.  The second assembles each node's
+rates as (row, col, rate) triplets, and only the root's walk is dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,8 +192,7 @@ def validate_generator(gen: Generator) -> None:
         raise DetailedBalanceViolation(f"pi(x)Q(x,y) asymmetric by {dev:.3e}")
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """Two-level view of a chain: projection across parts, restrictions within."""
 
     source: Generator
@@ -309,7 +318,7 @@ def _free(event: tuple, n: int) -> list:
 
 
 class _Lattice:
-    """nodes[least event (ones, zeros) of an orbit] = (m, [_split per
+    """nodes[least event (ones, zeros) of an orbit] = (m, [_split per free
     coordinate]); conditionals[content key] = (orbit, positions): the node's
     b-th state is the conditional's state positions[b] (None: same order);
     kappas[pair of child content keys] = coupling, shared by many splits."""
@@ -327,20 +336,39 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
            key: tuple) -> tuple:
     """key (m's _key) after adding m's orbit and every conditional below it to
     the lattice, children first.  w is the root restricted to the event; a node
-    is it carried to the orbit's least event, bit-identical however reached."""
+    is it carried to the orbit's least event, bit-identical however reached.
+    A conditional with several states whose support fixes some coordinates
+    reads the node of the event that fixes them too: its masks, ascending and
+    distinct, keep their order without those bits."""
     if key in lattice.conditionals:
         return key
+    free = _free(event, lattice.n)
+    if m.masks.size > 1:
+        first, varying = int(m.masks[0]), 0
+        for mask in m.masks.tolist():  # a loop beats two ufunc reductions on a few masks
+            varying |= mask ^ first
+        if fixed := (1 << m.n) - 1 & ~varying:
+            kept = [c for c in range(m.n) if varying >> c & 1]
+            ones, zeros = (sum(1 << free[c] for c in range(m.n) if bits >> c & 1)
+                           for bits in (fixed & first, fixed & ~first))
+            masks = (m.masks[:, None] >> np.array(kept) & 1) @ (1 << np.arange(len(kept)))
+            m = SubsetMeasure(len(kept), masks, m.masses)
+            node = _visit(m, SubsetMeasure(m.n, masks, w.masses),
+                          (event[0] | ones, event[1] | zeros), lattice, _key(m))
+            lattice.conditionals[key] = lattice.conditionals[node]
+            return key
     img = (np.array(event)[:, None] >> np.arange(lattice.n) & 1) @ (1 << lattice.group.T)
     g = int(np.argmin(img[0] << lattice.n | img[1]))  # the first g to the least image
     orbit, positions = tuple(img[:, g].tolist()), None
-    free = _free(orbit, lattice.n)
     if g:
-        moved = [free.index(lattice.group[g, c]) for c in _free(event, lattice.n)]
+        least = _free(orbit, lattice.n)
+        moved = [least.index(lattice.group[g, c]) for c in free]
         image = (w.masks[:, None] >> np.arange(m.n) & 1) @ (1 << np.array(moved))
         positions = np.argsort(image)
         masses = w.masses[positions]
         m = SubsetMeasure(m.n, image[positions], masses / float(masses.sum()))
         w = SubsetMeasure(m.n, m.masks, masses)
+        free = least
     if orbit not in lattice.nodes:
         splits = ([_split(w, (*orbit, free[ell]), ell, lattice) for ell in range(m.n)]
                   if m.masks.size > 1 else [])
@@ -353,10 +381,11 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
 def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
     """Coupling of the split of w, the root restricted to (ones, zeros), on
     its coordinate ell (root_ell of the root), rows and cols indexing the two
-    children (None for a constant coordinate), and the child keys.  Solving
-    it first makes the first InfeasibleCoupling the first failing SCP event
-    met, event = (ones, zeros, root_ell); only feasible couplings are
-    memoized (as ``_couple`` returns them), so it is met as before."""
+    children (None for a constant coordinate, met only at the root of
+    ``split_generator``), and the child keys.  Solving it first makes the
+    first InfeasibleCoupling the first failing SCP event met, event =
+    (ones, zeros, root_ell); only feasible couplings are memoized (as
+    ``_couple`` returns them), so it is met as before."""
     ones, zeros, root_ell = event
     sides = halves(w, ell)
     keys = tuple(None if side is None else _key(side[0]) for side in sides)
@@ -372,55 +401,68 @@ def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple
 
 
 def _assemble(lattice: _Lattice) -> dict:
-    """Off-diagonal raw walk rates of every node: the uniform average of
-    its split rates, zero for a single state."""
+    """Off-diagonal raw walk rates of every node as (rows, cols, rates)
+    triplets, row-major: the uniform average of its split rates over its
+    free coordinates, none for a single state.  One bincount per node sums
+    each entry's terms in split order, as adding dense blocks would."""
     rates = {}
     for orbit, (m, splits) in lattice.nodes.items():
-        acc = np.zeros((m.masks.size, m.masks.size))
+        size = m.masks.size
+        at, terms = [np.zeros(0, np.int64)], [np.zeros(0)]
         for ell, split in enumerate(splits):
-            _add_split(acc, m, ell, split, lattice, rates)
-        rates[orbit] = acc / m.n if splits else acc
+            for rows, cols, vals in _split_rates(m, ell, split, lattice, rates):
+                at.append(rows * size + cols)
+                terms.append(vals)
+        total = np.bincount(np.concatenate(at), np.concatenate(terms), minlength=size * size)
+        at = np.flatnonzero(total)
+        rates[orbit] = (*np.divmod(at, size), total[at] / m.n)
     return rates
 
 
-def _add_split(acc: np.ndarray, m: SubsetMeasure, ell: int, split: tuple,
-               lattice: _Lattice, rates: dict) -> None:
-    """Add the off-diagonal rates of one split, built from its children's, to acc.
+def _lift(kid: tuple, pos: np.ndarray, lattice: _Lattice, rates: dict) -> tuple:
+    """The rates of the conditional with content key kid on the states pos of
+    its parent, through the positions of the node it reads."""
+    orbit, positions = lattice.conditionals[kid]
+    pos = pos if positions is None else pos[positions]
+    rows, cols, vals = rates[orbit]
+    return pos[rows], pos[cols], vals
 
-    A child's node rates land on the child's states through its positions.
-    Cross rates on a support pair (x, y) of the coupling kappa:
-    Q(x, y) = pihat0 * pihat1 * kappa(x, y) / pi(x) and mirrored with
-    pi(y), which enforces detailed balance by construction.  When the
-    coordinate is constant the split is the single conditional's walk.
+
+def _split_rates(m: SubsetMeasure, ell: int, split: tuple, lattice: _Lattice,
+                 rates: dict) -> list:
+    """The off-diagonal rates of one split as triplets, each entry named once.
+
+    The children's node rates land on their states, and cross rates on a
+    support pair (x, y) of the coupling kappa are
+    Q(x, y) = pihat0 * pihat1 * kappa(x, y) / pi(x), mirrored with pi(y),
+    which enforces detailed balance by construction.  When the coordinate
+    is constant the split is the single conditional's walk.
     """
     kappa, kids = split
     side = (m.masks >> ell) & 1 == 1
     parts = [np.arange(m.masks.size)] if kappa is None else [
         (~side).nonzero()[0], side.nonzero()[0]]
-    for kid, pos in zip(kids, parts):
-        orbit, positions = lattice.conditionals[kid]
-        if rates[orbit].shape[0] != pos.size:
-            raise NotOnCube("lifted conditional support mismatch")
-        pos = pos if positions is None else pos[positions]
-        acc[pos[:, None], pos] += rates[orbit]
-    if kappa is None:
-        return
-    pi = m.masses
-    cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
-    a, b, w = kappa
-    x_idx, y_idx = parts[0][a], parts[1][b]
-    acc[x_idx, y_idx] += cross * w / pi[x_idx]
-    acc[y_idx, x_idx] += cross * w / pi[y_idx]
+    out = [_lift(kid, pos, lattice, rates) for kid, pos in zip(kids, parts)]
+    if kappa is not None:
+        pi = m.masses
+        cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
+        a, b, w = kappa
+        x_idx, y_idx = parts[0][a], parts[1][b]
+        out += [(x_idx, y_idx, cross * w / pi[x_idx]), (y_idx, x_idx, cross * w / pi[y_idx])]
+    return out
 
 
-def _generator(m: SubsetMeasure, q: np.ndarray) -> Generator:
-    """Generator on m's support with off-diagonal rates q (diagonal set in place)."""
+def _generator(m: SubsetMeasure, triplets: list) -> Generator:
+    """Generator on m's support with the off-diagonal rates of triplets, which
+    name each entry once (diagonal set in place)."""
+    q = np.zeros((m.masks.size, m.masks.size))
+    for rows, cols, vals in triplets:
+        q[rows, cols] = vals
     np.fill_diagonal(q, 0.0 - q.sum(axis=1))  # 0.0, not -0.0, where a state has no exits
     return Generator(*map(_sealed, (m.masks.copy(), q, m.masses.copy())), n=m.n)
 
 
-@dataclass(frozen=True)
-class ScpResult:
+class ScpResult(NamedTuple):
     satisfied: bool
     # (coords, x_bits, y_bits) of the first violated conditioning, or None
     witness: tuple | None
@@ -454,17 +496,15 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
     ell = as_coordinate(ell, m.n)
     lattice = _Lattice(m)
     split = _split(m, (0, 0, ell), ell, lattice)
-    acc = np.zeros((m.masks.size, m.masks.size))
-    _add_split(acc, m, ell, split, lattice, _assemble(lattice))
-    return _generator(m, acc)
+    return _generator(m, _split_rates(m, ell, split, lattice, _assemble(lattice)))
 
 
 def flip_swap_average(m: SubsetMeasure) -> Generator:
     """Pre-normalization flip-swap walk (uniform average over splits)."""
     validate(m)
     lattice = _Lattice(m)
-    _visit(m, m, (0, 0), lattice, _key(m))
-    return _generator(m, _assemble(lattice)[0, 0])
+    root = _visit(m, m, (0, 0), lattice, _key(m))
+    return _generator(m, [_lift(root, np.arange(m.masks.size), lattice, _assemble(lattice))])
 
 
 def normalized(gen: Generator) -> Generator:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -404,10 +403,8 @@ def cmd_compare_ks(cfg: dict) -> int:
         mu_star = ks.ks_crossover_threshold(k, eps_k)
         if math.isinf(mu_star):
             raise UsageError(f"no crossover at k = {k}, eps = {eps_k}: log k + eps <= eps sqrt k")
-        rows += [dataclasses.astuple(ks.ks_crossover(k, f * mu_star, eps_k, c))
-                 for f in factors]
-    _emit_csv([field.name for field in dataclasses.fields(ks.KsCrossover)], rows,
-              cfg.get("out"))
+        rows += [ks.ks_crossover(k, f * mu_star, eps_k, c) for f in factors]
+    _emit_csv(ks.KsCrossover._fields, rows, cfg.get("out"))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ check against mgf_bound and every exact or sampled tail read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class EmptyGrid(ConcentrationError):
     pass
 
 
-@dataclass(frozen=True)
-class OscillationStats:
+class OscillationStats(NamedTuple):
     v: float
     pairs: int
 
@@ -165,8 +164,7 @@ def _doubling(weights: np.ndarray, lam: np.ndarray, vec: np.ndarray, k: int) -> 
     return float(np.exp(float(2**k) * np.log1p(mu)).sum())
 
 
-@dataclass(frozen=True)
-class InductionReport:
+class InductionReport(NamedTuple):
     slacks: np.ndarray          # slack_k = doubling_k - (1 - alpha v^2 S_k) base
     base_trace: float           # Tr E[e^F]
     alpha_v_sq: float
@@ -231,8 +229,7 @@ def check_mgf_bound(gen: Generator, fn: MatrixFn, lam: float, theta: float,
     return spectrum(gen, fn).rows([theta], lam, oscillation(gen, fn).v, tol)[0][3]
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(NamedTuple):
     raw: float
     capped: float
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +175,7 @@ def project_fn(dec: Decomposition, fn: MatrixFn) -> MatrixFn:
     return MatrixFn(np.arange(len(dec.parts), dtype=np.int64), np.stack(vals))
 
 
-@dataclass(frozen=True)
-class DecompositionResiduals:
+class DecompositionResiduals(NamedTuple):
     variance_residual: float
     dirichlet_residual: float
     scale: float
@@ -256,8 +256,7 @@ def matrix_poincare_constant(gen: Generator, d: int) -> tuple[float, MatrixFn | 
     return lam, MatrixFn(gen.states, np.einsum("x,ij->xij", fiedler, np.eye(d)))
 
 
-@dataclass(frozen=True)
-class PoincareReport:
+class PoincareReport(NamedTuple):
     lambda_claimed: float
     min_eig_slack: float
     scale: float

@@ -11,11 +11,10 @@ numpy; the Kyng-Song tail itself, `ks_bound`, stays in `concentration`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class KsCrossover:
+class KsCrossover(NamedTuple):
     k: int
     mu: float
     eps: float

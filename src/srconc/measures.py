@@ -43,7 +43,7 @@ MASS_TOL = 1e-12
 COUPLING_TOL = 1e-10
 PROJECTION_TOL = 1e-8
 STORAGE_LIMIT = 20  # largest ground set n a measure may live on
-SCP_LIMIT = 15      # largest n for chains.scp_check: K6 trees have 7,520 orbit classes
+SCP_LIMIT = 15      # largest n for chains.scp_check: K6 trees have 3,544 lattice nodes
 AUT_LIMIT = 120     # automorphisms() stops once it has found this many
 AUT_WORK = 2000     # or once its search has tried this many partial maps
 
@@ -116,8 +116,8 @@ class SubsetMeasure:
     """Measure over subsets of an n-element ground set, stored by support.
 
     masks are the subsets with nonzero mass, ascending, and masses their
-    masses; negative and NaN entries are kept so that ``validate`` sees
-    them.  Only n is checked here: callers pass masks in [0, 2**n).
+    masses; negative and NaN entries and unsorted, repeated or out-of-range
+    masks are kept so that ``validate`` sees them.  Only n is checked here.
     """
 
     __slots__ = ("n", "masks", "masses")
@@ -137,7 +137,12 @@ class SubsetMeasure:
 
 
 def validate(m: SubsetMeasure) -> None:
-    """Raise unless m is a normalized nonnegative measure with support."""
+    """Raise unless m is a normalized nonnegative measure with support, whose
+    masks are ascending, distinct and in [0, 2**n)."""
+    if not (np.diff(m.masks) > 0).all():
+        raise MaskOutOfRange("masks must be ascending and distinct")
+    if m.masks.size and not 0 <= m.masks[0] <= m.masks[-1] < 1 << m.n:
+        raise MaskOutOfRange(f"masks must lie in [0, {1 << m.n}) for n={m.n}")
     lo = np.fmin.reduce(m.masses, initial=0.0)  # fmin skips NaN
     if lo < 0.0:
         mask = int(m.masks[np.argmax(m.masses == lo)])
@@ -284,7 +289,8 @@ def _max_flow(supply, demand, adj) -> Coupling:
     can in row-major order; then each round searches breadth-first from
     every row with supply left, along allowed row->col arcs and along
     col->row arcs that carry flow (cancelling it), and augments the first
-    column with demand left by the path's bottleneck.  Shortest augmenting
+    column with demand left by the path's bottleneck; the rows with supply
+    left are kept across rounds, in ascending order.  Shortest augmenting
     paths bound the number of rounds whatever the float capacities, and
     each augmentation empties its bottleneck exactly, since x - x == 0 in
     floating point.  The supports are sparse and mostly a few masks wide,
@@ -305,8 +311,9 @@ def _max_flow(supply, demand, adj) -> Coupling:
             if left[i] == 0.0:  # f was all of it: no later column gets any
                 break
 
+    supplied = dict.fromkeys(i for i in range(rows) if left[i] > 0.0)  # ascending
     while True:
-        row_from = {i: -1 for i in range(rows) if left[i] > 0.0}  # -1: the source
+        row_from = dict.fromkeys(supplied, -1)  # -1: the source
         col_from = {}
         queue = list(row_from)
         sink = -1
@@ -349,6 +356,8 @@ def _max_flow(supply, demand, adj) -> Coupling:
                 del into[c][r]
         left[src] -= step
         need[sink] -= step
+        if left[src] == 0.0:
+            del supplied[src]
 
     return Coupling(np.array([i for carried in into for i in carried], dtype=np.int64),
                     np.repeat(np.arange(cols), [len(carried) for carried in into]),

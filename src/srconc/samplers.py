@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -317,8 +317,7 @@ def clopper_pearson_upper(successes: int, trials: int,
     return float(_cp_upper(successes, trials, confidence)[0])
 
 
-@dataclass(frozen=True)
-class EmpiricalTailRow:
+class EmpiricalTailRow(NamedTuple):
     t: float
     estimate: float
     ci_upper: float

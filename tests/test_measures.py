@@ -13,6 +13,7 @@ from srconc import inputs, measures
 from srconc.chains import ScpResult, scp_check
 from srconc.measures import (
     DisconnectedGraph,
+    MaskOutOfRange,
     NegativeMass,
     NotAProjection,
     NotNormalized,
@@ -69,6 +70,15 @@ def test_validate_rejects_non_finite_mass():
         validate(dense_measure(1, np.array([np.inf, 0.5])))
     with pytest.raises(NegativeMass):
         validate(dense_measure(1, np.array([-np.inf, 0.5])))
+
+
+@pytest.mark.parametrize("masks,match", [([5, 3, 6], "ascending and distinct"),
+                                         ([3, 3, 5], "ascending and distinct"),
+                                         ([3, 5, 40], r"in \[0, 8\) for n=3"),
+                                         ([-1, 3, 5], r"in \[0, 8\) for n=3")])
+def test_validate_refuses_a_support_out_of_order_or_range(masks, match):
+    with pytest.raises(MaskOutOfRange, match=match):
+        validate(SubsetMeasure(3, masks, np.full(3, 1.0 / 3.0)))
 
 
 def test_component_count():

@@ -170,6 +170,32 @@ def test_validate_rejects_non_finite_mass(data):
         measure_from_json({"n": n, "entries": entries})
 
 
+@st.composite
+def bad_supports(draw):
+    """A measure whose masks are unsorted, repeated or outside [0, 2**n), each
+    with equal mass: the supports validate refuses before any mass check."""
+    n = draw(st.integers(1, 5))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=6))
+    kind = draw(st.sampled_from(["unsorted", "repeated", "negative", "too_large"]))
+    if kind == "unsorted":
+        masks = sorted(set(masks) | {0, 1}, reverse=True)
+    elif kind == "repeated":
+        masks = sorted(masks + masks[:1])
+    else:
+        masks = sorted(set(masks) | {-1 if kind == "negative" else 1 << n})
+    return measures.SubsetMeasure(n, masks, np.full(len(masks), 1.0 / len(masks)))
+
+
+@PROPERTY
+@given(bad_supports())
+def test_every_measure_entry_point_refuses_a_bad_support(m):
+    for call in (chains.scp_check, chains.flip_swap_average, chains.hermon_salez,
+                 lambda m: chains.scp_coupling(m, 0), lambda m: chains.split_generator(m, 0),
+                 validate):
+        with pytest.raises(measures.MaskOutOfRange):
+            call(m)
+
+
 # --------------------------------------------------- couplings by support
 
 @st.composite
