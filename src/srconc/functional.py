@@ -156,15 +156,19 @@ def dirichlet_form(gen: Generator, values) -> np.ndarray:
 
     Summed over the walk's cached edges x < y (``Generator.edges``) with the
     flow W_xy + W_yx, W_xy = pi(x) Q(x,y): the E edge differences D_e give
-    one GEMM of D as d x (E d) by (W D) as (E d) x d, in O(E d^2) memory.
+    one GEMM of D as d x (E d) by (W D) as (E d) x d.  D is taken in the
+    fresh gather of values[x] and weighted in place after its transpose is
+    copied, so at most two E d^2 arrays are live at once.
     """
     values = np.asarray(values, dtype=float)
     x, y = gen.edges
     flow = gen.pi[x] * gen.rates[x, y] + gen.pi[y] * gen.rates[y, x]
-    diff = values[x] - values[y]
+    diff = values[x]
+    np.subtract(diff, values[y], out=diff)
     d = values.shape[1]
-    weighted = diff * flow[:, None, None]
-    return 0.5 * (diff.transpose(1, 0, 2).reshape(d, -1) @ weighted.reshape(-1, d))
+    cols = np.array(diff.transpose(1, 0, 2), order="C").reshape(d, -1)  # a copy even at d = 1
+    diff *= flow[:, None, None]
+    return 0.5 * (cols @ diff.reshape(-1, d))
 
 
 def project_fn(dec: Decomposition, fn: MatrixFn) -> MatrixFn:

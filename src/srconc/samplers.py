@@ -335,16 +335,26 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
 
 def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]:
     """Empirical tail of the batch, reading each draw's deviation from devs
-    (aligned to the ascending states): one sort, one count and one bound call."""
+    (aligned to the ascending states).
+
+    The draws are sorted once, so one searchsorted places them all and
+    checks the support, and one bincount counts the draws per state.  The
+    draws whose state has devs < t are a prefix sum of those counts in devs
+    order, read at searchsorted(devs in that order, t, "left"); the hits of
+    t are the rest of the batch.
+    """
     from .functional import DomainMismatch
     if batch.count == 0:
         raise ValueError("empty batch")
-    pos = np.minimum(np.searchsorted(states, batch.draws), states.size - 1)
-    outside = batch.draws[states[pos] != batch.draws]
-    if outside.size:
-        raise DomainMismatch(f"draw {int(outside[0]):#x} outside the measure's support")
+    keys = np.sort(batch.draws)
+    pos = np.minimum(np.searchsorted(states, keys), states.size - 1)
+    if (miss := states[pos] != keys).any():
+        first = batch.draws[np.isin(batch.draws, keys[miss])][0]  # in draw order
+        raise DomainMismatch(f"draw {int(first):#x} outside the measure's support")
+    order = np.argsort(devs, kind="stable")
+    below = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=states.size)[order])))
     ts = np.asarray(ts, dtype=float)
-    hits = batch.count - np.searchsorted(np.sort(devs[pos]), ts, side="left")  # devs >= t
+    hits = batch.count - below[np.searchsorted(devs[order], ts, side="left")]  # devs >= t
     return [EmpiricalTailRow(float(t), float(h / batch.count), float(c))
             for t, h, c in zip(ts, hits, _cp_upper(hits, batch.count, 0.99))]
 

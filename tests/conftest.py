@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,6 +19,18 @@ def pytest_terminal_summary(terminalreporter):
 def name_seed(name: str) -> int:
     """Stable small seed for a fixture name (hash() is per-process)."""
     return zlib.crc32(name.encode()) % 2**16
+
+
+def peak_traced_bytes(fn):
+    """(the peak bytes tracemalloc traces while fn() runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

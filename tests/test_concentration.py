@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from srconc import chains, functional, measures
 from srconc.concentration import (
     EmptyGrid,
+    OscillationStats,
     OutOfRadius,
     ScaleViolation,
     TraceMgf,
@@ -28,6 +29,7 @@ from srconc.concentration import (
     tail_bound_sr_composed,
     tail_dominator,
     trace_mgf,
+    _oscillation,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
 from srconc.matrix_core import as_power
@@ -112,6 +114,35 @@ def test_oscillation_matches_pairwise_loop(fixture_walks, mode):
         fn = random_matrix_fn(walk.states, 3, seed=name_seed(name))
         stats = oscillation(walk if mode == "q_support" else flip_swap_walk(walk), fn)
         assert (stats.v, stats.pairs) == reference_oscillation(walk, fn, mode), name
+
+
+def out_of_place_oscillation(gen, fn) -> OscillationStats:
+    """v(F) with a fresh array per step: the reference the in-place
+    differences of _oscillation are checked against."""
+    vals = fn.gather(gen.states)
+    i, j = gen.edges
+    diffs = vals[i] - vals[j]
+    scale = float(np.abs(diffs).max(initial=0.0))
+    if scale == 0.0:
+        return OscillationStats(0.0, int(i.size))
+    unit = diffs / scale
+    gram = unit.transpose(0, 2, 1) @ unit
+    bound = np.sqrt(np.sqrt(np.einsum("eij,eij->e", gram, gram)))
+    floor = float(np.linalg.norm(diffs[bound.argmax()], 2))
+    keep = bound >= floor / scale * (1.0 - 1e-12)
+    v = float(np.linalg.norm(diffs[keep], 2, axis=(1, 2)).max(initial=floor))
+    return OscillationStats(v, int(i.size))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_oscillation_in_place_leaves_its_inputs(fixture_walks, d):
+    for name in ("uniform_6_3", "trees_k4", "dpp_5"):
+        walk = fixture_walks[name]
+        fn = random_matrix_fn(walk.states, d, seed=name_seed(name) + d)
+        kept = [a.copy() for a in (fn.values, walk.rates, walk.pi, *walk.edges)]
+        assert _oscillation(walk, fn) == out_of_place_oscillation(walk, fn), name
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((fn.values, walk.rates, walk.pi, *walk.edges), kept)), name
 
 
 # ----------------------------------------------------------------- trace mgf
@@ -365,6 +396,15 @@ def test_induction_scale_violations():
     for k_max in (2.5, True):
         with pytest.raises(NotAnInteger):
             check_induction_statement(gen, fn, lam=8.0, k_max=k_max)
+
+
+def test_induction_refuses_an_empty_ladder():
+    """With no depth to check, an empty ladder would certify anything."""
+    gen, fn = rademacher_fn()
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            check_induction_statement(gen, fn, lam=8.0, k_max=k_max)
+    assert check_induction_statement(gen, fn, lam=8.0, k_max=1).slacks.size == 1
 
 
 # ----------------------------------------------------------------- mgf bound

@@ -43,6 +43,7 @@ from conftest import (
     dense_measure,
     is_spanning_tree,
     marginal_deviation,
+    peak_traced_bytes,
     random_projection_kernel,
 )
 
@@ -699,12 +700,8 @@ def test_feasible_coupling_stays_sparse():
     w /= w.sum()
     supply, demand = np.bincount(ii, w), np.bincount(jj, w)
     adj = adjacency(allowed)
-    tracemalloc.start()
-    try:
-        table, value = measures.feasible_coupling(supply, demand, adj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (table, value) = peak_traced_bytes(
+        lambda: measures.feasible_coupling(supply, demand, adj))
     assert table is not None and value == pytest.approx(1.0, abs=1e-12)
     assert peak < 8 << 20
 
@@ -715,12 +712,7 @@ def test_scp_check_lists_covering_pairs():
     split is 1716 x 1716, scp_check stays below 8 MB (3.4 MB measured;
     about 30 MB with the dense tables)."""
     m = make_uniform_k_subsets(14, 7)
-    tracemalloc.start()
-    try:
-        result = scp_check(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, result = peak_traced_bytes(lambda: scp_check(m))
     assert result
     assert peak < 8 << 20
 

@@ -576,6 +576,44 @@ def test_empirical_tail_tracks_exact_tail():
         assert row.ci_upper >= ex - 5 * sigma
 
 
+def searchsorted_sampled_tail(states, devs, batch, ts):
+    """The empirical tail by one searchsorted of the draws in draw order and a
+    sort of their deviations: the reference of the per-state counts."""
+    pos = np.minimum(np.searchsorted(states, batch.draws), states.size - 1)
+    outside = batch.draws[states[pos] != batch.draws]
+    if outside.size:
+        raise functional.DomainMismatch(
+            f"draw {int(outside[0]):#x} outside the measure's support")
+    ts = np.asarray(ts, dtype=float)
+    hits = batch.count - np.searchsorted(np.sort(devs[pos]), ts, side="left")
+    return [samplers.EmpiricalTailRow(float(t), float(h / batch.count), float(c))
+            for t, h, c in zip(ts, hits, samplers._cp_upper(hits, batch.count, 0.99))]
+
+
+@pytest.mark.parametrize("count", [20_000, 100_000])
+def test_sampled_tail_matches_the_searchsorted_reference(count):
+    """Deviations with ties, an unsorted t grid holding deviations themselves,
+    and two draws outside the support, the later of them the smaller mask."""
+    m = measures.make_uniform_k_subsets(10, 5)
+    rng = np.random.default_rng(count)
+    devs = rng.integers(0, 12, m.masks.size) / 4.0
+    ts = rng.permutation(np.concatenate([devs[:40], [-1.0, 0.0, 0.1, 2.75, 2.8, 9.0],
+                                         3.0 * rng.random(20)]))
+    batch = sample_table(m, seed=7, count=count)
+    got = samplers.sampled_tail(m.masks, devs, batch, ts)
+    assert got == searchsorted_sampled_tail(m.masks, devs, batch, ts)
+    assert len({row.estimate for row in got}) > 10
+    draws = batch.draws.copy()
+    draws[[1234, 5000]] = [0x3FF, 0x1]
+    outside = SampleBatch(batch.seed, count, draws)
+    messages = []
+    for tail in (samplers.sampled_tail, searchsorted_sampled_tail):
+        with pytest.raises(functional.DomainMismatch, match="draw 0x3ff outside") as err:
+            tail(m.masks, devs, outside, ts)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 # ---------------------------------------------------------------- round trip
 
 def test_dump_load_roundtrip(tmp_path):
