@@ -171,24 +171,27 @@ def delta(gen: Generator) -> float:
 
 def validate_generator(gen: Generator) -> None:
     """Raise on non-finite entries, negative rates, bad row sums, or broken
-    detailed balance."""
-    q = gen.rates
-    if not (np.isfinite(q).all() and np.isfinite(gen.pi).all()):
+    detailed balance.  Every rate off the edges and the diagonal is 0, so the
+    entry checks read the edges both ways and the diagonal: no m x m copy."""
+    q, pi = gen.rates, gen.pi
+    u, v = gen.edges
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    off, diag = q[rows, cols], np.diag(q)
+    if not all(np.isfinite(a).all() for a in (off, diag, pi)):
         raise NonFiniteGenerator("rates and pi must be finite")
-    scale = float(np.abs(q).max(initial=0.0))
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
+    scale = float(max(np.abs(off).max(initial=0.0), np.abs(diag).max(initial=0.0)))
     if not within(-off.min(initial=0.0), 0.0, RATE_TOL, scale):
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise NegativeRate(f"rate {q[i, j]!r} at ({i},{j})")
+        k = np.lexsort((cols, rows, off))[0]  # the least rate, first in row-major order
+        raise NegativeRate(f"rate {q[rows[k], cols[k]]!r} at ({rows[k]},{cols[k]})")
     rowdev = np.abs(q.sum(axis=1)).max(initial=0.0)
     if not within(rowdev, 0.0, RATE_TOL, scale):
         raise RowSumViolation(f"row sums deviate from 0 by {rowdev:.3e}")
-    if gen.pi.size == 0 or gen.pi.min() <= 0.0:
+    if pi.size == 0 or pi.min() <= 0.0:
         raise ZeroMassEvent("stationary law must be positive on the state list")
-    flows = gen.pi[:, None] * q
-    dev = np.abs(flows - flows.T).max(initial=0.0)
-    if not within(dev, 0.0, RATE_TOL, float(np.abs(flows).max(initial=0.0))):
+    flows = pi[rows] * off
+    dev = np.abs(flows[:u.size] - flows[u.size:]).max(initial=0.0)
+    top = max(np.abs(flows).max(initial=0.0), np.abs(pi * diag).max(initial=0.0))
+    if not within(dev, 0.0, RATE_TOL, float(top)):
         raise DetailedBalanceViolation(f"pi(x)Q(x,y) asymmetric by {dev:.3e}")
 
 
@@ -380,24 +383,20 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
 
 def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
     """Coupling of the split of w, the root restricted to (ones, zeros), on
-    its coordinate ell (root_ell of the root), rows and cols indexing the two
-    children (None for a constant coordinate, met only at the root of
-    ``split_generator``), and the child keys.  Solving it first makes the
-    first InfeasibleCoupling the first failing SCP event met, event =
+    its free coordinate ell (root_ell of the root), rows and cols indexing the
+    two children, and the child keys.  Solving it first makes the first
+    InfeasibleCoupling the first failing SCP event met, event =
     (ones, zeros, root_ell); only feasible couplings are memoized (as
     ``_couple`` returns them), so it is met as before."""
     ones, zeros, root_ell = event
     sides = halves(w, ell)
-    keys = tuple(None if side is None else _key(side[0]) for side in sides)
-    kappa = None
-    if None not in sides:
-        kappa = lattice.kappas.get(keys)
-        if kappa is None:
-            kappa = lattice.kappas[keys] = _couple(sides[0][0], sides[1][0], event)
+    keys = tuple(_key(side[0]) for side in sides)
+    kappa = lattice.kappas.get(keys)
+    if kappa is None:
+        kappa = lattice.kappas[keys] = _couple(sides[0][0], sides[1][0], event)
     events = ((ones, zeros | 1 << root_ell), (ones | 1 << root_ell, zeros))
-    kids = [_visit(*side, child, lattice, key)
-            for side, key, child in zip(sides, keys, events) if side is not None]
-    return kappa, kids
+    return kappa, [_visit(*side, child, lattice, key)
+                   for side, key, child in zip(sides, keys, events)]
 
 
 def _assemble(lattice: _Lattice) -> dict:
@@ -435,21 +434,17 @@ def _split_rates(m: SubsetMeasure, ell: int, split: tuple, lattice: _Lattice,
     The children's node rates land on their states, and cross rates on a
     support pair (x, y) of the coupling kappa are
     Q(x, y) = pihat0 * pihat1 * kappa(x, y) / pi(x), mirrored with pi(y),
-    which enforces detailed balance by construction.  When the coordinate
-    is constant the split is the single conditional's walk.
+    which enforces detailed balance by construction.
     """
     kappa, kids = split
     side = (m.masks >> ell) & 1 == 1
-    parts = [np.arange(m.masks.size)] if kappa is None else [
-        (~side).nonzero()[0], side.nonzero()[0]]
-    out = [_lift(kid, pos, lattice, rates) for kid, pos in zip(kids, parts)]
-    if kappa is not None:
-        pi = m.masses
-        cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
-        a, b, w = kappa
-        x_idx, y_idx = parts[0][a], parts[1][b]
-        out += [(x_idx, y_idx, cross * w / pi[x_idx]), (y_idx, x_idx, cross * w / pi[y_idx])]
-    return out
+    parts = (~side).nonzero()[0], side.nonzero()[0]
+    pi = m.masses
+    cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
+    a, b, w = kappa
+    x_idx, y_idx = parts[0][a], parts[1][b]
+    return [*(_lift(kid, pos, lattice, rates) for kid, pos in zip(kids, parts)),
+            (x_idx, y_idx, cross * w / pi[x_idx]), (y_idx, x_idx, cross * w / pi[y_idx])]
 
 
 def _generator(m: SubsetMeasure, triplets: list) -> Generator:
@@ -491,9 +486,12 @@ def scp_check(m: SubsetMeasure) -> ScpResult:
 
 
 def split_generator(m: SubsetMeasure, ell: int) -> Generator:
-    """Pre-normalization generator of a single coordinate split."""
+    """Pre-normalization generator of a single coordinate split; on a
+    coordinate that m fixes, the split is m's own walk."""
     validate(m)
     ell = as_coordinate(ell, m.n)
+    if None in halves(m, ell):
+        return flip_swap_average(m)
     lattice = _Lattice(m)
     split = _split(m, (0, 0, ell), ell, lattice)
     return _generator(m, _split_rates(m, ell, split, lattice, _assemble(lattice)))

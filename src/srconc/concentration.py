@@ -49,6 +49,12 @@ class EmptyGrid(ConcentrationError):
     pass
 
 
+def _positive_gap(lam: float) -> None:
+    """The one rule of every lam read here: positive, which NaN is not."""
+    if not lam > 0.0:
+        raise ScaleViolation(f"lam must be positive, got {lam}")
+
+
 class OscillationStats(NamedTuple):
     v: float
     pairs: int
@@ -185,8 +191,7 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
     """Slack of the doubling ladder for k = 1..k_max (at least 1)."""
     if (k_max := as_integer(k_max, "k_max")) < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not lam > 0.0:
-        raise ScaleViolation(f"lam must be positive, got {lam}")
+    _positive_gap(lam)
     alpha = 1.0 / lam
     v = oscillation(gen, fn).v
     av2 = alpha * v * v
@@ -203,8 +208,7 @@ def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
 
 def _radius(theta: float, lam: float, v: float) -> float:
     """theta^2 alpha v^2, which mgf_bound needs below 1."""
-    if not lam > 0.0:
-        raise ScaleViolation(f"lam must be positive, got {lam}")
+    _positive_gap(lam)
     return theta * theta * (v * v / lam)
 
 
@@ -243,8 +247,7 @@ def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
     """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam))))."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if not lam > 0.0:
-        raise ScaleViolation(f"lam must be positive, got {lam}")
+    _positive_gap(lam)
     if v <= 0.0:
         return TailBound(0.0, 0.0)
     denom = 4.0 * (v * v / lam + t * v / math.sqrt(lam))

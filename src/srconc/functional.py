@@ -48,8 +48,8 @@ class Reducible(FunctionalError):
 
 @dataclass(frozen=True)
 class MatrixFn:
-    """Symmetric d x d matrix attached to each state mask; the arrays are
-    read-only, and a writeable input is copied."""
+    """Symmetric d x d matrix attached to each state mask, each state listed
+    once; the arrays are read-only, and a writeable input is copied."""
 
     states: np.ndarray
     values: np.ndarray
@@ -63,7 +63,12 @@ class MatrixFn:
                             f"expected ({states.size}, d, d) with d >= 1")
         if not np.isfinite(values).all():
             raise BadValues("values must be finite")
+        order = np.argsort(states)
+        keys = states[order]
+        if (repeated := keys[1:][keys[1:] == keys[:-1]]).size:
+            raise BadValues(f"state {int(repeated[0]):#x} is listed twice")
         values = _sealed((values + values.transpose(0, 2, 1)) / 2.0)
+        object.__setattr__(self, "_sorted", (keys, order))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_walks", weakref.WeakKeyDictionary())
@@ -79,12 +84,11 @@ class MatrixFn:
         return record[key] if key in record else record.setdefault(key, make())
 
     def gather(self, states) -> np.ndarray:
-        """Value stack aligned to the given state list (a repeated state
-        takes its last value)."""
+        """Value stack aligned to the given state list, through the states
+        sorted once at construction."""
         states = np.asarray(states, dtype=np.int64)
-        order = np.argsort(self.states, kind="stable")
-        keys = self.states[order]
-        pos = np.maximum(np.searchsorted(keys, states, side="right") - 1, 0)
+        keys, order = self._sorted
+        pos = np.minimum(np.searchsorted(keys, states), keys.size - 1)
         missing = (keys[pos] != states) if keys.size else np.ones(states.shape, bool)
         if missing.any():
             raise DomainMismatch(

@@ -3,8 +3,8 @@
 A measure over subsets of {0, ..., n-1} is stored by its support: the
 bitmasks (bit i set <=> element i in the subset) that carry nonzero mass,
 ascending, and their masses.  Every check stays exact and enumerable,
-which is the point of this package; n is capped at STORAGE_LIMIT, and
-conditioning touches only the support.
+which is the point of this package; n is capped at STORAGE_LIMIT, a mask
+stored with mass 0 is refused, and conditioning touches only the support.
 
 The covering relation used throughout: x covers y (written x |> y here)
 iff x == y or x == y | (1 << i) for a single bit i missing from y.  A
@@ -21,7 +21,7 @@ set S and every pair of assignments x |> y on S, the conditional of the
 measure given the smaller assignment covers the conditional given the
 larger one.  ``chains.scp_check`` decides it with the recursion that
 builds the flip-swap walk; this module supplies the pieces (``halves``,
-``feasible_coupling``) and the size guard SCP_LIMIT.
+of which ``condition`` is a fold, ``feasible_coupling``) and SCP_LIMIT.
 
 As the bottom numpy layer it also holds what the layers above share: the
 readers ``as_coordinate`` and ``as_matrix``, ``within``, the one tolerance
@@ -116,8 +116,8 @@ class SubsetMeasure:
     """Measure over subsets of an n-element ground set, stored by support.
 
     masks are the subsets with nonzero mass, ascending, and masses their
-    masses; negative and NaN entries and unsorted, repeated or out-of-range
-    masks are kept so that ``validate`` sees them.  Only n is checked here.
+    masses; masses <= 0, NaN and unsorted, repeated or out-of-range masks
+    are kept so that ``validate`` sees them.  Only n is checked here.
     """
 
     __slots__ = ("n", "masks", "masses")
@@ -137,8 +137,8 @@ class SubsetMeasure:
 
 
 def validate(m: SubsetMeasure) -> None:
-    """Raise unless m is a normalized nonnegative measure with support, whose
-    masks are ascending, distinct and in [0, 2**n)."""
+    """Raise unless m is normalized, its masses positive (a mask stored with
+    mass 0 is a ZeroMassEvent) and its masks ascending, distinct, in [0, 2**n)."""
     if not (np.diff(m.masks) > 0).all():
         raise MaskOutOfRange("masks must be ascending and distinct")
     if m.masks.size and not 0 <= m.masks[0] <= m.masks[-1] < 1 << m.n:
@@ -150,8 +150,8 @@ def validate(m: SubsetMeasure) -> None:
     total = float(m.masses.sum())
     if not abs(total - 1.0) <= MASS_TOL:  # also rejects a NaN total
         raise NotNormalized(f"total mass {total!r} deviates from 1 by {total - 1.0:.3e}")
-    if not (m.masses > 0.0).any():
-        raise ZeroMassEvent("measure has empty support")
+    if not m.masses.all():
+        raise ZeroMassEvent(f"mask {int(m.masks[np.argmin(m.masses)]):#x} is stored with mass 0")
 
 
 def generating_polynomial(m: SubsetMeasure, z) -> float:
@@ -176,9 +176,9 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     """Condition on X_c = b for (c, b) pairs; renormalize the rest.
 
     The surviving coordinates keep their relative order and are packed
-    into a fresh cube of dimension n - len(coords).  Only the support is
-    touched: it is sliced on the fixed bits, which are then squeezed out,
-    and squeezing keeps the slice ascending.
+    into a fresh cube of dimension n - len(coords).  It runs through
+    ``halves``: from the highest coordinate down it keeps the restriction
+    to X_c = b, whose masks stay ascending, and renormalizes once at the end.
     """
     coords = [as_coordinate(c, m.n) for c in coords]
     bits = [as_integer(b, "bit") for b in bits]
@@ -189,23 +189,17 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     if not coords:
         return SubsetMeasure(m.n, m.masks.copy(), m.masses.copy())
 
-    sel_mask = sum(1 << c for c in coords)
-    want = sum(1 << c for c, b in zip(coords, bits) if b)
-    keep = (m.masks & sel_mask) == want
-    masses = m.masses[keep]
-    total = float(masses.sum())
+    w, total = m, 0.0
+    for c, b in sorted(zip(coords, bits), reverse=True):
+        if (side := halves(w, c)[b]) is None:
+            break
+        w = side[1]
+    else:
+        total = float(w.masses.sum())
     if total <= 0.0:
         raise ZeroMassEvent(
             f"conditioning event coords={coords} bits={bits} has zero mass")
-    masks = m.masks[keep]
-    for c in sorted(coords, reverse=True):
-        masks = _drop_bit(masks, c)
-    return SubsetMeasure(m.n - len(coords), masks, masses / total)
-
-
-def _drop_bit(masks, c: int):
-    """masks with bit c removed and the bits above it moved down one place."""
-    return ((masks >> (c + 1)) << c) | (masks & ((1 << c) - 1))
+    return SubsetMeasure(w.n, w.masks, w.masses / total)
 
 
 def halves(m: SubsetMeasure, ell: int) -> list:
@@ -214,7 +208,7 @@ def halves(m: SubsetMeasure, ell: int) -> list:
     m's support; the restriction keeps m's masses, so the conditional of a
     restriction of m is condition(m, event) bit for bit."""
     side = (m.masks >> ell) & 1 == 1
-    low = _drop_bit(m.masks, ell)
+    low = ((m.masks >> (ell + 1)) << ell) | (m.masks & ((1 << ell) - 1))  # bit ell dropped
     parts = [(low[sel], m.masses[sel]) for sel in (~side, side)]
     return [(SubsetMeasure(m.n - 1, masks, masses / float(masses.sum())),
              SubsetMeasure(m.n - 1, masks, masses)) if masses.size else None

@@ -444,6 +444,43 @@ def test_walk_degenerate_coordinate():
     assert np.allclose(w.rates, [[-1.0, 1.0], [1.0, -1.0]])
 
 
+# split_generator's rates on the free coordinates 0 and 3 of this product,
+# pinned from the lattice that still kept a branch for a constant coordinate
+PRODUCT_SPLITS = {
+    0: [[-1.0, 0.3, 0.7, 0.0], [0.7, -1.4, 0.0, 0.7],
+        [0.30000000000000004, 0.0, -0.6000000000000001, 0.30000000000000004],
+        [0.0, 0.30000000000000004, 0.7, -1.0]],
+    3: [[-0.9999999999999998, 0.3, 0.6999999999999998, 0.0], [0.7, -1.4, 0.0, 0.7],
+        [0.30000000000000004, 0.0, -0.6000000000000001, 0.3], [0.0, 0.3, 0.7, -1.0]],
+}
+
+
+def test_split_on_a_fixed_coordinate_is_the_measures_own_walk():
+    """A coordinate the measure fixes splits into the measure's own walk,
+    flip_swap_average bit for bit; a free coordinate keeps its split."""
+    m = measures.make_bernoulli_product([0.3, 1.0, 0.0, 0.7])
+    walk = flip_swap_average(m)
+    for ell in range(m.n):
+        g = split_generator(m, ell)
+        assert np.array_equal(g.states, m.masks) and np.array_equal(g.pi, walk.pi)
+        if ell in PRODUCT_SPLITS:
+            assert g.rates.tolist() == PRODUCT_SPLITS[ell], ell
+        else:
+            assert np.array_equal(g.rates, walk.rates), ell
+
+
+def test_validate_names_the_first_negative_rate_in_row_major_order():
+    """The sign check reads the edges in both directions; its message still
+    names the first least rate of the whole table, row by row."""
+    q = np.array([[-0.5, 0.0, 0.0, 0.5],
+                  [-0.5, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 0.5, -0.5],
+                  [0.5, 0.0, 0.5, -1.0]])
+    g = Generator(np.arange(4), q, np.full(4, 0.25), n=2)
+    with pytest.raises(NegativeRate, match=r"^rate np.float64\(-0.5\) at \(1,0\)$"):
+        validate_generator(g)
+
+
 def test_walk_point_mass_is_zero():
     m = dense_measure(2, np.array([0.0, 0.0, 1.0, 0.0]))
     w = hermon_salez(m)

@@ -82,6 +82,19 @@ def test_validate_refuses_a_support_out_of_order_or_range(masks, match):
         validate(SubsetMeasure(3, masks, np.full(3, 1.0 / 3.0)))
 
 
+def test_validate_refuses_a_mask_stored_with_mass_0():
+    """A stored zero mass is refused by name: halves would divide 0 by 0 on
+    it, and scp_check read the measure as not SCP although without the
+    entry it is."""
+    with pytest.raises(ZeroMassEvent, match=r"^mask 0x6 is stored with mass 0$"):
+        validate(SubsetMeasure(3, [3, 5, 6], [0.5, 0.5, 0.0]))
+    with pytest.raises(ZeroMassEvent, match="mask 0x6"):
+        scp_check(SubsetMeasure(3, [3, 5, 6], [0.5, 0.5, 0.0]))
+    assert scp_check(SubsetMeasure(3, [3, 5], [0.5, 0.5])) == ScpResult(True, None)
+    with pytest.raises(ZeroMassEvent, match="mask 0x0"):
+        validate(SubsetMeasure(1, [0, 1], [-0.0, 1.0]))
+
+
 def test_component_count():
     assert measures.component_count(4, K4_EDGES) == 1
     assert measures.component_count(4, [(0, 1), (2, 3)]) == 2

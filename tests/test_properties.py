@@ -27,6 +27,7 @@ from srconc.concentration import (
     oscillation,
 )
 from srconc.functional import (
+    BadValues,
     DomainMismatch,
     MatrixFn,
     dirichlet_form,
@@ -172,27 +173,35 @@ def test_validate_rejects_non_finite_mass(data):
 
 @st.composite
 def bad_supports(draw):
-    """A measure whose masks are unsorted, repeated or outside [0, 2**n), each
-    with equal mass: the supports validate refuses before any mass check."""
+    """(measure, error): masks unsorted, repeated or outside [0, 2**n), each
+    with equal mass, which validate refuses before any mass check, or a
+    valid support that stores one mask with mass 0."""
     n = draw(st.integers(1, 5))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=6))
-    kind = draw(st.sampled_from(["unsorted", "repeated", "negative", "too_large"]))
+    kind = draw(st.sampled_from(["unsorted", "repeated", "negative", "too_large", "zero"]))
+    if kind == "zero":
+        masks = sorted(set(masks) | {0, (1 << n) - 1})
+        masses = np.full(len(masks), 1.0 / (len(masks) - 1))
+        masses[draw(st.integers(0, len(masks) - 1))] = 0.0
+        return measures.SubsetMeasure(n, masks, masses), ZeroMassEvent
     if kind == "unsorted":
         masks = sorted(set(masks) | {0, 1}, reverse=True)
     elif kind == "repeated":
         masks = sorted(masks + masks[:1])
     else:
         masks = sorted(set(masks) | {-1 if kind == "negative" else 1 << n})
-    return measures.SubsetMeasure(n, masks, np.full(len(masks), 1.0 / len(masks)))
+    m = measures.SubsetMeasure(n, masks, np.full(len(masks), 1.0 / len(masks)))
+    return m, measures.MaskOutOfRange
 
 
 @PROPERTY
 @given(bad_supports())
-def test_every_measure_entry_point_refuses_a_bad_support(m):
+def test_every_measure_entry_point_refuses_a_bad_support(case):
+    m, error = case
     for call in (chains.scp_check, chains.flip_swap_average, chains.hermon_salez,
                  lambda m: chains.scp_coupling(m, 0), lambda m: chains.split_generator(m, 0),
                  validate):
-        with pytest.raises(measures.MaskOutOfRange):
+        with pytest.raises(error):
             call(m)
 
 
@@ -520,6 +529,18 @@ def test_gather_aligns_unsorted_states(data):
     spot = data.draw(st.integers(0, len(order)))
     with pytest.raises(DomainMismatch):
         fn.gather(np.insert(query, spot, missing))
+
+
+@PROPERTY
+@given(st.data())
+def test_matrix_fn_refuses_a_repeated_state(data):
+    """A state listed twice is refused by name, wherever the copies sit."""
+    states = data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=30,
+                                unique=True))
+    twice = data.draw(st.sampled_from(states))
+    states.insert(data.draw(st.integers(0, len(states))), twice)
+    with pytest.raises(BadValues, match=rf"^state {twice:#x} is listed twice$"):
+        MatrixFn(np.array(states), np.ones((len(states), 2, 2)))
 
 
 # -------------------------------------------- coordinate permutations

@@ -434,6 +434,7 @@ ONE_HOME = {
     "out of range for n=": "measures.py",      # measures.as_coordinate
     "p must be >= 1": "matrix_core.py",        # matrix_core.as_power
     "(v * v / lam)": "concentration.py",       # the mgf radius, concentration._radius
+    "lam must be positive": "concentration.py",  # concentration._positive_gap
 }
 
 
