@@ -49,10 +49,25 @@ class EmptyGrid(ConcentrationError):
     pass
 
 
-def _positive_gap(lam: float) -> None:
-    """The one rule of every lam read here: positive, which NaN is not."""
-    if not lam > 0.0:
-        raise ScaleViolation(f"lam must be positive, got {lam}")
+def _positive_gap(lam: float) -> float:
+    """lam, read by the one rule of every lam here: positive and finite (NaN is not)."""
+    if not 0.0 < lam < math.inf:
+        raise ScaleViolation(f"lam must be positive and finite, got {lam}")
+    return lam
+
+
+def _positive(**scales: float) -> None:
+    """ValueError unless each other scale (t, v, eps, mu, L) is positive and finite."""
+    for name, x in scales.items():
+        if not 0.0 < x < math.inf:  # NaN is not
+            raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
+def _at_least(k, name: str, low: int) -> int:
+    """k as an int, or a ValueError unless it is an integer of at least low."""
+    if (k := as_integer(k, name)) < low:
+        raise ValueError(f"{name} must be >= {low}, got {k}")
+    return k
 
 
 class OscillationStats(NamedTuple):
@@ -154,6 +169,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
 
 def doubling_value(weights, values, k: int) -> float:
     """Tr[(E[e^{F/2^k}])^{2^k}] for probability weights, stable for any depth."""
+    k = _at_least(k, "k", 0)
     weights = np.asarray(weights, dtype=float)
     return float(_doubling(weights, *np.linalg.eigh(np.asarray(values, dtype=float)), [k])[0])
 
@@ -189,10 +205,8 @@ class InductionReport(NamedTuple):
 def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
                               k_max: int, tol: float = 1e-8) -> InductionReport:
     """Slack of the doubling ladder for k = 1..k_max (at least 1)."""
-    if (k_max := as_integer(k_max, "k_max")) < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _positive_gap(lam)
-    alpha = 1.0 / lam
+    k_max = _at_least(k_max, "k_max", 1)
+    alpha = 1.0 / _positive_gap(lam)
     v = oscillation(gen, fn).v
     av2 = alpha * v * v
     if av2 > 1.0:
@@ -216,7 +230,11 @@ def mgf_grid(lam: float, v: float, frac: float, points: int) -> np.ndarray:
     """points thetas evenly spaced up to sqrt(frac lam) / v, the fraction frac < 1
     of the radius; the quotient can round onto the radius, so the top steps
     down by at most three ulps while mgf_bound would refuse it."""
-    top = math.sqrt(frac * lam) / v
+    points = _at_least(points, "points", 1)
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"frac must lie in (0, 1), got {frac}")
+    _positive(v=v)
+    top = math.sqrt(frac * _positive_gap(lam)) / v
     for _ in range(3):
         if _radius(top, lam, v) >= 1.0:
             top = math.nextafter(top, 0.0)
@@ -226,7 +244,7 @@ def mgf_grid(lam: float, v: float, frac: float, points: int) -> np.ndarray:
 def mgf_bound(theta: float, lam: float, v: float, d: int) -> float:
     """d / (1 - theta^2 alpha v^2) inside the radius theta^2 alpha v^2 < 1."""
     x = _radius(theta, lam, v)
-    if x >= 1.0:
+    if not x < 1.0:  # a NaN theta or v is outside too
         raise OutOfRadius(f"theta^2 alpha v^2 = {x:.6f} outside (0, 1)")
     return float(d) / (1.0 - x)
 
@@ -244,12 +262,12 @@ class TailBound(NamedTuple):
 
 
 def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
-    """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam))))."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam)))); 0 for a constant F, v = 0."""
+    _positive(t=t)
     _positive_gap(lam)
-    if v <= 0.0:
+    if v == 0.0:
         return TailBound(0.0, 0.0)
+    _positive(v=v)
     denom = 4.0 * (v * v / lam + t * v / math.sqrt(lam))
     raw = 2.0 * d * math.exp(-t * t / denom)
     return TailBound(raw, min(1.0, raw))
@@ -257,10 +275,8 @@ def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
 
 def tail_bound_sr(t: float, k: int, lipschitz: float, d: int) -> float:
     """2d exp(-t^2 / (32 (k L^2 + t sqrt(k) L))) for k-homogeneous SCP laws."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k <= 0 or lipschitz <= 0.0:
-        raise ValueError("need k >= 1 and lipschitz > 0")
+    _positive(t=t, lipschitz=lipschitz)
+    k = _at_least(k, "k", 1)
     denom = 32.0 * (k * lipschitz**2 + t * math.sqrt(k) * lipschitz)
     return 2.0 * d * math.exp(-t * t / denom)
 
@@ -271,7 +287,7 @@ def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:
     Tighter than tail_bound_sr (the published constant is looser); both
     are exposed so each statement is tested against itself.
     """
-    return tail_bound_poincare(t, 1.0 / (2.0 * k), 2.0 * lipschitz, d).raw
+    return tail_bound_poincare(t, 1.0 / (2.0 * _at_least(k, "k", 1)), 2.0 * lipschitz, d).raw
 
 
 def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
@@ -327,9 +343,8 @@ def exact_tail(weights, values, ts) -> np.ndarray:
 
 def ks_bound(eps: float, mu: float, k: int, d: int, c: float = 1.0) -> float:
     """d exp(-c eps^2 mu / (log k + eps)); the constant c is exposed."""
-    if eps <= 0.0 or mu <= 0.0 or k < 2:
-        raise ValueError("need eps > 0, mu > 0, k >= 2")
-    return float(d) * math.exp(-c * eps * eps * mu / (math.log(k) + eps))
+    _positive(eps=eps, mu=mu)
+    return float(d) * math.exp(-c * eps * eps * mu / (math.log(_at_least(k, "k", 2)) + eps))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class Reducible(FunctionalError):
         self.components = components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFn:
     """Symmetric d x d matrix attached to each state mask, each state listed
     once; the arrays are read-only, and a writeable input is copied."""

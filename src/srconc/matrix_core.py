@@ -76,19 +76,12 @@ def _psd_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def sym_apply(a, fn) -> np.ndarray:
     """U fn(L) U^T for symmetric a; fn maps eigenvalue arrays elementwise."""
-    a = require_symmetric(a)
-    lam, vec = np.linalg.eigh(a)
+    lam, vec = np.linalg.eigh(require_symmetric(a))
     return (vec * fn(lam)) @ vec.T
 
 
 def sym_expm(a) -> np.ndarray:
     return sym_apply(a, np.exp)
-
-
-def sym_power(a, t: float) -> np.ndarray:
-    """Fractional power of a PSD matrix; tiny negative eigenvalues clip to 0."""
-    lam, vec = _psd_eigh(require_symmetric(a), "matrix")
-    return (vec * lam**t) @ vec.T
 
 
 def spectral_norm(a) -> float:
@@ -99,11 +92,6 @@ def spectral_norm(a) -> float:
     if a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
         return float(np.abs(np.linalg.eigvalsh(a)).max())
     return float(np.linalg.norm(a, 2))
-
-
-def is_psd(a, tol: float = 1e-10) -> bool:
-    lam = np.linalg.eigvalsh(require_symmetric(a))
-    return within(-lam.min(initial=0.0), 0.0, tol, float(np.abs(lam).max(initial=0.0)))
 
 
 def psd_leq(a, b, tol: float = 1e-9) -> bool:
@@ -159,7 +147,7 @@ def check_trace_monotone(fn, a, h, tol: float = 1e-8) -> bool:
     return within(lhs, rhs, tol, max(abs(lhs), abs(rhs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityDecomposition:
     """Factors K_i with sum_i K_i^T K_i = I (checked on validate)."""
 
@@ -316,7 +304,7 @@ def random_symmetric(rng: np.random.Generator, d: int,
     g = rng.standard_normal((d, d))
     a = (g + g.T) / 2.0
     if norm_bound is not None:
-        nrm = float(np.abs(np.linalg.eigvalsh(a)).max(initial=0.0))  # a is exactly symmetric
+        nrm = spectral_norm(a)  # a is exactly symmetric
         if nrm > 0:
             a *= norm_bound * rng.uniform(0.2, 1.0) / nrm
     return a

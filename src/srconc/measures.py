@@ -364,7 +364,7 @@ def _max_flow(supply, demand, adj) -> Coupling:
 
 def make_uniform_k_subsets(n: int, k: int) -> SubsetMeasure:
     """Uniform measure on all k-element subsets of an n-element set."""
-    if not 0 <= k <= n:
+    if not 0 <= (k := as_integer(k, "k")) <= (n := as_integer(n, "n")):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     _check_size(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -375,7 +375,8 @@ def make_uniform_k_subsets(n: int, k: int) -> SubsetMeasure:
 def make_bernoulli_product(ps) -> SubsetMeasure:
     """Independent inclusion of element i with probability ps[i]; the support
     spans only the coordinates with 0 < ps[i] < 1, the others are fixed."""
-    ps = np.asarray(ps, dtype=float)
+    ps = np.asarray(ps, dtype=object)  # as given: a float array would read '0.5' and True
+    ps = np.array([as_real(p, "inclusion probability") for p in ps.flat]).reshape(ps.shape)
     if not ((ps >= 0) & (ps <= 1)).all():  # also rejects NaN
         raise ValueError("inclusion probabilities must lie in [0, 1]")
     _check_size(ps.size)
@@ -451,17 +452,20 @@ def component_count(vertices: int, edges) -> int:
 
 
 def tree_edges(edges, vertices: int | None = None) -> tuple[list[tuple[int, int]], int]:
-    """The edge list as int pairs and the vertex count (default: one past
-    the largest endpoint); raises ValueError on a self-loop or an endpoint
-    outside range(vertices), since neither can appear in a spanning tree."""
+    """The edge list as int pairs and the vertex count (default: one past the
+    largest endpoint) of a connected graph: the one graph rule of a spanning
+    tree.  A self-loop or an endpoint outside range(vertices) is a ValueError,
+    a graph that is not connected a DisconnectedGraph."""
     edges = [(as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint")) for u, v in edges]
-    if vertices is None:
-        vertices = 1 + max(max(u, v) for u, v in edges)
+    vertices = 1 + max(max(u, v) for u, v in edges) if vertices is None \
+        else as_integer(vertices, "vertices")
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) cannot appear in a tree")
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise ValueError(f"edge ({u},{v}) out of range for {vertices} vertices")
+    if (components := component_count(vertices, edges)) != 1:
+        raise DisconnectedGraph(f"graph has {components} components")
     return edges, vertices
 
 
@@ -470,10 +474,6 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
     edges, vertices = tree_edges(edges, vertices)
     n = len(edges)
     _check_size(n)
-    components = component_count(vertices, edges)
-    if components != 1:
-        raise DisconnectedGraph(f"graph has {components} components")
-
     hits = []
 
     def grow(i: int, mask: int, component: list, missing: int) -> None:

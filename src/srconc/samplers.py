@@ -20,12 +20,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .measures import (
-    DisconnectedGraph,
     StateSpaceTooLarge,
     SubsetMeasure,
     as_integer,
     as_real,
-    component_count,
     projection_kernel,
     tree_edges,
     validate,
@@ -84,7 +82,7 @@ def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
     return SampleBatch(seed, count, np.concatenate([np.zeros(0, dtype=np.int64), *masks]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     seed: int
     count: int
@@ -143,8 +141,6 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     edges, vertices = tree_edges(edges, vertices)
     if len(edges) > MASK_BITS:
         raise StateSpaceTooLarge(f"{len(edges)} edges exceed the {MASK_BITS}-bit masks")
-    if component_count(vertices, edges) != 1:
-        raise DisconnectedGraph("graph is not connected")
 
     nbr: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
     for idx, (u, v) in enumerate(edges):

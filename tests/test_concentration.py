@@ -259,6 +259,17 @@ def test_doubling_nonincreasing_in_depth():
     assert seq[-1] == pytest.approx(floor, rel=1e-6)
 
 
+def test_doubling_value_reads_an_integer_depth_of_at_least_0():
+    w = chains.hermon_salez(measures.make_uniform_k_subsets(3, 1))
+    vals = random_matrix_fn(w.states, 2, seed=3).gather(w.states)
+    for k in (1.5, True):
+        with pytest.raises(NotAnInteger):
+            doubling_value(w.pi, vals, k)
+    with pytest.raises(ValueError, match="k must be >= 0, got -3"):
+        doubling_value(w.pi, vals, -3)
+    assert doubling_value(w.pi, vals, 2.0) == doubling_value(w.pi, vals, 2)
+
+
 def mp_doubling_value(weights, values, k: int) -> float:
     """Tr[(E[e^{F/2^k}])^{2^k}] in 50-digit arithmetic, with the weights
     renormalized to sum to 1 in that arithmetic."""
@@ -566,6 +577,70 @@ def test_tail_sr_frozen_value():
         tail_bound_sr(-1.0, 1, 1.0, 1)
     with pytest.raises(ValueError):
         tail_bound_sr(1.0, 0, 1.0, 1)
+
+
+def test_tail_poincare_refuses_nan_inf_and_a_negative_v():
+    """NaN passed `t <= 0`, so a NaN t was a capped bound of 1; an infinite t
+    gave raw = NaN, an infinite lam divided by zero, a negative v a bound of 0."""
+    for t, lam, v in ((math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0), (1.0, 0.5, math.nan),
+                      (1.0, 0.5, math.inf), (1.0, 0.5, -1.0)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            tail_bound_poincare(t, lam, v, 2)
+    with pytest.raises(ScaleViolation, match="lam must be positive and finite, got inf"):
+        tail_bound_poincare(1.0, math.inf, 1.0, 2)
+    assert tail_bound_poincare(1.0, 0.5, 0.0, 2) == (0.0, 0.0)
+
+
+def test_tail_sr_ks_and_mgf_bounds_refuse_a_nan_scale():
+    """Each test was spelled `x <= 0.0` or `x >= 1.0`, which NaN passes, so
+    these calls returned NaN."""
+    for call in (lambda: tail_bound_sr(math.nan, 2, 1.0, 2),
+                 lambda: tail_bound_sr(1.0, 2, math.nan, 2),
+                 lambda: tail_bound_sr(math.inf, 2, 1.0, 2),
+                 lambda: ks_bound(math.nan, 1.0, 4, 2),
+                 lambda: ks_bound(0.5, math.nan, 4, 2),
+                 lambda: ks_bound(math.inf, 1.0, 4, 2)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
+    for theta, v in ((math.nan, 1.0), (0.5, math.nan), (0.0, math.inf)):
+        with pytest.raises(OutOfRadius):
+            mgf_bound(theta, 1.0, v, 2)
+
+
+def test_tail_bound_degrees_are_integers_with_their_floors():
+    for k in (1.5, True, "2"):
+        with pytest.raises(NotAnInteger):
+            tail_bound_sr(1.0, k, 1.0, 2)
+        with pytest.raises(NotAnInteger):
+            tail_bound_sr_composed(1.0, k, 1.0, 2)
+    for k in (2.5, True):
+        with pytest.raises(NotAnInteger):
+            ks_bound(0.1, 1.0, k, 2)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        tail_bound_sr_composed(1.0, 0, 1.0, 2)  # was a ZeroDivisionError
+    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+        ks_bound(0.1, 1.0, 1, 2)
+    assert tail_bound_sr(1.0, 2.0, 1.0, 2) == tail_bound_sr(1.0, 2, 1.0, 2)
+
+
+def test_mgf_grid_refuses_a_bad_fraction_count_or_scale():
+    """A NaN fraction made a grid of NaNs and zero points divided by zero."""
+    for frac in (math.nan, 0.0, -0.5, 1.0, math.inf):
+        with pytest.raises(ValueError, match="frac must lie in"):
+            mgf_grid(0.5, 1.0, frac, 5)
+    for points in (0, -1):
+        with pytest.raises(ValueError, match="points must be >= 1"):
+            mgf_grid(0.5, 1.0, 0.9, points)
+    for points in (2.5, True):
+        with pytest.raises(NotAnInteger):
+            mgf_grid(0.5, 1.0, 0.9, points)
+    for v in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="v must be positive and finite"):
+            mgf_grid(0.5, v, 0.9, 5)
+    for lam in (-1.0, math.inf):
+        with pytest.raises(ScaleViolation):
+            mgf_grid(lam, 1.0, 0.9, 5)
+    assert np.array_equal(mgf_grid(0.5, 1.0, 0.9, 5.0), mgf_grid(0.5, 1.0, 0.9, 5))
 
 
 def test_tail_sr_composed_is_tighter():

@@ -64,6 +64,22 @@ def test_gather_aligns_and_rejects():
         fn.gather([3])
 
 
+def test_records_compare_and_hash_by_identity():
+    """MatrixFn, SampleBatch and IdentityDecomposition hold arrays; with the
+    generated __eq__, `==` compared them, which raised, and hash() raised."""
+    from srconc.matrix_core import IdentityDecomposition
+    from srconc.samplers import SampleBatch
+    fn = MatrixFn(np.array([1, 2]), np.zeros((2, 1, 1)))
+    batch = SampleBatch(0, 2, np.array([1, 2]))
+    dec = IdentityDecomposition.from_weights([0.5, 0.5], 2)
+    for record, twin in ((fn, MatrixFn(fn.states, fn.values)),
+                         (batch, SampleBatch(0, 2, batch.draws)),
+                         (dec, IdentityDecomposition(dec.factors))):
+        assert record == record and record != twin
+        assert record in [twin, record] and twin not in [record]
+        assert len({record, twin, record}) == 2
+
+
 def test_constant_fn():
     fn = MatrixFn.constant([1, 2, 4], np.diag([1.0, -1.0]))
     assert fn.states.tolist() == [1, 2, 4]

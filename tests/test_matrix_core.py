@@ -17,13 +17,11 @@ from srconc.matrix_core import (
     check_operator_jensen,
     check_trace_monotone,
     duhamel_residual,
-    is_psd,
     psd_leq,
     random_symmetric,
     schatten_norm,
     spectral_norm,
     sym_expm,
-    sym_power,
     trace_power,
 )
 
@@ -64,20 +62,12 @@ def test_sym_expm_rejects_asymmetric_and_nan():
         sym_expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-def test_sym_power_clips_and_rejects():
-    assert np.allclose(sym_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
-    with pytest.raises(NotPSD):
-        sym_power(np.diag([1.0, -0.5]), 0.5)
-
-
 def test_psd_order_pinned():
     eye = np.eye(2)
     assert psd_leq(eye, 2 * eye, 1e-9)
     assert not psd_leq(2 * eye, eye, 1e-9)
     # indefinite difference diag(1, -1)
     assert not psd_leq(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]), 1e-9)
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_psd(np.diag([-1.0, 1.0]))
 
 
 def test_schatten_norm_pinned():
@@ -221,7 +211,7 @@ def test_jensen_variance_psd_form():
     mats = [random_symmetric(rng, 3, 1.0) for _ in range(4)]
     mean = sum(wi * a for wi, a in zip(w, mats))
     second = sum(wi * a @ a for wi, a in zip(w, mats))
-    assert is_psd(second - mean @ mean, tol=1e-10)
+    mc._psd_eigh(second - mean @ mean, "E[A^2] - (E A)^2")  # NotPSD unless PSD
     dec = IdentityDecomposition.from_weights(w, 3)
     assert check_operator_jensen(np.square, dec, mats, "operator")
 

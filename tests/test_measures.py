@@ -560,6 +560,23 @@ def test_measure_from_json_validates():
             {"n": 1, "entries": [{"mask": 0, "p": 0.5}, {"mask": 1, "p": 0.6}]})
 
 
+def test_constructors_read_their_own_numbers():
+    """make_uniform_k_subsets(True, 1) built a measure on n = True, and 4.0
+    failed in `1 << 4.0`; the Bernoulli product read '0.5' and True as 0.5 and 1."""
+    for n, k in ((True, 1), (4, True), (4.5, 2), (4, "2")):
+        with pytest.raises(measures.NotAnInteger):
+            make_uniform_k_subsets(n, k)
+    m = make_uniform_k_subsets(4.0, 2.0)
+    assert type(m.n) is int and m.masks.tolist() == make_uniform_k_subsets(4, 2).masks.tolist()
+    for ps in (["0.5", "0.25"], [True, 0.5], [0.5, np.bool_(False)], [None]):
+        with pytest.raises(measures.NotANumber):
+            make_bernoulli_product(ps)
+    want = make_bernoulli_product([0.5, 0.25])
+    for ps in (np.array([0.5, 0.25]), [np.float32(0.5), 0.25], (0.5, 0.25)):
+        got = make_bernoulli_product(ps)
+        assert got.masks.tolist() == want.masks.tolist() and np.array_equal(got.masses, want.masses)
+
+
 def test_graph_from_json():
     vertices, edges = measures.graph_from_json(
         {"vertices": 3, "edges": [[0, 1], [1, 2]]})

@@ -75,8 +75,9 @@ def test_unknown_name_raises_attribute_error():
 
 def test_every_public_function_is_exported_or_called():
     """A module-level public function is in srconc.__all__, is referenced by
-    other code of the package, or is named by the benchmark; one that only
-    the tests call is dead code."""
+    other code of the package, or is called by the benchmark; one that only
+    the tests call is dead code.  A benchmark call is `name(`: a mention in a
+    list of names to trace does not keep a function alive."""
     src = Path(srconc.__file__).parent
     bench = "".join(path.read_text()
                     for path in (Path(__file__).parents[1] / "bench").glob("*.py"))
@@ -93,7 +94,7 @@ def test_every_public_function_is_exported_or_called():
                 referenced.add(node.name)
     idle = [f"{module}: {name}" for module, name in defined
             if not name.startswith("_") and name not in srconc.__all__
-            and name not in referenced and not re.search(rf"\b{name}\b", bench)]
+            and name not in referenced and not re.search(rf"\b{name}\(", bench)]
     assert idle == []
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from srconc import chains, functional, measures, samplers
 from srconc.functional import MatrixFn, random_linear_matrix_fn
 from srconc.measures import (
     DisconnectedGraph,
+    NotAnInteger,
     NotAProjection,
     StateSpaceTooLarge,
     projection_kernel,
@@ -166,6 +168,31 @@ def test_wilson_rejects_what_the_tree_measure_rejects(edges, vertices):
     with pytest.raises(ValueError) as from_sampler:
         wilson_spanning_tree(edges, seed=0, count=1, vertices=vertices)
     assert str(from_sampler.value) == str(from_measure.value)
+
+
+@pytest.mark.parametrize("edges,vertices,error,message", [
+    ([(0, 1), (2, 3)], None, DisconnectedGraph, "graph has 2 components"),
+    ([(0, 1), (1, 2)], 4, DisconnectedGraph, "graph has 2 components"),
+    (K4_EDGES, 4.5, NotAnInteger, "vertices must be an integer, got 4.5"),
+    (K4_EDGES, True, NotAnInteger, "vertices must be an integer, got True"),
+    # too many edges for either, and disconnected: the graph rule speaks first
+    ([*itertools.combinations(range(12), 2), (12, 13)], None, DisconnectedGraph,
+     "graph has 2 components"),
+], ids=["two-pairs", "isolated-vertex", "fractional-vertices", "bool-vertices", "too-large"])
+def test_tree_edges_is_the_one_graph_rule(edges, vertices, error, message):
+    """The tree measure and the Wilson sampler read a graph through
+    tree_edges alone: each bad graph gets one error and one message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        measures.make_spanning_tree_measure(edges, vertices)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        wilson_spanning_tree(edges, seed=0, count=1, vertices=vertices)
+
+
+def test_tree_constructors_read_an_integral_vertex_count():
+    want = measures.make_spanning_tree_measure(K4_EDGES, 4)
+    assert measures.make_spanning_tree_measure(K4_EDGES, 4.0).masks.tolist() == want.masks.tolist()
+    assert np.array_equal(wilson_spanning_tree(K4_EDGES, seed=3, count=50, vertices=4.0).draws,
+                          wilson_spanning_tree(K4_EDGES, seed=3, count=50).draws)
 
 
 def test_wilson_parallel_edges():
