@@ -26,8 +26,7 @@ _EXPORTS = {
     "matrix_core": (
         "IdentityDecomposition", "check_diff_square_convex", "check_int_norm_bound",
         "check_lemma_var", "check_operator_jensen", "check_trace_monotone",
-        "duhamel_residual", "psd_leq", "schatten_norm", "spectral_norm", "sym_expm",
-        "trace_power"),
+        "duhamel_residual", "psd_leq", "schatten_norm", "spectral_norm", "trace_power"),
     "chains": (
         "Decomposition", "Generator", "ScpResult", "chi", "crude_chi_bound", "decompose",
         "delta", "flip_swap_adjacent", "flip_swap_average", "hermon_salez", "scp_check",
@@ -40,8 +39,7 @@ _EXPORTS = {
         "InductionReport", "OscillationStats", "TailBound", "TraceMgf",
         "check_dirichlet_trace_bound", "check_induction_statement", "check_mgf_bound",
         "doubling_value", "exact_tail", "ks_bound", "laplace_tail", "mgf_bound",
-        "oscillation", "tail_bound_poincare", "tail_bound_sr", "tail_bound_sr_composed",
-        "trace_mgf"),
+        "oscillation", "tail_bound_poincare", "tail_bound_sr", "tail_bound_sr_composed"),
     "samplers": (
         "SampleBatch", "clopper_pearson_upper", "empirical_tail", "sample_kdpp",
         "sample_table", "wilson_spanning_tree"),

@@ -54,7 +54,7 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a file path, got {out!r}")
     cfg["seed"] = inputs.as_integer(cfg.get("seed", 0), "seed")
-    cfg["tol"] = _bounded(cfg.get("tol", 1e-8), "tol", math.inf, True)
+    cfg["tol"] = inputs.in_range(cfg.get("tol", 1e-8), "tol", zero_ok=True)
     cfg.setdefault("trials", 100)
     return cfg
 
@@ -101,9 +101,10 @@ def _load_measure(cfg: dict):
                                                inputs.as_integer(spec["k"], "measure.k"))
     if family == "bernoulli_product":
         ps = spec["ps"]
-        if isinstance(ps, list):
-            ps = [inputs.as_real(p, "measure.ps entry") for p in ps]
-        return measures.make_bernoulli_product(ps)
+        if not isinstance(ps, list):
+            raise UsageError(f"measure.ps must be a list, got {ps!r}")
+        return measures.make_bernoulli_product([inputs.as_real(p, "measure.ps entry")
+                                                for p in ps])
     if family == "spanning_tree":
         vertices, edges = measures.graph_from_json(spec["graph"])
         return measures.make_spanning_tree_measure(edges, vertices)
@@ -135,13 +136,13 @@ def _build_function(cfg: dict):
     if not isinstance(rnd, dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
-    d = _at_least(rnd.get("d", 2), "function.random.d", 1)
+    d = inputs.at_least(rnd.get("d", 2), "function.random.d", 1)
     seed = inputs.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
     if kind == "table":
-        scale = _bounded(rnd.get("scale", 1.0), "function.random.scale", math.inf, True)
+        scale = inputs.in_range(rnd.get("scale", 1.0), "function.random.scale", zero_ok=True)
         return lambda states, n: (functional.random_matrix_fn(states, d, seed, scale), None)
     if kind == "linear":
-        lip = _bounded(rnd.get("L", 1.0), "function.random.L", math.inf, True)
+        lip = inputs.in_range(rnd.get("L", 1.0), "function.random.L", zero_ok=True)
         return lambda states, n: functional.random_linear_matrix_fn(n, states, d, lip, seed)
     raise UsageError(f"unknown random function kind {kind!r}")
 
@@ -201,7 +202,7 @@ def _certify_setup(cfg: dict, read_lambda: bool):
     "lambda" when read_lambda and it is given, else the walk's spectral gap."""
     lam = None
     if read_lambda and "lambda" in cfg:
-        lam = _bounded(cfg["lambda"], "lambda", math.inf)
+        lam = inputs.in_range(cfg["lambda"], "lambda")
     from . import chains, functional
     m = _load_measure(cfg)
     make_fn = _build_function(cfg)
@@ -221,22 +222,6 @@ def cmd_poincare_check(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _at_least(value, name: str, low: int) -> int:
-    """value as an int, or a usage error unless it is an integer of at least low."""
-    if (count := inputs.as_integer(value, name)) < low:
-        raise UsageError(f"{name} must be at least {low}, got {count}")
-    return count
-
-
-def _bounded(value, name: str, upper: float, zero_ok: bool = False) -> float:
-    """value as a float, or a UsageError unless it lies in (0, upper), or in
-    [0, upper) when zero_ok."""
-    x = inputs.as_real(value, name)
-    if not (0.0 <= x if zero_ok else 0.0 < x) or not x < upper:  # also rejects NaN
-        raise UsageError(f"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}")
-    return x
-
-
 def _section(cfg: dict, key: str) -> dict:
     """The optional cfg[key] object ({} when absent)."""
     section = cfg.get(key, {})
@@ -248,16 +233,16 @@ def _section(cfg: dict, key: str) -> dict:
 def _grid(cfg: dict, key: str, points: int) -> tuple[dict, int]:
     """The cfg[key] grid object and its point count (default points)."""
     grid = _section(cfg, key)
-    return grid, _at_least(grid.get("points", points), f"{key}.points", 1)
+    return grid, inputs.at_least(grid.get("points", points), f"{key}.points", 1)
 
 
 def cmd_ineq_suite(cfg: dict) -> int:
-    trials = _at_least(cfg["trials"], "trials", 1)
+    trials = inputs.at_least(cfg["trials"], "trials", 1)
     seed, tol = cfg["seed"], cfg["tol"]
     dims = cfg.get("dims", [3, 4])
     if not isinstance(dims, list) or not dims:
         raise UsageError(f"dims must be a non-empty list, got {dims!r}")
-    dims = [_at_least(d, "dims entry", 1) for d in dims]
+    dims = [inputs.at_least(d, "dims entry", 1) for d in dims]
     import numpy as np
 
     from . import chains, concentration, functional, matrix_core, measures
@@ -328,7 +313,7 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
 def cmd_mgf(cfg: dict) -> int:
     grid_cfg, points = _grid(cfg, "theta_grid", 20)
-    frac = _bounded(grid_cfg.get("max_fraction", 0.9), "theta_grid.max_fraction", 1.0)
+    frac = inputs.in_range(grid_cfg.get("max_fraction", 0.9), "theta_grid.max_fraction", 1.0)
     from . import concentration
     _, walk, fn, _, lam = _certify_setup(cfg, True)
     v = concentration.oscillation(walk, fn).v
@@ -345,10 +330,10 @@ def cmd_tail(cfg: dict) -> int:
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "empirical"):
         raise UsageError(f"unknown tail mode {mode!r}")
-    c_ks = _bounded(_section(cfg, "ks").get("c", 1.0), "ks.c", math.inf)
-    t_hi = _bounded(grid_cfg["max"], "t_grid.max", math.inf) if "max" in grid_cfg else None
+    c_ks = inputs.in_range(_section(cfg, "ks").get("c", 1.0), "ks.c")
+    t_hi = inputs.in_range(grid_cfg["max"], "t_grid.max") if "max" in grid_cfg else None
     if mode == "empirical":
-        count = _at_least(cfg.get("count", 100000), "count", 1)
+        count = inputs.at_least(cfg.get("count", 100000), "count", 1)
     import numpy as np
 
     from . import concentration, matrix_core, measures
@@ -391,12 +376,12 @@ def cmd_compare_ks(cfg: dict) -> int:
     ks_cfg = _section(cfg, "ks")
     k_values = [inputs.as_integer(k, "ks.k_values entry")
                 for k in ks_cfg.get("k_values", [8, 16, 32, 64, 128, 256, 512, 1024])]
-    _at_least(min(k_values, default=2), "ks.k_values entries", 2)
-    c = _bounded(ks_cfg.get("c", 1.0), "ks.c", math.inf)
-    factors = [_bounded(f, "ks.mu_factors entry", math.inf)
+    inputs.at_least(min(k_values, default=2), "ks.k_values entries", 2)
+    c = inputs.in_range(ks_cfg.get("c", 1.0), "ks.c")
+    factors = [inputs.in_range(f, "ks.mu_factors entry")
                for f in ks_cfg.get("mu_factors", [0.5, 1.0, 2.0])]
     eps_spec = ks_cfg.get("eps", "inv_sqrt_k")
-    eps = None if eps_spec == "inv_sqrt_k" else _bounded(eps_spec, "ks.eps", math.inf)
+    eps = None if eps_spec == "inv_sqrt_k" else inputs.in_range(eps_spec, "ks.eps")
     rows = []
     for k in k_values:
         eps_k = 1.0 / math.sqrt(k) if eps is None else eps
@@ -413,7 +398,7 @@ def cmd_sample(cfg: dict) -> int:
     if not out:
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
-    count = _at_least(cfg.get("count", 1000), "count", 0)
+    count = inputs.at_least(cfg.get("count", 1000), "count", 0)
     from . import measures, samplers
     if kind == "table":
         batch = samplers.sample_table(_load_measure(cfg), cfg["seed"], count)
@@ -464,7 +449,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, {"seed": args.seed, "tol": args.tol,
                                          "trials": args.trials, "out": args.out})
         return COMMANDS[args.command](cfg)
-    except (UsageError, inputs.NotANumber) as exc:
+    except (UsageError, inputs.NotANumber, inputs.OutOfRange) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     # before InvalidInput: NonFinite is both; no LinAlgError without numpy loaded

@@ -27,8 +27,9 @@ import numpy as np
 
 from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
-from .matrix_core import as_power, trace_power
-from .measures import NumericFailure, as_integer, within
+from .inputs import at_least, in_range
+from .matrix_core import trace_power
+from .measures import NumericFailure, within
 
 REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
 
@@ -54,20 +55,6 @@ def _positive_gap(lam: float) -> float:
     if not 0.0 < lam < math.inf:
         raise ScaleViolation(f"lam must be positive and finite, got {lam}")
     return lam
-
-
-def _positive(**scales: float) -> None:
-    """ValueError unless each other scale (t, v, eps, mu, L) is positive and finite."""
-    for name, x in scales.items():
-        if not 0.0 < x < math.inf:  # NaN is not
-            raise ValueError(f"{name} must be positive and finite, got {x}")
-
-
-def _at_least(k, name: str, low: int) -> int:
-    """k as an int, or a ValueError unless it is an integer of at least low."""
-    if (k := as_integer(k, name)) < low:
-        raise ValueError(f"{name} must be >= {low}, got {k}")
-    return k
 
 
 class OscillationStats(NamedTuple):
@@ -150,14 +137,10 @@ def _eigh(gen: Generator, fn: MatrixFn) -> tuple[np.ndarray, np.ndarray]:
     return fn.on_walk(gen, "eigh", lambda: np.linalg.eigh(fn.gather(gen.states)))
 
 
-def trace_mgf(gen: Generator, fn: MatrixFn, theta: float) -> float:
-    return spectrum(gen, fn)(theta)
-
-
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
                                 tol: float = 1e-8) -> bool:
     """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}]."""
-    p = as_power(p)
+    p = at_least(p, "p", 1)
     lam, vec = _eigh(gen, fn)
     expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     energy = dirichlet_form(gen, expf)
@@ -169,7 +152,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
 
 def doubling_value(weights, values, k: int) -> float:
     """Tr[(E[e^{F/2^k}])^{2^k}] for probability weights, stable for any depth."""
-    k = _at_least(k, "k", 0)
+    k = at_least(k, "k", 0)
     weights = np.asarray(weights, dtype=float)
     return float(_doubling(weights, *np.linalg.eigh(np.asarray(values, dtype=float)), [k])[0])
 
@@ -205,7 +188,7 @@ class InductionReport(NamedTuple):
 def check_induction_statement(gen: Generator, fn: MatrixFn, lam: float,
                               k_max: int, tol: float = 1e-8) -> InductionReport:
     """Slack of the doubling ladder for k = 1..k_max (at least 1)."""
-    k_max = _at_least(k_max, "k_max", 1)
+    k_max = at_least(k_max, "k_max", 1)
     alpha = 1.0 / _positive_gap(lam)
     v = oscillation(gen, fn).v
     av2 = alpha * v * v
@@ -230,10 +213,9 @@ def mgf_grid(lam: float, v: float, frac: float, points: int) -> np.ndarray:
     """points thetas evenly spaced up to sqrt(frac lam) / v, the fraction frac < 1
     of the radius; the quotient can round onto the radius, so the top steps
     down by at most three ulps while mgf_bound would refuse it."""
-    points = _at_least(points, "points", 1)
-    if not 0.0 < frac < 1.0:
-        raise ValueError(f"frac must lie in (0, 1), got {frac}")
-    _positive(v=v)
+    points = at_least(points, "points", 1)
+    frac = in_range(frac, "frac", 1.0)
+    v = in_range(v, "v")
     top = math.sqrt(frac * _positive_gap(lam)) / v
     for _ in range(3):
         if _radius(top, lam, v) >= 1.0:
@@ -263,11 +245,12 @@ class TailBound(NamedTuple):
 
 def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
     """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam)))); 0 for a constant F, v = 0."""
-    _positive(t=t)
+    t = in_range(t, "t")
     _positive_gap(lam)
+    v = in_range(v, "v", zero_ok=True)
+    d = at_least(d, "d", 1)
     if v == 0.0:
         return TailBound(0.0, 0.0)
-    _positive(v=v)
     denom = 4.0 * (v * v / lam + t * v / math.sqrt(lam))
     raw = 2.0 * d * math.exp(-t * t / denom)
     return TailBound(raw, min(1.0, raw))
@@ -275,8 +258,8 @@ def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
 
 def tail_bound_sr(t: float, k: int, lipschitz: float, d: int) -> float:
     """2d exp(-t^2 / (32 (k L^2 + t sqrt(k) L))) for k-homogeneous SCP laws."""
-    _positive(t=t, lipschitz=lipschitz)
-    k = _at_least(k, "k", 1)
+    t, lipschitz = in_range(t, "t"), in_range(lipschitz, "lipschitz")
+    k, d = at_least(k, "k", 1), at_least(d, "d", 1)
     denom = 32.0 * (k * lipschitz**2 + t * math.sqrt(k) * lipschitz)
     return 2.0 * d * math.exp(-t * t / denom)
 
@@ -287,7 +270,7 @@ def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:
     Tighter than tail_bound_sr (the published constant is looser); both
     are exposed so each statement is tested against itself.
     """
-    return tail_bound_poincare(t, 1.0 / (2.0 * _at_least(k, "k", 1)), 2.0 * lipschitz, d).raw
+    return tail_bound_poincare(t, 1.0 / (2.0 * at_least(k, "k", 1)), 2.0 * lipschitz, d).raw
 
 
 def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
@@ -343,8 +326,9 @@ def exact_tail(weights, values, ts) -> np.ndarray:
 
 def ks_bound(eps: float, mu: float, k: int, d: int, c: float = 1.0) -> float:
     """d exp(-c eps^2 mu / (log k + eps)); the constant c is exposed."""
-    _positive(eps=eps, mu=mu)
-    return float(d) * math.exp(-c * eps * eps * mu / (math.log(_at_least(k, "k", 2)) + eps))
+    eps, mu, c = in_range(eps, "eps"), in_range(mu, "mu"), in_range(c, "c")
+    k, d = at_least(k, "k", 2), at_least(d, "d", 1)
+    return d * math.exp(-c * eps * eps * mu / (math.log(k) + eps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The numpy-free bottom of the package: the error bases, and the one integer
-and the one real-number rule of every reader.  ``measures`` re-exports each
-name; the CLI reads a config and reports its errors without numpy."""
+"""The numpy-free bottom of the package: the error bases, the one integer
+and the one real-number rule of every reader, and the one integer floor and
+the one range of every count and scale.  ``measures`` re-exports the error
+bases and the two rules; the CLI reads a config and reports its errors
+without numpy."""
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 
 
@@ -22,6 +25,10 @@ class NotANumber(ValueError):
 
 class NotAnInteger(NotANumber):
     """A count, size or mask read from input that is not an integral number."""
+
+
+class OutOfRange(ValueError):
+    """A count below its floor or a scale outside its range."""
 
 
 def numpy_types(*paths: str) -> tuple:
@@ -49,3 +56,19 @@ def as_real(value, name: str) -> float:
             and not isinstance(value, numpy_types("integer", "floating")):
         raise NotANumber(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def at_least(value, name: str, low: int) -> int:
+    """value read by as_integer, or OutOfRange below low: the one integer floor."""
+    if (count := as_integer(value, name)) < low:
+        raise OutOfRange(f"{name} must be at least {low}, got {count}")
+    return count
+
+
+def in_range(value, name: str, upper: float = math.inf, zero_ok: bool = False) -> float:
+    """value read by as_real, or OutOfRange unless it lies in (0, upper), or in
+    [0, upper) when zero_ok (NaN lies in neither): the one range of a scale."""
+    x = as_real(value, name)
+    if not (0.0 <= x if zero_ok else 0.0 < x) or not x < upper:
+        raise OutOfRange(f"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}")
+    return x

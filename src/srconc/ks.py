@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .inputs import at_least
+
 
 class KsCrossover(NamedTuple):
     k: int
@@ -30,15 +32,14 @@ class KsCrossover(NamedTuple):
 
 def ks_crossover(k: int, mu: float, eps: float, c: float = 1.0) -> KsCrossover:
     """Evaluate the exponent comparison at t = eps * mu with unit Lipschitz."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    k = at_least(k, "k", 2)
     lhs = k + eps * mu * math.sqrt(k)
     rhs = mu * math.log(k) + eps * mu
     t = eps * mu
     exp_sr = t * t / (32.0 * (k + t * math.sqrt(k))) if t > 0 else 0.0
     exp_ks = c * eps * eps * mu / (math.log(k) + eps)
     margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-    return KsCrossover(int(k), float(mu), float(eps), float(lhs), float(rhs),
+    return KsCrossover(k, float(mu), float(eps), float(lhs), float(rhs),
                        lhs <= rhs, float(margin), abs(margin) <= 0.1,
                        float(exp_sr), float(exp_ks),
                        "sr" if exp_sr >= exp_ks else "ks")
@@ -50,7 +51,6 @@ def ks_crossover_threshold(k: int, eps: float) -> float:
     The comparison is affine in mu, so the threshold is k / slope with
     slope = log k + eps - eps sqrt(k), and infinite when slope <= 0.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    k = at_least(k, "k", 2)
     slope = math.log(k) + eps - eps * math.sqrt(k)
     return k / slope if slope > 0.0 else float("inf")

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .inputs import at_least
 from .measures import InvalidInput, NumericFailure, as_integer, within
 
 DEFAULT_QUAD_POINTS = 64
@@ -80,10 +81,6 @@ def sym_apply(a, fn) -> np.ndarray:
     return (vec * fn(lam)) @ vec.T
 
 
-def sym_expm(a) -> np.ndarray:
-    return sym_apply(a, np.exp)
-
-
 def spectral_norm(a) -> float:
     """Largest singular value; max |eigenvalue| for exactly symmetric input."""
     a = np.asarray(a, dtype=float)
@@ -119,17 +116,9 @@ def schatten_norm(a, p) -> float:
     return float((sv**p).sum() ** (1.0 / p))
 
 
-def as_power(p) -> int:
-    """p as an int, or a ValueError unless it is an integer of at least 1:
-    the one rule of a trace power's exponent."""
-    if (p := as_integer(p, "p")) < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return p
-
-
 def trace_power(a, p: int) -> float:
     """Tr[a^p] through eigenvalues; p a positive integer."""
-    p = as_power(p)
+    p = at_least(p, "p", 1)
     return float((np.linalg.eigvalsh(require_symmetric(a))**p).sum())
 
 
@@ -278,7 +267,7 @@ def check_lemma_var(pairs, p: int, tol: float = 1e-8) -> bool:
         Tr[(E[(e^X - e^Y)^2])^p]
             <= (1/2) E[ ||X - Y||^{2p} (Tr e^{2pX} + Tr e^{2pY}) ].
     """
-    p = as_power(p)
+    p = at_least(p, "p", 1)
     weights = np.array([w for w, _, _ in pairs], dtype=float)
     if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):  # NaN fails
         raise PreconditionViolated("weights must be convex coefficients")

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .inputs import at_least
 from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
@@ -118,9 +119,8 @@ def _build_alias(probs):
 
 def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
     """I.i.d. draws from a dense measure by the alias method."""
+    count = at_least(count, "count", 0)
     validate(m)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
     u = np.random.Generator(np.random.Philox(key=int(seed) & MASK64)).random((count, 2))
@@ -138,6 +138,7 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     Multi-edges are allowed and picked uniformly among parallel arcs.
     Draws are int64 masks, so at most MASK_BITS edges.
     """
+    count = at_least(count, "count", 0)
     edges, vertices = tree_edges(edges, vertices)
     if len(edges) > MASK_BITS:
         raise StateSpaceTooLarge(f"{len(edges)} edges exceed the {MASK_BITS}-bit masks")
@@ -208,6 +209,7 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
     int64 masks, so at most MASK_BITS elements.  Step s of draw i uses
     word s of stream (seed, i) as Generator.random(); a chunk steps at once.
     """
+    count = at_least(count, "count", 0)
     k_mat, rank = projection_kernel(kernel)
     n = k_mat.shape[0]
     if n > MASK_BITS:

@@ -547,7 +547,7 @@ def test_compare_ks_rejects_non_object_ks(tmp_path, capsys):
     ("validate-measure", {"out": 2}, "usage", "out must be"),
     ("compare-ks", {"ks": {"k_values": None}}, "TypeError", "NoneType"),
     ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": 0}},
-     "IndexError", "0-dimensional"),
+     "usage", "measure.ps must be a list"),
     ("ineq-suite", {"seed": None}, "usage", "seed must be an integer, got None"),
     ("validate-measure", {"measure": {"family": "bernoulli_product", "ps": ["0.5", True]}},
      "usage", "measure.ps entry must be a real number, got '0.5'"),

@@ -24,16 +24,15 @@ from srconc.concentration import (
     mgf_bound,
     mgf_grid,
     oscillation,
+    spectrum,
     tail_bound_poincare,
     tail_bound_sr,
     tail_bound_sr_composed,
     tail_dominator,
-    trace_mgf,
     _oscillation,
 )
 from srconc.functional import MatrixFn, random_linear_matrix_fn, random_matrix_fn
-from srconc.matrix_core import as_power
-from srconc.measures import NotAnInteger
+from srconc.inputs import NotANumber, NotAnInteger, OutOfRange, at_least
 from srconc.ks import ks_crossover, ks_crossover_threshold
 
 from conftest import K4_EDGES, flip_swap_oscillation, flip_swap_walk, name_seed
@@ -149,7 +148,7 @@ def test_oscillation_in_place_leaves_its_inputs(fixture_walks, d):
 
 def test_trace_mgf_at_zero_is_dim():
     gen, fn = rademacher_fn(d=3)
-    assert trace_mgf(gen, fn, 0.0) == pytest.approx(3.0)
+    assert spectrum(gen, fn)(0.0) == pytest.approx(3.0)
 
 
 def test_trace_mgf_constant_is_dim():
@@ -157,13 +156,13 @@ def test_trace_mgf_constant_is_dim():
     gen, _ = rademacher_fn()
     fn = MatrixFn.constant(gen.states, np.diag([2.0, 7.0]))
     for theta in [0.0, 0.7, -2.0]:
-        assert trace_mgf(gen, fn, theta) == pytest.approx(2.0)
+        assert spectrum(gen, fn)(theta) == pytest.approx(2.0)
 
 
 def test_trace_mgf_rademacher_cosh():
     gen, fn = rademacher_fn(d=2)
     for theta in [0.0, 0.4, 1.3, -0.9]:
-        assert trace_mgf(gen, fn, theta) == pytest.approx(2 * math.cosh(theta))
+        assert spectrum(gen, fn)(theta) == pytest.approx(2 * math.cosh(theta))
 
 
 def test_trace_mgf_scipy_oracle():
@@ -174,7 +173,7 @@ def test_trace_mgf_scipy_oracle():
     for theta in [0.3, 1.1, -0.6]:
         ref = sum(p * np.trace(expm(theta * (v - mean)))
                   for p, v in zip(w.pi, vals))
-        assert trace_mgf(w, fn, theta) == pytest.approx(float(ref), rel=1e-10)
+        assert spectrum(w, fn)(theta) == pytest.approx(float(ref), rel=1e-10)
 
 
 def test_trace_mgf_curve_matches_scalar_calls():
@@ -221,7 +220,7 @@ def test_dirichlet_trace_bound_rejects_bad_p():
     gen, fn = rademacher_fn()
     for p in (0, 2.5, True):
         with pytest.raises(ValueError) as rule:
-            as_power(p)
+            at_least(p, "p", 1)
         with pytest.raises(ValueError) as got:
             check_dirichlet_trace_bound(gen, fn, p)
         assert str(got.value) == str(rule.value)
@@ -265,7 +264,7 @@ def test_doubling_value_reads_an_integer_depth_of_at_least_0():
     for k in (1.5, True):
         with pytest.raises(NotAnInteger):
             doubling_value(w.pi, vals, k)
-    with pytest.raises(ValueError, match="k must be >= 0, got -3"):
+    with pytest.raises(ValueError, match="k must be at least 0, got -3"):
         doubling_value(w.pi, vals, -3)
     assert doubling_value(w.pi, vals, 2.0) == doubling_value(w.pi, vals, 2)
 
@@ -413,7 +412,7 @@ def test_induction_refuses_an_empty_ladder():
     """With no depth to check, an empty ladder would certify anything."""
     gen, fn = rademacher_fn()
     for k_max in (0, -3):
-        with pytest.raises(ValueError, match="k_max must be >= 1"):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
             check_induction_statement(gen, fn, lam=8.0, k_max=k_max)
     assert check_induction_statement(gen, fn, lam=8.0, k_max=1).slacks.size == 1
 
@@ -511,8 +510,8 @@ def test_one_observable_on_two_walks_keeps_each_walks_value(fixture_walks):
     assert expected[0] < expected[1]
     for _ in range(3):
         assert [oscillation(w, fn).v for w in walks] == expected
-        assert [trace_mgf(w, fn, 0.7) for w in walks] == [
-            trace_mgf(w, make(), 0.7) for w in walks]
+        assert [spectrum(w, fn)(0.7) for w in walks] == [
+            spectrum(w, make())(0.7) for w in walks]
 
 
 def test_ladder_and_dirichlet_bound_share_one_eigh(fixture_walks, monkeypatch):
@@ -584,8 +583,11 @@ def test_tail_poincare_refuses_nan_inf_and_a_negative_v():
     gave raw = NaN, an infinite lam divided by zero, a negative v a bound of 0."""
     for t, lam, v in ((math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0), (1.0, 0.5, math.nan),
                       (1.0, 0.5, math.inf), (1.0, 0.5, -1.0)):
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(OutOfRange, match="must lie in"):
             tail_bound_poincare(t, lam, v, 2)
+    for t in (True, "1"):  # True was read as 1, "1" raised a bare TypeError
+        with pytest.raises(NotANumber):
+            tail_bound_poincare(t, 0.5, 1.0, 2)
     with pytest.raises(ScaleViolation, match="lam must be positive and finite, got inf"):
         tail_bound_poincare(1.0, math.inf, 1.0, 2)
     assert tail_bound_poincare(1.0, 0.5, 0.0, 2) == (0.0, 0.0)
@@ -600,7 +602,7 @@ def test_tail_sr_ks_and_mgf_bounds_refuse_a_nan_scale():
                  lambda: ks_bound(math.nan, 1.0, 4, 2),
                  lambda: ks_bound(0.5, math.nan, 4, 2),
                  lambda: ks_bound(math.inf, 1.0, 4, 2)):
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(OutOfRange, match=r"must lie in \(0, inf\)"):
             call()
     for theta, v in ((math.nan, 1.0), (0.5, math.nan), (0.0, math.inf)):
         with pytest.raises(OutOfRadius):
@@ -616,10 +618,23 @@ def test_tail_bound_degrees_are_integers_with_their_floors():
     for k in (2.5, True):
         with pytest.raises(NotAnInteger):
             ks_bound(0.1, 1.0, k, 2)
-    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+    with pytest.raises(OutOfRange, match="k must be at least 1, got 0"):
         tail_bound_sr_composed(1.0, 0, 1.0, 2)  # was a ZeroDivisionError
-    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+    with pytest.raises(OutOfRange, match="k must be at least 2, got 1"):
         ks_bound(0.1, 1.0, 1, 2)
+    # d = 0 gave a bound of 0, d = -2 a negative one, and d = 2.5 was read as is
+    for bound in (lambda d: tail_bound_poincare(1.0, 0.5, 1.0, d),
+                  lambda d: tail_bound_sr(1.0, 2, 1.0, d),
+                  lambda d: tail_bound_sr_composed(1.0, 2, 1.0, d),
+                  lambda d: ks_bound(0.5, 1.0, 4, d)):
+        for d in (0, -2):
+            with pytest.raises(OutOfRange, match=f"d must be at least 1, got {d}"):
+                bound(d)
+        with pytest.raises(NotAnInteger):
+            bound(2.5)
+    for c in (-1.0, 0.0, math.nan):  # c = -1 gave 2.28, above the trivial bound d = 2
+        with pytest.raises(OutOfRange, match="c must lie in"):
+            ks_bound(0.5, 1.0, 4, 2, c=c)
     assert tail_bound_sr(1.0, 2.0, 1.0, 2) == tail_bound_sr(1.0, 2, 1.0, 2)
 
 
@@ -629,13 +644,13 @@ def test_mgf_grid_refuses_a_bad_fraction_count_or_scale():
         with pytest.raises(ValueError, match="frac must lie in"):
             mgf_grid(0.5, 1.0, frac, 5)
     for points in (0, -1):
-        with pytest.raises(ValueError, match="points must be >= 1"):
+        with pytest.raises(ValueError, match="points must be at least 1"):
             mgf_grid(0.5, 1.0, 0.9, points)
     for points in (2.5, True):
         with pytest.raises(NotAnInteger):
             mgf_grid(0.5, 1.0, 0.9, points)
     for v in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="v must be positive and finite"):
+        with pytest.raises(OutOfRange, match=r"v must lie in \(0, inf\)"):
             mgf_grid(0.5, v, 0.9, 5)
     for lam in (-1.0, math.inf):
         with pytest.raises(ScaleViolation):
@@ -798,8 +813,14 @@ def test_ks_crossover_near_flag():
 
 
 def test_ks_crossover_rejects_small_k():
-    with pytest.raises(ValueError):
-        ks_crossover(1, 10.0, 0.5)
+    for call in (lambda k: ks_crossover(k, 10.0, 0.5),
+                 lambda k: ks_crossover_threshold(k, 0.5)):
+        with pytest.raises(OutOfRange, match="k must be at least 2, got 1"):
+            call(1)
+        for k in (2.5, True):  # 2.5 gave a row labelled k=2 computed at k = 2.5
+            with pytest.raises(NotAnInteger):
+                call(k)
+    assert ks_crossover(4.0, 10.0, 0.5) == ks_crossover(4, 10.0, 0.5)
 
 
 def test_ks_exponent_fields_match_formulas():

@@ -9,6 +9,7 @@ from scipy.stats import beta, binom
 
 from srconc import chains, functional, measures, samplers
 from srconc.functional import MatrixFn, random_linear_matrix_fn
+from srconc.inputs import OutOfRange
 from srconc.measures import (
     DisconnectedGraph,
     NotAnInteger,
@@ -104,9 +105,21 @@ def test_sample_table_prefix_stable():
 
 
 def test_sample_table_rejects_bad_count():
+    """Each sampler reads count by the one floor: 2.0 is two draws, True and
+    2.5 are not counts, and -1 is below the floor of 0."""
     m = measures.make_uniform_k_subsets(3, 1)
-    with pytest.raises(ValueError):
-        sample_table(m, seed=0, count=-1)
+    for sample in (lambda count: sample_table(m, seed=0, count=count),
+                   lambda count: wilson_spanning_tree(K3_EDGES, seed=0, count=count),
+                   lambda count: sample_kdpp(np.diag([1.0, 0.0]), seed=0, count=count)):
+        batch = sample(2.0)
+        assert (batch.count, batch.draws.shape) == (2, (2,))
+        assert type(batch.count) is int
+        assert np.array_equal(batch.draws, sample(2).draws)
+        for count in (True, 2.5):
+            with pytest.raises(NotAnInteger):
+                sample(count)
+        with pytest.raises(OutOfRange, match="^count must be at least 0, got -1$"):
+            sample(-1)
 
 
 # ------------------------------------------------------------------- wilson

@@ -103,7 +103,7 @@ def ref_lemma_var(pairs, p, tol):
     mean_sq, rhs = None, 0.0
     for w, x, y in pairs:
         x, y = mx.require_symmetric(x), mx.require_symmetric(y)
-        diff_exp = mx.sym_expm(x) - mx.sym_expm(y)
+        diff_exp = mx.sym_apply(x, np.exp) - mx.sym_apply(y, np.exp)
         sq = diff_exp @ diff_exp
         mean_sq = w * sq if mean_sq is None else mean_sq + w * sq
         tr_x = float(np.exp(2 * p * np.linalg.eigvalsh(x)).sum())
@@ -367,7 +367,7 @@ def test_mgf_rows_agree_over_fixture_walks(fixture_walks):
                                                     for val, bd in zip(values, bounds)]
                 theta = float(thetas[-1])
                 assert cc.check_mgf_bound(walk, fn, gap, theta, tol) == ref_mgf_ok(
-                    cc.trace_mgf(walk, fn, theta), bounds[-1], tol)
+                    cc.spectrum(walk, fn)(theta), bounds[-1], tol)
 
 
 # ------------------------------------------------------ the walk's edges
@@ -430,7 +430,9 @@ def test_the_tolerance_rule_is_spelled_only_in_within():
 # spelling -> the one module of the package whose one line holds it
 ONE_HOME = {
     "out of range for n=": "measures.py",      # measures.as_coordinate
-    "p must be >= 1": "matrix_core.py",        # matrix_core.as_power
+    'f"{name} must be at least {low}, got {count}"': "inputs.py",  # inputs.at_least
+    "f\"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}\"":
+        "inputs.py",                           # inputs.in_range
     "(v * v / lam)": "concentration.py",       # the mgf radius, concentration._radius
     "lam must be positive": "concentration.py",  # concentration._positive_gap
 }
@@ -445,6 +447,8 @@ def test_each_input_rule_is_spelled_in_one_module(spelling):
 
 
 def test_the_cli_spells_its_integer_floor_once():
+    """The CLI's floors and ranges are inputs.at_least and inputs.in_range,
+    called with config-path names: it spells neither message itself."""
     text = (Path(measures.__file__).parent / "cli.py").read_text()
-    assert text.count("must be at least") == 1
-    assert 'f"{name} must be at least {low}, got {count}"' in text
+    assert "must be at least" not in text and "must lie in" not in text
+    assert "inputs.at_least(" in text and "inputs.in_range(" in text
