@@ -1,7 +1,9 @@
 """Command line front end.
 
 One JSON config document drives every subcommand; --seed, --tol,
---trials and --out override the matching config keys.  Exit codes:
+--trials and --out override the matching config keys.  The argv grammar
+is `COMMAND [--key value | --key=value]...`, parsed by `parse_argv`; -h or
+--help anywhere prints USAGE.  Exit codes:
 0 all asserted checks passed, 1 usage or config parse problem,
 2 input validation failure, 3 an asserted inequality or property was
 violated, 4 internal numeric failure.  The exit code of a library error
@@ -11,15 +13,14 @@ is its class: 2 for an `inputs.InvalidInput`, 4 for an
 range-checked before any walk is built or draw is made.
 
 Each command imports the layers it calls when it runs, numpy included, so
-`compare-ks`, `--help` and an early config error start without numpy.
+`compare-ks`, `--help` and an early config error start without numpy; json
+loads only where a config or measure file is read or JSON is written.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
-import json
 import math
 import sys
 import zlib
@@ -40,6 +41,7 @@ class UsageError(Exception):
 def _load_config(path: str | None, overrides: dict) -> dict:
     cfg = {}
     if path:
+        import json
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
@@ -47,9 +49,7 @@ def _load_config(path: str | None, overrides: dict) -> dict:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError(f"config {path} must hold a JSON object")
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+    cfg.update(overrides)
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a file path, got {out!r}")
@@ -69,6 +69,7 @@ def _finite(obj):
 
 
 def _emit(obj, out: str | None) -> None:
+    import json
     text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -91,6 +92,7 @@ def _load_measure(cfg: dict):
     if "path" in spec:
         if not isinstance(spec["path"], str):
             raise UsageError(f"measure path must be a string, got {spec['path']!r}")
+        import json
         with open(spec["path"]) as fh:
             return measures.measure_from_json(json.load(fh))
     if "inline" in spec:
@@ -426,43 +428,66 @@ COMMANDS = {
     "sample": cmd_sample,
 }
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="srconc")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config document")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None)
-    return parser
+OPTIONS = {"--config": str, "--seed": int, "--tol": float, "--trials": int, "--out": str}
+
+USAGE = """usage: srconc COMMAND [--config PATH] [--seed INT] [--tol FLOAT]
+                      [--trials INT] [--out PATH]
+
+COMMAND is one of
+""" + "".join(f"  {name}\n" for name in COMMANDS) + """
+Each option takes its value as --key value or --key=value, and the last one
+given wins.  --config names a JSON config object; --seed, --tol, --trials
+and --out override its keys.  -h or --help anywhere prints this text.
+"""
+
+
+def parse_argv(argv: list[str]) -> tuple[str, dict]:
+    """(command, {key: value}) from COMMAND [--key value | --key=value]...,
+    each value read by its OPTIONS type; UsageError for anything else."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    options, words = {}, iter(argv[1:])
+    for word in words:
+        key, eq, value = word.partition("=")
+        if key not in OPTIONS:
+            raise UsageError(f"unknown option {word!r}")
+        if not eq and ((value := next(words, None)) is None or value.startswith("--")):
+            raise UsageError(f"{key} needs a value")
+        try:
+            options[key[2:]] = OPTIONS[key](value)
+        except ValueError:
+            raise UsageError(f"{key} takes {OPTIONS[key].__name__}, got {value!r}") from None
+    return command, options
+
+
+def _report(error: str, exc, file=None) -> None:
+    """{"error": error, "message": str(exc)} on file (stdout when None)."""
+    import json
+    print(json.dumps({"error": error, "message": str(exc)}), file=file)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = _load_config(args.config, {"seed": args.seed, "tol": args.tol,
-                                         "trials": args.trials, "out": args.out})
-        return COMMANDS[args.command](cfg)
+        command, options = parse_argv(argv)
+        return COMMANDS[command](_load_config(options.pop("config", None), options))
     except (UsageError, inputs.NotANumber, inputs.OutOfRange) as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
+        _report("usage", exc, sys.stderr)
         return EXIT_USAGE
     # before InvalidInput: NonFinite is both; no LinAlgError without numpy loaded
     except (inputs.NumericFailure, *inputs.numpy_types("linalg.LinAlgError"),
             FloatingPointError, OverflowError, MemoryError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        _report(type(exc).__name__, exc)
         return EXIT_NUMERIC
     except inputs.InvalidInput as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        _report(type(exc).__name__, exc)
         return EXIT_VALIDATION
     except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        _report(type(exc).__name__, exc, sys.stderr)
         return EXIT_USAGE
 
 

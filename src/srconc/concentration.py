@@ -83,7 +83,7 @@ def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     # fourth powers from under- or overflowing.  The differences are scaled
     # in place, and the few that get an exact norm are taken again.
     unit /= scale
-    gram = unit.transpose(0, 2, 1) @ unit
+    gram = unit @ unit  # = D'D: MatrixFn values, hence their differences, are exactly symmetric
     bound = np.sqrt(np.sqrt(np.einsum("eij,eij->e", gram, gram)))
     top = bound.argmax()
     floor = float(np.linalg.norm(vals[i[top]] - vals[j[top]], 2))
@@ -270,6 +270,7 @@ def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:
     Tighter than tail_bound_sr (the published constant is looser); both
     are exposed so each statement is tested against itself.
     """
+    lipschitz = in_range(lipschitz, "lipschitz")
     return tail_bound_poincare(t, 1.0 / (2.0 * at_least(k, "k", 1)), 2.0 * lipschitz, d).raw
 
 

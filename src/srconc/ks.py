@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .inputs import at_least
+from .inputs import at_least, in_range
 
 
 class KsCrossover(NamedTuple):
@@ -33,16 +33,15 @@ class KsCrossover(NamedTuple):
 def ks_crossover(k: int, mu: float, eps: float, c: float = 1.0) -> KsCrossover:
     """Evaluate the exponent comparison at t = eps * mu with unit Lipschitz."""
     k = at_least(k, "k", 2)
+    mu, eps, c = in_range(mu, "mu"), in_range(eps, "eps"), in_range(c, "c")
     lhs = k + eps * mu * math.sqrt(k)
     rhs = mu * math.log(k) + eps * mu
     t = eps * mu
-    exp_sr = t * t / (32.0 * (k + t * math.sqrt(k))) if t > 0 else 0.0
+    exp_sr = t * t / (32.0 * (k + t * math.sqrt(k)))
     exp_ks = c * eps * eps * mu / (math.log(k) + eps)
     margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-    return KsCrossover(k, float(mu), float(eps), float(lhs), float(rhs),
-                       lhs <= rhs, float(margin), abs(margin) <= 0.1,
-                       float(exp_sr), float(exp_ks),
-                       "sr" if exp_sr >= exp_ks else "ks")
+    return KsCrossover(k, mu, eps, lhs, rhs, lhs <= rhs, margin, abs(margin) <= 0.1,
+                       exp_sr, exp_ks, "sr" if exp_sr >= exp_ks else "ks")
 
 
 def ks_crossover_threshold(k: int, eps: float) -> float:
@@ -51,6 +50,6 @@ def ks_crossover_threshold(k: int, eps: float) -> float:
     The comparison is affine in mu, so the threshold is k / slope with
     slope = log k + eps - eps sqrt(k), and infinite when slope <= 0.
     """
-    k = at_least(k, "k", 2)
+    k, eps = at_least(k, "k", 2), in_range(eps, "eps")
     slope = math.log(k) + eps - eps * math.sqrt(k)
     return k / slope if slope > 0.0 else float("inf")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import srconc
-from srconc import chains, concentration, functional, matrix_core, measures
+from srconc import chains, cli, concentration, functional, matrix_core, measures
 from srconc.cli import main
 from srconc.concentration import TAIL_CSV_COLUMNS
 
@@ -901,9 +901,52 @@ def test_kernel_reader_compares_d_with_the_rows(tmp_path, capsys, kernel, code, 
 
 # ----------------------------------------------------------------- plumbing
 
-def test_unknown_command_usage_exit(capsys):
-    assert main(["no-such-command"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("argv,options", [
+    (["compare-ks"], {}),
+    (["mgf", "--config", "c.json", "--seed", "3", "--tol", "1e-6", "--trials", "7",
+      "--out", "o.csv"],
+     {"config": "c.json", "seed": 3, "tol": 1e-6, "trials": 7, "out": "o.csv"}),
+    (["mgf", "--config=c.json", "--seed=3", "--tol=1e-6", "--trials=7", "--out=o.csv"],
+     {"config": "c.json", "seed": 3, "tol": 1e-6, "trials": 7, "out": "o.csv"}),
+    (["tail", "--seed", "1", "--seed=-2", "--out=a=b", "--out", "c"], {"seed": -2, "out": "c"}),
+    (["sample", "--tol", "-1", "--config="], {"tol": -1.0, "config": ""}),
+], ids=["bare", "key-space-value", "key-equals-value", "last-wins", "raw-values"])
+def test_argv_grammar(argv, options):
+    """Each option is --key value or --key=value, read as its type, the last
+    one winning; range checks are left to the config reader."""
+    assert cli.parse_argv(argv) == (argv[0], options)
+
+
+@pytest.mark.parametrize("argv,needle", [
+    ([], "expected a command"),
+    (["no-such-command"], "expected a command"),
+    (["--seed", "3", "compare-ks"], "got '--seed'"),
+    (["compare-ks", "--bogus", "1"], "unknown option '--bogus'"),
+    (["compare-ks", "--se", "1"], "unknown option '--se'"),
+    (["compare-ks", "extra"], "unknown option 'extra'"),
+    (["compare-ks", "--out"], "--out needs a value"),
+    (["compare-ks", "--out", "--seed", "3"], "--out needs a value"),
+    (["compare-ks", "--seed", "1.5"], "--seed takes int, got '1.5'"),
+    (["compare-ks", "--seed="], "--seed takes int, got ''"),
+    (["compare-ks", "--trials", "x"], "--trials takes int, got 'x'"),
+    (["compare-ks", "--tol", "tiny"], "--tol takes float, got 'tiny'"),
+    (["compare-ks", "--tol=nan"], "tol must lie in [0, inf), got nan"),
+], ids=["no-command", "unknown-command", "option-first", "unknown-option", "abbreviation",
+        "positional", "missing-value", "option-as-value", "fractional-seed", "empty-seed",
+        "word-trials", "word-tol", "nan-tol"])
+def test_bad_argv_is_a_usage_error(capsys, argv, needle):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "usage" and needle in report["message"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["compare-ks", "-h"],
+                                  ["mgf", "--seed", "1", "--help"], ["no-such-command", "-h"]])
+def test_help_anywhere_prints_the_usage(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (cli.USAGE, "")
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -992,21 +1035,25 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, 
                                                         "k": 1}}, 1),
 ], ids=["compare-ks", "compare-ks-config", "help", "unknown-command", "seed-bool",
         "theta-points-0"])
-def test_numpy_free_paths_never_import_numpy(tmp_path, capsys, monkeypatch, argv, cfg, code):
+def test_numpy_free_paths_never_import_numpy(tmp_path, capsys, argv, cfg, code):
     """A command or error that touches no array leaves numpy and measures
     unloaded, and its exit code and output are those of an in-process run
-    that has numpy loaded."""
+    that has numpy loaded.  The front end loads none of argparse, gettext,
+    locale and json beyond what the interpreter started with, except json
+    where a config is read or an error written."""
     if cfg is not None:
         argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
-    probe = ("import json, sys; from srconc.cli import main; "
+    probe = ("import sys; before = set(sys.modules); from srconc.cli import main; "
              f"code = main({argv!r}); "
-             "print(json.dumps([code, 'numpy' in sys.modules, "
-             "'srconc.measures' in sys.modules]))")
+             "front = sorted({'argparse', 'gettext', 'locale', 'json'} & (set(sys.modules) "
+             "- before)); import json; print(json.dumps([code, 'numpy' in sys.modules, "
+             "'srconc.measures' in sys.modules, front]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(CHILD_ENV, COLUMNS="80"), cwd=tmp_path)
+                          env=CHILD_ENV, cwd=tmp_path)
     *out, flags = proc.stdout.splitlines(keepends=True)
-    assert json.loads(flags) == [code, False, False], proc.stderr
-    monkeypatch.setenv("COLUMNS", "80")
+    *flags, front = json.loads(flags)
+    assert flags == [code, False, False], proc.stderr
+    assert set(front) <= ({"json"} if cfg is not None or code else set())
     assert main(argv) == code
     assert capsys.readouterr() == ("".join(out), proc.stderr)
     if cfg is not None and code != 0:

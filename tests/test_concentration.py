@@ -609,6 +609,16 @@ def test_tail_sr_ks_and_mgf_bounds_refuse_a_nan_scale():
             mgf_bound(theta, 1.0, v, 2)
 
 
+def test_sr_tails_read_lipschitz_by_the_range_rule():
+    """tail_bound_sr_composed read L unchecked: True gave 3.95 and 0 a bound of 0."""
+    for bound in (tail_bound_sr, tail_bound_sr_composed):
+        for lip in (0, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange, match=r"lipschitz must lie in \(0, inf\)"):
+                bound(1.0, 2, lip, 2)
+        with pytest.raises(NotANumber):
+            bound(1.0, 2, True, 2)
+
+
 def test_tail_bound_degrees_are_integers_with_their_floors():
     for k in (1.5, True, "2"):
         with pytest.raises(NotAnInteger):
@@ -821,6 +831,20 @@ def test_ks_crossover_rejects_small_k():
             with pytest.raises(NotAnInteger):
                 call(k)
     assert ks_crossover(4.0, 10.0, 0.5) == ks_crossover(4, 10.0, 0.5)
+
+
+def test_ks_crossover_reads_mu_eps_and_c_by_the_range_rule():
+    """mu, eps and c were read unchecked: ks_crossover(8, -1.0, 0.5) returned
+    a row and ks_crossover_threshold(8, nan) the no-crossover inf."""
+    for name, call in (("mu", lambda x: ks_crossover(8, x, 0.5)),
+                       ("eps", lambda x: ks_crossover(8, 10.0, x)),
+                       ("c", lambda x: ks_crossover(8, 10.0, 0.5, x)),
+                       ("eps", lambda x: ks_crossover_threshold(8, x))):
+        for x in (-1.0, 0, 0.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange, match=rf"{name} must lie in \(0, inf\)"):
+                call(x)
+        with pytest.raises(NotANumber):
+            call(True)
 
 
 def test_ks_exponent_fields_match_formulas():
