@@ -58,6 +58,7 @@ from .measures import (
     ZeroMassEvent,
     as_coordinate,
     automorphisms,
+    conditional,
     feasible_coupling,
     halves,
     popcount,
@@ -291,7 +292,7 @@ def scp_coupling(m: SubsetMeasure, ell: int) -> Coupling:
     low, high = halves(m, ell)
     if low is None or high is None:
         raise EmptyPart(f"coordinate {ell} is constant under the measure")
-    return _couple(low[0], high[0], (0, 0, ell))
+    return _couple(conditional(low), conditional(high), (0, 0, ell))
 
 
 def _covering(low: np.ndarray, high: np.ndarray) -> list:
@@ -368,9 +369,8 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
         moved = [least.index(lattice.group[g, c]) for c in free]
         image = (w.masks[:, None] >> np.arange(m.n) & 1) @ (1 << np.array(moved))
         positions = np.argsort(image)
-        masses = w.masses[positions]
-        m = SubsetMeasure(m.n, image[positions], masses / float(masses.sum()))
-        w = SubsetMeasure(m.n, m.masks, masses)
+        w = SubsetMeasure(m.n, image[positions], w.masses[positions])
+        m = conditional(w)
         free = least
     if orbit not in lattice.nodes:
         splits = ([_split(w, (*orbit, free[ell]), ell, lattice) for ell in range(m.n)]
@@ -390,13 +390,14 @@ def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple
     ``_couple`` returns them), so it is met as before."""
     ones, zeros, root_ell = event
     sides = halves(w, ell)
-    keys = tuple(_key(side[0]) for side in sides)
+    kids = [conditional(side) for side in sides]
+    keys = tuple(map(_key, kids))
     kappa = lattice.kappas.get(keys)
     if kappa is None:
-        kappa = lattice.kappas[keys] = _couple(sides[0][0], sides[1][0], event)
+        kappa = lattice.kappas[keys] = _couple(*kids, event)
     events = ((ones, zeros | 1 << root_ell), (ones | 1 << root_ell, zeros))
-    return kappa, [_visit(*side, child, lattice, key)
-                   for side, key, child in zip(sides, keys, events)]
+    return kappa, [_visit(kid, side, child, lattice, key)
+                   for kid, side, child, key in zip(kids, sides, events, keys)]
 
 
 def _assemble(lattice: _Lattice) -> dict:

@@ -10,7 +10,9 @@ violated, 4 internal numeric failure.  The exit code of a library error
 is its class: 2 for an `inputs.InvalidInput`, 4 for an
 `inputs.NumericFailure`.  Validation failures emit a machine-readable
 {"error": ..., "message": ...} JSON object.  Config numbers are
-range-checked before any walk is built or draw is made.
+range-checked before any walk is built or draw is made.  One writer,
+`_write`, prints everything but a usage error: a document goes to the file
+`out` names in place of stdout, and a closed stdout ends the output quietly.
 
 Each command imports the layers it calls when it runs, numpy included, so
 `compare-ks`, `--help` and an early config error start without numpy; json
@@ -19,9 +21,10 @@ loads only where a config or measure file is read or JSON is written.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import io
 import math
+import os
 import sys
 import zlib
 
@@ -68,20 +71,30 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(obj, out: str | None) -> None:
-    import json
-    text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write(text: str, out: str | None = None) -> None:
+    """text in the file out, which replaces stdout, or on stdout.  A reader that
+    closed stdout ends the output: stdout's fd then points at os.devnull, so
+    the exit flush meets no pipe and the command's own exit code stands."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+
+
+def _emit(obj, out: str | None) -> None:
+    import json
+    _write(json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header, rows, out: str | None) -> None:
-    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    csv.writer(text := io.StringIO(), lineterminator="\n").writerows([header, *rows])
+    _write(text.getvalue(), out)
 
 
 def _load_measure(cfg: dict):
@@ -108,8 +121,8 @@ def _load_measure(cfg: dict):
         return measures.make_bernoulli_product([inputs.as_real(p, "measure.ps entry")
                                                 for p in ps])
     if family == "spanning_tree":
-        vertices, edges = measures.graph_from_json(spec["graph"])
-        return measures.make_spanning_tree_measure(edges, vertices)
+        graph = spec["graph"]
+        return measures.make_spanning_tree_measure(graph["edges"], graph["vertices"])
     if family == "projection_dpp":
         return measures.make_projection_dpp(_kernel(spec["kernel"]))
     raise UsageError(f"unknown measure spec {spec!r}")
@@ -164,14 +177,9 @@ def cmd_validate_measure(cfg: dict) -> int:
 
 def cmd_scp_check(cfg: dict) -> int:
     from . import chains
-    m = _load_measure(cfg)
-    result = chains.scp_check(m)
-    payload = {"scp": bool(result), "witness": None}
-    if result.witness is not None:
-        coords, x_bits, y_bits = result.witness
-        payload["witness"] = {"coords": list(coords), "x": list(x_bits),
-                              "y": list(y_bits)}
-    _emit(payload, cfg.get("out"))
+    result = chains.scp_check(_load_measure(cfg))
+    witness = None if result.witness is None else dict(zip(("coords", "x", "y"), result.witness))
+    _emit({"scp": bool(result), "witness": witness}, cfg.get("out"))
     return EXIT_OK if result else EXIT_VALIDATION
 
 
@@ -202,9 +210,7 @@ def cmd_build_walk(cfg: dict) -> int:
 def _certify_setup(cfg: dict, read_lambda: bool):
     """(measure, walk, function, lipschitz or None, lam): lam is the config's
     "lambda" when read_lambda and it is given, else the walk's spectral gap."""
-    lam = None
-    if read_lambda and "lambda" in cfg:
-        lam = inputs.in_range(cfg["lambda"], "lambda")
+    lam = inputs.in_range(cfg["lambda"], "lambda") if read_lambda and "lambda" in cfg else None
     from . import chains, functional
     m = _load_measure(cfg)
     make_fn = _build_function(cfg)
@@ -396,8 +402,7 @@ def cmd_compare_ks(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    out = cfg.get("out")
-    if not out:
+    if not (out := cfg.get("out")):
         raise UsageError("sample needs --out for the batch dump")
     kind = cfg.get("sampler", "table")
     count = inputs.at_least(cfg.get("count", 1000), "count", 0)
@@ -405,11 +410,10 @@ def cmd_sample(cfg: dict) -> int:
     if kind == "table":
         batch = samplers.sample_table(_load_measure(cfg), cfg["seed"], count)
     elif kind == "wilson":
-        vertices, edges = measures.graph_from_json(cfg["graph"])
-        batch = samplers.wilson_spanning_tree(edges, cfg["seed"], count, vertices)
+        graph = cfg["graph"]
+        batch = samplers.wilson_spanning_tree(graph["edges"], cfg["seed"], count, graph["vertices"])
     elif kind == "kdpp":
-        kernel = _kernel(cfg["kernel"])
-        batch = samplers.sample_kdpp(kernel, cfg["seed"], count)
+        batch = samplers.sample_kdpp(_kernel(cfg["kernel"]), cfg["seed"], count)
     else:
         raise UsageError(f"unknown sampler {kind!r}")
     samplers.dump_batch(batch, out)
@@ -461,34 +465,33 @@ def parse_argv(argv: list[str]) -> tuple[str, dict]:
     return command, options
 
 
-def _report(error: str, exc, file=None) -> None:
-    """{"error": error, "message": str(exc)} on file (stdout when None)."""
+def _report(code: int, error: str, exc) -> int:
+    """code, once {"error": error, "message": str(exc)} is written: on stderr
+    for a usage error (exit 1), else through _write on stdout."""
     import json
-    print(json.dumps({"error": error, "message": str(exc)}), file=file)
+    text = json.dumps({"error": error, "message": str(exc)}) + "\n"
+    (sys.stderr.write if code == EXIT_USAGE else _write)(text)
+    return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "-h" in argv or "--help" in argv:
-        sys.stdout.write(USAGE)
+        _write(USAGE)
         return EXIT_OK
     try:
         command, options = parse_argv(argv)
         return COMMANDS[command](_load_config(options.pop("config", None), options))
     except (UsageError, inputs.NotANumber, inputs.OutOfRange) as exc:
-        _report("usage", exc, sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, "usage", exc)
     # before InvalidInput: NonFinite is both; no LinAlgError without numpy loaded
     except (inputs.NumericFailure, *inputs.numpy_types("linalg.LinAlgError"),
             FloatingPointError, OverflowError, MemoryError) as exc:
-        _report(type(exc).__name__, exc)
-        return EXIT_NUMERIC
+        return _report(EXIT_NUMERIC, type(exc).__name__, exc)
     except inputs.InvalidInput as exc:
-        _report(type(exc).__name__, exc)
-        return EXIT_VALIDATION
+        return _report(EXIT_VALIDATION, type(exc).__name__, exc)
     except (KeyError, ValueError, TypeError, IndexError, OSError) as exc:
-        _report(type(exc).__name__, exc, sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, type(exc).__name__, exc)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def schatten_norm(a, p) -> float:
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(sv.max(initial=0.0))
     if (p := as_integer(p, "p")) <= 0 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer or inf, got {p}")

@@ -21,7 +21,8 @@ set S and every pair of assignments x |> y on S, the conditional of the
 measure given the smaller assignment covers the conditional given the
 larger one.  ``chains.scp_check`` decides it with the recursion that
 builds the flip-swap walk; this module supplies the pieces (``halves``,
-of which ``condition`` is a fold, ``feasible_coupling``) and SCP_LIMIT.
+the restrictions of which ``condition`` is a fold, ``conditional`` and
+``feasible_coupling``) and SCP_LIMIT.
 
 As the bottom numpy layer it also holds what the layers above share: the
 readers ``as_coordinate`` and ``as_matrix``, ``within``, the one tolerance
@@ -178,7 +179,7 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     The surviving coordinates keep their relative order and are packed
     into a fresh cube of dimension n - len(coords).  It runs through
     ``halves``: from the highest coordinate down it keeps the restriction
-    to X_c = b, whose masks stay ascending, and renormalizes once at the end.
+    to X_c = b, whose masks stay ascending, and takes its ``conditional``.
     """
     coords = [as_coordinate(c, m.n) for c in coords]
     bits = [as_integer(b, "bit") for b in bits]
@@ -189,30 +190,29 @@ def condition(m: SubsetMeasure, coords, bits) -> SubsetMeasure:
     if not coords:
         return SubsetMeasure(m.n, m.masks.copy(), m.masses.copy())
 
-    w, total = m, 0.0
+    w = m
     for c, b in sorted(zip(coords, bits), reverse=True):
-        if (side := halves(w, c)[b]) is None:
+        if (w := halves(w, c)[b]) is None:
             break
-        w = side[1]
-    else:
-        total = float(w.masses.sum())
-    if total <= 0.0:
-        raise ZeroMassEvent(
-            f"conditioning event coords={coords} bits={bits} has zero mass")
-    return SubsetMeasure(w.n, w.masks, w.masses / total)
+    if w is None or float(w.masses.sum()) <= 0.0:
+        raise ZeroMassEvent(f"conditioning event coords={coords} bits={bits} has zero mass")
+    return conditional(w)
 
 
 def halves(m: SubsetMeasure, ell: int) -> list:
-    """[(m given x_ell = b, m restricted to x_ell = b) for b = 0, 1] with bit
-    ell dropped, None for a side without support.  Both keep the order of
-    m's support; the restriction keeps m's masses, so the conditional of a
-    restriction of m is condition(m, event) bit for bit."""
+    """[m restricted to x_ell = b for b = 0, 1] with bit ell dropped and m's
+    masses kept, None for a side without support.  Both keep the order of
+    m's support, so the conditional of a restriction of m is
+    condition(m, event) bit for bit."""
     side = (m.masks >> ell) & 1 == 1
     low = ((m.masks >> (ell + 1)) << ell) | (m.masks & ((1 << ell) - 1))  # bit ell dropped
-    parts = [(low[sel], m.masses[sel]) for sel in (~side, side)]
-    return [(SubsetMeasure(m.n - 1, masks, masses / float(masses.sum())),
-             SubsetMeasure(m.n - 1, masks, masses)) if masses.size else None
-            for masks, masses in parts]
+    return [SubsetMeasure(m.n - 1, low[sel], m.masses[sel]) if sel.any() else None
+            for sel in (~side, side)]
+
+
+def conditional(w: SubsetMeasure) -> SubsetMeasure:
+    """w, a restriction, divided by its total mass: the one conditioning rule."""
+    return SubsetMeasure(w.n, w.masks, w.masses / float(w.masses.sum()))
 
 
 def automorphisms(m: SubsetMeasure) -> np.ndarray:
@@ -509,10 +509,3 @@ def measure_from_json(obj: dict) -> SubsetMeasure:
     m = SubsetMeasure(n, masks, [entries[mask] for mask in masks])
     validate(m)
     return m
-
-
-def graph_from_json(obj: dict) -> tuple[int, list[tuple[int, int]]]:
-    vertices = as_integer(obj["vertices"], "vertices")
-    edges = [(as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint"))
-             for u, v in obj["edges"]]
-    return vertices, edges

@@ -617,8 +617,8 @@ def test_a_fixed_coordinate_leaves_the_walk_unchanged(make):
 
 
 def reference_walk(m: SubsetMeasure, w: SubsetMeasure) -> np.ndarray:
-    """Off-diagonal raw flip-swap rates of the conditional m (w: the root
-    restricted to its event, as measures.halves returns them), straight from
+    """Off-diagonal raw flip-swap rates of the conditional m of w (the root
+    restricted to its event, as measures.halves returns it), straight from
     the definition: the uniform average over all m.n coordinates of the split
     rates, a constant coordinate's split being the conditional's own walk.
     No lattice, memo or group; the covering pairs come from the table."""
@@ -628,13 +628,14 @@ def reference_walk(m: SubsetMeasure, w: SubsetMeasure) -> np.ndarray:
     for ell in range(m.n):
         sides = measures.halves(w, ell)
         if None in sides:
-            acc += reference_walk(*next(side for side in sides if side is not None))
+            side = next(side for side in sides if side is not None)
+            acc += reference_walk(measures.conditional(side), side)
             continue
         bit = (m.masks >> ell) & 1 == 1
         parts = [np.flatnonzero(~bit), np.flatnonzero(bit)]
-        for side, pos in zip(sides, parts):
-            acc[np.ix_(pos, pos)] += reference_walk(*side)
-        low, high = sides[0][0], sides[1][0]
+        low, high = map(measures.conditional, sides)
+        for kid, side, pos in zip((low, high), sides, parts):
+            acc[np.ix_(pos, pos)] += reference_walk(kid, side)
         kappa, _ = measures.feasible_coupling(
             low.masses, high.masses, adjacency(covers(low.masks[:, None], high.masks[None, :])))
         cross = m.masses[parts[0]].sum() * m.masses[parts[1]].sum()

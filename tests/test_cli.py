@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -613,19 +614,42 @@ def test_tail_empirical_mode(tmp_path, capsys):
         assert float(row[2]) >= float(row[1])   # CI upper covers the estimate
 
 
-@pytest.mark.parametrize("mode", ["exact", "empirical"])
-def test_tail_stdout_matches_out_file(tmp_path, capsys, mode):
-    out = tmp_path / "tail.csv"
-    cfg = write_cfg(tmp_path, "t.json", {
-        "measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
-        "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
-        "mode": mode, "count": 2000, "t_grid": {"points": 5}})
-    assert main(["tail", "--config", cfg]) == 0
-    stdout = capsys.readouterr().out
-    assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_bytes() == stdout.encode()
+DOC_CFG = {"measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+           "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
+           "count": 2000, "t_grid": {"points": 5}, "theta_grid": {"points": 4},
+           "trials": 3, "ks": {"k_values": [16, 64]}}
 
+
+@pytest.mark.parametrize("command,extra,code", [
+    ("validate-measure", {}, 0),
+    ("scp-check", {}, 0),
+    ("scp-check", {"measure": {"inline": {"n": 2, "entries": [{"mask": 0, "p": 0.5},
+                                                              {"mask": 3, "p": 0.5}]}}}, 2),
+    ("build-walk", {}, 0),
+    ("poincare-check", {}, 0),
+    ("poincare-check", {"lambda": 100}, 3),
+    ("ineq-suite", {}, 0),
+    ("mgf", {}, 0),
+    ("tail", {"mode": "exact"}, 0),
+    ("tail", {"mode": "empirical"}, 0),
+    ("compare-ks", {}, 0),
+], ids=["validate-measure", "scp-check", "scp-check-witness", "build-walk", "poincare-check",
+        "poincare-check-violated", "ineq-suite", "mgf", "exact", "empirical", "compare-ks"])
+def test_tail_stdout_matches_out_file(tmp_path, capsys, command, extra, code):
+    """With --out, every document command writes nothing to stdout, and the
+    file holds exactly the bytes the command prints without --out, whatever
+    its exit code."""
+    out = tmp_path / "doc.out"
+    cfg = write_cfg(tmp_path, "c.json", dict(DOC_CFG, **extra))
+    assert main([command, "--config", cfg]) == code
+    stdout = capsys.readouterr().out
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert stdout and out.read_bytes() == stdout.encode()
+    if command != "tail":
+        return
+
+    mode = extra["mode"]
     rows = list(csv.reader(stdout.splitlines()))
     assert tuple(rows[0]) == TAIL_CSV_COLUMNS
     for row in rows[1:]:
@@ -826,7 +850,10 @@ UNIT_KERNEL = {"d": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]}
         K4_GRAPH, edges=[[0, 1.7], *K4_GRAPH["edges"][1:]])}},
      "edge endpoint must be an integer, got 1.7"),
     ("sample", {"sampler": "wilson", "count": 5, "out": "draws.hex",
-                "graph": dict(K4_GRAPH, vertices=4.9)}, "vertices must be an integer"),
+                "graph": dict(K4_GRAPH, vertices=4.9)}, "vertices must be an integer, got 4.9"),
+    ("sample", {"sampler": "wilson", "count": 5, "out": "draws.hex", "graph": dict(
+        K4_GRAPH, edges=[[0, 1.7], *K4_GRAPH["edges"][1:]])},
+     "edge endpoint must be an integer, got 1.7"),
     ("validate-measure", {"measure": {"family": "projection_dpp",
                                       "kernel": dict(UNIT_KERNEL, d=2.5)}},
      "kernel.d must be an integer, got 2.5"),
@@ -841,7 +868,7 @@ UNIT_KERNEL = {"d": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]}
                             {"mask": 1, "rows": [[1.0]]}, {"mask": 2.5, "rows": [[0.0]]}]}}},
      "mask must be an integer, got 2.5"),
 ], ids=["uniform-n", "uniform-k", "inline-n", "inline-mask", "graph-vertices",
-        "graph-endpoint", "wilson-vertices", "kernel-d", "kdpp-d", "function-d",
+        "graph-endpoint", "wilson-vertices", "wilson-endpoint", "kernel-d", "kdpp-d", "function-d",
         "function-mask"])
 def test_json_readers_reject_non_integral_counts_and_masks(tmp_path, capsys, monkeypatch,
                                                            command, cfg, needle):
@@ -851,6 +878,19 @@ def test_json_readers_reject_non_integral_counts_and_masks(tmp_path, capsys, mon
     err = json.loads(captured.err)
     assert err["error"] == "usage" and needle in err["message"]
     assert captured.out == "" and not (tmp_path / "draws.hex").exists()
+
+
+def test_wilson_reads_integral_float_graphs_like_ints(tmp_path, capsys):
+    """The Wilson sampler reads its graph through measures.tree_edges, as the
+    spanning-tree family does: an integral float graph draws the same trees."""
+    outs = []
+    for graph in (K4_GRAPH, {"vertices": 4.0, "edges": [[float(u), float(v)]
+                                                        for u, v in K4_GRAPH["edges"]]}):
+        outs.append(tmp_path / f"draws-{len(outs)}.hex")
+        cfg = write_cfg(tmp_path, "w.json", {"sampler": "wilson", "count": 40, "graph": graph})
+        assert main(["sample", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_json_readers_take_integral_floats(tmp_path, capsys):
@@ -1115,6 +1155,80 @@ def test_each_layer_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, com
     assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == code
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["error"] == error
+
+
+WHEEL4_GRAPH = {"vertices": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4],
+                                         [1, 2], [2, 3], [3, 4], [4, 1]]}
+TABLE_FN = {"random": {"kind": "table", "d": 2, "seed": 3}}
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("timing", ["at-once", "after-a-line"])
+@pytest.mark.parametrize("argv,cfg", [
+    (["compare-ks"], None),
+    (["--help"], None),
+    (["build-walk"], {"measure": {"family": "spanning_tree", "graph": WHEEL4_GRAPH}}),
+    (["tail"], {"measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+                "function": TABLE_FN}),
+], ids=["compare-ks", "help", "build-walk", "tail"])
+def test_a_closed_pipe_is_not_an_error(tmp_path, argv, cfg, timing, buffering):
+    """A reader that closes stdout, before the first write or after reading a
+    line, leaves the exit code 0 and stderr empty, whether stdout is buffered
+    (the exit flush then meets the closed pipe) or not."""
+    if cfg is not None:
+        argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    env = {key: val for key, val in CHILD_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "srconc.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if timing == "after-a-line":
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is fd, which the CLI points at os.devnull."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,cfg,code", [
+    (["compare-ks"], None, 0),
+    (["--help"], None, 0),
+    (["scp-check"], {"measure": NON_SCP}, 2),
+    (["build-walk"], {"measure": NON_SCP}, 2),
+    (["poincare-check"], {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+                          "function": TABLE_FN, "lambda": 100}, 3),
+    (["mgf"], dict(RADIUS_CFG, **{"lambda": 1e-310}), 4),
+], ids=["compare-ks", "help", "scp-witness", "error-object", "violation", "numeric"])
+def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, capsys, monkeypatch,
+                                                      argv, cfg, code):
+    """main returns the command's own code when stdout's reader is gone, writes
+    no error object, and leaves stdout's descriptor on os.devnull."""
+    if cfg is not None:
+        argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    sink = tmp_path / "stdout.fd"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        assert main(argv) == code
+        os.write(fd, b"after the reader left")
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""
 
 
 def test_console_script_installed(tmp_path):

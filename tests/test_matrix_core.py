@@ -24,7 +24,7 @@ from srconc.matrix_core import (
     sym_apply,
     trace_power,
 )
-from srconc.inputs import at_least
+from srconc.inputs import NotAnInteger, at_least
 
 
 def test_sym_expm_pinned_values():
@@ -75,6 +75,8 @@ def test_schatten_norm_pinned():
     assert schatten_norm(np.eye(3), 2) == pytest.approx(np.sqrt(3.0))
     assert schatten_norm(np.diag([3.0, -4.0]), np.inf) == pytest.approx(4.0)
     assert schatten_norm(np.diag([1.0, 2.0]), 4) == pytest.approx(17.0 ** 0.25)
+    with pytest.raises(NotAnInteger, match="^p must be an integer, got 'inf'$"):
+        schatten_norm(np.eye(2), "inf")
 
 
 def test_schatten_norm_matches_singular_values():

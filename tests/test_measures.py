@@ -83,8 +83,8 @@ def test_validate_refuses_a_support_out_of_order_or_range(masks, match):
 
 
 def test_validate_refuses_a_mask_stored_with_mass_0():
-    """A stored zero mass is refused by name: halves would divide 0 by 0 on
-    it, and scp_check read the measure as not SCP although without the
+    """A stored zero mass is refused by name: conditional would divide 0 by 0
+    on it, and scp_check read the measure as not SCP although without the
     entry it is."""
     with pytest.raises(ZeroMassEvent, match=r"^mask 0x6 is stored with mass 0$"):
         validate(SubsetMeasure(3, [3, 5, 6], [0.5, 0.5, 0.0]))
@@ -577,10 +577,13 @@ def test_constructors_read_their_own_numbers():
         assert got.masks.tolist() == want.masks.tolist() and np.array_equal(got.masses, want.masses)
 
 
-def test_graph_from_json():
-    vertices, edges = measures.graph_from_json(
-        {"vertices": 3, "edges": [[0, 1], [1, 2]]})
-    assert vertices == 3 and edges == [(0, 1), (1, 2)]
+def test_tree_edges_reads_the_graph_record():
+    """tree_edges reads a JSON graph record's vertex count and endpoints as
+    ints; integral floats are integers."""
+    for edges, vertices in (([[0, 1], [1, 2]], 3), ([[0.0, 1.0], [1, 2.0]], 3.0)):
+        got, n = measures.tree_edges(edges, vertices)
+        assert (got, n) == ([(0, 1), (1, 2)], 3)
+        assert all(type(u) is int for edge in got for u in edge) and type(n) is int
 
 
 def test_as_integer_is_the_one_integer_rule():
@@ -589,8 +592,12 @@ def test_as_integer_is_the_one_integer_rule():
         with pytest.raises(measures.NotAnInteger,
                            match=re.escape(f"x must be an integer, got {bad!r}")):
             measures.as_integer(bad, "x")
-    with pytest.raises(measures.NotAnInteger):
-        measures.graph_from_json({"vertices": 3, "edges": [[0, 1], [1, 2.5]]})
+    with pytest.raises(measures.NotAnInteger,
+                       match=re.escape("edge endpoint must be an integer, got 2.5")):
+        measures.tree_edges([[0, 1], [1, 2.5]], 3)
+    with pytest.raises(measures.NotAnInteger,
+                       match=re.escape("vertices must be an integer, got 3.5")):
+        measures.tree_edges([[0, 1], [1, 2]], 3.5)
     with pytest.raises(measures.NotAnInteger):
         measures.measure_from_json({"n": 1.5, "entries": [{"mask": 0, "p": 1.0}]})
 

@@ -40,6 +40,7 @@ from srconc.measures import (
     MeasureError,
     ZeroMassEvent,
     condition,
+    conditional,
     halves,
     measure_from_json,
     validate,
@@ -119,8 +120,9 @@ def test_condition_matches_dense_table(data):
 @given(st.data())
 def test_halves_condition_in_any_order(data):
     """Fixing an event's coordinates one at a time through halves, in any
-    order, gives condition(m, event) bit for bit; the walk's memo relies
-    on it to share one node per event."""
+    order, and taking the conditional of the last restriction gives
+    condition(m, event) bit for bit (m itself for no event); the walk's memo
+    relies on it to share one node per event."""
     n, probs = data.draw(dense_measures(max_n=6))
     coords, bits = data.draw(events(n))
     order = data.draw(st.permutations(range(len(coords))))
@@ -132,11 +134,11 @@ def test_halves_condition_in_any_order(data):
     rest, cond, fixed = m, m, []
     for i in order:
         c = coords[i] - sum(f < coords[i] for f in fixed)
-        side = halves(rest, c)[bits[i]]
-        if side is None:
+        rest = halves(rest, c)[bits[i]]
+        if rest is None:
             assert expected is None
             return
-        cond, rest = side
+        cond = conditional(rest)
         fixed.append(coords[i])
         # the restriction keeps m's own masses on the masks that agree so far
         assert np.array_equal(rest.masses, m.masses[agrees(m, coords, bits, fixed)])
