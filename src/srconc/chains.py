@@ -30,15 +30,15 @@ free coordinates only: a conditional with several states and fixed
 coordinates reads the node of the event that fixes them too, whose masks
 are its own with those bits dropped, in the same order.
 
-The recursion makes two passes over the conditionals, one node per orbit
-of their fixing events under the root's ``measures.automorphisms``, keyed
-by the orbit's least event; the orbit's other conditionals read the node's
-rates through a permutation (covering and the average over splits ignore
-coordinate order, so the gap bound holds).  The first pass solves every
-covering coupling, each an SCP event, reaching every event of positive mass
-up to relabelling, so ``scp_check`` runs it alone and reports the first
-infeasible coupling as the witness.  The second assembles each node's
-rates as (row, col, rate) triplets, and only the root's walk is dense.
+One recursion visits the conditionals, one node per orbit of their
+fixing events under the root's ``measures.automorphisms``, keyed by the
+orbit's least event; the orbit's other conditionals read the node's rates
+through a permutation (covering and the average over splits ignore
+coordinate order, so the gap bound holds).  It solves every covering
+coupling, each an SCP event, reaching every event of positive mass up to
+relabelling, so ``scp_check`` runs it alone and reports the first
+infeasible coupling as the witness.  A walk makes a node's rates, (row,
+col, rate) triplets, when it first reads them; only the root's is dense.
 """
 
 from __future__ import annotations
@@ -323,13 +323,13 @@ def _free(event: tuple, n: int) -> list:
 
 class _Lattice:
     """nodes[least event (ones, zeros) of an orbit] = (m, [_split per free
-    coordinate]); conditionals[content key] = (orbit, positions): the node's
-    b-th state is the conditional's state positions[b] (None: same order);
-    kappas[pair of child content keys] = coupling, shared by many splits."""
+    coordinate]); conditionals[content key] = (orbit, positions), a node reference:
+    the node's b-th state is the conditional's state positions[b] (None: same order);
+    kappas[child content keys] = coupling, shared by splits; rates[orbit] = triplets."""
 
     def __init__(self, root: SubsetMeasure):
         self.n, self.group = root.n, automorphisms(root)
-        self.nodes, self.conditionals, self.kappas = {}, {}, {}
+        self.nodes, self.conditionals, self.kappas, self.rates = {}, {}, {}, {}
 
 
 def _key(m: SubsetMeasure) -> tuple:
@@ -338,14 +338,14 @@ def _key(m: SubsetMeasure) -> tuple:
 
 def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
            key: tuple) -> tuple:
-    """key (m's _key) after adding m's orbit and every conditional below it to
-    the lattice, children first.  w is the root restricted to the event; a node
-    is it carried to the orbit's least event, bit-identical however reached.
-    A conditional with several states whose support fixes some coordinates
-    reads the node of the event that fixes them too: its masks, ascending and
-    distinct, keep their order without those bits."""
+    """The node reference of m, whose _key is key, after adding m's orbit and
+    every conditional below it to the lattice.  w is the root restricted to the
+    event; a node is it carried to the orbit's least event, bit-identical
+    however reached.  A conditional with several states whose support fixes
+    some coordinates reads the node of the event that fixes them too: its
+    masks, ascending and distinct, keep their order without those bits."""
     if key in lattice.conditionals:
-        return key
+        return lattice.conditionals[key]
     free = _free(event, lattice.n)
     if m.masks.size > 1:
         first, varying = int(m.masks[0]), 0
@@ -357,10 +357,10 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
                            for bits in (fixed & first, fixed & ~first))
             masks = (m.masks[:, None] >> np.array(kept) & 1) @ (1 << np.arange(len(kept)))
             m = SubsetMeasure(len(kept), masks, m.masses)
-            node = _visit(m, SubsetMeasure(m.n, masks, w.masses),
-                          (event[0] | ones, event[1] | zeros), lattice, _key(m))
-            lattice.conditionals[key] = lattice.conditionals[node]
-            return key
+            ref = _visit(m, SubsetMeasure(m.n, masks, w.masses),
+                         (event[0] | ones, event[1] | zeros), lattice, _key(m))
+            lattice.conditionals[key] = ref
+            return ref
     img = (np.array(event)[:, None] >> np.arange(lattice.n) & 1) @ (1 << lattice.group.T)
     g = int(np.argmin(img[0] << lattice.n | img[1]))  # the first g to the least image
     orbit, positions = tuple(img[:, g].tolist()), None
@@ -377,14 +377,14 @@ def _visit(m: SubsetMeasure, w: SubsetMeasure, event: tuple, lattice: _Lattice,
                   if m.masks.size > 1 else [])
         lattice.nodes[orbit] = (m, splits)
     lattice.conditionals.setdefault(_key(m), (orbit, None))  # the first orbit keeps it
-    lattice.conditionals[key] = (orbit, positions)
-    return key
+    lattice.conditionals[key] = ref = (orbit, positions)
+    return ref
 
 
 def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple:
     """Coupling of the split of w, the root restricted to (ones, zeros), on
     its free coordinate ell (root_ell of the root), rows and cols indexing the
-    two children, and the child keys.  Solving it first makes the first
+    two children, and their node references.  Solving it first makes the first
     InfeasibleCoupling the first failing SCP event met, event =
     (ones, zeros, root_ell); only feasible couplings are memoized (as
     ``_couple`` returns them), so it is met as before."""
@@ -400,36 +400,34 @@ def _split(w: SubsetMeasure, event: tuple, ell: int, lattice: _Lattice) -> tuple
                    for kid, side, child, key in zip(kids, sides, events, keys)]
 
 
-def _assemble(lattice: _Lattice) -> dict:
-    """Off-diagonal raw walk rates of every node as (rows, cols, rates)
-    triplets, row-major: the uniform average of its split rates over its
-    free coordinates, none for a single state.  One bincount per node sums
+def _rates(orbit: tuple, lattice: _Lattice) -> tuple:
+    """Off-diagonal raw walk rates of a node as (rows, cols, rates) triplets,
+    row-major, made on the first read: the uniform average of its split rates
+    over its free coordinates, none for a single state.  One bincount sums
     each entry's terms in split order, as adding dense blocks would."""
-    rates = {}
-    for orbit, (m, splits) in lattice.nodes.items():
+    if orbit not in lattice.rates:
+        m, splits = lattice.nodes[orbit]
         size = m.masks.size
         at, terms = [np.zeros(0, np.int64)], [np.zeros(0)]
         for ell, split in enumerate(splits):
-            for rows, cols, vals in _split_rates(m, ell, split, lattice, rates):
+            for rows, cols, vals in _split_rates(m, ell, split, lattice):
                 at.append(rows * size + cols)
                 terms.append(vals)
         total = np.bincount(np.concatenate(at), np.concatenate(terms), minlength=size * size)
         at = np.flatnonzero(total)
-        rates[orbit] = (*np.divmod(at, size), total[at] / m.n)
-    return rates
+        lattice.rates[orbit] = (*np.divmod(at, size), total[at] / m.n)
+    return lattice.rates[orbit]
 
 
-def _lift(kid: tuple, pos: np.ndarray, lattice: _Lattice, rates: dict) -> tuple:
-    """The rates of the conditional with content key kid on the states pos of
-    its parent, through the positions of the node it reads."""
-    orbit, positions = lattice.conditionals[kid]
+def _lift(ref: tuple, pos: np.ndarray, lattice: _Lattice) -> tuple:
+    """Rates of the conditional with node reference ref on its parent's states pos."""
+    orbit, positions = ref
     pos = pos if positions is None else pos[positions]
-    rows, cols, vals = rates[orbit]
+    rows, cols, vals = _rates(orbit, lattice)
     return pos[rows], pos[cols], vals
 
 
-def _split_rates(m: SubsetMeasure, ell: int, split: tuple, lattice: _Lattice,
-                 rates: dict) -> list:
+def _split_rates(m: SubsetMeasure, ell: int, split: tuple, lattice: _Lattice) -> list:
     """The off-diagonal rates of one split as triplets, each entry named once.
 
     The children's node rates land on their states, and cross rates on a
@@ -444,7 +442,7 @@ def _split_rates(m: SubsetMeasure, ell: int, split: tuple, lattice: _Lattice,
     cross = float(pi[parts[0]].sum()) * float(pi[parts[1]].sum())
     a, b, w = kappa
     x_idx, y_idx = parts[0][a], parts[1][b]
-    return [*(_lift(kid, pos, lattice, rates) for kid, pos in zip(kids, parts)),
+    return [*(_lift(kid, pos, lattice) for kid, pos in zip(kids, parts)),
             (x_idx, y_idx, cross * w / pi[x_idx]), (y_idx, x_idx, cross * w / pi[y_idx])]
 
 
@@ -495,7 +493,7 @@ def split_generator(m: SubsetMeasure, ell: int) -> Generator:
         return flip_swap_average(m)
     lattice = _Lattice(m)
     split = _split(m, (0, 0, ell), ell, lattice)
-    return _generator(m, _split_rates(m, ell, split, lattice, _assemble(lattice)))
+    return _generator(m, _split_rates(m, ell, split, lattice))
 
 
 def flip_swap_average(m: SubsetMeasure) -> Generator:
@@ -503,7 +501,7 @@ def flip_swap_average(m: SubsetMeasure) -> Generator:
     validate(m)
     lattice = _Lattice(m)
     root = _visit(m, m, (0, 0), lattice, _key(m))
-    return _generator(m, [_lift(root, np.arange(m.masks.size), lattice, _assemble(lattice))])
+    return _generator(m, [_lift(root, np.arange(m.masks.size), lattice)])
 
 
 def normalized(gen: Generator) -> Generator:

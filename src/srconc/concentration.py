@@ -246,11 +246,11 @@ class TailBound(NamedTuple):
 def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
     """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam)))); 0 for a constant F, v = 0."""
     t = in_range(t, "t")
-    _positive_gap(lam)
     v = in_range(v, "v", zero_ok=True)
     d = at_least(d, "d", 1)
-    if v == 0.0:
+    if v == 0.0 and lam > 0.0:  # a one-state walk's gap is +inf
         return TailBound(0.0, 0.0)
+    _positive_gap(lam)
     denom = 4.0 * (v * v / lam + t * v / math.sqrt(lam))
     raw = 2.0 * d * math.exp(-t * t / denom)
     return TailBound(raw, min(1.0, raw))

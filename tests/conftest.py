@@ -88,9 +88,10 @@ def reference_component_count(vertices: int, edges) -> int:
 
 
 def is_spanning_tree(edge_mask: int, edges, vertices: int) -> bool:
-    """True iff the selected edges form a spanning tree on all vertices."""
+    """True iff the selected edges form a spanning tree on all vertices,
+    decided by the union-find reference, not by the library's own routine."""
     chosen = [e for i, e in enumerate(edges) if (edge_mask >> i) & 1]
-    return len(chosen) == vertices - 1 and measures.component_count(vertices, chosen) == 1
+    return len(chosen) == vertices - 1 and reference_component_count(vertices, chosen) == 1
 
 
 def coupling_entries(kappa: measures.Coupling) -> dict:

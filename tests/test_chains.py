@@ -566,7 +566,7 @@ def test_scp_check_assembles_no_generator(monkeypatch):
     def refuse(*args, **kwargs):
         raise Assembled
 
-    for name in ("_assemble", "_split_rates", "_lift", "_generator", "Generator"):
+    for name in ("_rates", "_split_rates", "_lift", "_generator", "Generator"):
         monkeypatch.setattr(chains, name, refuse)
     trees = measures.make_spanning_tree_measure(K4_EDGES)
     assert chains.scp_check(trees).satisfied

@@ -614,6 +614,21 @@ def test_tail_empirical_mode(tmp_path, capsys):
         assert float(row[2]) >= float(row[1])   # CI upper covers the estimate
 
 
+@pytest.mark.parametrize("mode", ["exact", "empirical"])
+def test_tail_on_a_one_state_measure(tmp_path, capsys, mode):
+    """A one-state walk has gap +inf and a constant observable (v = 0), so
+    every Poincare bound is 0; the tail check used to refuse the infinite gap
+    with a ScaleViolation (exit 4)."""
+    cfg = write_cfg(tmp_path, "one.json", {
+        "measure": {"family": "bernoulli_product", "ps": [1.0, 0.0]},
+        "function": {"random": {"kind": "linear", "d": 2}}, "mode": mode, "count": 100})
+    code, rows = run_csv(capsys, ["tail", "--config", cfg])
+    assert code == 0
+    assert rows[0] == list(TAIL_CSV_COLUMNS) and len(rows) == 51
+    for row in rows[1:]:
+        assert float(row[1]) == 0.0 and float(row[3]) == 0.0 and row[6] == "poincare"
+
+
 DOC_CFG = {"measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
            "function": {"random": {"kind": "table", "d": 2, "seed": 3}},
            "count": 2000, "t_grid": {"points": 5}, "theta_grid": {"points": 4},

@@ -580,7 +580,9 @@ def test_tail_sr_frozen_value():
 
 def test_tail_poincare_refuses_nan_inf_and_a_negative_v():
     """NaN passed `t <= 0`, so a NaN t was a capped bound of 1; an infinite t
-    gave raw = NaN, an infinite lam divided by zero, a negative v a bound of 0."""
+    gave raw = NaN, an infinite lam divided by zero, a negative v a bound of 0.
+    A constant F (v = 0) has the bound 0 at every positive lam, the +inf gap
+    of a one-state walk included, and a NaN, 0 or negative lam stays refused."""
     for t, lam, v in ((math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0), (1.0, 0.5, math.nan),
                       (1.0, 0.5, math.inf), (1.0, 0.5, -1.0)):
         with pytest.raises(OutOfRange, match="must lie in"):
@@ -591,6 +593,10 @@ def test_tail_poincare_refuses_nan_inf_and_a_negative_v():
     with pytest.raises(ScaleViolation, match="lam must be positive and finite, got inf"):
         tail_bound_poincare(1.0, math.inf, 1.0, 2)
     assert tail_bound_poincare(1.0, 0.5, 0.0, 2) == (0.0, 0.0)
+    assert tail_bound_poincare(1.0, math.inf, 0.0, 2) == (0.0, 0.0)
+    for lam in (math.nan, 0.0, -1.0):
+        with pytest.raises(ScaleViolation):
+            tail_bound_poincare(1.0, lam, 0.0, 2)
 
 
 def test_tail_sr_ks_and_mgf_bounds_refuse_a_nan_scale():
@@ -794,6 +800,19 @@ def test_ks_crossover_frozen_comparisons():
     assert not lose.ours_better
     big = ks_crossover(256, 256.0, 1 / 16)
     assert big.ours_better
+
+
+def test_ks_crossover_exponents_are_the_tail_columns():
+    """The crossover table's exponents are the SR and Kyng-Song tails of
+    `tail` at t = eps mu and unit Lipschitz, bit for bit: both formulas are
+    written in `ks` and again in `concentration`."""
+    rng = np.random.default_rng(name_seed("ks_drift"))
+    for _ in range(500):
+        k, d = int(rng.integers(2, 4097)), int(rng.integers(1, 65))
+        mu, eps, c = 10.0 ** rng.uniform(-2, 4), rng.uniform(0.01, 2.0), rng.uniform(0.1, 4.0)
+        row = ks_crossover(k, mu, eps, c)
+        assert tail_bound_sr(eps * mu, k, 1.0, d) == 2 * d * math.exp(-row.exponent_sr)
+        assert ks_bound(eps, mu, k, d, c) == d * math.exp(-row.exponent_ks)
 
 
 def test_ks_crossover_threshold_closed_form():
