@@ -35,6 +35,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_NUMERIC = 4
+SUITE_CHUNK = 1024  # the most trials of one ineq-suite statement checked as one stack
 
 
 class UsageError(Exception):
@@ -255,54 +256,61 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
     from . import chains, concentration, functional, matrix_core, measures
     counts: dict[str, int] = {}
+    draw = matrix_core.random_symmetric  # one matrix from each rng
 
     def run(name, fun):
-        tag = zlib.crc32(name.encode())
-        counts[name] = sum(not fun(np.random.default_rng([seed, tag, t]), dims[t % len(dims)])
-                           for t in range(trials))
+        """Count the False verdicts of fun(rngs, d), called on the trials of one
+        entry of dims at a time, at most SUITE_CHUNK of them; trial t has its own rng."""
+        tag, counts[name] = zlib.crc32(name.encode()), 0
+        for first, d in enumerate(dims):
+            ts = range(first, trials, len(dims))
+            for at in range(0, len(ts), SUITE_CHUNK):
+                rngs = [np.random.default_rng([seed, tag, t]) for t in ts[at:at + SUITE_CHUNK]]
+                counts[name] += int(np.logical_not(fun(rngs, d)).sum())
 
-    def t_monotone(rng, d):
-        a = matrix_core.random_symmetric(rng, d, 1.5)
-        bump = matrix_core.random_symmetric(rng, d, 1.0)
-        return matrix_core.check_trace_monotone(np.exp, a, a + bump @ bump.T, tol)
+    def by_p(ps, check):
+        """check(mask of the trials that drew p, p) per distinct p in ps, the verdicts joined."""
+        return np.concatenate([check(np.equal(ps, p), p) for p in set(ps)])
+
+    def t_monotone(rngs, d):
+        a = draw(rngs, d, 1.5)
+        bump = draw(rngs, d, 1.0)
+        return matrix_core.check_trace_monotone(np.exp, a, a + bump @ bump.mT, tol)
 
     def t_jensen(fn, form):
-        def trial(rng, d):
-            w = rng.dirichlet(np.ones(3))
+        def trial(rngs, d):
+            w = np.array([rng.dirichlet(np.ones(3)) for rng in rngs])
             dec = matrix_core.IdentityDecomposition.from_weights(w, d)
-            mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(3)]
+            mats = [draw(rngs, d, 1.5) for _ in range(3)]
             return matrix_core.check_operator_jensen(fn, dec, mats, form, tol)
         return trial
 
-    def t_diff_sq(rng, d):
-        mats = [matrix_core.random_symmetric(rng, d, 1.5) for _ in range(4)]
-        return matrix_core.check_diff_square_convex(*mats, float(rng.uniform()), tol)
+    def t_diff_sq(rngs, d):
+        mats = [draw(rngs, d, 1.5) for _ in range(4)]
+        return matrix_core.check_diff_square_convex(*mats, [rng.uniform() for rng in rngs], tol)
 
-    def t_duhamel(rng, d):
-        x = matrix_core.random_symmetric(rng, d, 2.0)
-        y = matrix_core.random_symmetric(rng, d, 2.0)
-        return matrix_core.duhamel_residual(x, y) < tol
+    def t_duhamel(rngs, d):
+        return matrix_core.duhamel_residual(draw(rngs, d, 2.0), draw(rngs, d, 2.0)) < tol
 
-    def t_int_norm(rng, d):
-        a = matrix_core.random_symmetric(rng, d, 1.5)
-        b = matrix_core.random_symmetric(rng, d, 1.5)
-        x = matrix_core.random_symmetric(rng, d, 1.5)
-        p = (2, 4, np.inf)[int(rng.integers(3))]
-        return matrix_core.check_int_norm_bound(a @ a.T, b @ b.T, x, p, tol)
+    def t_int_norm(rngs, d):
+        a, b, x = (draw(rngs, d, 1.5) for _ in range(3))
+        ps = [(2, 4, np.inf)[int(rng.integers(3))] for rng in rngs]
+        return by_p(ps, lambda i, p: matrix_core.check_int_norm_bound(
+            a[i] @ a[i].mT, b[i] @ b[i].mT, x[i], p, tol))
 
-    def t_lemma_var(rng, d):
-        w = rng.dirichlet(np.ones(3))
-        pairs = [(w[i], matrix_core.random_symmetric(rng, d, 1.5),
-                  matrix_core.random_symmetric(rng, d, 1.5)) for i in range(3)]
-        return matrix_core.check_lemma_var(pairs, int(rng.integers(1, 3)), tol)
+    def t_lemma_var(rngs, d):
+        w = np.array([rng.dirichlet(np.ones(3)) for rng in rngs])
+        mats = [draw(rngs, d, 1.5) for _ in range(6)]  # X_0, Y_0, X_1, ...
+        ps = [int(rng.integers(1, 3)) for rng in rngs]
+        return by_p(ps, lambda i, p: matrix_core.check_lemma_var(
+            [(w[i, k], mats[2 * k][i], mats[2 * k + 1][i]) for k in range(3)], p, tol))
 
     walk = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
 
-    def t_dirichlet_trace(rng, d):
-        fn = functional.random_matrix_fn(walk.states, d,
-                                         int(rng.integers(2**31)), 1.0)
-        return concentration.check_dirichlet_trace_bound(walk, fn,
-                                                         int(rng.integers(1, 3)), tol)
+    def t_dirichlet_trace(rngs, d):
+        return [concentration.check_dirichlet_trace_bound(
+            walk, functional.random_matrix_fn(walk.states, d, int(rng.integers(2**31)), 1.0),
+            int(rng.integers(1, 3)), tol) for rng in rngs]
 
     run("trace_monotone", t_monotone)
     run("jensen_square_operator", t_jensen(np.square, "operator"))

@@ -81,14 +81,17 @@ def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     # bound can attain the max, and only they get the exact (SVD) norm.  The
     # 1e-12 margin absorbs rounding; dividing by the largest entry keeps the
     # fourth powers from under- or overflowing.  The differences are scaled
-    # in place, and the few that get an exact norm are taken again.
+    # in place; the kept ones are taken again and normed once per distinct bytes.
     unit /= scale
     gram = unit @ unit  # = D'D: MatrixFn values, hence their differences, are exactly symmetric
     bound = np.sqrt(np.sqrt(np.einsum("eij,eij->e", gram, gram)))
     top = bound.argmax()
-    floor = float(np.linalg.norm(vals[i[top]] - vals[j[top]], 2))
+    floor = float(np.linalg.svd(vals[i[top]] - vals[j[top]], compute_uv=False).max())
     keep = bound >= floor / scale * (1.0 - 1e-12)
-    v = float(np.linalg.norm(vals[i[keep]] - vals[j[keep]], 2, axis=(1, 2)).max(initial=floor))
+    kept = vals[i[keep]] - vals[j[keep]]
+    rows = kept.reshape(kept.shape[0], -1).view(np.dtype((np.void, vals[0].nbytes)))
+    kept = kept[np.unique(rows.ravel(), return_index=True)[1]]
+    v = float(np.linalg.svd(kept, compute_uv=False).max(initial=floor))
     return OscillationStats(v, int(i.size))
 
 

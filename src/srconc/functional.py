@@ -113,8 +113,7 @@ def random_matrix_fn(states, d: int, seed: int,
     """Independent random symmetric value at every state."""
     rng = np.random.default_rng(seed)
     states = np.asarray(states, dtype=np.int64)
-    vals = np.stack([random_symmetric(rng, d, norm_bound) for _ in states])
-    return MatrixFn(states, vals)
+    return MatrixFn(states, random_symmetric([rng] * states.size, d, norm_bound))
 
 
 def random_linear_matrix_fn(n: int, states, d: int, lipschitz: float,

@@ -12,6 +12,11 @@ operands, where the integrand is entrywise.
 The ``check_*`` functions return booleans rather than raising: each one
 evaluates both sides of an inequality that is supposed to be a theorem
 for its admissible inputs and reports whether they are ``within`` tol.
+Every checker and norm takes a leading trial axis: stacks (N, d, d), with N
+scalars where a trial has one (segment t, pair and decomposition weights),
+give N verdicts or values, each bit for bit what the trial gives alone, and
+one (d, d) matrix a bool or float.  ``ineq-suite`` checks a statement's trials
+of one size (and p) in one call, drawn by ``random_symmetric`` per generator.
 """
 
 from __future__ import annotations
@@ -56,21 +61,40 @@ class NotPSD(MatrixError):
     pass
 
 
+def _out(x):
+    """A 0-d result as a float (one matrix in, one number out); a stack's array as is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _scalar_pow(x, e):
+    """x ** e per entry, each raised as a lone float is: numpy's vector pow can
+    round differently in the last place, and no trial's value may depend on its stack."""
+    x = np.asarray(x)
+    return _out(np.array([v ** e for v in x.flat]).reshape(x.shape))
+
+
+def _rebuild(lam, vec) -> np.ndarray:
+    """vec diag(lam) vec^T, per matrix of a stack."""
+    return (vec * lam[..., None, :]) @ vec.mT
+
+
 def require_symmetric(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains non-finite entries")
-    if not within(np.abs(a - a.T).max(), 0.0, 1e-10, float(np.abs(a).max())):
+    if not np.all(within(np.abs(a - a.mT).max(axis=(-2, -1)), 0.0, 1e-10,
+                         np.abs(a).max(axis=(-2, -1)))):
         raise NotSymmetric(f"{name} is not symmetric")
-    return (a + a.T) / 2.0
+    return (a + a.mT) / 2.0
 
 
 def _psd_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """eigh of symmetric a, eigenvalues clipped to 0; NotPSD below -1e-10 * max(1, |lam|)."""
     lam, vec = np.linalg.eigh(a)
-    if not within(-lam.min(initial=0.0), 0.0, 1e-10, float(np.abs(lam).max(initial=0.0))):
+    if not np.all(within(-lam.min(axis=-1, initial=0.0), 0.0, 1e-10,
+                         np.abs(lam).max(axis=-1, initial=0.0))):
         raise NotPSD(f"{name} must be PSD, has eigenvalue {lam.min():.3e}")
     return np.clip(lam, 0.0, None), vec
 
@@ -78,67 +102,71 @@ def _psd_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 def sym_apply(a, fn) -> np.ndarray:
     """U fn(L) U^T for symmetric a; fn maps eigenvalue arrays elementwise."""
     lam, vec = np.linalg.eigh(require_symmetric(a))
-    return (vec * fn(lam)) @ vec.T
+    return _rebuild(fn(lam), vec)
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; max |eigenvalue| for exactly symmetric input."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
-        return float(np.abs(np.linalg.eigvalsh(a)).max())
-    return float(np.linalg.norm(a, 2))
+def spectral_norm(a):
+    """Largest singular value of each matrix; max |eigenvalue| for an exactly symmetric one."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))  # a vector is one row
+    norm = np.empty(a.shape[:-2])
+    square = a.shape[-1] == a.shape[-2]
+    sym = (a == a.mT).all(axis=(-2, -1)) if square else np.zeros(norm.shape, bool)
+    if sym.any():
+        norm[sym] = np.abs(np.linalg.eigvalsh(a[sym])).max(axis=-1, initial=0.0)
+    if not sym.all():
+        norm[~sym] = np.linalg.svd(a[~sym], compute_uv=False).max(axis=-1, initial=0.0)
+    return _out(norm)
 
 
-def psd_leq(a, b, tol: float = 1e-9) -> bool:
+def psd_leq(a, b, tol: float = 1e-9):
     """True iff a <= b in the PSD order, with norm-scaled tolerance."""
     a = require_symmetric(a, "a")
     b = require_symmetric(b, "b")
     if a.shape != b.shape:
         raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    gap = np.linalg.eigvalsh(b - a).min()
-    return within(-gap, 0.0, tol, max(spectral_norm(a), spectral_norm(b)))
+    gap = np.linalg.eigvalsh(b - a).min(axis=-1)
+    return within(-gap, 0.0, tol, np.maximum(spectral_norm(a), spectral_norm(b)))
 
 
-def schatten_norm(a, p) -> float:
+def schatten_norm(a, p):
     """Schatten p-norm by singular values; p is an even integer or inf."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
     if p == np.inf:
-        return float(sv.max(initial=0.0))
+        return _out(sv.max(axis=-1, initial=0.0))
     if (p := as_integer(p, "p")) <= 0 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer or inf, got {p}")
-    return float((sv**p).sum() ** (1.0 / p))
+    return _scalar_pow((sv**p).sum(axis=-1), 1.0 / p)
 
 
-def trace_power(a, p: int) -> float:
+def trace_power(a, p: int):
     """Tr[a^p] through eigenvalues; p a positive integer."""
     p = at_least(p, "p", 1)
-    return float((np.linalg.eigvalsh(require_symmetric(a))**p).sum())
+    return _out((np.linalg.eigvalsh(require_symmetric(a))**p).sum(axis=-1))
 
 
-def check_trace_monotone(fn, a, h, tol: float = 1e-8) -> bool:
+def check_trace_monotone(fn, a, h, tol: float = 1e-8):
     """Tr fn(a) <= Tr fn(h) whenever a <= h and fn is monotone.
 
     Raises PreconditionViolated if a <= h fails outright.
     """
     a = require_symmetric(a, "a")
     h = require_symmetric(h, "h")
-    if not psd_leq(a, h, tol=1e-9):
+    if not np.all(psd_leq(a, h, tol=1e-9)):
         raise PreconditionViolated("a <= h does not hold in the PSD order")
-    lhs = float(fn(np.linalg.eigvalsh(a)).sum())
-    rhs = float(fn(np.linalg.eigvalsh(h)).sum())
-    return within(lhs, rhs, tol, max(abs(lhs), abs(rhs)))
+    lhs = fn(np.linalg.eigvalsh(a)).sum(axis=-1)
+    rhs = fn(np.linalg.eigvalsh(h)).sum(axis=-1)
+    return within(lhs, rhs, tol, np.maximum(abs(lhs), abs(rhs)))
 
 
 @dataclass(frozen=True, eq=False)
 class IdentityDecomposition:
-    """Factors K_i with sum_i K_i^T K_i = I (checked on validate)."""
+    """Factors K_i with sum_i K_i^T K_i = I (checked on validate), each one
+    (d, d) matrix or a stack (N, d, d) with one decomposition per trial."""
 
     factors: tuple
 
@@ -146,33 +174,32 @@ class IdentityDecomposition:
         mats = tuple(np.asarray(k, dtype=float) for k in self.factors)
         if not mats:
             raise BadDecomposition("no factors")
-        d = mats[0].shape[0]
-        for k in mats:
-            if k.shape != (d, d):
-                raise DimMismatch("factors must share one square shape")
+        shape = mats[0].shape
+        if len(shape) < 2 or shape[-1] != shape[-2] or any(k.shape != shape for k in mats):
+            raise DimMismatch("factors must share one square shape")
         object.__setattr__(self, "factors", mats)
 
     @property
     def dim(self) -> int:
-        return self.factors[0].shape[0]
+        return self.factors[0].shape[-1]
 
-    def resolution_defect(self) -> float:
-        d = self.dim
-        acc = sum(k.T @ k for k in self.factors)
-        return float(np.abs(acc - np.eye(d)).max())
+    def resolution_defect(self):
+        acc = sum(k.mT @ k for k in self.factors)
+        return _out(np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1)))
 
     def validate(self) -> None:
         defect = self.resolution_defect()
-        if not defect <= DECOMP_TOL:  # a NaN defect fails
-            raise BadDecomposition(f"sum K_i^T K_i deviates from I by {defect:.3e}")
+        if not np.all(defect <= DECOMP_TOL):  # a NaN defect fails
+            raise BadDecomposition(f"sum K_i^T K_i deviates from I by {np.max(defect):.3e}")
 
     @staticmethod
     def from_weights(weights, dim: int) -> "IdentityDecomposition":
+        """sqrt(w_i) I per weight; weights (m,), or (N, m) for N decompositions."""
         weights = np.asarray(weights, dtype=float)
-        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= DECOMP_TOL):
+        if not ((weights >= 0).all() and (abs(weights.sum(axis=-1) - 1.0) <= DECOMP_TOL).all()):
             raise BadDecomposition("weights must be convex coefficients")
         return IdentityDecomposition(
-            tuple(np.sqrt(w) * np.eye(dim) for w in weights))
+            tuple(np.sqrt(w)[..., None, None] * np.eye(dim) for w in weights.T))
 
 
 def check_operator_jensen(fn, decomp: IdentityDecomposition, mats,
@@ -189,27 +216,27 @@ def check_operator_jensen(fn, decomp: IdentityDecomposition, mats,
     if len(mats) != len(decomp.factors):
         raise BadDecomposition(
             f"{len(mats)} matrices for {len(decomp.factors)} factors")
-    d = decomp.dim
-    for a in mats:
-        if a.shape != (d, d):
-            raise DimMismatch("matrix dimension differs from factor dimension")
-    mixed = sum(k.T @ a @ k for k, a in zip(decomp.factors, mats))
-    pushed = sum(k.T @ sym_apply(a, fn) @ k for k, a in zip(decomp.factors, mats))
+    if any(a.shape != decomp.factors[0].shape for a in mats):
+        raise DimMismatch("matrix shape differs from factor shape")
+    mixed = sum(k.mT @ a @ k for k, a in zip(decomp.factors, mats))
+    pushed = sum(k.mT @ sym_apply(a, fn) @ k for k, a in zip(decomp.factors, mats))
     if form == "operator":
         return psd_leq(sym_apply(mixed, fn), pushed, tol)
     if form == "trace":
-        lhs = float(fn(np.linalg.eigvalsh(mixed)).sum())
-        rhs = float(np.trace(pushed))
-        return within(lhs, rhs, tol, max(abs(lhs), abs(rhs)))
+        lhs = fn(np.linalg.eigvalsh(mixed)).sum(axis=-1)
+        rhs = np.trace(pushed, axis1=-2, axis2=-1)
+        return within(lhs, rhs, tol, np.maximum(abs(lhs), abs(rhs)))
     raise ValueError(f"form must be 'operator' or 'trace', got {form!r}")
 
 
-def check_diff_square_convex(x1, x2, y1, y2, t: float, tol: float = 1e-8) -> bool:
-    """Joint convexity of (X, Y) -> (X - Y)^2 along one segment."""
+def check_diff_square_convex(x1, x2, y1, y2, t, tol: float = 1e-8):
+    """Joint convexity of (X, Y) -> (X - Y)^2 along one segment (one t per trial)."""
     x1, x2 = require_symmetric(x1, "x1"), require_symmetric(x2, "x2")
     y1, y2 = require_symmetric(y1, "y1"), require_symmetric(y2, "y2")
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise PreconditionViolated(f"t must lie in [0, 1], got {t}")
+    t = t[..., None, None]
     mix = t * (x1 - y1) + (1 - t) * (x2 - y2)
     lhs = mix @ mix
     rhs = t * (x1 - y1) @ (x1 - y1) + (1 - t) * (x2 - y2) @ (x2 - y2)
@@ -228,11 +255,11 @@ def _gl_integral(x, la, ua, lb, ub, power, quad_points: int) -> np.ndarray:
     """sum_t w_t power(A, t) x power(B, 1 - t) on the Gauss-Legendre rule in the Daleckii-Krein
     form: ua[(ua^T x ub) o K]ub^T, K = power(la, t) diag(w) power(lb, 1 - t)^T, one GEMM."""
     nodes, weights = _gl_nodes(quad_points)
-    kernel = (power(la, nodes) * weights) @ power(lb, 1.0 - nodes).T
-    return ua @ ((ua.T @ x @ ub) * kernel) @ ub.T
+    kernel = (power(la, nodes) * weights) @ power(lb, 1.0 - nodes).mT
+    return ua @ ((ua.mT @ x @ ub) * kernel) @ ub.mT
 
 
-def duhamel_residual(x, y, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+def duhamel_residual(x, y, quad_points: int = DEFAULT_QUAD_POINTS):
     """Spectral-norm defect of e^X - e^Y = int_0^1 e^{tX}(X-Y)e^{(1-t)Y} dt,
     the integral by the Gauss-Legendre rule in the eigenbases of X and Y."""
     x = require_symmetric(x, "x")
@@ -242,12 +269,11 @@ def duhamel_residual(x, y, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     (lx, ux), (ly, uy) = np.linalg.eigh(x), np.linalg.eigh(y)
     acc = _gl_integral(x - y, lx, ux, ly, uy,
                        lambda lam, s: np.exp(np.multiply.outer(lam, s)), quad_points)
-    target = (ux * np.exp(lx)) @ ux.T - (uy * np.exp(ly)) @ uy.T
-    return spectral_norm(target - acc)
+    return spectral_norm(_rebuild(np.exp(lx), ux) - _rebuild(np.exp(ly), uy) - acc)
 
 
 def check_int_norm_bound(a, b, x, p, tol: float = 1e-8,
-                         quad_points: int = DEFAULT_QUAD_POINTS) -> bool:
+                         quad_points: int = DEFAULT_QUAD_POINTS):
     """|| int_0^1 a^t x b^(1-t) dt ||_p <= (1/2) || a x + x b ||_p for PSD a, b,
     the integral by the Gauss-Legendre rule in the eigenbases of a and b."""
     a = require_symmetric(a, "a")
@@ -259,41 +285,46 @@ def check_int_norm_bound(a, b, x, p, tol: float = 1e-8,
     return within(lhs, rhs, tol, rhs)
 
 
-def check_lemma_var(pairs, p: int, tol: float = 1e-8) -> bool:
+def check_lemma_var(pairs, p: int, tol: float = 1e-8):
     """Second-moment bound for exponential differences.
 
-    pairs is a list of (weight, X, Y) with weights summing to 1; checks
+    pairs is a list of (weight, X, Y) with weights summing to 1 (per trial:
+    N weights and (N, d, d) stacks for N trials); checks
 
         Tr[(E[(e^X - e^Y)^2])^p]
             <= (1/2) E[ ||X - Y||^{2p} (Tr e^{2pX} + Tr e^{2pY}) ].
     """
     p = at_least(p, "p", 1)
     weights = np.array([w for w, _, _ in pairs], dtype=float)
-    if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):  # NaN fails
+    if not ((weights >= 0).all() and (abs(weights.sum(axis=0) - 1.0) <= 1e-9).all()):  # NaN fails
         raise PreconditionViolated("weights must be convex coefficients")
     mean_sq = None
     rhs = 0.0
-    for w, x, y in pairs:
+    for w, (_, x, y) in zip(weights, pairs):
         x = require_symmetric(x, "x")
         y = require_symmetric(y, "y")
         (lx, ux), (ly, uy) = np.linalg.eigh(x), np.linalg.eigh(y)  # e^X and Tr e^{2pX}
-        diff_exp = (ux * np.exp(lx)) @ ux.T - (uy * np.exp(ly)) @ uy.T
-        sq = diff_exp @ diff_exp
-        mean_sq = w * sq if mean_sq is None else mean_sq + w * sq
-        osc = spectral_norm(x - y)
-        tr = float(np.exp(2 * p * lx).sum()) + float(np.exp(2 * p * ly).sum())
-        rhs += 0.5 * w * osc ** (2 * p) * tr
+        diff_exp = _rebuild(np.exp(lx), ux) - _rebuild(np.exp(ly), uy)
+        sq = w[..., None, None] * (diff_exp @ diff_exp)
+        mean_sq = sq if mean_sq is None else mean_sq + sq
+        tr = np.exp(2 * p * lx).sum(axis=-1) + np.exp(2 * p * ly).sum(axis=-1)
+        rhs += 0.5 * w * _scalar_pow(spectral_norm(x - y), 2 * p) * tr
     lhs = trace_power(mean_sq, p)
     return within(lhs, rhs, tol, rhs)  # rhs >= 0
 
 
-def random_symmetric(rng: np.random.Generator, d: int,
-                     norm_bound: float | None = None) -> np.ndarray:
-    """GOE-style random symmetric matrix, optionally rescaled in norm."""
-    g = rng.standard_normal((d, d))
-    a = (g + g.T) / 2.0
+def random_symmetric(rng, d: int, norm_bound: float | None = None) -> np.ndarray:
+    """GOE-style random symmetric matrix, optionally rescaled in norm; for a
+    sequence of Generators, a stack of one such matrix drawn from each in turn."""
+    rngs = [rng] if (single := isinstance(rng, np.random.Generator)) else rng
+    g, gain = np.empty((len(rngs), d, d)), np.ones(len(rngs))
+    for i, r in enumerate(rngs):
+        r.standard_normal(out=g[i])
+        # norm 0 only if g + g^T = 0 (no normal draw is subnormal), whose corner is 2 g_00
+        if norm_bound is not None and ((d and g[i, 0, 0]) or np.count_nonzero(g[i] + g[i].T)):
+            gain[i] = norm_bound * r.uniform(0.2, 1.0)
+    a = (g + g.mT) / 2.0
     if norm_bound is not None:
         nrm = spectral_norm(a)  # a is exactly symmetric
-        if nrm > 0:
-            a *= norm_bound * rng.uniform(0.2, 1.0) / nrm
-    return a
+        a *= (gain / np.where(nrm > 0, nrm, 1.0))[:, None, None]
+    return a[0] if single else a

@@ -97,10 +97,10 @@ def as_matrix(rows, name: str) -> np.ndarray:
     return np.asarray([as_matrix(row, name) for row in rows], dtype=float)
 
 
-def within(value: float, bound: float, tol: float, scale: float) -> bool:
-    """value <= bound + tol * max(1, scale), the tolerance rule of every scaled
-    verdict; a slack s >= 0 is within(-s, 0.0, tol, scale)."""
-    return bool(value <= bound + tol * max(1.0, scale))
+def within(value, bound, tol: float, scale):
+    """value <= bound + tol * max(1, scale) (a NaN scale reads as 1), the rule of every
+    scaled verdict, per entry or a bool; a slack s >= 0 is within(-s, 0.0, tol, scale)."""
+    return ok if (ok := np.less_equal(value, bound + tol * np.fmax(1.0, scale))).ndim else bool(ok)
 
 
 def popcount(masks):

@@ -338,6 +338,22 @@ def test_ineq_suite_output_is_pinned(tmp_path, capsys, tol, code, duhamel):
     assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_ineq_suite_prints_the_same_bytes_in_small_stacks(tmp_path, capsys, monkeypatch, tol):
+    """One stack per entry of dims (4, 3 and 3 of 10 trials over [1, 2, 5]), and
+    stacks of at most 3 when the cap is 3, print the same bytes."""
+    cfg = write_cfg(tmp_path, "i.json", {"trials": 10, "tol": tol, "dims": [1, 2, 5]})
+    outs, stacks, residual = [], [], matrix_core.duhamel_residual
+    monkeypatch.setattr(matrix_core, "duhamel_residual",
+                        lambda x, y: stacks.append(x.shape[:2]) or residual(x, y))
+    for chunk in (cli.SUITE_CHUNK, 3):
+        monkeypatch.setattr(cli, "SUITE_CHUNK", chunk)
+        main(["ineq-suite", "--config", cfg])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["violations"]["duhamel"] == (tol == 0.0) * 10
+    assert stacks == [(4, 1), (3, 2), (3, 5)] + [(3, 1), (1, 1), (3, 2), (3, 5)]
+
+
 def test_ineq_suite_trials_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "i.json", {"trials": 50})
     code, payload = run_json(capsys, ["ineq-suite", "--config", cfg,

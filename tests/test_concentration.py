@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -131,6 +132,38 @@ def out_of_place_oscillation(gen, fn) -> OscillationStats:
     keep = bound >= floor / scale * (1.0 - 1e-12)
     v = float(np.linalg.norm(diffs[keep], 2, axis=(1, 2)).max(initial=floor))
     return OscillationStats(v, int(i.size))
+
+
+def indicator_fn(walk) -> MatrixFn:
+    """F(x) = diag(x): a swap of bits a and b moves it by e_a - e_b on every edge."""
+    bits = (walk.states[:, None] >> np.arange(walk.n)) & 1
+    return MatrixFn(walk.states, bits[:, :, None] * np.eye(walk.n))
+
+
+def test_oscillation_is_bit_identical_over_the_fixture_zoo(fixture_walks):
+    """One exact norm per distinct kept difference gives the v that the norm of
+    every kept edge gave, on tables, linear observables and indicators."""
+    for name, walk in fixture_walks.items():
+        fns = [indicator_fn(walk)]
+        for d in (1, 3):
+            fns += [random_matrix_fn(walk.states, d, seed=name_seed(name) + d),
+                    random_linear_matrix_fn(walk.n, walk.states, d, 1.0, name_seed(name) + d)[0]]
+        for fn in fns:
+            assert _oscillation(walk, fn) == out_of_place_oscillation(walk, fn), name
+
+
+def test_oscillation_norms_each_distinct_difference_once(fixture_walks):
+    """uniform(6,3): all 90 edges tie, and they hold the 15 differences e_a - e_b."""
+    walk, shapes, svd = fixture_walks["uniform_6_3"], [], np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", spy):
+        stats = _oscillation(walk, indicator_fn(walk))
+    assert stats == (1.0, 90)
+    assert [shape[0] for shape in shapes if len(shape) == 3] == [15]
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])

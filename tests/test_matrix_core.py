@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srconc import matrix_core as mc
+from srconc import measures
 from srconc.matrix_core import (
     BadDecomposition,
     DimMismatch,
@@ -423,3 +428,136 @@ def test_int_norm_matches_the_loop_on_random_pairs():
         x = random_symmetric(rng, d, float(rng.uniform(0.1, 6.0)))
         got, want = int_norm_verdicts(a, g2 @ g2.T, x, (2, 4, np.inf)[trial % 3])
         assert got == want, trial
+
+
+# --------------------------------------------- a stack against its slices
+
+def _sym(rng, n, d):
+    g = rng.standard_normal((n, d, d))
+    return (g + g.mT) / 2.0
+
+
+def _psd(rng, n, d):
+    g = rng.standard_normal((n, d, d))
+    return g @ g.mT
+
+
+def _weights(rng, n):
+    return rng.dirichlet(np.ones(3), size=n)
+
+
+def _jensen(fn, form, tol):
+    def case(rng, n, d):
+        return (lambda w, mats: check_operator_jensen(
+            fn, IdentityDecomposition.from_weights(w, d), mats, form, tol)), \
+            (_weights(rng, n), [_sym(rng, n, d) for _ in range(3)])
+    return case
+
+
+def _lemma_var(p, tol):
+    def case(rng, n, d):
+        return (lambda w, xs, ys: check_lemma_var(list(zip(w.T, xs, ys)), p, tol)), \
+            (_weights(rng, n), [_sym(rng, n, d) for _ in range(3)],
+             [_sym(rng, n, d) for _ in range(3)])
+    return case
+
+
+def _within(rng, n, d):
+    scale = rng.choice([np.nan, -1.0, 0.0, 0.5, 7.0, 1e6], size=n)
+    bound = rng.standard_normal(n)
+    edge = bound + 1e-8 * np.fmax(1.0, scale)
+    value = np.where(rng.random(n) < 0.5, edge, np.nextafter(edge, np.inf))
+    return (lambda v, b, s: measures.within(v, b, 1e-8, s)), (value, bound, scale)
+
+
+def _mixed(rng, n, d):
+    """Exactly symmetric and general matrices in one stack."""
+    a = _sym(rng, n, d)
+    general = rng.random(n) < 0.5
+    a[general] = rng.standard_normal((int(general.sum()), d, d))
+    return a
+
+
+STACK_CASES = {
+    "trace_monotone": lambda rng, n, d: (
+        (lambda a, bump: check_trace_monotone(np.exp, a, a + bump, -1e-3)),
+        (_sym(rng, n, d), _psd(rng, n, d) * 0.01)),
+    "psd_leq": lambda rng, n, d: (
+        (lambda a, b: psd_leq(a, b, 1e-9)), (_sym(rng, n, d), _sym(rng, n, d) + 2.0 * np.eye(d))),
+    "jensen_operator": _jensen(lambda x: x**4, "operator", 1e-8),
+    "jensen_trace": _jensen(lambda x: x**4, "trace", -1e-3),
+    "diff_square_convex": lambda rng, n, d: (
+        (lambda *args: check_diff_square_convex(*args, -1e-3)),
+        (*(_sym(rng, n, d) for _ in range(4)), rng.random(n))),
+    "duhamel_residual": lambda rng, n, d: (duhamel_residual, (_sym(rng, n, d), _sym(rng, n, d))),
+    **{f"int_norm_p{p}": (lambda p: lambda rng, n, d: (
+        (lambda a, b, x: check_int_norm_bound(a, b, x, p, -1e-3)),
+        (_psd(rng, n, d), _psd(rng, n, d), _sym(rng, n, d))))(p) for p in (2, 4, np.inf)},
+    "lemma_var_p1": _lemma_var(1, -0.3),
+    "lemma_var_p2": _lemma_var(2, -0.3),
+    "spectral_norm": lambda rng, n, d: (spectral_norm, (_mixed(rng, n, d),)),
+    **{f"schatten_norm_p{p}": (lambda p: lambda rng, n, d: (
+        (lambda a: schatten_norm(a, p)), (_mixed(rng, n, d),)))(p) for p in (2, 4, np.inf)},
+    **{f"trace_power_p{p}": (lambda p: lambda rng, n, d: (
+        (lambda a: trace_power(a, p)), (_sym(rng, n, d),)))(p) for p in (1, 2, 3)},
+    "within": _within,
+}
+
+
+def _take(obj, k):
+    """Trial k of a checker's stacked arguments."""
+    if isinstance(obj, np.ndarray):
+        return obj[k]
+    return [_take(o, k) for o in obj] if isinstance(obj, list) else obj
+
+
+def _traced(fn, args):
+    """fn(*args), and (value, bound, scale) of each within() it made, broadcast."""
+    seen = []
+
+    def spy(value, bound, tol, scale):
+        seen.append(np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                          for x in (value, bound, scale))))
+        return measures.within(value, bound, tol, scale)
+
+    with mock.patch.object(mc, "within", spy):
+        return fn(*args), seen
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 17), d=st.integers(1, 8))
+def test_a_stack_gives_each_trial_what_it_gives_alone(name, seed, n, d):
+    """Every stack-aware checker and norm: the result for trial k of a stack,
+    and every number its verdicts were read from, equal bit for bit what the
+    trial alone gives, and a lone trial gives a Python bool or float."""
+    fn, args = STACK_CASES[name](np.random.default_rng(seed), n, d)
+    out, seen = _traced(fn, args)
+    assert np.shape(out) == (n,)
+    for k in range(n):
+        alone, alone_seen = _traced(fn, [_take(a, k) for a in args])
+        assert type(alone) in (bool, float), (name, type(alone))
+        assert _bits(out[k]) == _bits(alone), (name, k)
+        assert len(seen) == len(alone_seen)
+        for stacked, single in zip(seen, alone_seen):
+            assert [_bits(x[k]) for x in stacked] == [_bits(x) for x in single], (name, k)
+
+
+def test_random_symmetric_stacks_draw_as_one_matrix_at_a_time():
+    """A stack from a list of Generators holds the matrices each would give
+    alone, and one Generator listed m times gives its m next draws in order."""
+    for d, bound in ((1, None), (3, 1.5), (6, 2.0)):
+        seeds = [[4, d, t] for t in range(7)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        stack = random_symmetric(rngs, d, bound)
+        for s, a in zip(seeds, stack):
+            assert _bits(a) == _bits(random_symmetric(np.random.default_rng(s), d, bound))
+        one, alone = np.random.default_rng(9), np.random.default_rng(9)
+        stack = random_symmetric([one] * 5, d, bound)
+        assert [_bits(a) for a in stack] == \
+            [_bits(random_symmetric(alone, d, bound)) for _ in range(5)]
+    assert not random_symmetric([], 3, 1.0).size

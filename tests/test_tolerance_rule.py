@@ -408,7 +408,8 @@ def test_decomposition_residuals_match_the_label_loop_bit_for_bit(fixture_walks)
 
 # ----------------------------------------------------------- the guard
 
-RULE_SPELLINGS = ("tol * max(1", ">= -tol", "< -1e-10 *", "RATE_TOL *", "_TOL * scale")
+RULE_SPELLINGS = ("tol * max(1", "tol * np.fmax(1", ">= -tol", "< -1e-10 *", "RATE_TOL *",
+                  "_TOL * scale")
 
 
 def test_the_tolerance_rule_is_spelled_only_in_within():
