@@ -17,11 +17,21 @@ range-checked before any walk is built or draw is made.  One writer,
 Each command imports the layers it calls when it runs, numpy included, so
 `compare-ks`, `--help` and an early config error start without numpy; json
 loads only where a config or measure file is read or JSON is written.
+
+Process lifecycle: `entry`, the one entry point of the console script and of
+`python -m srconc.cli`, runs `main` with the cyclic collector off and freezes
+the heap before the interpreter exits.  A process runs one command, the
+library leaves almost no cyclic garbage (a repeat run of any command leaves
+at most the 33 objects of json's indenting encoder), while the collections
+during the numpy import and the full sweep at exit over numpy's modules cost
+~20 ms of a 200 ms `tail` on a small measure (2-CPU VM).  `main` itself
+leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import os
@@ -502,5 +512,15 @@ def main(argv=None) -> int:
         return _report(EXIT_USAGE, type(exc).__name__, exc)
 
 
+def entry() -> int:
+    """main() for a process that ends with it: no collections while it runs,
+    and its objects frozen so the interpreter's exit sweep skips them."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

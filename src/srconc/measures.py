@@ -249,6 +249,7 @@ def automorphisms(m: SubsetMeasure) -> np.ndarray:
         return False
 
     extend()
+    del extend  # its cell refers to it: a cycle that would hold bits and joint until a sweep
     return np.array(found, dtype=np.int64)
 
 
@@ -487,6 +488,7 @@ def make_spanning_tree_measure(edges, vertices: int | None = None) -> SubsetMeas
             grow(i + 1, mask, component, missing)
 
     grow(0, 0, list(range(vertices)), vertices - 1)
+    del grow  # as in automorphisms: no cycle left for the collector
     return SubsetMeasure(n, sorted(hits), np.full(len(hits), 1.0 / len(hits)))
 
 

@@ -1,11 +1,15 @@
 import csv
 import errno
+import gc
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1262,13 +1266,152 @@ def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, capsys, monkeypa
     assert sink.read_bytes() == b""
 
 
+def console_script() -> list[str]:
+    """The installed `srconc` script or, where none is installed, a fresh
+    interpreter running what the generated script runs: sys.exit(FUNCTION())
+    for the `srconc = "MODULE:FUNCTION"` line of pyproject.toml."""
+    if script := shutil.which("srconc"):
+        return [script]
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^srconc = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {function}; "
+                                  f"sys.exit({function}())"]
+
+
 def test_console_script_installed(tmp_path):
     cfg = uniform_cfg(tmp_path, 3, 1)
     proc = subprocess.run([sys.executable, "-m", "srconc.cli", "validate-measure",
                            "--config", cfg], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
-    script = subprocess.run(["srconc", "scp-check", "--config", cfg],
-                            capture_output=True, text=True)
+    script = subprocess.run([*console_script(), "scp-check", "--config", cfg],
+                            capture_output=True, text=True, env=CHILD_ENV)
     assert script.returncode == 0
     assert json.loads(script.stdout)["scp"] is True
+
+
+# ------------------------------------------------------------ process lifecycle
+
+LINEAR_FN = {"random": {"kind": "linear", "d": 4, "L": 1.0, "seed": 3}}
+K5_GRAPH = {"vertices": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
+MAX_CYCLIC_GARBAGE = 100  # objects a repeat run may leave for the collector
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, as `entry` runs a command; its state restored after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def cyclic_garbage(capsys, argv) -> int:
+    """The objects only the collector can free that a repeat run of argv leaves:
+    the first run imports, fills caches and leaves import-time cycles."""
+    main(argv)
+    gc.collect()
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    return gc.collect()
+
+
+K4_TREES = {"family": "spanning_tree", "graph": K4_GRAPH}
+K5_TREES = {"family": "spanning_tree", "graph": K5_GRAPH}
+UNIFORM_8_4 = {"family": "uniform_k_subsets", "n": 8, "k": 4}
+UNIFORM_12_6 = {"family": "uniform_k_subsets", "n": 12, "k": 6}
+K4_CERTIFY = {"measure": K4_TREES, "function": LINEAR_FN}
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["validate-measure"], K4_CERTIFY),
+    (["scp-check"], K4_CERTIFY),
+    (["build-walk"], K4_CERTIFY),
+    (["poincare-check"], K4_CERTIFY),
+    (["mgf"], K4_CERTIFY),
+    (["tail"], K4_CERTIFY),
+    (["tail"], dict(K4_CERTIFY, mode="empirical", count=2000)),
+    (["ineq-suite", "--trials", "20"], None),
+    (["sample", "--out", "draws.hex"], {"sampler": "wilson", "count": 200,
+                                        "graph": WHEEL4_GRAPH}),
+    (["sample", "--out", "draws.hex"], {"sampler": "kdpp", "count": 200,
+                                        "kernel": UNIT_KERNEL}),
+    (["compare-ks"], None),
+], ids=["validate-measure", "scp-check", "build-walk", "poincare-check", "mgf", "tail",
+        "tail-empirical", "ineq-suite", "sample-wilson", "sample-kdpp", "compare-ks"])
+def test_a_command_leaves_the_collector_almost_nothing(tmp_path, capsys, monkeypatch,
+                                                       collector_off, argv, cfg):
+    """What makes running a command with the collector off safe: a repeat run
+    leaves at most MAX_CYCLIC_GARBAGE objects (0, or the 33 of json's
+    indenting encoder, when this was written)."""
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    assert cyclic_garbage(capsys, argv) <= MAX_CYCLIC_GARBAGE
+
+
+def sized_argv(tmp_path, command, size) -> list[str]:
+    """command on the measure size, or ineq-suite with size trials."""
+    if command == "ineq-suite":
+        return [command, "--trials", str(size)]
+    return [command, "--config", write_cfg(tmp_path, "sized.json", {"measure": size,
+                                                                     "function": LINEAR_FN})]
+
+
+@pytest.mark.parametrize("command,small,large", [
+    ("scp-check", K4_TREES, K5_TREES),
+    ("tail", K4_TREES, K5_TREES),
+    ("scp-check", UNIFORM_8_4, UNIFORM_12_6),
+    ("tail", UNIFORM_8_4, UNIFORM_12_6),
+    ("ineq-suite", 100, 1000),
+], ids=["scp-check-trees", "tail-trees", "scp-check-uniform", "tail-uniform", "ineq-suite"])
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys, collector_off,
+                                                     command, small, large):
+    """No cycle is made per state, edge or trial: the larger input leaves no more."""
+    assert (cyclic_garbage(capsys, sized_argv(tmp_path, command, large))
+            <= cyclic_garbage(capsys, sized_argv(tmp_path, command, small)))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["compare-ks"], ["--help"], ["no-such-command"]])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, enabled):
+    """In process, main changes neither the collector's switch nor the frozen heap."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,cfg,code", [
+    (["compare-ks"], None, 0),
+    (["scp-check", "--config", "missing.json"], None, 1),
+    (["scp-check"], {"measure": NON_SCP}, 2),
+    (["poincare-check"], {"measure": {"family": "uniform_k_subsets", "n": 3, "k": 1},
+                          "function": TABLE_FN, "lambda": 100}, 3),
+    (["mgf"], dict(RADIUS_CFG, **{"lambda": 1e-310}), 4),
+], ids=["ok", "usage", "validation", "violation", "numeric"])
+def test_entry_runs_the_command_without_the_collector(tmp_path, capsys, monkeypatch,
+                                                     argv, cfg, code):
+    """In a fresh interpreter, entry returns the command's exit code and
+    prints what main prints in process; the collector is off after it and
+    the heap frozen."""
+    if cfg is not None:
+        argv = [*argv, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    probe = ("import gc, json, sys; from srconc.cli import entry; code = entry(); "
+             "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]), "
+             "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=CHILD_ENV, cwd=tmp_path)
+    *err, state = proc.stderr.splitlines(keepends=True)
+    assert json.loads(state) == [code, False, True], proc.stderr
+    assert proc.returncode == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr() == (proc.stdout, "".join(err))
