@@ -99,8 +99,14 @@ def _write(text: str, out: str | None = None) -> None:
 
 
 def _emit(obj, out: str | None) -> None:
+    """obj as indented JSON, every non-finite float as null: the _finite walk
+    runs only when json.dumps refuses one."""
     import json
-    _write(json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False)
+    _write(text + "\n", out)
 
 
 def _emit_csv(header, rows, out: str | None) -> None:

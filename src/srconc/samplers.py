@@ -7,8 +7,13 @@ dedicated Philox key (seed, i) for the walk-based samplers), so batches
 are reproducible independently of scheduling or chunking.  The module
 computes the keyed streams itself (Philox4x64-10 over uint64 arrays, bit
 for bit numpy's), so Wilson and k-DPP draws advance all at once, chunk by
-chunk.  Empirical tails read each draw's deviation from the exact E_pi F
-off the centred spectrum of the support, under exact Clopper-Pearson limits.
+chunk.  Memory contract: every batch, table included, is made chunk by
+chunk (`_batched`), each chunk writing its own slice of the one count-long
+int64 array, and `dump_batch` writes a batch chunk by chunk, so a sampler
+holds its output plus one chunk's working state, sized by CHUNK_BYTES,
+whatever the count.  Empirical tails read each draw's deviation from the
+exact E_pi F off the centred spectrum of the support, under exact
+Clopper-Pearson limits.
 """
 
 from __future__ import annotations
@@ -77,10 +82,14 @@ def _lemire(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
-    """The masks draw(lo, hi) over ranges of at most CHUNK_BYTES of state."""
+    """The batch whose masks lo..hi-1 draw(lo, hi, out) writes into out, in
+    order over ranges of at most CHUNK_BYTES of state: the one count-long
+    array is the only memory that grows with count."""
     step = max(1, CHUNK_BYTES // row_bytes)
-    masks = [draw(lo, min(lo + step, count)) for lo in range(0, count, step)]
-    return SampleBatch(seed, count, np.concatenate([np.zeros(0, dtype=np.int64), *masks]))
+    masks = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, step):
+        draw(lo, min(lo + step, count), masks[lo:lo + step])
+    return SampleBatch(seed, count, masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +132,22 @@ def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
     validate(m)
     supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
-    u = np.random.Generator(np.random.Philox(key=int(seed) & MASK64)).random((count, 2))
-    cell = np.minimum((u[:, 0] * supp.size).astype(np.int64), supp.size - 1)
-    take_alias = u[:, 1] >= thresh[cell]
-    cell = np.where(take_alias, alias[cell], cell)
-    return SampleBatch(seed, count, supp[cell])
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
+    return _batched(seed, count, 8 * 4,  # two uniforms, the cell and its threshold
+                    lambda lo, hi, out: _table_chunk(supp, thresh, alias, rng, out))
+
+
+def _table_chunk(supp, thresh, alias, rng, out) -> None:
+    """The alias draws of rng's next out.size uniform pairs, written into out.
+    Read chunk after chunk, the pairs are those of one (count, 2) draw."""
+    u = rng.random((out.size, 2))
+    u[:, 0] *= supp.size
+    cell = u[:, 0].astype(np.int64)
+    np.minimum(cell, supp.size - 1, out=cell)
+    aliased = u[:, 1] >= thresh[cell]
+    del u  # before alias[cell] is made
+    np.copyto(cell, alias[cell], where=aliased)
+    np.take(supp, cell, out=out, mode="clip")  # cell is in range; "raise" would buffer out
 
 
 def wilson_spanning_tree(edges, seed: int, count: int,
@@ -152,10 +172,10 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     for v, arcs in enumerate(nbr):
         hops[v, :len(arcs)] = np.reshape(arcs, (-1, 2))
     return _batched(seed, count, 8 * (2 * vertices + 10),  # hop and via, walk state
-                    lambda lo, hi: _wilson_chunk(hops, degree, seed, lo, hi))
+                    lambda lo, hi, out: _wilson_chunk(hops, degree, seed, lo, hi, out))
 
 
-def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int) -> np.ndarray:
+def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int, out) -> None:
     """Draws lo..hi-1 in lockstep, one walk or retrace step of each per
     iteration: walk from the lowest vertex not in the tree until it is hit,
     reading stream (seed, i) one uint32 per step off a vertex of degree > 1
@@ -198,7 +218,8 @@ def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int) -> np.ndarray:
         live = ~np.isin(np.arange(row.size), done[~more])
         row, start, cur, walking, used, words = (
             a[live] for a in (row, start, cur, walking, used, words))
-    return np.bitwise_or.reduce(np.left_shift(1, via[:, 1:]), axis=1)
+    np.left_shift(1, via, out=via)
+    np.bitwise_or.reduce(via[:, 1:], axis=1, out=out)
 
 
 def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
@@ -214,10 +235,14 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
     n = k_mat.shape[0]
     if n > MASK_BITS:
         raise StateSpaceTooLarge(f"kernel on {n} elements exceeds the {MASK_BITS}-bit masks")
-    return _batched(seed, count, 8 * n * n, lambda lo, hi: _kdpp_chunk(k_mat, rank, seed, lo, hi))
+    return _batched(seed, count, 8 * n * n,
+                    lambda lo, hi, out: _kdpp_chunk(k_mat, rank, seed, lo, hi, out))
 
 
-def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int) -> np.ndarray:
+def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int, out) -> None:
+    """Draws lo..hi-1 in lockstep.  The Schur step updates the chunk's
+    (size, n, n) state a column at a time: each entry loses
+    (col_i * row_j) / pivot once, as in the whole-matrix outer product."""
     n = k_mat.shape[0]
     work = np.repeat(k_mat[None], hi - lo, axis=0)
     taken = np.zeros((hi - lo, n), dtype=bool)
@@ -232,9 +257,13 @@ def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int) -> np.ndarray:
         # searchsorted's left side: the count of cumulative sums below u * total
         pick = np.minimum((np.cumsum(weights, axis=1) < (u * total)[:, None]).sum(axis=1), n - 1)
         col, row, pivot = work[rows, :, pick], work[rows, pick, :], work[rows, pick, pick]
-        work -= col[:, :, None] * row[:, None, :] / pivot[:, None, None]
+        for j in range(n):
+            step = col * row[:, j, None]
+            step /= pivot[:, None]
+            work[:, :, j] -= step
         taken[rows, pick] = True
-    return taken @ np.left_shift(1, np.arange(n, dtype=np.int64))
+        del weights, col, row, step  # before the next step makes its own
+    np.matmul(taken, np.left_shift(1, np.arange(n, dtype=np.int64)), out=out)
 
 
 _TAIL_LOG = 36.0  # a window drops < e^-36 (1 + W/72) of its sum: see _cp_upper
@@ -335,22 +364,24 @@ def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]
     """Empirical tail of the batch, reading each draw's deviation from devs
     (aligned to the ascending states).
 
-    The draws are sorted once, so one searchsorted places them all and
-    checks the support, and one bincount counts the draws per state.  The
-    draws whose state has devs < t are a prefix sum of those counts in devs
-    order, read at searchsorted(devs in that order, t, "left"); the hits of
-    t are the rest of the batch.
+    The draws are sorted once, so the draws of each state are one run of
+    them, bounded by two searchsorteds of the states: the run lengths are the
+    counts per state, and they sum to the count exactly when every draw is
+    in the support.  The draws whose state has devs < t are a prefix sum of
+    those counts in devs order, read at searchsorted(devs in that order, t,
+    "left"); the hits of t are the rest of the batch.  Beside the batch,
+    only its sorted copy grows with the count.
     """
     from .functional import DomainMismatch
     if batch.count == 0:
         raise ValueError("empty batch")
     keys = np.sort(batch.draws)
-    pos = np.minimum(np.searchsorted(states, keys), states.size - 1)
-    if (miss := states[pos] != keys).any():
-        first = batch.draws[np.isin(batch.draws, keys[miss])][0]  # in draw order
+    counts = np.searchsorted(keys, states, side="right") - np.searchsorted(keys, states)
+    if counts.sum() != batch.count:
+        first = batch.draws[~np.isin(batch.draws, states)][0]  # in draw order
         raise DomainMismatch(f"draw {int(first):#x} outside the measure's support")
     order = np.argsort(devs, kind="stable")
-    below = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=states.size)[order])))
+    below = np.concatenate(([0], np.cumsum(counts[order])))
     ts = np.asarray(ts, dtype=float)
     hits = batch.count - below[np.searchsorted(devs[order], ts, side="left")]  # devs >= t
     return [EmpiricalTailRow(float(t), float(h / batch.count), float(c))
@@ -358,6 +389,9 @@ def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]
 
 
 def dump_batch(batch: SampleBatch, path) -> None:
-    """Newline-delimited lowercase hex masks."""
+    """Newline-delimited lowercase hex masks, written chunk by chunk."""
+    step = max(1, CHUNK_BYTES // 64)  # per mask: its int, list and tuple slots, hex line
     with open(path, "w") as fh:
-        fh.write("".join(f"{mask:x}\n" for mask in batch.draws.tolist()))
+        for lo in range(0, batch.count, step):
+            chunk = batch.draws[lo:lo + step].tolist()
+            fh.write(("%x\n" * len(chunk)) % tuple(chunk))

@@ -230,6 +230,24 @@ def test_build_walk_point_mass_emits_strict_json(tmp_path, capsys):
     assert payload["states"] == [1]
 
 
+def test_emit_walks_the_payload_only_for_a_non_finite_float(monkeypatch, capsys):
+    """_emit prints a finite payload as json.dumps does and every non-finite
+    float, at any depth, as null; only the latter pays for the _finite walk."""
+    walked = []
+    finite = cli._finite
+    monkeypatch.setattr(cli, "_finite", lambda obj: walked.append(obj) or finite(obj))
+    good = {"b": [1.5, (2, -0.0)], "a": {"x": 1e308, "y": True, "z": None}}
+    cli._emit(good, None)
+    assert capsys.readouterr().out == json.dumps(good, sort_keys=True, indent=2) + "\n"
+    assert walked == []
+    bad = {"gap": math.inf, "rows": [[1.0, math.nan], (np.float64(-math.inf),)]}
+    cli._emit(bad, None)
+    out = capsys.readouterr().out
+    assert out == json.dumps({"gap": None, "rows": [[1.0, None], [None]]},
+                             sort_keys=True, indent=2) + "\n"
+    assert walked[0] is bad
+
+
 def test_point_mass_walk_and_poincare_check(tmp_path, capsys):
     # one state: no exits (delta and Q 0.0, not -0.0) and zero variance, so the
     # Poincare inequality holds even at the infinite gap

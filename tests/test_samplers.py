@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -402,32 +403,60 @@ def test_wilson_matches_the_per_draw_reference(edges):
                               reference_wilson(edges, seed, 200))
 
 
-@pytest.mark.parametrize("sampler", ["wilson", "kdpp"])
+@pytest.mark.parametrize("sampler", ["table", "wilson", "kdpp"])
 def test_batches_do_not_depend_on_the_chunks(monkeypatch, sampler):
+    """Counts that end on a chunk boundary or mid-chunk give the prefix of the
+    per-draw reference (for table, of the one-chunk draw)."""
     kern = random_projection_kernel(5, 2, seed=12)
-    draw, reference = {
+    m = measures.make_uniform_k_subsets(6, 3)
+    draw, reference, chunk_bytes = {
+        "table": (lambda c: sample_table(m, 7, c), lambda c: sample_table(m, 7, c).draws, 400),
         "wilson": (lambda c: wilson_spanning_tree(WHEEL4_EDGES, 7, c),
-                   lambda c: reference_wilson(WHEEL4_EDGES, 7, c)),
-        "kdpp": (lambda c: sample_kdpp(kern, 7, c), lambda c: reference_kdpp(kern, 7, c)),
+                   lambda c: reference_wilson(WHEEL4_EDGES, 7, c), 1000),
+        "kdpp": (lambda c: sample_kdpp(kern, 7, c), lambda c: reference_kdpp(kern, 7, c), 1000),
     }[sampler]
+    want = reference(50)  # before the chunks shrink
     ranges = []
     batched = samplers._batched
 
     def spy(seed, count, row_bytes, chunk):
-        def recorded(lo, hi):
+        def recorded(lo, hi, out):
             ranges.append((lo, hi))
-            return chunk(lo, hi)
+            chunk(lo, hi, out)
         return batched(seed, count, row_bytes, recorded)
 
     monkeypatch.setattr(samplers, "_batched", spy)
-    monkeypatch.setattr(samplers, "CHUNK_BYTES", 1000)
+    monkeypatch.setattr(samplers, "CHUNK_BYTES", chunk_bytes)
     draw(30)
     step = ranges[0][1]
     assert 1 < step < 15 and ranges[1] == (step, 2 * step)
-    want = reference(2 * step + 1)
-    for count in (0, 1, step - 1, step, step + 1, 2 * step + 1):
+    for count in (0, 1, step - 1, step, step + 1, 2 * step + 1, 3 * step - 1):
         batch = draw(count)
         assert batch.count == count and np.array_equal(batch.draws, want[:count])
+
+
+@pytest.mark.parametrize("sampler", ["table", "wilson", "kdpp", "dump"])
+def test_sampler_memory_does_not_grow_with_count(monkeypatch, tmp_path, sampler):
+    """With 64 KB chunks, a sampler's tracemalloc peak above its batch's own
+    bytes, and a dump's peak, stay under four chunks at 4096 and at 32768
+    draws: an 8x count must not hold more than one chunk's state."""
+    monkeypatch.setattr(samplers, "CHUNK_BYTES", 1 << 16)
+    m = measures.make_uniform_k_subsets(6, 3)
+    kern = random_projection_kernel(5, 2, seed=12)
+    run = {"table": lambda c: sample_table(m, 1, c),
+           "wilson": lambda c: wilson_spanning_tree(K3_EDGES, 1, c),
+           "kdpp": lambda c: sample_kdpp(kern, 1, c),
+           "dump": lambda c: dump_batch(batch, tmp_path / "draws.hex")}[sampler]
+    for count in (4096, 8 * 4096):
+        batch = sample_table(m, 1, count)  # the dump's input, made before the trace
+        own = 0 if sampler == "dump" else 8 * count  # the int64 batch
+        tracemalloc.start()
+        try:
+            run(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - own <= 4 * samplers.CHUNK_BYTES, (count, peak - own)
 
 
 def test_golden_draws():
@@ -656,15 +685,20 @@ def test_sampled_tail_matches_the_searchsorted_reference(count):
 
 # ---------------------------------------------------------------- round trip
 
-def test_dump_load_roundtrip(tmp_path):
-    m = measures.make_uniform_k_subsets(4, 2)
+def test_dump_load_roundtrip(monkeypatch, tmp_path):
+    """One line per draw, in one chunk and in chunks of 10 masks (640 bytes)."""
+    m = measures.make_uniform_k_subsets(6, 3)
     batch = sample_table(m, seed=21, count=64)
     path = tmp_path / "draws.hex"
-    dump_batch(batch, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 64
-    assert all(line == line.lower() for line in lines)
-    assert [int(line, 16) for line in lines] == batch.draws.tolist()
+    for chunk_bytes in (samplers.CHUNK_BYTES, 640):
+        monkeypatch.setattr(samplers, "CHUNK_BYTES", chunk_bytes)
+        dump_batch(batch, path)
+        text = path.read_text()
+        assert text == "".join(f"{mask:x}\n" for mask in batch.draws.tolist())
+        lines = text.strip().split("\n")
+        assert len(lines) == 64
+        assert all(line == line.lower() for line in lines)
+        assert [int(line, 16) for line in lines] == batch.draws.tolist()
 
 
 def test_batch_shape_check():
