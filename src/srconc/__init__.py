@@ -8,8 +8,9 @@ primitives and trace-inequality checkers), ``chains`` (reversible generators,
 coordinate decompositions, the recursive flip-swap walk and the SCP check it
 decides), ``functional`` (matrix observables, variance and Dirichlet forms,
 spectral gaps), ``concentration`` (trace-mgf ladder and tail bounds),
-``samplers`` (seeded draws and empirical tails), ``ks`` (the crossover table
-against the Kyng-Song tail, stdlib only), and ``cli`` (the ``srconc`` command).
+``streams`` (counter-based Philox streams, numpy only), ``samplers`` (seeded
+draws and empirical tails), ``ks`` (the crossover table against the Kyng-Song
+tail, stdlib only), and ``cli`` (the ``srconc`` command).
 
 The package imports no layer up front: ``srconc.X`` and ``from srconc import
 X`` load the module that defines X on first use (PEP 562), so a command pays
@@ -45,7 +46,7 @@ _EXPORTS = {
         "sample_table", "wilson_spanning_tree"),
     "ks": ("KsCrossover", "ks_crossover", "ks_crossover_threshold"),
 }
-_SUBMODULES = ("inputs", *_EXPORTS, "cli")
+_SUBMODULES = ("inputs", "streams", *_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)

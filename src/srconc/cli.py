@@ -270,72 +270,70 @@ def cmd_ineq_suite(cfg: dict) -> int:
     dims = [inputs.at_least(d, "dims entry", 1) for d in dims]
     import numpy as np
 
-    from . import chains, concentration, functional, matrix_core, measures
-    counts: dict[str, int] = {}
-    draw = matrix_core.random_symmetric  # one matrix from each rng
+    from . import chains, concentration, functional, matrix_core, measures, streams
 
-    def run(name, fun):
-        """Count the False verdicts of fun(rngs, d), called on the trials of one
-        entry of dims at a time, at most SUITE_CHUNK of them; trial t has its own rng."""
-        tag, counts[name] = zlib.crc32(name.encode()), 0
-        for first, d in enumerate(dims):
-            ts = range(first, trials, len(dims))
-            for at in range(0, len(ts), SUITE_CHUNK):
-                rngs = [np.random.default_rng([seed, tag, t]) for t in ts[at:at + SUITE_CHUNK]]
-                counts[name] += int(np.logical_not(fun(rngs, d)).sum())
+    def by_p(word, ps, check):
+        """check(mask of the trials that drew p, p) per p drawn, the verdicts joined: a trial
+        draws ps[k], k Lemire's map of the high half of its word onto range(len(ps))."""
+        ks = streams.lemire(word >> 32, len(ps))[0]
+        return np.concatenate([check(ks == k, ps[k]) for k in set(ks.tolist())])
 
-    def by_p(ps, check):
-        """check(mask of the trials that drew p, p) per distinct p in ps, the verdicts joined."""
-        return np.concatenate([check(np.equal(ps, p), p) for p in set(ps)])
-
-    def t_monotone(rngs, d):
-        a = draw(rngs, d, 1.5)
-        bump = draw(rngs, d, 1.0)
+    def t_monotone(mats, w, d):
+        a, bump = mats[:, 0], mats[:, 1]
         return matrix_core.check_trace_monotone(np.exp, a, a + bump @ bump.mT, tol)
 
     def t_jensen(fn, form):
-        def trial(rngs, d):
-            w = np.array([rng.dirichlet(np.ones(3)) for rng in rngs])
-            dec = matrix_core.IdentityDecomposition.from_weights(w, d)
-            mats = [draw(rngs, d, 1.5) for _ in range(3)]
-            return matrix_core.check_operator_jensen(fn, dec, mats, form, tol)
-        return trial
+        return lambda mats, w, d: matrix_core.check_operator_jensen(
+            fn, matrix_core.IdentityDecomposition.from_weights(streams.simplex(w[:, :3]), d),
+            list(mats.swapaxes(0, 1)), form, tol)
 
-    def t_diff_sq(rngs, d):
-        mats = [draw(rngs, d, 1.5) for _ in range(4)]
-        return matrix_core.check_diff_square_convex(*mats, [rng.uniform() for rng in rngs], tol)
+    def t_diff_sq(mats, w, d):
+        return matrix_core.check_diff_square_convex(*mats.swapaxes(0, 1),
+                                                    streams.uniform(w[:, 0]), tol)
 
-    def t_duhamel(rngs, d):
-        return matrix_core.duhamel_residual(draw(rngs, d, 2.0), draw(rngs, d, 2.0)) < tol
+    def t_duhamel(mats, w, d):
+        return matrix_core.duhamel_residual(mats[:, 0], mats[:, 1]) < tol
 
-    def t_int_norm(rngs, d):
-        a, b, x = (draw(rngs, d, 1.5) for _ in range(3))
-        ps = [(2, 4, np.inf)[int(rng.integers(3))] for rng in rngs]
-        return by_p(ps, lambda i, p: matrix_core.check_int_norm_bound(
+    def t_int_norm(mats, w, d):
+        a, b, x = mats.swapaxes(0, 1)
+        return by_p(w[:, 0], (2, 4, np.inf), lambda i, p: matrix_core.check_int_norm_bound(
             a[i] @ a[i].mT, b[i] @ b[i].mT, x[i], p, tol))
 
-    def t_lemma_var(rngs, d):
-        w = np.array([rng.dirichlet(np.ones(3)) for rng in rngs])
-        mats = [draw(rngs, d, 1.5) for _ in range(6)]  # X_0, Y_0, X_1, ...
-        ps = [int(rng.integers(1, 3)) for rng in rngs]
-        return by_p(ps, lambda i, p: matrix_core.check_lemma_var(
-            [(w[i, k], mats[2 * k][i], mats[2 * k + 1][i]) for k in range(3)], p, tol))
+    def t_lemma_var(mats, w, d):
+        weights = streams.simplex(w[:, :3])  # X_0, Y_0, X_1, ... in mats
+        return by_p(w[:, 3], (1, 2), lambda i, p: matrix_core.check_lemma_var(
+            [(weights[i, k], mats[i, 2 * k], mats[i, 2 * k + 1]) for k in range(3)], p, tol))
 
     walk = chains.hermon_salez(measures.make_uniform_k_subsets(4, 2))
 
-    def t_dirichlet_trace(rngs, d):
-        return [concentration.check_dirichlet_trace_bound(
-            walk, functional.random_matrix_fn(walk.states, d, int(rng.integers(2**31)), 1.0),
-            int(rng.integers(1, 3)), tol) for rng in rngs]
+    def t_dirichlet_trace(mats, w, d):
+        return by_p(w[:, 0], (1, 2), lambda i, p: concentration.check_dirichlet_trace_bound(
+            walk, functional.MatrixFn(walk.states, mats[i]), p, tol))
 
-    run("trace_monotone", t_monotone)
-    run("jensen_square_operator", t_jensen(np.square, "operator"))
-    run("jensen_quartic_trace", t_jensen(lambda x: x**4, "trace"))
-    run("diff_square_convex", t_diff_sq)
-    run("duhamel", t_duhamel)
-    run("int_norm", t_int_norm)
-    run("lemma_var", t_lemma_var)
-    run("dirichlet_trace", t_dirichlet_trace)
+    suite = {"trace_monotone": ((1.5, 1.0), t_monotone),
+             "jensen_square_operator": ((1.5,) * 3, t_jensen(np.square, "operator")),
+             "jensen_quartic_trace": ((1.5,) * 3, t_jensen(lambda x: x**4, "trace")),
+             "diff_square_convex": ((1.5,) * 4, t_diff_sq),
+             "duhamel": ((2.0, 2.0), t_duhamel),
+             "int_norm": ((1.5,) * 3, t_int_norm),
+             "lemma_var": ((1.5,) * 6, t_lemma_var),
+             "dirichlet_trace": ((1.0,) * walk.states.size, t_dirichlet_trace)}
+    counts, sizes = dict.fromkeys(suite, 0), [len(bounds) for bounds, _ in suite.values()]
+    tags = [np.uint64(zlib.crc32(name.encode()) << 32) for name in suite]
+    # Each statement's fun(mats, w, d) checks the trials of one entry of dims, at most
+    # SUITE_CHUNK at once.  Trial t reads stream (seed, crc32(name) << 32 | t): a gain word per
+    # entry b_k of the statement's bounds, four words w, then the normals of mats, where
+    # mats[:, k] is a random symmetric d x d matrix of norm at most b_k.
+    for first, d in enumerate(dims):
+        ts = np.arange(first, trials, len(dims), dtype=np.uint64)
+        for at in range(0, len(ts), SUITE_CHUNK):
+            draws = streams.words(seed, [tag | ts[at:at + SUITE_CHUNK] for tag in tags],
+                                  [k + 4 + (k * d * d + 1) // 2 for k in sizes])
+            for (name, (bounds, fun)), w, k in zip(suite.items(), draws, sizes):
+                gain = np.multiply(bounds, 0.2 + 0.8 * streams.uniform(w[:, :k]))
+                g = streams.normal(w[:, k + 4:])[:, :k * d * d].reshape(-1, k, d, d)
+                ok = fun(matrix_core.symmetrized(g, gain), w[:, k:k + 4], d)
+                counts[name] += int(np.logical_not(ok).sum())
 
     total_bad = sum(counts.values())
     _emit({"trials": trials, "violations": counts, "all_passed": total_bad == 0},

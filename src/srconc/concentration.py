@@ -28,7 +28,7 @@ import numpy as np
 from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
 from .inputs import at_least, in_range
-from .matrix_core import trace_power
+from .matrix_core import _out, _scalar_pow, trace_power
 from .measures import NumericFailure, within
 
 REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
@@ -64,35 +64,40 @@ class OscillationStats(NamedTuple):
 
 def oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     """v(F) = max ||F(x) - F(y)|| over the walk's edges, computed once per
-    (walk, observable) and then read from fn's record of the walk."""
+    (walk, observable) and then read from fn's record of the walk; for a
+    stack, v holds one value per observable."""
     return fn.on_walk(gen, "oscillation", lambda: _oscillation(gen, fn))
 
 
 def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     vals = fn.gather(gen.states)
+    stack = vals.reshape(-1, *vals.shape[-3:])  # (N, m, d, d)
     i, j = gen.edges
-    unit = vals[i]
-    np.subtract(unit, vals[j], out=unit)
-    scale = float(max(unit.max(initial=0.0), -unit.min(initial=0.0)))  # max |entry|
-    if scale == 0.0:
-        return OscillationStats(0.0, int(i.size))
+    unit = np.take(stack, i, axis=1)
+    np.subtract(unit, np.take(stack, j, axis=1), out=unit)
+    scale = np.fmax(unit.max(axis=(1, 2, 3), initial=0.0), -unit.min(axis=(1, 2, 3), initial=0.0))
     # The Schatten 4-norm ||D'D||_F^(1/2) bounds ||D||_2 from above, so only
     # edges whose bound reaches the exact norm of the edge with the largest
     # bound can attain the max, and only they get the exact (SVD) norm.  The
     # 1e-12 margin absorbs rounding; dividing by the largest entry keeps the
     # fourth powers from under- or overflowing.  The differences are scaled
-    # in place; the kept ones are taken again and normed once per distinct bytes.
-    unit /= scale
+    # in place; the kept ones are taken again and normed once per distinct
+    # bytes, so v, a max of exact norms, is each observable's own alone.
+    if not (live := scale > 0.0).any():  # max |entry|; v = 0 where it is 0
+        return OscillationStats(_out(np.zeros(vals.shape[:-3])), int(i.size))
+    scale = np.where(live, scale, 1.0)[:, None]
+    unit /= scale[..., None, None]
     gram = unit @ unit  # = D'D: MatrixFn values, hence their differences, are exactly symmetric
-    bound = np.sqrt(np.sqrt(np.einsum("eij,eij->e", gram, gram)))
-    top = bound.argmax()
-    floor = float(np.linalg.svd(vals[i[top]] - vals[j[top]], compute_uv=False).max())
-    keep = bound >= floor / scale * (1.0 - 1e-12)
-    kept = vals[i[keep]] - vals[j[keep]]
-    rows = kept.reshape(kept.shape[0], -1).view(np.dtype((np.void, vals[0].nbytes)))
-    kept = kept[np.unique(rows.ravel(), return_index=True)[1]]
-    v = float(np.linalg.svd(kept, compute_uv=False).max(initial=floor))
-    return OscillationStats(v, int(i.size))
+    bound = np.sqrt(np.sqrt(np.einsum("neij,neij->ne", gram, gram)))
+    top, at = bound.argmax(axis=1, keepdims=True), np.arange(len(stack))[:, None]
+    floor = np.linalg.svd(stack[at, i[top]] - stack[at, j[top]], compute_uv=False).max(axis=-1)
+    fn_at, edge = np.nonzero(live[:, None] & (bound >= floor / scale * (1.0 - 1e-12)))
+    kept = stack[fn_at, i[edge]] - stack[fn_at, j[edge]]
+    rows = kept.reshape(kept.shape[0], -1).view(np.dtype((np.void, kept[0].nbytes)))
+    _, first, back = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    v = np.where(live, floor[:, 0], 0.0)
+    np.maximum.at(v, fn_at, np.linalg.svd(kept[first], compute_uv=False).max(axis=-1)[back])
+    return OscillationStats(_out(v.reshape(vals.shape[:-3])), int(i.size))
 
 
 class TraceMgf:
@@ -142,14 +147,13 @@ def _eigh(gen: Generator, fn: MatrixFn) -> tuple[np.ndarray, np.ndarray]:
 
 def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
                                 tol: float = 1e-8) -> bool:
-    """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}]."""
+    """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}], per observable of a stack."""
     p = at_least(p, "p", 1)
     lam, vec = _eigh(gen, fn)
-    expf = (vec * np.exp(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
-    energy = dirichlet_form(gen, expf)
-    lhs = trace_power(energy, p)
-    v = oscillation(gen, fn).v
-    rhs = v ** (2 * p) * float(gen.pi @ np.exp(2 * p * lam).sum(axis=1))
+    expf = (vec * np.exp(lam)[..., None, :]) @ vec.mT
+    lhs = trace_power(dirichlet_form(gen, expf), p)
+    mass = np.exp(2 * p * lam).sum(axis=-1)[..., None, :] @ gen.pi[:, None]  # a dot each
+    rhs = _scalar_pow(oscillation(gen, fn).v, 2 * p) * mass[..., 0, 0]
     return within(lhs, rhs, tol, rhs)
 
 

@@ -13,6 +13,8 @@ Var_pi[F] = E[F^2] - E[F]^2.
 The mean and variance take plain weight/value arrays, the Dirichlet form
 a walk; a MatrixFn carries the (state mask -> matrix) table and aligns
 itself to a state list via ``gather``, raising DomainMismatch for missing states.
+Values (N, m, d, d) are N observables on m states: each result then holds N,
+each bit for bit its observable's alone, the stack of one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import Decomposition, Generator, _read_only, _sealed
-from .matrix_core import random_symmetric, require_symmetric, spectral_norm
+from .matrix_core import _out, random_symmetric, require_symmetric, spectral_norm
 from .measures import InvalidInput, as_integer, as_matrix, component_count, within
 
 
@@ -49,7 +51,8 @@ class Reducible(FunctionalError):
 @dataclass(frozen=True, eq=False)
 class MatrixFn:
     """Symmetric d x d matrix attached to each state mask, each state listed
-    once; the arrays are read-only, and a writeable input is copied."""
+    once, or a stack of N such tables, values (N, m, d, d); the arrays are
+    read-only, and a writeable input is copied."""
 
     states: np.ndarray
     values: np.ndarray
@@ -57,17 +60,17 @@ class MatrixFn:
     def __post_init__(self):
         states = _read_only(self.states, np.int64)
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[0] != states.size \
-                or values.shape[1] != values.shape[2] or values.shape[1] < 1:
+        if values.ndim not in (3, 4) or values.shape[-3] != states.size \
+                or values.shape[-2] != values.shape[-1] or values.shape[-1] < 1:
             raise BadValues(f"values have shape {values.shape}, "
-                            f"expected ({states.size}, d, d) with d >= 1")
+                            f"expected ([N,] {states.size}, d, d) with d >= 1")
         if not np.isfinite(values).all():
             raise BadValues("values must be finite")
         order = np.argsort(states)
         keys = states[order]
         if (repeated := keys[1:][keys[1:] == keys[:-1]]).size:
             raise BadValues(f"state {int(repeated[0]):#x} is listed twice")
-        values = _sealed((values + values.transpose(0, 2, 1)) / 2.0)
+        values = _sealed((values + values.mT) / 2.0)
         object.__setattr__(self, "_sorted", (keys, order))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", values)
@@ -75,7 +78,7 @@ class MatrixFn:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def on_walk(self, gen: Generator, key: str, make):
         """make(), computed once per key and walk, kept in a record that
@@ -84,8 +87,8 @@ class MatrixFn:
         return record[key] if key in record else record.setdefault(key, make())
 
     def gather(self, states) -> np.ndarray:
-        """Value stack aligned to the given state list, through the states
-        sorted once at construction."""
+        """Value stack aligned to the given state list (per observable of a
+        stack), through the states sorted once at construction."""
         states = np.asarray(states, dtype=np.int64)
         keys, order = self._sorted
         pos = np.minimum(np.searchsorted(keys, states), keys.size - 1)
@@ -93,7 +96,7 @@ class MatrixFn:
         if missing.any():
             raise DomainMismatch(
                 f"function undefined at state {int(states[missing][0]):#x}")
-        return self.values[order[pos]]
+        return np.take(self.values, order[pos], axis=-3)
 
     @staticmethod
     def constant(states, mat) -> "MatrixFn":
@@ -144,13 +147,13 @@ def random_linear_matrix_fn(n: int, states, d: int, lipschitz: float,
 
 def matrix_mean(weights, values) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
-    return np.einsum("x,xij->ij", weights, np.asarray(values, dtype=float))
+    return np.einsum("x,...xij->...ij", weights, np.asarray(values, dtype=float))
 
 
 def matrix_variance(weights, values) -> np.ndarray:
     """E[(F - E F)^2] under the given weights (exactly 0 for a constant F)."""
-    centered = np.asarray(values, dtype=float) - matrix_mean(weights, values)
-    return np.einsum("x,xij,xjk->ik", np.asarray(weights, dtype=float),
+    centered = np.asarray(values, dtype=float) - matrix_mean(weights, values)[..., None, :, :]
+    return np.einsum("x,...xij,...xjk->...ik", np.asarray(weights, dtype=float),
                      centered, centered)
 
 
@@ -159,19 +162,19 @@ def dirichlet_form(gen: Generator, values) -> np.ndarray:
 
     Summed over the walk's cached edges x < y (``Generator.edges``) with the
     flow W_xy + W_yx, W_xy = pi(x) Q(x,y): the E edge differences D_e give
-    one GEMM of D as d x (E d) by (W D) as (E d) x d.  D is taken in the
-    fresh gather of values[x] and weighted in place after its transpose is
-    copied, so at most two E d^2 arrays are live at once.
+    one GEMM of D as d x (E d) by (W D) as (E d) x d per observable.  D is taken
+    in the fresh gather of values[x] and weighted in place after its transpose
+    is copied, so at most two E d^2 arrays per observable are live at once.
     """
     values = np.asarray(values, dtype=float)
     x, y = gen.edges
     flow = gen.pi[x] * gen.rates[x, y] + gen.pi[y] * gen.rates[y, x]
-    diff = values[x]
-    np.subtract(diff, values[y], out=diff)
-    d = values.shape[1]
-    cols = np.array(diff.transpose(1, 0, 2), order="C").reshape(d, -1)  # a copy even at d = 1
+    diff = np.take(values, x, axis=-3)  # in C order, as values[..., x, :, :] is not
+    np.subtract(diff, np.take(values, y, axis=-3), out=diff)
+    lead, d = diff.shape[:-3], values.shape[-1]
+    cols = np.array(diff.swapaxes(-3, -2), order="C").reshape(*lead, d, -1)  # a copy at d = 1
     diff *= flow[:, None, None]
-    return 0.5 * (cols @ diff.reshape(-1, d))
+    return 0.5 * (cols @ diff.reshape(*lead, -1, d))
 
 
 def project_fn(dec: Decomposition, fn: MatrixFn) -> MatrixFn:
@@ -274,19 +277,20 @@ class PoincareReport(NamedTuple):
 
 def check_matrix_poincare(gen: Generator, fn: MatrixFn, lam: float,
                           tol: float = 1e-8) -> PoincareReport:
-    """Does lambda * Var_pi[F] <= E_Q(F, F) hold in the PSD order?"""
+    """Does lambda * Var_pi[F] <= E_Q(F, F) hold in the PSD order (per observable,
+    with one lam or one each)?  The witness is fn when any fails."""
     vals = fn.gather(gen.states)
     energy = dirichlet_form(gen, vals)
     var = matrix_variance(gen.pi, vals)
     spread = spectral_norm(var)
     # Var = 0 (one state, or F constant) satisfies the inequality for every
-    # lambda, inf included, where lambda * Var would be 0 * inf = NaN.
-    lam_var, lam_spread = (lam * var, abs(lam) * spread) if spread > 0.0 else (var, 0.0)
-    slack = float(np.linalg.eigvalsh(energy - lam_var).min())
-    scale = max(1.0, spectral_norm(energy), lam_spread)
+    # lambda, inf included, where lambda * Var would be 0 * inf = NaN: 1 stands in.
+    live = np.where(spread > 0.0, lam, 1.0)
+    slack = _out(np.linalg.eigvalsh(energy - live[..., None, None] * var).min(axis=-1))
+    scale = _out(np.fmax(np.fmax(1.0, spectral_norm(energy)), abs(live) * spread))
     passed = within(-slack, 0.0, tol, scale)
-    return PoincareReport(float(lam), slack, scale, tol, passed,
-                          None if passed else fn)
+    return PoincareReport(_out(np.asarray(lam, dtype=float)), slack, scale, tol, passed,
+                          None if np.all(passed) else fn)
 
 
 def matrix_fn_from_json(obj: dict) -> MatrixFn:

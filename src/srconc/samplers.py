@@ -4,13 +4,14 @@ Randomness contract: every batch is a pure function of (seed, count).
 Draw i consumes only its own slice of a counter-based Philox stream
 keyed by the seed (a private row of uniforms for table sampling, a
 dedicated Philox key (seed, i) for the walk-based samplers), so batches
-are reproducible independently of scheduling or chunking.  The module
-computes the keyed streams itself (Philox4x64-10 over uint64 arrays, bit
-for bit numpy's), so Wilson and k-DPP draws advance all at once, chunk by
+are reproducible independently of scheduling or chunking.  Wilson and
+k-DPP draws read the keyed streams `streams` computes (Philox4x64-10 over
+uint64 arrays, bit for bit numpy's), so they advance all at once, chunk by
 chunk.  Memory contract: every batch, table included, is made chunk by
 chunk (`_batched`), each chunk writing its own slice of the one count-long
 int64 array, and `dump_batch` writes a batch chunk by chunk, so a sampler
-holds its output plus one chunk's working state, sized by CHUNK_BYTES,
+holds its output plus one chunk's working state, at most CHUNK_BYTES
+(each sampler's row_bytes counts every array a draw holds in its chunk),
 whatever the count.  Empirical tails read each draw's deviation from the
 exact E_pi F off the centred spectrum of the support, under exact
 Clopper-Pearson limits.
@@ -34,57 +35,19 @@ from .measures import (
     tree_edges,
     validate,
 )
+from .streams import MASK32, MASK64, lemire, philox, uniform
 
 if TYPE_CHECKING:
     from .functional import MatrixFn
 
-MASK64 = (1 << 64) - 1
-MASK32 = (1 << 32) - 1
 MASK_BITS = 63  # bits of a nonnegative int64 draw
 CHUNK_BYTES = 8 << 20  # batched sampler state per chunk, so memory does not grow with count
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product a * b."""
-    a_lo, a_hi = np.uint64(a & MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & MASK32, b >> 32
-    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (lo_hi & MASK32) + (hi_lo & MASK32)
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), np.uint64(a) * b
-
-
-def _philox(seed: int, index: np.ndarray, block) -> np.ndarray:
-    """Block `block` (4 words) of the Philox4x64-10 stream keyed (seed, i)
-    for every i in index, shape (len(index), 4): the words 4*block to
-    4*block + 3 that np.random.Philox(key=[seed, i]).random_raw() returns."""
-    k1 = np.asarray(index, dtype=np.uint64)
-    c0 = np.broadcast_to(np.asarray(block, dtype=np.uint64) + np.uint64(1), k1.shape)
-    c1 = c2 = c3 = np.zeros(k1.shape, dtype=np.uint64)
-    k0 = int(seed) & MASK64
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0 = (k0 + _PHILOX_W[0]) & MASK64
-                k1 = k1 + np.uint64(_PHILOX_W[1])
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1)
-
-
-def _lemire(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generator.integers(n)'s draw from uint32 values x: (value, accepted);
-    a rejected x is followed by the stream's next uint32."""
-    m = x * n
-    return m >> 32, (m & MASK32) >= (np.uint64(1 << 32) - n) % n
 
 
 def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
     """The batch whose masks lo..hi-1 draw(lo, hi, out) writes into out, in
-    order over ranges of at most CHUNK_BYTES of state: the one count-long
-    array is the only memory that grows with count."""
+    order over ranges of at most CHUNK_BYTES of state, row_bytes per draw: the
+    one count-long array is the only memory that grows with count."""
     step = max(1, CHUNK_BYTES // row_bytes)
     masks = np.empty(count, dtype=np.int64)
     for lo in range(0, count, step):
@@ -133,7 +96,7 @@ def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
     supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
-    return _batched(seed, count, 8 * 4,  # two uniforms, the cell and its threshold
+    return _batched(seed, count, 8 * 4 + 1,  # two uniforms, the cell, its alias and a flag
                     lambda lo, hi, out: _table_chunk(supp, thresh, alias, rng, out))
 
 
@@ -171,7 +134,8 @@ def wilson_spanning_tree(edges, seed: int, count: int,
     hops = np.zeros((vertices, max(map(len, nbr)), 2), dtype=np.int64)  # (vertex, edge)
     for v, arcs in enumerate(nbr):
         hops[v, :len(arcs)] = np.reshape(arcs, (-1, 2))
-    return _batched(seed, count, 8 * (2 * vertices + 10),  # hop and via, walk state
+    # per draw: in_tree, hop, via, and 32 words of walk state, block and temporaries
+    return _batched(seed, count, 17 * vertices + 8 * 32,
                     lambda lo, hi, out: _wilson_chunk(hops, degree, seed, lo, hi, out))
 
 
@@ -192,11 +156,11 @@ def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int, out) -> None:
     words = np.zeros((row.size, 4), dtype=np.uint64)  # the block holding the next one
     while row.size:
         deg = degree[cur]
-        reads = walking & (deg > 1)  # integers(1) reads nothing; _lemire gives it 0
+        reads = walking & (deg > 1)  # integers(1) reads nothing; lemire gives it 0
         fresh = reads & (used % 8 == 0)  # reads run in order, 8 to a block
-        words[fresh] = _philox(seed, row[fresh] + lo, used[fresh] >> 3)
+        words[fresh] = philox(seed, row[fresh] + lo, used[fresh] >> 3)
         word = words[np.arange(row.size), (used >> 1) & 3]
-        pick, ok = _lemire(word >> ((used & 1) << 5) & MASK32, deg)
+        pick, ok = lemire(word >> ((used & 1) << 5) & MASK32, deg)
         used += reads
         step = np.flatnonzero(walking & ok)
         back = np.flatnonzero(~walking)
@@ -235,7 +199,8 @@ def sample_kdpp(kernel, seed: int, count: int) -> SampleBatch:
     n = k_mat.shape[0]
     if n > MASK_BITS:
         raise StateSpaceTooLarge(f"kernel on {n} elements exceeds the {MASK_BITS}-bit masks")
-    return _batched(seed, count, 8 * n * n,
+    # per draw: work, a step's five rows (weights, sums, col, row, step), 20 words
+    return _batched(seed, count, 8 * (n * n + 5 * n + 20),
                     lambda lo, hi, out: _kdpp_chunk(k_mat, rank, seed, lo, hi, out))
 
 
@@ -249,8 +214,8 @@ def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int, out) -> None:
     rows, diag = np.arange(hi - lo), np.arange(n)
     for s in range(rank):
         if s % 4 == 0:
-            raw = _philox(seed, np.arange(lo, hi, dtype=np.uint64), s // 4)
-        u = (raw[:, s % 4] >> 11) * 2.0**-53
+            raw = philox(seed, np.arange(lo, hi, dtype=np.uint64), s // 4)
+        u = uniform(raw[:, s % 4])
         weights = np.clip(work[:, diag, diag], 0.0, None)
         weights[taken] = 0.0
         total = weights.sum(axis=1)

@@ -74,19 +74,24 @@ def test_criterion_02_two_state_constant():
 
 
 def test_criterion_03_matrix_poincare_suite():
+    """Trial i on a walk is the observable random_matrix_fn(seed=1000 fi + i) at
+    d = (2, 3, 5)[i % 3]; the trials of one d are checked as one stack."""
     checks = 0
     worst = np.inf
     for fi, name in enumerate(NAMES):
         gen = WALKS[name]
         lam = GAPS[name]
-        for i in range(500):
-            d = (2, 3, 5)[i % 3]
-            fn = functional.random_matrix_fn(gen.states, d,
-                                             seed=fi * 1000 + i)
+        for first, d in enumerate((2, 3, 5)):
+            trials = range(first, 500, 3)
+            fn = functional.MatrixFn(gen.states, np.stack([
+                functional.random_matrix_fn(gen.states, d, seed=fi * 1000 + i).values
+                for i in trials]))
             rep = functional.check_matrix_poincare(gen, fn, lam, tol=1e-8)
-            worst = min(worst, rep.min_eig_slack / rep.scale)
-            checks += 1
-            assert rep.passed, (name, i, rep.min_eig_slack)
+            worst = min(worst, float((rep.min_eig_slack / rep.scale).min()))
+            checks += len(trials)
+            failed = np.flatnonzero(~rep.passed)
+            assert failed.size == 0, (name, [trials[k] for k in failed],
+                                      rep.min_eig_slack[failed])
     record(3, True, f"{checks} checks at lambda = gap, "
                     f"min slack/scale {worst:+.2e} >= -1e-8")
 
@@ -129,76 +134,67 @@ def test_criterion_04_decomposition_identities():
 
 
 def test_criterion_05_inequality_suite():
+    """Trial t of statement idx draws its inputs from default_rng([5, idx, t]) at
+    d = dims[t % 2]; the trials of one d are checked as one stack.  A statement is
+    (draw, check): draw(rng, d) gives one trial's inputs, and check(*stacks) the
+    verdicts of the stacked inputs."""
     trials = 1000
     tol = 1e-8
     walk = WALKS["uniform_4_2"]
     dims = (3, 4)
     ps = (1, 2, 4)
 
-    def t_diff_square(rng, d):
-        mats = [mx.random_symmetric(rng, d, 1.5) for _ in range(4)]
-        return mx.check_diff_square_convex(*mats, float(rng.uniform()), tol)
+    def sym(rng, d, count, bound=1.5):
+        return [mx.random_symmetric(rng, d, bound) for _ in range(count)]
 
-    def t_monotone(rng, d):
-        a = mx.random_symmetric(rng, d, 1.5)
-        bump = mx.random_symmetric(rng, d, 1.0)
-        return mx.check_trace_monotone(np.exp, a, a + bump @ bump.T, tol)
+    diff_square = (lambda rng, d: (*sym(rng, d, 4), float(rng.uniform())),
+                   lambda *args: mx.check_diff_square_convex(*args, tol))
+    monotone = (lambda rng, d: (*sym(rng, d, 1), *sym(rng, d, 1, 1.0)),
+                lambda a, bump: mx.check_trace_monotone(np.exp, a, a + bump @ bump.mT, tol))
 
-    def t_jensen_operator(rng, d):
-        w = rng.dirichlet(np.ones(3))
-        dec = mx.IdentityDecomposition.from_weights(w, d)
-        mats = [mx.random_symmetric(rng, d, 1.5) for _ in range(3)]
-        return mx.check_operator_jensen(np.square, dec, mats, "operator", tol)
+    def jensen(fn, form):
+        return (lambda rng, d: (rng.dirichlet(np.ones(3)), *sym(rng, d, 3)),
+                lambda w, *mats: mx.check_operator_jensen(
+                    fn, mx.IdentityDecomposition.from_weights(w, mats[0].shape[-1]),
+                    mats, form, tol))
 
-    def t_jensen_trace(rng, d):
-        w = rng.dirichlet(np.ones(3))
-        dec = mx.IdentityDecomposition.from_weights(w, d)
-        mats = [mx.random_symmetric(rng, d, 1.5) for _ in range(3)]
-        return mx.check_operator_jensen(lambda x: x**4, dec, mats, "trace", tol)
+    def by_p(ks, options, check):
+        """check(mask, p) per p = options[k] drawn, the verdicts joined."""
+        return np.concatenate([check(ks == k, options[k]) for k in set(ks.tolist())])
 
-    def t_int_norm(rng, d):
-        a = mx.random_symmetric(rng, d, 1.5)
-        b = mx.random_symmetric(rng, d, 1.5)
-        x = mx.random_symmetric(rng, d, 1.5)
-        p = (2, 4, np.inf)[int(rng.integers(3))]
-        return mx.check_int_norm_bound(a @ a.T, b @ b.T, x, p, tol)
+    int_norm = (lambda rng, d: (*sym(rng, d, 3), int(rng.integers(3))),
+                lambda a, b, x, ks: by_p(ks, (2, 4, np.inf), lambda i, p: mx.check_int_norm_bound(
+                    a[i] @ a[i].mT, b[i] @ b[i].mT, x[i], p, tol)))
+    duhamel = (lambda rng, d: (*sym(rng, d, 2, 2.0),),
+               lambda x, y: mx.duhamel_residual(x, y, quad_points=64) < 1e-8)
 
-    def t_duhamel(rng, d):
-        x = mx.random_symmetric(rng, d, 2.0)
-        y = mx.random_symmetric(rng, d, 2.0)
-        return mx.duhamel_residual(x, y, quad_points=64) < 1e-8
+    def lemma_var(p):  # X_0, Y_0, X_1, ... after the weights
+        return (lambda rng, d: (rng.dirichlet(np.ones(3)), *sym(rng, d, 6)),
+                lambda w, *xy: mx.check_lemma_var(
+                    [(w[:, i], xy[2 * i], xy[2 * i + 1]) for i in range(3)], p, tol))
 
-    def make_var(p):
-        def t_var(rng, d):
-            w = rng.dirichlet(np.ones(3))
-            pairs = [(w[i], mx.random_symmetric(rng, d, 1.5),
-                      mx.random_symmetric(rng, d, 1.5)) for i in range(3)]
-            return mx.check_lemma_var(pairs, p, tol)
-        return t_var
+    def dirichlet_trace(p):
+        return (lambda rng, d: (functional.random_matrix_fn(
+                    walk.states, d, int(rng.integers(2**31)), 1.0).values,),
+                lambda values: cc.check_dirichlet_trace_bound(
+                    walk, functional.MatrixFn(walk.states, values), p, tol))
 
-    def make_dirichlet_trace(p):
-        def t_dt(rng, d):
-            fn = functional.random_matrix_fn(walk.states, d,
-                                             int(rng.integers(2**31)), 1.0)
-            return cc.check_dirichlet_trace_bound(walk, fn, p, tol)
-        return t_dt
-
-    suite = [("diff_square_convex", t_diff_square),
-             ("trace_monotone", t_monotone),
-             ("jensen_operator", t_jensen_operator),
-             ("jensen_trace", t_jensen_trace),
-             ("int_norm", t_int_norm),
-             ("duhamel_64", t_duhamel)]
-    suite += [(f"lemma_var_p{p}", make_var(p)) for p in ps]
-    suite += [(f"dirichlet_trace_p{p}", make_dirichlet_trace(p)) for p in ps]
+    suite = [("diff_square_convex", diff_square),
+             ("trace_monotone", monotone),
+             ("jensen_operator", jensen(np.square, "operator")),
+             ("jensen_trace", jensen(lambda x: x**4, "trace")),
+             ("int_norm", int_norm),
+             ("duhamel_64", duhamel)]
+    suite += [(f"lemma_var_p{p}", lemma_var(p)) for p in ps]
+    suite += [(f"dirichlet_trace_p{p}", dirichlet_trace(p)) for p in ps]
 
     violations = {}
-    for idx, (name, fun) in enumerate(suite):
+    for idx, (name, (draw, check)) in enumerate(suite):
         bad = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([5, idx, trial])
-            if not fun(rng, dims[trial % len(dims)]):
-                bad += 1
+        for first, d in enumerate(dims):
+            drawn = [draw(np.random.default_rng([5, idx, trial]), d)
+                     for trial in range(first, trials, len(dims))]
+            bad += int(np.count_nonzero(~check(*map(np.stack, zip(*drawn)))))
         violations[name] = bad
     total = sum(violations.values())
     record(5, total == 0,

@@ -376,6 +376,48 @@ def test_ineq_suite_prints_the_same_bytes_in_small_stacks(tmp_path, capsys, monk
     assert stacks == [(4, 1), (3, 2), (3, 5)] + [(3, 1), (1, 1), (3, 2), (3, 5)]
 
 
+# the checkers ineq-suite calls, each with the stack of its trials' first matrices
+SUITE_CHECKERS = {
+    (matrix_core, "check_trace_monotone"): lambda args: args[1],
+    (matrix_core, "check_operator_jensen"): lambda args: args[2][0],
+    (matrix_core, "check_diff_square_convex"): lambda args: args[0],
+    (matrix_core, "duhamel_residual"): lambda args: args[0],
+    (matrix_core, "check_int_norm_bound"): lambda args: args[0],
+    (matrix_core, "check_lemma_var"): lambda args: args[0][0][1],
+    (concentration, "check_dirichlet_trace_bound"): lambda args: args[1].values,
+}
+
+
+def verdict_recorder(check, name, first, verdicts):
+    """check, noting each trial's verdict under (name, the bytes of its first matrix)."""
+    def call(*args):
+        got = check(*args)
+        keys = np.asarray(first(args)).reshape(np.size(got), -1)
+        verdicts.update(((name, key.tobytes()), verdict)
+                        for key, verdict in zip(keys, np.ravel(got).tolist()))
+        return got
+    return call
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_ineq_suite_verdicts_do_not_depend_on_the_stack(tmp_path, capsys, monkeypatch, tol):
+    """Each trial's verdict (its residual, for Duhamel) is the same in stacks of at most
+    SUITE_CHUNK = 1024 and 3 as alone, in stacks of 1: 12 trials of 8 statements."""
+    cfg = write_cfg(tmp_path, "i.json", {"trials": 12, "tol": tol, "dims": [1, 2, 5]})
+    outs, seen = [], []
+    for chunk in (cli.SUITE_CHUNK, 3, 1):
+        seen.append({})
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "SUITE_CHUNK", chunk)
+            for (module, name), first in SUITE_CHECKERS.items():
+                patch.setattr(module, name,
+                              verdict_recorder(getattr(module, name), name, first, seen[-1]))
+            main(["ineq-suite", "--config", cfg])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert seen[0] == seen[1] == seen[2] and len(seen[0]) == 12 * 8
+
+
 def test_ineq_suite_trials_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "i.json", {"trials": 50})
     code, payload = run_json(capsys, ["ineq-suite", "--config", cfg,
@@ -1081,6 +1123,9 @@ MEASURE_LAYERS = BASE_LAYERS | {"measures"}
 WALK_LAYERS = MEASURE_LAYERS | {"chains"}
 CERTIFY_LAYERS = WALK_LAYERS | {"matrix_core", "functional"}
 TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
+SAMPLE_LAYERS = MEASURE_LAYERS | {"samplers", "streams"}
+# commands that draw nothing from numpy.random, so never load it (10 ms and 6 MB of a process)
+NUMPY_RANDOM_FREE = {"ineq-suite", "validate-measure", "scp-check", "build-walk"}
 
 
 @pytest.mark.parametrize("command,extra,layers", [
@@ -1091,16 +1136,19 @@ TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
     ("poincare-check", {}, CERTIFY_LAYERS),
     ("mgf", {}, TAIL_LAYERS),
     ("tail", {}, TAIL_LAYERS),
-    ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | {"samplers"}),
-    ("sample", {"count": 5, "out": "draws.hex"}, MEASURE_LAYERS | {"samplers"}),
+    ("tail", {"mode": "empirical", "count": 200}, TAIL_LAYERS | SAMPLE_LAYERS),
+    ("sample", {"count": 5, "out": "draws.hex"}, SAMPLE_LAYERS),
     ("validate-measure", {"measure": {"family": "projection_dpp", "kernel": UNIT_KERNEL}},
      MEASURE_LAYERS),
     ("sample", {"sampler": "kdpp", "kernel": UNIT_KERNEL, "count": 5, "out": "draws.hex"},
-     MEASURE_LAYERS | {"samplers"}),
+     SAMPLE_LAYERS),
+    ("ineq-suite", {"trials": 4}, TAIL_LAYERS | {"streams"}),
 ], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
-        "mgf", "tail", "tail-empirical", "sample", "validate-measure-kernel", "sample-kdpp"])
+        "mgf", "tail", "tail-empirical", "sample", "validate-measure-kernel", "sample-kdpp",
+        "ineq-suite"])
 def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
-    """numpy loads with measures and never without it."""
+    """numpy loads with measures and never without it, and numpy.random never
+    loads for the commands of NUMPY_RANDOM_FREE."""
     argv = [command]
     if extra is not None:
         argv += ["--config", uniform_cfg(tmp_path, 4, 2, function={"random": {
@@ -1109,12 +1157,15 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, 
             f"code = main({argv!r}); "
             "print(json.dumps([code, sorted(m.removeprefix('srconc.') for m in sys.modules "
             "if m.startswith('srconc.')), 'numpy' in sys.modules, "
-            "[m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+            "'numpy.random' in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(layers),
-                                                        "measures" in layers, []]
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got[:4] == [0, sorted(layers), "measures" in layers, []]
+    if command in NUMPY_RANDOM_FREE:
+        assert got[4] is False
 
 
 @pytest.mark.parametrize("argv,cfg,code", [

@@ -249,6 +249,26 @@ def test_dirichlet_trace_bound_random(fixture_walks):
             assert check_dirichlet_trace_bound(gen, fn, p)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_oscillation_and_dirichlet_bound_match_each_alone(fixture_walks, d):
+    """v(F) and the Dirichlet-trace verdicts of an (N, m, d, d) stack are, bit for bit,
+    those of each observable alone; a constant in the stack has v = 0."""
+    for name, walk in fixture_walks.items():
+        fns = [random_matrix_fn(walk.states, d, seed=name_seed(name) + k) for k in range(3)]
+        fns.append(MatrixFn.constant(walk.states, np.eye(d)))
+        if walk.n:
+            fns.append(random_linear_matrix_fn(walk.n, walk.states, d, 1.0, name_seed(name))[0])
+        stack = MatrixFn(walk.states, np.stack([fn.values for fn in fns]))
+        stats = oscillation(walk, stack)
+        assert stats.v.tolist() == [oscillation(walk, fn).v for fn in fns], name
+        assert stats.pairs == oscillation(walk, fns[0]).pairs and stats.v[3] == 0.0
+        for p in (1, 2, 3):
+            got = check_dirichlet_trace_bound(walk, stack, p)
+            assert got.tolist() == [check_dirichlet_trace_bound(walk, fn, p) for fn in fns]
+            one = MatrixFn(walk.states, fns[0].values[None])
+            assert check_dirichlet_trace_bound(walk, one, p).tolist() == [got[0]], name
+
+
 def test_dirichlet_trace_bound_rejects_bad_p():
     gen, fn = rademacher_fn()
     for p in (0, 2.5, True):

@@ -282,6 +282,45 @@ def test_poincare_constant_function_passes():
     assert rep.witness is None
 
 
+def observable_zoo(gen, d: int, seed: int) -> list:
+    """Three random tables (norm bounds 1, 0.3 and 2), a linear observable where
+    the states are cube masks, and a constant."""
+    fns = [random_matrix_fn(gen.states, d, seed=seed + k, norm_bound=b)
+           for k, b in enumerate((1.0, 0.3, 2.0))]
+    if gen.n:
+        fns.append(random_linear_matrix_fn(gen.n, gen.states, d, 1.0, seed)[0])
+    return fns + [MatrixFn.constant(gen.states, np.eye(d))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_observables_match_each_alone(fixture_walks, d):
+    """An (N, m, d, d) stack gives, bit for bit, what each of its observables
+    gives alone, and an observable alone what the stack of one gives."""
+    for name, gen in fixture_walks.items():
+        fns = observable_zoo(gen, d, name_seed(name))
+        stack = MatrixFn(gen.states, np.stack([fn.values for fn in fns]))
+        vals = stack.gather(gen.states)
+        assert stack.dim == d and vals.shape == (len(fns), gen.states.size, d, d)
+        lam = scalar_spectral_gap(gen)
+        lams = lam * np.linspace(0.5, 1.5, len(fns))
+        rep, reps = check_matrix_poincare(gen, stack, lams), []
+
+        def fields(report):
+            return [np.atleast_1d(x).tolist() for x in report[1:3] + report[4:5]]
+
+        for k, fn in enumerate(fns):
+            alone = fn.gather(gen.states)
+            assert np.array_equal(vals[k], alone), name
+            for f in (matrix_mean, matrix_variance):
+                assert np.array_equal(f(gen.pi, vals)[k], f(gen.pi, alone)), (name, f)
+            assert np.array_equal(dirichlet_form(gen, vals)[k], dirichlet_form(gen, alone)), name
+            one = check_matrix_poincare(gen, MatrixFn(gen.states, alone[None]), lams[k])
+            reps.append(check_matrix_poincare(gen, fn, lams[k]))
+            assert fields(one) == fields(reps[-1]), name
+        assert fields(rep) == [sum(x, []) for x in zip(*map(fields, reps))], name
+        assert (rep.witness is None) == all(r.passed for r in reps), name
+
+
 def test_poincare_scalar_reduction():
     """g(x) * I turns the matrix inequality into the scalar one, so the
     claim holds at the gap and fails just above it for the gap witness."""

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import betaincinv
 from scipy.stats import beta, binom
 
-from srconc import chains, functional, measures, samplers
+from srconc import chains, functional, measures, samplers, streams
 from srconc.functional import MatrixFn, random_linear_matrix_fn
 from srconc.inputs import OutOfRange
 from srconc.measures import (
@@ -20,7 +20,6 @@ from srconc.measures import (
     tree_edges,
 )
 from srconc.samplers import (
-    MASK64,
     SampleBatch,
     _build_alias,
     clopper_pearson_upper,
@@ -31,7 +30,14 @@ from srconc.samplers import (
     wilson_spanning_tree,
 )
 
-from conftest import K3_EDGES, K4_EDGES, dense_measure, is_spanning_tree, random_projection_kernel
+from conftest import (
+    K3_EDGES,
+    K4_EDGES,
+    dense_measure,
+    is_spanning_tree,
+    peak_traced_bytes,
+    random_projection_kernel,
+)
 
 
 def freq_within_4_sigma(draws, mask, p, count):
@@ -290,7 +296,7 @@ WHEEL4_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
 
 
 def _stream(seed, index):
-    key = np.array([int(seed) & MASK64, int(index) & MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & streams.MASK64, int(index) & streams.MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -358,9 +364,9 @@ def reference_kdpp(kernel, seed, count):
 def test_philox_blocks_match_numpy(seed):
     index = np.arange(40, dtype=np.uint64)
     for block in range(3):
-        got = samplers._philox(seed, index, block)
+        got = streams.philox(seed, index, block)
         for i in index.tolist():
-            key = np.array([seed & MASK64, i], dtype=np.uint64)
+            key = np.array([seed & streams.MASK64, i], dtype=np.uint64)
             want = np.random.Philox(key=key).random_raw(4 * (block + 1))[4 * block:]
             assert np.array_equal(got[i], want)
 
@@ -370,10 +376,10 @@ def test_lemire_matches_integers_with_rejections():
     n = 3 * 2**30 + 1
     rejected = 0
     for i in range(200):
-        raw = np.concatenate([samplers._philox(11, np.array([i]), b)[0] for b in range(4)])
-        values = np.stack([raw & samplers.MASK32, raw >> 32], axis=1).ravel()  # low half first
+        raw = np.concatenate([streams.philox(11, np.array([i]), b)[0] for b in range(4)])
+        values = np.stack([raw & streams.MASK32, raw >> 32], axis=1).ravel()  # low half first
         for x in values:
-            pick, ok = samplers._lemire(x, np.uint64(n))
+            pick, ok = streams.lemire(x, np.uint64(n))
             if ok:
                 break
             rejected += 1
@@ -413,7 +419,7 @@ def test_batches_do_not_depend_on_the_chunks(monkeypatch, sampler):
         "table": (lambda c: sample_table(m, 7, c), lambda c: sample_table(m, 7, c).draws, 400),
         "wilson": (lambda c: wilson_spanning_tree(WHEEL4_EDGES, 7, c),
                    lambda c: reference_wilson(WHEEL4_EDGES, 7, c), 1000),
-        "kdpp": (lambda c: sample_kdpp(kern, 7, c), lambda c: reference_kdpp(kern, 7, c), 1000),
+        "kdpp": (lambda c: sample_kdpp(kern, 7, c), lambda c: reference_kdpp(kern, 7, c), 4000),
     }[sampler]
     want = reference(50)  # before the chunks shrink
     ranges = []
@@ -457,6 +463,25 @@ def test_sampler_memory_does_not_grow_with_count(monkeypatch, tmp_path, sampler)
         finally:
             tracemalloc.stop()
         assert peak - own <= 4 * samplers.CHUNK_BYTES, (count, peak - own)
+
+
+def test_a_chunk_holds_at_most_chunk_bytes():
+    """The module's memory contract, as tracemalloc sees it: at the default
+    CHUNK_BYTES, a sampler's peak above its batch's own bytes, over two chunks
+    and a draw, exceeds what one draw's call holds (alias table, kernel copy) by
+    at most one chunk, for a small and a large kernel, a graph and a table."""
+    m = measures.make_uniform_k_subsets(10, 5)
+    small, large = random_projection_kernel(5, 2, seed=3), random_projection_kernel(20, 5, seed=3)
+    runs = [(lambda c: sample_kdpp(small, 1, c), 8 * (25 + 25 + 20)),
+            (lambda c: sample_kdpp(large, 1, c), 8 * (400 + 100 + 20)),
+            (lambda c: wilson_spanning_tree(WHEEL4_EDGES, 1, c), 17 * 5 + 8 * 32),
+            (lambda c: sample_table(m, 1, c), 8 * 4 + 1)]
+    for run, row_bytes in runs:
+        run(5)  # what a first call loads or caches is not chunk state
+        count = 2 * (samplers.CHUNK_BYTES // row_bytes) + 1
+        one = peak_traced_bytes(lambda: run(1))[0]
+        held = peak_traced_bytes(lambda: run(count))[0] - 8 * count
+        assert held <= samplers.CHUNK_BYTES + one, (row_bytes, held, one)
 
 
 def test_golden_draws():
