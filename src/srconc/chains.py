@@ -518,8 +518,4 @@ def hermon_salez(m: SubsetMeasure) -> Generator:
 
 
 def generator_to_json(gen: Generator) -> dict:
-    return {
-        "states": [int(s) for s in gen.states],
-        "pi": [float(p) for p in gen.pi],
-        "Q": [[float(v) for v in row] for row in gen.rates],
-    }
+    return {"states": gen.states.tolist(), "pi": gen.pi.tolist(), "Q": gen.rates.tolist()}

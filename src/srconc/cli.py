@@ -9,10 +9,11 @@ is `COMMAND [--key value | --key=value]...`, parsed by `parse_argv`; -h or
 violated, 4 internal numeric failure.  The exit code of a library error
 is its class: 2 for an `inputs.InvalidInput`, 4 for an
 `inputs.NumericFailure`.  Validation failures emit a machine-readable
-{"error": ..., "message": ...} JSON object.  Config numbers are
-range-checked before any walk is built or draw is made.  One writer,
-`_write`, prints everything but a usage error: a document goes to the file
-`out` names in place of stdout, and a closed stdout ends the output quietly.
+{"error": ..., "message": ...} JSON object.  Config numbers, each seed in
+[0, 2^64) by `inputs.as_seed`, are range-checked before any walk is built
+or draw is made.  One writer, `_write`, prints everything but a usage
+error: a document goes to the file `out` names in place of stdout, and a
+closed stdout ends the output quietly.
 
 Each command imports the layers it calls when it runs, numpy included, so
 `compare-ks`, `--help` and an early config error start without numpy; json
@@ -45,7 +46,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_NUMERIC = 4
-SUITE_CHUNK = 1024  # the most trials of one ineq-suite statement checked as one stack
 
 
 class UsageError(Exception):
@@ -67,7 +67,7 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a file path, got {out!r}")
-    cfg["seed"] = inputs.as_integer(cfg.get("seed", 0), "seed")
+    cfg["seed"] = inputs.as_seed(cfg.get("seed", 0), "seed")
     cfg["tol"] = inputs.in_range(cfg.get("tol", 1e-8), "tol", zero_ok=True)
     cfg.setdefault("trials", 100)
     return cfg
@@ -169,7 +169,7 @@ def _build_function(cfg: dict):
         raise UsageError(f"unknown function spec {spec!r}")
     kind = rnd.get("kind", "table")
     d = inputs.at_least(rnd.get("d", 2), "function.random.d", 1)
-    seed = inputs.as_integer(rnd.get("seed", cfg["seed"]), "function.random.seed")
+    seed = inputs.as_seed(rnd.get("seed", cfg["seed"]), "function.random.seed")
     if kind == "table":
         scale = inputs.in_range(rnd.get("scale", 1.0), "function.random.scale", zero_ok=True)
         return lambda states, n: (functional.random_matrix_fn(states, d, seed, scale), None)
@@ -320,15 +320,17 @@ def cmd_ineq_suite(cfg: dict) -> int:
              "dirichlet_trace": ((1.0,) * walk.states.size, t_dirichlet_trace)}
     counts, sizes = dict.fromkeys(suite, 0), [len(bounds) for bounds, _ in suite.values()]
     tags = [np.uint64(zlib.crc32(name.encode()) << 32) for name in suite]
-    # Each statement's fun(mats, w, d) checks the trials of one entry of dims, at most
-    # SUITE_CHUNK at once.  Trial t reads stream (seed, crc32(name) << 32 | t): a gain word per
+    # Each statement's fun(mats, w, d) checks the trials of one entry of dims, a stack of at
+    # most CHUNK_BYTES at a time (per trial: all words, and 12 d x d arrays per matrix of the
+    # largest statement).  Trial t reads stream (seed, crc32(name) << 32 | t): a gain word per
     # entry b_k of the statement's bounds, four words w, then the normals of mats, where
     # mats[:, k] is a random symmetric d x d matrix of norm at most b_k.
     for first, d in enumerate(dims):
         ts = np.arange(first, trials, len(dims), dtype=np.uint64)
-        for at in range(0, len(ts), SUITE_CHUNK):
-            draws = streams.words(seed, [tag | ts[at:at + SUITE_CHUNK] for tag in tags],
-                                  [k + 4 + (k * d * d + 1) // 2 for k in sizes])
+        lengths = [k + 4 + (k * d * d + 1) // 2 for k in sizes]
+        step = max(1, streams.CHUNK_BYTES // (8 * (sum(lengths) + 12 * max(sizes) * d * d)))
+        for at in range(0, len(ts), step):
+            draws = streams.words(seed, [tag | ts[at:at + step] for tag in tags], lengths)
             for (name, (bounds, fun)), w, k in zip(suite.items(), draws, sizes):
                 gain = np.multiply(bounds, 0.2 + 0.8 * streams.uniform(w[:, :k]))
                 g = streams.normal(w[:, k + 4:])[:, :k * d * d].reshape(-1, k, d, d)

@@ -1,8 +1,8 @@
 """The numpy-free bottom of the package: the error bases, the one integer
-and the one real-number rule of every reader, and the one integer floor and
-the one range of every count and scale.  ``measures`` re-exports the error
-bases and the two rules; the CLI reads a config and reports its errors
-without numpy."""
+and the one real-number rule of every reader, the one integer floor, the
+one seed range and the one range of every count and scale.  ``measures``
+re-exports the error bases and the two rules; the CLI reads a config and
+reports its errors without numpy."""
 
 from __future__ import annotations
 
@@ -63,6 +63,13 @@ def at_least(value, name: str, low: int) -> int:
     if (count := as_integer(value, name)) < low:
         raise OutOfRange(f"{name} must be at least {low}, got {count}")
     return count
+
+
+def as_seed(value, name: str) -> int:
+    """value read by as_integer, or OutOfRange outside [0, 2^64): the one seed rule."""
+    if not 0 <= (seed := as_integer(value, name)) < 1 << 64:
+        raise OutOfRange(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def in_range(value, name: str, upper: float = math.inf, zero_ok: bool = False) -> float:

@@ -1,20 +1,17 @@
 """Seeded samplers for the measure families plus empirical tails.
 
-Randomness contract: every batch is a pure function of (seed, count).
-Draw i consumes only its own slice of a counter-based Philox stream
-keyed by the seed (a private row of uniforms for table sampling, a
-dedicated Philox key (seed, i) for the walk-based samplers), so batches
-are reproducible independently of scheduling or chunking.  Wilson and
-k-DPP draws read the keyed streams `streams` computes (Philox4x64-10 over
-uint64 arrays, bit for bit numpy's), so they advance all at once, chunk by
-chunk.  Memory contract: every batch, table included, is made chunk by
-chunk (`_batched`), each chunk writing its own slice of the one count-long
-int64 array, and `dump_batch` writes a batch chunk by chunk, so a sampler
-holds its output plus one chunk's working state, at most CHUNK_BYTES
-(each sampler's row_bytes counts every array a draw holds in its chunk),
-whatever the count.  Empirical tails read each draw's deviation from the
-exact E_pi F off the centred spectrum of the support, under exact
-Clopper-Pearson limits.
+Randomness contract: every batch is a pure function of (seed, count), for a
+seed in [0, 2^64) (inputs.as_seed).  Draw i consumes only its own slice of a
+counter-based Philox stream keyed by the seed (a private row of uniforms for
+table sampling, the key (seed, i) for the walk-based samplers, which `streams`
+computes for a chunk at once), so batches do not depend on scheduling or
+chunking.  Memory contract: every batch is made chunk by chunk (`_batched`)
+into one count-long int64 array, and `dump_batch` writes it chunk by chunk,
+so a sampler holds its output plus one chunk's working state, at most
+streams.CHUNK_BYTES (each sampler's row_bytes counts every array a draw
+holds in its chunk), whatever the count.  Empirical tails read each draw's
+deviation from the exact E_pi F off the centred spectrum of the support,
+under exact Clopper-Pearson limits.
 """
 
 from __future__ import annotations
@@ -25,7 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .inputs import at_least
+from . import streams
+from .inputs import as_seed, at_least
 from .measures import (
     StateSpaceTooLarge,
     SubsetMeasure,
@@ -35,20 +33,18 @@ from .measures import (
     tree_edges,
     validate,
 )
-from .streams import MASK32, MASK64, lemire, philox, uniform
 
 if TYPE_CHECKING:
     from .functional import MatrixFn
 
 MASK_BITS = 63  # bits of a nonnegative int64 draw
-CHUNK_BYTES = 8 << 20  # batched sampler state per chunk, so memory does not grow with count
 
 
 def _batched(seed: int, count: int, row_bytes: int, draw) -> SampleBatch:
     """The batch whose masks lo..hi-1 draw(lo, hi, out) writes into out, in
-    order over ranges of at most CHUNK_BYTES of state, row_bytes per draw: the
-    one count-long array is the only memory that grows with count."""
-    step = max(1, CHUNK_BYTES // row_bytes)
+    order over ranges of at most streams.CHUNK_BYTES of state, row_bytes per
+    draw: the one count-long array is the only memory that grows with count."""
+    step = max(1, streams.CHUNK_BYTES // row_bytes)
     masks = np.empty(count, dtype=np.int64)
     for lo in range(0, count, step):
         draw(lo, min(lo + step, count), masks[lo:lo + step])
@@ -95,7 +91,7 @@ def sample_table(m: SubsetMeasure, seed: int, count: int) -> SampleBatch:
     validate(m)
     supp, probs = m.masks, m.masses  # validated: every stored mass is positive
     thresh, alias = _build_alias(probs)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
+    rng = np.random.Generator(np.random.Philox(key=as_seed(seed, "seed")))
     return _batched(seed, count, 8 * 4 + 1,  # two uniforms, the cell, its alias and a flag
                     lambda lo, hi, out: _table_chunk(supp, thresh, alias, rng, out))
 
@@ -158,9 +154,9 @@ def _wilson_chunk(hops, degree, seed: int, lo: int, hi: int, out) -> None:
         deg = degree[cur]
         reads = walking & (deg > 1)  # integers(1) reads nothing; lemire gives it 0
         fresh = reads & (used % 8 == 0)  # reads run in order, 8 to a block
-        words[fresh] = philox(seed, row[fresh] + lo, used[fresh] >> 3)
+        words[fresh] = streams.philox(seed, row[fresh] + lo, used[fresh] >> 3)
         word = words[np.arange(row.size), (used >> 1) & 3]
-        pick, ok = lemire(word >> ((used & 1) << 5) & MASK32, deg)
+        pick, ok = streams.lemire(word >> ((used & 1) << 5) & streams.MASK32, deg)
         used += reads
         step = np.flatnonzero(walking & ok)
         back = np.flatnonzero(~walking)
@@ -214,8 +210,8 @@ def _kdpp_chunk(k_mat, rank: int, seed: int, lo: int, hi: int, out) -> None:
     rows, diag = np.arange(hi - lo), np.arange(n)
     for s in range(rank):
         if s % 4 == 0:
-            raw = philox(seed, np.arange(lo, hi, dtype=np.uint64), s // 4)
-        u = uniform(raw[:, s % 4])
+            raw = streams.philox(seed, np.arange(lo, hi, dtype=np.uint64), s // 4)
+        u = streams.uniform(raw[:, s % 4])
         weights = np.clip(work[:, diag, diag], 0.0, None)
         weights[taken] = 0.0
         total = weights.sum(axis=1)
@@ -355,7 +351,7 @@ def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]
 
 def dump_batch(batch: SampleBatch, path) -> None:
     """Newline-delimited lowercase hex masks, written chunk by chunk."""
-    step = max(1, CHUNK_BYTES // 64)  # per mask: its int, list and tuple slots, hex line
+    step = max(1, streams.CHUNK_BYTES // 64)  # per mask: its int, list and tuple slots, hex line
     with open(path, "w") as fh:
         for lo in range(0, batch.count, step):
             chunk = batch.draws[lo:lo + step].tolist()

@@ -2,14 +2,18 @@
 np.random.Philox(key=[k0, k1]).random_raw(), whose block b is words 4b to 4b + 3.
 A word depends on its key and position only, so a batch of streams advances at
 once, in any chunks, and no numpy.random object is built (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11)."""
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  inputs.as_seed reads the
+seed, and CHUNK_BYTES bounds the state of one sampler chunk, dump chunk or suite stack."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .inputs import as_seed
+
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
+CHUNK_BYTES = 8 << 20  # the working state of one chunk, so memory does not grow with count
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
 
@@ -30,7 +34,7 @@ def philox(seed: int, index: np.ndarray, block) -> np.ndarray:
     k1 = np.asarray(index, dtype=np.uint64)
     c0 = np.broadcast_to(np.asarray(block, dtype=np.uint64) + np.uint64(1), k1.shape)
     c1 = c2 = c3 = np.zeros(k1.shape, dtype=np.uint64)
-    k0 = int(seed) & MASK64
+    k0 = as_seed(seed, "seed")
     with np.errstate(over="ignore"):
         for r in range(10):
             if r:
@@ -51,14 +55,12 @@ def lemire(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def words(seed: int, keys, counts) -> list[np.ndarray]:
     """Per array ks of keys and count c, the first c words of stream (seed, k) for each
-    k in ks, (len(ks), c), in one pass; a seed outside [0, 2^64) is a ValueError."""
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    k in ks, (len(ks), c), in one pass; ks may be empty."""
     keys, blocks = [np.asarray(ks, dtype=np.uint64) for ks in keys], [-(-c // 4) for c in counts]
     raw = philox(seed, np.concatenate([np.repeat(ks, b) for ks, b in zip(keys, blocks)]),
                  np.concatenate([np.tile(np.arange(b), ks.size) for ks, b in zip(keys, blocks)]))
     parts = np.split(raw, np.cumsum([ks.size * b for ks, b in zip(keys, blocks)])[:-1])
-    return [part.reshape(ks.size, -1)[:, :c] for part, ks, c in zip(parts, keys, counts)]
+    return [p.reshape(ks.size, 4 * b)[:, :c] for p, ks, b, c in zip(parts, keys, blocks, counts)]
 
 
 def uniform(w: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import srconc
-from srconc import chains, cli, concentration, functional, matrix_core, measures
+from srconc import chains, cli, concentration, functional, matrix_core, measures, streams
 from srconc.cli import main
 from srconc.concentration import TAIL_CSV_COLUMNS
 
@@ -362,18 +363,35 @@ def test_ineq_suite_output_is_pinned(tmp_path, capsys, tol, code, duhamel):
 
 @pytest.mark.parametrize("tol", [1e-8, 0.0])
 def test_ineq_suite_prints_the_same_bytes_in_small_stacks(tmp_path, capsys, monkeypatch, tol):
-    """One stack per entry of dims (4, 3 and 3 of 10 trials over [1, 2, 5]), and
-    stacks of at most 3 when the cap is 3, print the same bytes."""
+    """One stack per entry of dims (4, 3 and 3 of 10 trials over [1, 2, 5]) at the
+    default CHUNK_BYTES, and one trial per stack at CHUNK_BYTES = 1, print the same bytes."""
     cfg = write_cfg(tmp_path, "i.json", {"trials": 10, "tol": tol, "dims": [1, 2, 5]})
     outs, stacks, residual = [], [], matrix_core.duhamel_residual
     monkeypatch.setattr(matrix_core, "duhamel_residual",
                         lambda x, y: stacks.append(x.shape[:2]) or residual(x, y))
-    for chunk in (cli.SUITE_CHUNK, 3):
-        monkeypatch.setattr(cli, "SUITE_CHUNK", chunk)
+    for chunk_bytes in (streams.CHUNK_BYTES, 1):
+        monkeypatch.setattr(streams, "CHUNK_BYTES", chunk_bytes)
         main(["ineq-suite", "--config", cfg])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and json.loads(outs[0])["violations"]["duhamel"] == (tol == 0.0) * 10
-    assert stacks == [(4, 1), (3, 2), (3, 5)] + [(3, 1), (1, 1), (3, 2), (3, 5)]
+    assert stacks == [(4, 1), (3, 2), (3, 5)] + [(1, 1)] * 4 + [(1, 2)] * 3 + [(1, 5)] * 3
+
+
+def test_ineq_suite_memory_does_not_grow_with_d_squared(tmp_path, capsys):
+    """At dims [48] a trial holds ~1.5 MB, so 13 trials take three stacks of at
+    most 5; the tracemalloc peak stays under CHUNK_BYTES plus 2 MB (8.3 MB is
+    measured), where one stack of all 13 peaks at 17 MB."""
+    cfg = write_cfg(tmp_path, "i.json", {"trials": 13, "dims": [48]})
+    main(["ineq-suite", "--trials", "1"])  # what a first run loads or caches is not stack state
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["ineq-suite", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["all_passed"]
+    assert peak <= streams.CHUNK_BYTES + (2 << 20), peak
 
 
 # the checkers ineq-suite calls, each with the stack of its trials' first matrices
@@ -401,21 +419,21 @@ def verdict_recorder(check, name, first, verdicts):
 
 @pytest.mark.parametrize("tol", [1e-8, 0.0])
 def test_ineq_suite_verdicts_do_not_depend_on_the_stack(tmp_path, capsys, monkeypatch, tol):
-    """Each trial's verdict (its residual, for Duhamel) is the same in stacks of at most
-    SUITE_CHUNK = 1024 and 3 as alone, in stacks of 1: 12 trials of 8 statements."""
+    """Each trial's verdict (its residual, for Duhamel) is the same in the default
+    CHUNK_BYTES's stacks as alone, in stacks of 1: 12 trials of 8 statements."""
     cfg = write_cfg(tmp_path, "i.json", {"trials": 12, "tol": tol, "dims": [1, 2, 5]})
     outs, seen = [], []
-    for chunk in (cli.SUITE_CHUNK, 3, 1):
+    for chunk_bytes in (streams.CHUNK_BYTES, 1):
         seen.append({})
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "SUITE_CHUNK", chunk)
+            patch.setattr(streams, "CHUNK_BYTES", chunk_bytes)
             for (module, name), first in SUITE_CHECKERS.items():
                 patch.setattr(module, name,
                               verdict_recorder(getattr(module, name), name, first, seen[-1]))
             main(["ineq-suite", "--config", cfg])
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2]
-    assert seen[0] == seen[1] == seen[2] and len(seen[0]) == 12 * 8
+    assert outs[0] == outs[1]
+    assert seen[0] == seen[1] and len(seen[0]) == 12 * 8
 
 
 def test_ineq_suite_trials_override(tmp_path, capsys):
@@ -889,10 +907,16 @@ def test_compare_ks_numbers_are_usage_errors(tmp_path, capsys, ks, needle):
     assert json.loads(captured.err) == {"error": "usage", "message": needle}
 
 
-@pytest.mark.parametrize("seed", [1.5, math.nan, True, "3"],
-                         ids=["fraction", "nan", "bool", "string"])
+@pytest.mark.parametrize("seed,message", [
+    (1.5, "must be an integer, got 1.5"), (math.nan, "must be an integer, got nan"),
+    (True, "must be an integer, got True"), ("3", "must be an integer, got '3'"),
+    (-1, "must lie in [0, 2^64), got -1"),
+    (2**64, "must lie in [0, 2^64), got 18446744073709551616")],
+    ids=["fraction", "nan", "bool", "string", "negative", "2^64"])
 @pytest.mark.parametrize("key", ["seed", "function.random.seed"])
-def test_seeds_must_be_integers_before_the_walk(tmp_path, capsys, monkeypatch, key, seed):
+def test_seeds_must_be_integers_before_the_walk(tmp_path, capsys, monkeypatch, key, seed,
+                                                message):
+    """Integers in [0, 2^64), by inputs.as_seed."""
     def no_walk(*args, **kwargs):
         raise AssertionError("walk built before the seed was checked")
 
@@ -903,8 +927,7 @@ def test_seeds_must_be_integers_before_the_walk(tmp_path, capsys, monkeypatch, k
         rnd["seed"] = seed
     cfg = uniform_cfg(tmp_path, function={"random": rnd}, **extra)
     assert main(["poincare-check", "--config", cfg]) == 1
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "usage", "message": f"{key} must be an integer, got {seed!r}"}
+    assert json.loads(capsys.readouterr().err) == {"error": "usage", "message": f"{key} {message}"}
 
 
 def test_sample_rejects_a_fractional_seed(tmp_path, capsys):
@@ -927,6 +950,55 @@ def test_integral_float_seeds_draw_like_ints(tmp_path, capsys):
 
 K4_GRAPH = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
 UNIT_KERNEL = {"d": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]}
+UNIFORM_4_2 = {"measure": {"family": "uniform_k_subsets", "n": 4, "k": 2}}
+RANDOM_FN = {"function": {"random": {"kind": "table", "d": 2}}}  # seeded by the config seed
+SEEDED_COMMANDS = {  # each seeded command, with a config it runs to exit 0
+    "sample-table": ("sample", {"count": 5, **UNIFORM_4_2}),
+    "sample-wilson": ("sample", {"sampler": "wilson", "count": 5, "graph": K4_GRAPH}),
+    "sample-kdpp": ("sample", {"sampler": "kdpp", "count": 5, "kernel": UNIT_KERNEL}),
+    "tail-empirical": ("tail", {"mode": "empirical", "count": 50, "t_grid": {"points": 2},
+                                **UNIFORM_4_2, **RANDOM_FN}),
+    "ineq-suite": ("ineq-suite", {"trials": 2}),
+    "poincare-check": ("poincare-check", {**UNIFORM_4_2, **RANDOM_FN}),
+    "compare-ks": ("compare-ks", {"ks": {"k_values": [8]}}),
+}
+
+
+def test_seeds_outside_64_bits_are_refused_before_numpy(tmp_path):
+    """Seeds -1 and 2^64 exit 1 with one usage error object on stderr, from every
+    seeded command, before numpy or any walk loads and before any file is written."""
+    cases = []
+    for name, (command, cfg) in SEEDED_COMMANDS.items():
+        path = write_cfg(tmp_path, f"{name}.json", cfg)
+        cases += [[command, "--config", path, "--seed", str(seed), "--out", f"{name}{seed}.out"]
+                  for seed in (-1, 2**64)]
+    probe = ("import contextlib, io, json, os, sys; from srconc.cli import main\n"
+             "runs = []\n"
+             f"for argv in {cases!r}:\n"
+             "    with contextlib.redirect_stderr(err := io.StringIO()):\n"
+             "        runs.append([main(argv), err.getvalue(), os.path.exists(argv[-1])])\n"
+             "print(json.dumps([runs, 'numpy' in sys.modules, 'srconc.chains' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CHILD_ENV, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    *out, last = proc.stdout.splitlines()
+    runs, numpy_loaded, chains_loaded = json.loads(last)
+    assert out == [] and not numpy_loaded and not chains_loaded
+    for argv, (code, err, written) in zip(cases, runs):
+        message = f"seed must lie in [0, 2^64), got {argv[4]}"
+        assert [code, err, written] == [1, json.dumps({"error": "usage", "message": message})
+                                        + "\n", False], argv
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("name", SEEDED_COMMANDS)
+def test_seeds_at_the_ends_of_64_bits_run(tmp_path, capsys, name, seed):
+    command, cfg = SEEDED_COMMANDS[name]
+    out = tmp_path / "run.out"
+    argv = [command, "--config", write_cfg(tmp_path, "c.json", cfg), "--seed", str(seed)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "") and out.stat().st_size > 0
+
 
 
 @pytest.mark.parametrize("command,cfg,needle", [

@@ -296,7 +296,7 @@ WHEEL4_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
 
 
 def _stream(seed, index):
-    key = np.array([int(seed) & streams.MASK64, int(index) & streams.MASK64], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -360,15 +360,41 @@ def reference_kdpp(kernel, seed, count):
     return draws
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**63 + 5, -1])
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 5, 2**64 - 1])
 def test_philox_blocks_match_numpy(seed):
     index = np.arange(40, dtype=np.uint64)
     for block in range(3):
         got = streams.philox(seed, index, block)
         for i in index.tolist():
-            key = np.array([seed & streams.MASK64, i], dtype=np.uint64)
+            key = np.array([seed, i], dtype=np.uint64)
             want = np.random.Philox(key=key).random_raw(4 * (block + 1))[4 * block:]
             assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused_not_wrapped(seed):
+    """philox (and with it words, Wilson and k-DPP) and the table's numpy key
+    read one rule, inputs.as_seed: a seed outside [0, 2^64) is an error, not
+    the draws of the seed it wraps to."""
+    m = measures.make_uniform_k_subsets(4, 2)
+    kern = random_projection_kernel(4, 2, seed=1)
+    for draw in (lambda: streams.philox(seed, np.arange(3), 0),
+                 lambda: streams.words(seed, [np.arange(3)], [5]),
+                 lambda: sample_table(m, seed, 5),
+                 lambda: wilson_spanning_tree(K4_EDGES, seed, 5),
+                 lambda: sample_kdpp(kern, seed, 5)):
+        with pytest.raises(OutOfRange, match=rf"seed must lie in \[0, 2\^64\), got {seed}$"):
+            draw()
+
+
+def test_words_of_no_keys_and_no_words():
+    """An empty key array gives (0, c) words beside the other arrays' words,
+    alone too, and a count of 0 gives (len(ks), 0)."""
+    empty, full = streams.words(1, [np.arange(0, dtype=np.uint64), np.arange(2)], [3, 6])
+    assert empty.shape == (0, 3) and empty.dtype == np.uint64
+    assert np.array_equal(full, streams.words(1, [np.arange(2)], [6])[0])
+    assert streams.words(1, [np.arange(0, dtype=np.uint64)], [3])[0].shape == (0, 3)
+    assert streams.words(1, [np.arange(3)], [0])[0].shape == (3, 0)
 
 
 def test_lemire_matches_integers_with_rejections():
@@ -404,7 +430,7 @@ def test_kdpp_matches_the_per_draw_reference():
     [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)]],
     ids=["K3", "K4", "wheel4", "K6", "path", "parallel"])
 def test_wilson_matches_the_per_draw_reference(edges):
-    for seed in (3, -1):
+    for seed in (3, 2**64 - 1):
         assert np.array_equal(wilson_spanning_tree(edges, seed, 200).draws,
                               reference_wilson(edges, seed, 200))
 
@@ -432,7 +458,7 @@ def test_batches_do_not_depend_on_the_chunks(monkeypatch, sampler):
         return batched(seed, count, row_bytes, recorded)
 
     monkeypatch.setattr(samplers, "_batched", spy)
-    monkeypatch.setattr(samplers, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(streams, "CHUNK_BYTES", chunk_bytes)
     draw(30)
     step = ranges[0][1]
     assert 1 < step < 15 and ranges[1] == (step, 2 * step)
@@ -446,7 +472,7 @@ def test_sampler_memory_does_not_grow_with_count(monkeypatch, tmp_path, sampler)
     """With 64 KB chunks, a sampler's tracemalloc peak above its batch's own
     bytes, and a dump's peak, stay under four chunks at 4096 and at 32768
     draws: an 8x count must not hold more than one chunk's state."""
-    monkeypatch.setattr(samplers, "CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(streams, "CHUNK_BYTES", 1 << 16)
     m = measures.make_uniform_k_subsets(6, 3)
     kern = random_projection_kernel(5, 2, seed=12)
     run = {"table": lambda c: sample_table(m, 1, c),
@@ -462,7 +488,7 @@ def test_sampler_memory_does_not_grow_with_count(monkeypatch, tmp_path, sampler)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - own <= 4 * samplers.CHUNK_BYTES, (count, peak - own)
+        assert peak - own <= 4 * streams.CHUNK_BYTES, (count, peak - own)
 
 
 def test_a_chunk_holds_at_most_chunk_bytes():
@@ -478,10 +504,10 @@ def test_a_chunk_holds_at_most_chunk_bytes():
             (lambda c: sample_table(m, 1, c), 8 * 4 + 1)]
     for run, row_bytes in runs:
         run(5)  # what a first call loads or caches is not chunk state
-        count = 2 * (samplers.CHUNK_BYTES // row_bytes) + 1
+        count = 2 * (streams.CHUNK_BYTES // row_bytes) + 1
         one = peak_traced_bytes(lambda: run(1))[0]
         held = peak_traced_bytes(lambda: run(count))[0] - 8 * count
-        assert held <= samplers.CHUNK_BYTES + one, (row_bytes, held, one)
+        assert held <= streams.CHUNK_BYTES + one, (row_bytes, held, one)
 
 
 def test_golden_draws():
@@ -715,8 +741,8 @@ def test_dump_load_roundtrip(monkeypatch, tmp_path):
     m = measures.make_uniform_k_subsets(6, 3)
     batch = sample_table(m, seed=21, count=64)
     path = tmp_path / "draws.hex"
-    for chunk_bytes in (samplers.CHUNK_BYTES, 640):
-        monkeypatch.setattr(samplers, "CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (streams.CHUNK_BYTES, 640):
+        monkeypatch.setattr(streams, "CHUNK_BYTES", chunk_bytes)
         dump_batch(batch, path)
         text = path.read_text()
         assert text == "".join(f"{mask:x}\n" for mask in batch.draws.tolist())

@@ -434,6 +434,7 @@ ONE_HOME = {
     'f"{name} must be at least {low}, got {count}"': "inputs.py",  # inputs.at_least
     "f\"{name} must lie in {'[' if zero_ok else '('}0, {upper}), got {x!r}\"":
         "inputs.py",                           # inputs.in_range
+    'f"{name} must lie in [0, 2^64), got {seed}"': "inputs.py",  # inputs.as_seed
     "(v * v / lam)": "concentration.py",       # the mgf radius, concentration._radius
     "lam must be positive": "concentration.py",  # concentration._positive_gap
 }
