@@ -14,7 +14,8 @@ The mean and variance take plain weight/value arrays, the Dirichlet form
 a walk; a MatrixFn carries the (state mask -> matrix) table and aligns
 itself to a state list via ``gather``, raising DomainMismatch for missing states.
 Values (N, m, d, d) are N observables on m states: each result then holds N,
-each bit for bit its observable's alone, the stack of one.
+each bit for bit its observable's alone, the stack of one.  A random observable
+reads counter streams, key x for a table's value at x and key i for a linear A_i.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import Decomposition, Generator, _read_only, _sealed
-from .matrix_core import _out, random_symmetric, require_symmetric, spectral_norm
+from .matrix_core import _out, require_symmetric, spectral_norm, symmetrized
 from .measures import InvalidInput, as_integer, as_matrix, component_count, within
+from .streams import normal, uniform, words
 
 
 class FunctionalError(InvalidInput):
@@ -113,36 +115,29 @@ class MatrixFn:
 
 def random_matrix_fn(states, d: int, seed: int,
                      norm_bound: float = 1.0) -> MatrixFn:
-    """Independent random symmetric value at every state."""
-    rng = np.random.default_rng(seed)
-    states = np.asarray(states, dtype=np.int64)
-    return MatrixFn(states, random_symmetric([rng] * states.size, d, norm_bound))
+    """An independent random symmetric value of norm norm_bound * (0.2 + 0.8 u) at each
+    state x, from stream (seed, x): the gain word u, then ceil(d^2 / 2) normal words."""
+    w = words(seed, [states], [1 + (d * d + 1) // 2])[0]
+    g = normal(w[:, 1:])[:, :d * d].reshape(-1, d, d)
+    return MatrixFn(states, symmetrized(g, norm_bound * (0.2 + 0.8 * uniform(w[:, 0]))))
 
 
 def random_linear_matrix_fn(n: int, states, d: int, lipschitz: float,
                             seed: int) -> tuple["MatrixFn", float]:
-    """F(x) = sum_i x_i A_i with ||A_i|| <= lipschitz.
+    """F(x) = sum_i x_i A_i, A_i of norm lipschitz * (0.5 + 0.5 u) from stream (seed, i) as above.
 
     Returns the function and max_i ||A_i||, its Lipschitz constant in
     Hamming distance (adjacent cube states differ in at most two bits,
     so oscillation over flip-swap pairs is at most twice this).
     """
-    rng = np.random.default_rng(seed)
     states = np.asarray(states, dtype=np.int64)
-    coeffs = []
-    worst = 0.0
-    for _ in range(n):
-        a = random_symmetric(rng, d)
-        nrm = spectral_norm(a)
-        if nrm > 0:
-            a *= lipschitz * rng.uniform(0.5, 1.0) / nrm
-        coeffs.append(a)
-        worst = max(worst, spectral_norm(a))
+    w = words(seed, [np.arange(n)], [1 + (d * d + 1) // 2])[0]
+    g = normal(w[:, 1:])[:, :d * d].reshape(-1, d, d)
+    coeffs = symmetrized(g, lipschitz * (0.5 + 0.5 * uniform(w[:, 0])))
     vals = np.zeros((states.size, d, d))
-    for i in range(n):
-        hit = ((states >> i) & 1).astype(bool)
-        vals[hit] += coeffs[i]
-    return MatrixFn(states, vals), worst
+    for i in range(n):  # each state sums in the order of i; bits @ A may not (1 row is a GEMV)
+        vals[(states >> i) & 1 == 1] += coeffs[i]
+    return MatrixFn(states, vals), float(spectral_norm(coeffs).max(initial=0.0))
 
 
 def matrix_mean(weights, values) -> np.ndarray:

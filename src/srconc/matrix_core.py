@@ -16,8 +16,8 @@ Every checker and norm takes a leading trial axis: stacks (N, d, d), with N
 scalars where a trial has one (segment t, pair and decomposition weights),
 give N verdicts or values, each bit for bit what the trial gives alone, and
 one (d, d) matrix a bool or float.  ``ineq-suite`` checks a statement's trials
-of one size (and p) in one call, each matrix drawn from its trial's counter
-stream through ``symmetrized``, the rule ``random_symmetric`` applies too.
+of one size (and p) in one call.  ``symmetrized`` turns counter-stream normals
+into every random symmetric matrix, the suite's and the random observables'.
 """
 
 from __future__ import annotations
@@ -314,25 +314,11 @@ def check_lemma_var(pairs, p: int, tol: float = 1e-8):
     return within(lhs, rhs, tol, rhs)  # rhs >= 0
 
 
-def symmetrized(g, gain=None) -> np.ndarray:
+def symmetrized(g, gain) -> np.ndarray:
     """(g + g^T) / 2 per matrix of a stack, rescaled to spectral norm gain where
     its norm is positive: the rule of every random symmetric matrix drawn here."""
     a = (g + g.mT) / 2.0
-    if gain is not None:
-        nrm = spectral_norm(a)  # a is exactly symmetric
-        a *= (gain / np.where(nrm > 0, nrm, 1.0))[..., None, None]
+    nrm = spectral_norm(a)  # a is exactly symmetric
+    a *= (gain / np.where(nrm > 0, nrm, 1.0))[..., None, None]
     return a
 
-
-def random_symmetric(rng, d: int, norm_bound: float | None = None) -> np.ndarray:
-    """GOE-style random symmetric matrix, optionally rescaled in norm; for a
-    sequence of Generators, a stack of one such matrix drawn from each in turn."""
-    rngs = [rng] if (single := isinstance(rng, np.random.Generator)) else rng
-    g, gain = np.empty((len(rngs), d, d)), np.ones(len(rngs))
-    for i, r in enumerate(rngs):
-        r.standard_normal(out=g[i])
-        # norm 0 only if g + g^T = 0 (no normal draw is subnormal), whose corner is 2 g_00
-        if norm_bound is not None and ((d and g[i, 0, 0]) or np.count_nonzero(g[i] + g[i].T)):
-            gain[i] = norm_bound * r.uniform(0.2, 1.0)
-    a = symmetrized(g, None if norm_bound is None else gain)
-    return a[0] if single else a

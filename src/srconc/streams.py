@@ -1,7 +1,7 @@
 """Counter-based random streams: Philox4x64-10 over uint64 arrays, bit for bit
-np.random.Philox(key=[k0, k1]).random_raw(), whose block b is words 4b to 4b + 3.
+numpy's Philox(key=[k0, k1]).random_raw(), whose block b is words 4b to 4b + 3.
 A word depends on its key and position only, so a batch of streams advances at
-once, in any chunks, and no numpy.random object is built (Salmon et al.,
+once, in any chunks, and no numpy generator is built (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).  inputs.as_seed reads the
 seed, and CHUNK_BYTES bounds the state of one sampler chunk, dump chunk or suite stack."""
 
@@ -30,7 +30,7 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def philox(seed: int, index: np.ndarray, block) -> np.ndarray:
     """Block `block` (4 words) of the Philox4x64-10 stream keyed (seed, i)
     for every i in index, shape (len(index), 4): the words 4*block to
-    4*block + 3 that np.random.Philox(key=[seed, i]).random_raw() returns."""
+    4*block + 3 that numpy's Philox(key=[seed, i]).random_raw() returns."""
     k1 = np.asarray(index, dtype=np.uint64)
     c0 = np.broadcast_to(np.asarray(block, dtype=np.uint64) + np.uint64(1), k1.shape)
     c1 = c2 = c3 = np.zeros(k1.shape, dtype=np.uint64)

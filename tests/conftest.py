@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from srconc import chains, measures
+from srconc import chains, matrix_core, measures
 
 ACCEPTANCE_LINES = []
 
@@ -19,6 +19,14 @@ def pytest_terminal_summary(terminalreporter):
 def name_seed(name: str) -> int:
     """Stable small seed for a fixture name (hash() is per-process)."""
     return zlib.crc32(name.encode()) % 2**16
+
+
+def random_symmetric(rng: np.random.Generator, d: int, norm_bound: float):
+    """A GOE-style random symmetric d x d matrix from rng's standard normals,
+    rescaled to spectral norm norm_bound * U(0.2, 1): the tests' own inputs,
+    drawn from a numpy Generator the test seeds."""
+    g = rng.standard_normal((d, d))
+    return matrix_core.symmetrized(g, norm_bound * rng.uniform(0.2, 1.0))
 
 
 def peak_traced_bytes(fn):

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 import conftest
-from conftest import K4_EDGES, build_fixture_measures, random_projection_kernel
+from conftest import (K4_EDGES, build_fixture_measures, random_projection_kernel,
+                      random_symmetric)
 from srconc import (
     chains,
     concentration as cc,
@@ -74,8 +75,9 @@ def test_criterion_02_two_state_constant():
 
 
 def test_criterion_03_matrix_poincare_suite():
-    """Trial i on a walk is the observable random_matrix_fn(seed=1000 fi + i) at
-    d = (2, 3, 5)[i % 3]; the trials of one d are checked as one stack."""
+    """Trial i on the fi-th walk is an observable at d = (2, 3, 5)[i % 3] whose
+    value at state x reads stream (3000 + fi, i << 32 | x); the trials of one d
+    are drawn by one random_matrix_fn call and checked as one stack."""
     checks = 0
     worst = np.inf
     for fi, name in enumerate(NAMES):
@@ -83,9 +85,9 @@ def test_criterion_03_matrix_poincare_suite():
         lam = GAPS[name]
         for first, d in enumerate((2, 3, 5)):
             trials = range(first, 500, 3)
-            fn = functional.MatrixFn(gen.states, np.stack([
-                functional.random_matrix_fn(gen.states, d, seed=fi * 1000 + i).values
-                for i in trials]))
+            keys = (np.array(trials)[:, None] << 32 | gen.states).ravel()
+            fn = functional.MatrixFn(gen.states, functional.random_matrix_fn(
+                keys, d, seed=3000 + fi).values.reshape(len(trials), -1, d, d))
             rep = functional.check_matrix_poincare(gen, fn, lam, tol=1e-8)
             worst = min(worst, float((rep.min_eig_slack / rep.scale).min()))
             checks += len(trials)
@@ -145,7 +147,7 @@ def test_criterion_05_inequality_suite():
     ps = (1, 2, 4)
 
     def sym(rng, d, count, bound=1.5):
-        return [mx.random_symmetric(rng, d, bound) for _ in range(count)]
+        return [random_symmetric(rng, d, bound) for _ in range(count)]
 
     diff_square = (lambda rng, d: (*sym(rng, d, 4), float(rng.uniform())),
                    lambda *args: mx.check_diff_square_convex(*args, tol))

@@ -1193,11 +1193,9 @@ def test_cli_import_skips_scipy():
 BASE_LAYERS = {"cli", "inputs"}
 MEASURE_LAYERS = BASE_LAYERS | {"measures"}
 WALK_LAYERS = MEASURE_LAYERS | {"chains"}
-CERTIFY_LAYERS = WALK_LAYERS | {"matrix_core", "functional"}
+CERTIFY_LAYERS = WALK_LAYERS | {"matrix_core", "functional", "streams"}
 TAIL_LAYERS = CERTIFY_LAYERS | {"concentration"}
 SAMPLE_LAYERS = MEASURE_LAYERS | {"samplers", "streams"}
-# commands that draw nothing from numpy.random, so never load it (10 ms and 6 MB of a process)
-NUMPY_RANDOM_FREE = {"ineq-suite", "validate-measure", "scp-check", "build-walk"}
 
 
 @pytest.mark.parametrize("command,extra,layers", [
@@ -1214,13 +1212,14 @@ NUMPY_RANDOM_FREE = {"ineq-suite", "validate-measure", "scp-check", "build-walk"
      MEASURE_LAYERS),
     ("sample", {"sampler": "kdpp", "kernel": UNIT_KERNEL, "count": 5, "out": "draws.hex"},
      SAMPLE_LAYERS),
-    ("ineq-suite", {"trials": 4}, TAIL_LAYERS | {"streams"}),
+    ("ineq-suite", {"trials": 4}, TAIL_LAYERS),
 ], ids=["compare-ks", "validate-measure", "scp-check", "build-walk", "poincare-check",
         "mgf", "tail", "tail-empirical", "sample", "validate-measure-kernel", "sample-kdpp",
         "ineq-suite"])
 def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, layers):
-    """numpy loads with measures and never without it, and numpy.random never
-    loads for the commands of NUMPY_RANDOM_FREE."""
+    """numpy loads with measures and never without it, and numpy.random (15 ms
+    and 6 MB of a process) never loads without samplers: a random function
+    reads counter streams."""
     argv = [command]
     if extra is not None:
         argv += ["--config", uniform_cfg(tmp_path, 4, 2, function={"random": {
@@ -1236,7 +1235,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, command, extra, 
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got[:4] == [0, sorted(layers), "measures" in layers, []]
-    if command in NUMPY_RANDOM_FREE:
+    if "samplers" not in layers:
         assert got[4] is False
 
 

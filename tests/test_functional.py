@@ -100,6 +100,40 @@ def test_random_linear_fn_structure():
     assert np.allclose(full[0b0101], full[0b0001] + full[0b0100])
 
 
+def test_random_observables_on_a_sub_list_are_the_full_lists_rows():
+    """State x's table value reads stream (seed, x) and a linear F(x) is x's bits
+    times the A_i of streams (seed, i), so any sub-list of states, in any order,
+    draws the full list's rows bit for bit."""
+    rng = np.random.default_rng(17)
+    for n, d in ((5, 1), (8, 3), (10, 4)):
+        states = np.arange(1 << n)
+        table = random_matrix_fn(states, d, seed=n, norm_bound=2.0)
+        linear, lip = random_linear_matrix_fn(n, states, d, 1.5, seed=n)
+        for size in (1, 7, states.size // 2, states.size - 1):
+            sub = rng.permutation(states)[:size]
+            assert random_matrix_fn(sub, d, n, 2.0).values.tobytes() == \
+                table.gather(sub).tobytes()
+            part, part_lip = random_linear_matrix_fn(n, sub, d, 1.5, n)
+            assert part.values.tobytes() == linear.gather(sub).tobytes()
+            assert part_lip == lip
+
+
+def test_random_values_have_norm_in_their_gain_range():
+    """A table value has spectral norm in [0.2, 1] * scale, and a linear A_i in
+    [0.5, 1] * L, so the returned Lipschitz constant lies there too."""
+    for d in (1, 2, 5):
+        for scale in (0.5, 1.0, 3.0):
+            fn = random_matrix_fn(np.arange(200), d, seed=d, norm_bound=scale)
+            nrm = np.abs(np.linalg.eigvalsh(fn.values)).max(axis=-1)
+            assert (nrm >= 0.2 * scale * (1 - 1e-12)).all() and (nrm <= scale * (1 + 1e-12)).all()
+            assert nrm.min() < 0.3 * scale and nrm.max() > 0.9 * scale
+            fn, lip = random_linear_matrix_fn(12, 1 << np.arange(12), d, scale, seed=d)
+            nrm = np.abs(np.linalg.eigvalsh(fn.values)).max(axis=-1)
+            assert (nrm >= 0.5 * scale * (1 - 1e-12)).all() and (nrm <= scale * (1 + 1e-12)).all()
+            assert lip == nrm.max()
+    assert not random_matrix_fn(np.arange(3), 2, seed=1, norm_bound=0.0).values.any()
+
+
 # ------------------------------------------------------------ mean/variance
 
 def test_matrix_mean_and_variance_scalar_oracle():

@@ -23,13 +23,14 @@ from srconc.matrix_core import (
     check_trace_monotone,
     duhamel_residual,
     psd_leq,
-    random_symmetric,
     schatten_norm,
     spectral_norm,
     sym_apply,
     trace_power,
 )
 from srconc.inputs import NotAnInteger, at_least
+
+from conftest import random_symmetric
 
 
 def test_sym_expm_pinned_values():
@@ -330,14 +331,6 @@ def test_lemma_var_rejects_bad_weights():
             check_lemma_var(pairs, 1)
 
 
-def test_random_symmetric_norm_bound():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        a = random_symmetric(rng, 4, 1.5)
-        assert np.allclose(a, a.T)
-        assert spectral_norm(a) <= 1.5 + 1e-12
-
-
 # ------------------------------------ quadratures against the per-node loops
 
 def loop_duhamel_residual(x, y, quad_points):
@@ -545,19 +538,3 @@ def test_a_stack_gives_each_trial_what_it_gives_alone(name, seed, n, d):
         assert len(seen) == len(alone_seen)
         for stacked, single in zip(seen, alone_seen):
             assert [_bits(x[k]) for x in stacked] == [_bits(x) for x in single], (name, k)
-
-
-def test_random_symmetric_stacks_draw_as_one_matrix_at_a_time():
-    """A stack from a list of Generators holds the matrices each would give
-    alone, and one Generator listed m times gives its m next draws in order."""
-    for d, bound in ((1, None), (3, 1.5), (6, 2.0)):
-        seeds = [[4, d, t] for t in range(7)]
-        rngs = [np.random.default_rng(s) for s in seeds]
-        stack = random_symmetric(rngs, d, bound)
-        for s, a in zip(seeds, stack):
-            assert _bits(a) == _bits(random_symmetric(np.random.default_rng(s), d, bound))
-        one, alone = np.random.default_rng(9), np.random.default_rng(9)
-        stack = random_symmetric([one] * 5, d, bound)
-        assert [_bits(a) for a in stack] == \
-            [_bits(random_symmetric(alone, d, bound)) for _ in range(5)]
-    assert not random_symmetric([], 3, 1.0).size

@@ -371,18 +371,35 @@ def test_philox_blocks_match_numpy(seed):
             assert np.array_equal(got[i], want)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_table_draws_are_the_alias_map_of_stream_seed_0(monkeypatch, seed):
+    """sample_table's numpy Philox(key=seed) is stream (seed, 0): draw j is the
+    alias map of the uniforms of its words 2j and 2j + 1, in chunks of any size."""
+    m = measures.make_bernoulli_product([0.3, 0.7, 0.6, 0.2])
+    thresh, alias = _build_alias(m.masses)
+    count = 1000
+    u = streams.uniform(streams.words(seed, [np.array([0])], [2 * count])[0][0]).reshape(count, 2)
+    cell = np.minimum((u[:, 0] * m.masks.size).astype(np.int64), m.masks.size - 1)
+    want = m.masks[np.where(u[:, 1] >= thresh[cell], alias[cell], cell)]
+    assert np.array_equal(sample_table(m, seed, count).draws, want)
+    monkeypatch.setattr(streams, "CHUNK_BYTES", 33 * 7)
+    assert np.array_equal(sample_table(m, seed, count).draws, want)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_a_seed_outside_64_bits_is_refused_not_wrapped(seed):
-    """philox (and with it words, Wilson and k-DPP) and the table's numpy key
-    read one rule, inputs.as_seed: a seed outside [0, 2^64) is an error, not
-    the draws of the seed it wraps to."""
+    """philox (and with it words, Wilson, k-DPP and the two observable makers)
+    and the table's numpy key read one rule, inputs.as_seed: a seed outside
+    [0, 2^64) is an error, not the draws of the seed it wraps to."""
     m = measures.make_uniform_k_subsets(4, 2)
     kern = random_projection_kernel(4, 2, seed=1)
     for draw in (lambda: streams.philox(seed, np.arange(3), 0),
                  lambda: streams.words(seed, [np.arange(3)], [5]),
                  lambda: sample_table(m, seed, 5),
                  lambda: wilson_spanning_tree(K4_EDGES, seed, 5),
-                 lambda: sample_kdpp(kern, seed, 5)):
+                 lambda: sample_kdpp(kern, seed, 5),
+                 lambda: functional.random_matrix_fn(m.masks, 2, seed),
+                 lambda: random_linear_matrix_fn(4, m.masks, 2, 1.0, seed)):
         with pytest.raises(OutOfRange, match=rf"seed must lie in \[0, 2\^64\), got {seed}$"):
             draw()
 

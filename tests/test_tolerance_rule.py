@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import name_seed
+from conftest import name_seed, random_symmetric
 from srconc import chains, concentration as cc, functional, matrix_core as mx, measures
 from srconc.functional import MatrixFn, random_matrix_fn
 
@@ -205,32 +205,32 @@ def _suite(walk):
     as criterion 5 draws them."""
 
     def diff_square(rng, d):
-        mats = [mx.random_symmetric(rng, d, 1.5) for _ in range(4)]
+        mats = [random_symmetric(rng, d, 1.5) for _ in range(4)]
         return mx.check_diff_square_convex, ref_diff_square_convex, \
             (*mats, float(rng.uniform()))
 
     def monotone(rng, d):
-        a = mx.random_symmetric(rng, d, 1.5)
-        bump = mx.random_symmetric(rng, d, 1.0)
+        a = random_symmetric(rng, d, 1.5)
+        bump = random_symmetric(rng, d, 1.0)
         return mx.check_trace_monotone, ref_trace_monotone, (np.exp, a, a + bump @ bump.T)
 
     def jensen(form, fn):
         def draw(rng, d):
             dec = mx.IdentityDecomposition.from_weights(rng.dirichlet(np.ones(3)), d)
-            mats = [mx.random_symmetric(rng, d, 1.5) for _ in range(3)]
+            mats = [random_symmetric(rng, d, 1.5) for _ in range(3)]
             return mx.check_operator_jensen, ref_operator_jensen, (fn, dec, mats, form)
         return draw
 
     def int_norm(rng, d):
-        a, b, x = (mx.random_symmetric(rng, d, 1.5) for _ in range(3))
+        a, b, x = (random_symmetric(rng, d, 1.5) for _ in range(3))
         p = (2, 4, np.inf)[int(rng.integers(3))]
         return mx.check_int_norm_bound, ref_int_norm_bound, (a @ a.T, b @ b.T, x, p)
 
     def lemma_var(p):
         def draw(rng, d):
             w = rng.dirichlet(np.ones(3))
-            pairs = [(w[i], mx.random_symmetric(rng, d, 1.5),
-                      mx.random_symmetric(rng, d, 1.5)) for i in range(3)]
+            pairs = [(w[i], random_symmetric(rng, d, 1.5),
+                      random_symmetric(rng, d, 1.5)) for i in range(3)]
             return mx.check_lemma_var, ref_lemma_var, (pairs, p)
         return draw
 
