@@ -25,9 +25,9 @@ _EXPORTS = {
         "homogeneity_degree", "make_bernoulli_product", "make_projection_dpp",
         "make_spanning_tree_measure", "make_uniform_k_subsets", "validate"),
     "matrix_core": (
-        "IdentityDecomposition", "check_diff_square_convex", "check_int_norm_bound",
-        "check_lemma_var", "check_operator_jensen", "check_trace_monotone",
-        "duhamel_residual", "psd_leq", "schatten_norm", "spectral_norm", "trace_power"),
+        "check_diff_square_convex", "check_int_norm_bound", "check_lemma_var",
+        "check_operator_jensen", "check_trace_monotone", "duhamel_residual", "psd_leq",
+        "schatten_norm", "spectral_norm", "trace_power"),
     "chains": (
         "Decomposition", "Generator", "ScpResult", "chi", "crude_chi_bound", "decompose",
         "delta", "flip_swap_adjacent", "flip_swap_average", "hermon_salez", "scp_check",

@@ -284,8 +284,7 @@ def cmd_ineq_suite(cfg: dict) -> int:
 
     def t_jensen(fn, form):
         return lambda mats, w, d: matrix_core.check_operator_jensen(
-            fn, matrix_core.IdentityDecomposition.from_weights(streams.simplex(w[:, :3]), d),
-            list(mats.swapaxes(0, 1)), form, tol)
+            fn, streams.simplex(w[:, :3]).T, list(mats.swapaxes(0, 1)), form, tol)
 
     def t_diff_sq(mats, w, d):
         return matrix_core.check_diff_square_convex(*mats.swapaxes(0, 1),

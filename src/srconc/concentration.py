@@ -250,6 +250,12 @@ class TailBound(NamedTuple):
     capped: float
 
 
+def _exponent(ratio: float, r: float, c: float) -> float:
+    """ratio = t^2 / (c (s^2 + t s)), r = s / t; where t^2 and the denominator both
+    overflow (inf / inf is NaN), the same ratio with t^2 divided out."""
+    return 1.0 / (c * (r * r + r)) if math.isnan(ratio) else ratio
+
+
 def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
     """2d exp(-t^2 / (4 (v^2/lam + t v / sqrt(lam)))); 0 for a constant F, v = 0."""
     t = in_range(t, "t")
@@ -259,7 +265,7 @@ def tail_bound_poincare(t: float, lam: float, v: float, d: int) -> TailBound:
         return TailBound(0.0, 0.0)
     _positive_gap(lam)
     denom = 4.0 * (v * v / lam + t * v / math.sqrt(lam))
-    raw = 2.0 * d * math.exp(-t * t / denom)
+    raw = 2.0 * d * math.exp(-_exponent(t * t / denom, v / math.sqrt(lam) / t, 4.0))
     return TailBound(raw, min(1.0, raw))
 
 
@@ -268,7 +274,7 @@ def tail_bound_sr(t: float, k: int, lipschitz: float, d: int) -> float:
     t, lipschitz = in_range(t, "t"), in_range(lipschitz, "lipschitz")
     k, d = at_least(k, "k", 1), at_least(d, "d", 1)
     denom = 32.0 * (k * lipschitz**2 + t * math.sqrt(k) * lipschitz)
-    return 2.0 * d * math.exp(-t * t / denom)
+    return 2.0 * d * math.exp(-_exponent(t * t / denom, math.sqrt(k) * lipschitz / t, 32.0))
 
 
 def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:

@@ -66,13 +66,15 @@ class MatrixFn:
                 or values.shape[-2] != values.shape[-1] or values.shape[-1] < 1:
             raise BadValues(f"values have shape {values.shape}, "
                             f"expected ([N,] {states.size}, d, d) with d >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
+            values = (values + values.mT) / 2.0
         if not np.isfinite(values).all():
             raise BadValues("values must be finite")
         order = np.argsort(states)
         keys = states[order]
         if (repeated := keys[1:][keys[1:] == keys[:-1]]).size:
             raise BadValues(f"state {int(repeated[0]):#x} is listed twice")
-        values = _sealed((values + values.mT) / 2.0)
+        values = _sealed(values)
         object.__setattr__(self, "_sorted", (keys, order))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", values)

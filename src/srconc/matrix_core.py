@@ -13,7 +13,7 @@ The ``check_*`` functions return booleans rather than raising: each one
 evaluates both sides of an inequality that is supposed to be a theorem
 for its admissible inputs and reports whether they are ``within`` tol.
 Every checker and norm takes a leading trial axis: stacks (N, d, d), with N
-scalars where a trial has one (segment t, pair and decomposition weights),
+scalars where a trial has one (segment t, Jensen and pair weights),
 give N verdicts or values, each bit for bit what the trial gives alone, and
 one (d, d) matrix a bool or float.  ``ineq-suite`` checks a statement's trials
 of one size (and p) in one call.  ``symmetrized`` turns counter-stream normals
@@ -22,7 +22,6 @@ into every random symmetric matrix, the suite's and the random observables'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,6 @@ from .inputs import at_least
 from .measures import InvalidInput, NumericFailure, as_integer, within
 
 DEFAULT_QUAD_POINTS = 64
-DECOMP_TOL = 1e-10
 
 
 class MatrixError(InvalidInput):
@@ -51,10 +49,6 @@ class NotSymmetric(MatrixError):
 
 
 class PreconditionViolated(MatrixError):
-    pass
-
-
-class BadDecomposition(MatrixError):
     pass
 
 
@@ -164,68 +158,34 @@ def check_trace_monotone(fn, a, h, tol: float = 1e-8):
     return within(lhs, rhs, tol, np.maximum(abs(lhs), abs(rhs)))
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityDecomposition:
-    """Factors K_i with sum_i K_i^T K_i = I (checked on validate), each one
-    (d, d) matrix or a stack (N, d, d) with one decomposition per trial."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(k, dtype=float) for k in self.factors)
-        if not mats:
-            raise BadDecomposition("no factors")
-        shape = mats[0].shape
-        if len(shape) < 2 or shape[-1] != shape[-2] or any(k.shape != shape for k in mats):
-            raise DimMismatch("factors must share one square shape")
-        object.__setattr__(self, "factors", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.factors[0].shape[-1]
-
-    def resolution_defect(self):
-        acc = sum(k.mT @ k for k in self.factors)
-        return _out(np.abs(acc - np.eye(self.dim)).max(axis=(-2, -1)))
-
-    def validate(self) -> None:
-        defect = self.resolution_defect()
-        if not np.all(defect <= DECOMP_TOL):  # a NaN defect fails
-            raise BadDecomposition(f"sum K_i^T K_i deviates from I by {np.max(defect):.3e}")
-
-    @staticmethod
-    def from_weights(weights, dim: int) -> "IdentityDecomposition":
-        """sqrt(w_i) I per weight; weights (m,), or (N, m) for N decompositions."""
-        weights = np.asarray(weights, dtype=float)
-        if not ((weights >= 0).all() and (abs(weights.sum(axis=-1) - 1.0) <= DECOMP_TOL).all()):
-            raise BadDecomposition("weights must be convex coefficients")
-        return IdentityDecomposition(
-            tuple(np.sqrt(w)[..., None, None] * np.eye(dim) for w in weights.T))
+def _convex(weights) -> np.ndarray:
+    """weights as floats, PreconditionViolated unless each column is convex
+    coefficients: nonnegative, summing along axis 0 to 1 within 1e-10 (NaN fails)."""
+    weights = np.asarray(weights, dtype=float)
+    if not ((weights >= 0).all() and (abs(weights.sum(axis=0) - 1.0) <= 1e-10).all()):
+        raise PreconditionViolated("weights must be convex coefficients")
+    return weights
 
 
-def check_operator_jensen(fn, decomp: IdentityDecomposition, mats,
-                          form: str = "operator", tol: float = 1e-8) -> bool:
-    """Jensen for an identity decomposition.
+def check_operator_jensen(fn, weights, mats, form: str = "operator", tol: float = 1e-8):
+    """Jensen for convex weights w_i, k of them or (k, N) for N trials.
 
     operator form (fn operator convex):
-        fn(sum K_i^T A_i K_i) <= sum K_i^T fn(A_i) K_i  in the PSD order
+        fn(sum w_i A_i) <= sum w_i fn(A_i)  in the PSD order
     trace form (fn merely convex):
-        Tr fn(sum K_i^T A_i K_i) <= Tr[sum K_i^T fn(A_i) K_i]
+        Tr fn(sum w_i A_i) <= sum w_i Tr fn(A_i), the right side from eigenvalues
     """
-    decomp.validate()
+    weights = _convex(weights)
     mats = [require_symmetric(a, f"mats[{i}]") for i, a in enumerate(mats)]
-    if len(mats) != len(decomp.factors):
-        raise BadDecomposition(
-            f"{len(mats)} matrices for {len(decomp.factors)} factors")
-    if any(a.shape != decomp.factors[0].shape for a in mats):
-        raise DimMismatch("matrix shape differs from factor shape")
-    mixed = sum(k.mT @ a @ k for k, a in zip(decomp.factors, mats))
-    pushed = sum(k.mT @ sym_apply(a, fn) @ k for k, a in zip(decomp.factors, mats))
+    if len(mats) != len(weights) or any(a.shape != mats[0].shape for a in mats):
+        raise DimMismatch(f"{len(weights)} weights need as many matrices of one shape")
+    mixed = sum(w[..., None, None] * a for w, a in zip(weights, mats))
     if form == "operator":
+        pushed = sum(w[..., None, None] * sym_apply(a, fn) for w, a in zip(weights, mats))
         return psd_leq(sym_apply(mixed, fn), pushed, tol)
     if form == "trace":
         lhs = fn(np.linalg.eigvalsh(mixed)).sum(axis=-1)
-        rhs = np.trace(pushed, axis1=-2, axis2=-1)
+        rhs = sum(w * fn(np.linalg.eigvalsh(a)).sum(axis=-1) for w, a in zip(weights, mats))
         return within(lhs, rhs, tol, np.maximum(abs(lhs), abs(rhs)))
     raise ValueError(f"form must be 'operator' or 'trace', got {form!r}")
 
@@ -296,9 +256,7 @@ def check_lemma_var(pairs, p: int, tol: float = 1e-8):
             <= (1/2) E[ ||X - Y||^{2p} (Tr e^{2pX} + Tr e^{2pY}) ].
     """
     p = at_least(p, "p", 1)
-    weights = np.array([w for w, _, _ in pairs], dtype=float)
-    if not ((weights >= 0).all() and (abs(weights.sum(axis=0) - 1.0) <= 1e-9).all()):  # NaN fails
-        raise PreconditionViolated("weights must be convex coefficients")
+    weights = _convex([w for w, _, _ in pairs])
     mean_sq = None
     rhs = 0.0
     for w, (_, x, y) in zip(weights, pairs):

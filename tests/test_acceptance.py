@@ -156,9 +156,7 @@ def test_criterion_05_inequality_suite():
 
     def jensen(fn, form):
         return (lambda rng, d: (rng.dirichlet(np.ones(3)), *sym(rng, d, 3)),
-                lambda w, *mats: mx.check_operator_jensen(
-                    fn, mx.IdentityDecomposition.from_weights(w, mats[0].shape[-1]),
-                    mats, form, tol))
+                lambda w, *mats: mx.check_operator_jensen(fn, w.T, mats, form, tol))
 
     def by_p(ks, options, check):
         """check(mask, p) per p = options[k] drawn, the verdicts joined."""

@@ -315,6 +315,18 @@ def test_poincare_check_rejects_bad_values(tmp_path, capsys, function, needle):
     assert needle in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["poincare-check", "mgf"])
+def test_values_that_overflow_when_symmetrized_are_bad_values(tmp_path, capsys, command):
+    """Entries near the float limit are finite, but (F + F^T) / 2 overflows for this
+    draw: the observable held inf, and poincare-check ended in a LinAlgError (exit 4),
+    mgf in a ValueError (exit 1)."""
+    cfg = write_cfg(tmp_path, "p.json", {
+        "seed": 3, "measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+        "function": {"random": {"kind": "table", "d": 2, "scale": 1e308}}})
+    code, payload = run_json(capsys, [command, "--config", cfg])
+    assert (code, payload) == (2, {"error": "BadValues", "message": "values must be finite"})
+
+
 # ---------------------------------------------------------------- ineq-suite
 
 def test_ineq_suite_passes(tmp_path, capsys):
@@ -695,6 +707,18 @@ def test_tail_exact_mode(tmp_path, capsys):
         assert float(prob) <= float(bs) + 1e-8
         assert dom in ("poincare", "sr", "ks")
         assert bk != ""           # homogeneous with k = 2 fills the ks column
+
+
+def test_tail_at_a_t_whose_square_overflows(tmp_path, capsys):
+    """At t_grid.max = 1e308 the Poincare and SR bounds read inf / inf = NaN, a
+    false violation (exit 3) where the exact tail is 0."""
+    cfg = write_cfg(tmp_path, "t.json", {
+        "measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+        "function": {"random": {"kind": "linear", "d": 2, "L": 1.0, "seed": 3}},
+        "t_grid": {"max": 1e308, "points": 2}})
+    code, rows = run_csv(capsys, ["tail", "--config", cfg])
+    assert code == 0
+    assert [row[1:6] for row in rows[1:]] == [["0.0", "", "0.0", "0.0", "0.0"]] * 2
 
 
 def test_tail_empirical_mode(tmp_path, capsys):

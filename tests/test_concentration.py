@@ -631,6 +631,16 @@ def test_tail_sr_frozen_value():
         tail_bound_sr(1.0, 0, 1.0, 1)
 
 
+def test_tail_bounds_where_t_squared_overflows():
+    """Past t ~ 1e154, t * t and the denominator both overflow and inf / inf made the
+    bounds NaN; the exponent is then the same ratio with t^2 divided out, which is
+    large where t dominates and 1 / (4 (r^2 + r)), r = v / (t sqrt(lam)), where v ~ t."""
+    assert tail_bound_poincare(1e308, 0.5, 1.0, 2) == (0.0, 0.0)
+    assert tail_bound_sr(1e308, 2, 1.0, 2) == 0.0
+    assert tail_bound_sr(1e300, 1, 1e100, 1) == 0.0
+    assert tail_bound_poincare(1e300, 1.0, 1e300, 1).raw == 2 * math.exp(-1 / 8)
+
+
 def test_tail_poincare_refuses_nan_inf_and_a_negative_v():
     """NaN passed `t <= 0`, so a NaN t was a capped bound of 1; an infinite t
     gave raw = NaN, an infinite lam divided by zero, a negative v a bound of 0.

@@ -49,7 +49,9 @@ def test_matrix_fn_shape_check():
 
 
 @pytest.mark.parametrize("values", [
-    np.full((1, 2, 2), np.nan), np.full((1, 1, 1), np.inf), np.zeros((2, 0, 0))])
+    np.full((1, 2, 2), np.nan), np.full((1, 1, 1), np.inf), np.zeros((2, 0, 0)),
+    np.array([[[0.0, np.inf], [-np.inf, 0.0]]]),
+    np.full((1, 2, 2), 1.5e308)])  # finite, but (values + values^T) / 2 overflows
 def test_matrix_fn_rejects_non_finite_and_empty(values):
     with pytest.raises(functional.FunctionalError):
         MatrixFn(np.arange(values.shape[0]), values)
@@ -65,16 +67,13 @@ def test_gather_aligns_and_rejects():
 
 
 def test_records_compare_and_hash_by_identity():
-    """MatrixFn, SampleBatch and IdentityDecomposition hold arrays; with the
-    generated __eq__, `==` compared them, which raised, and hash() raised."""
-    from srconc.matrix_core import IdentityDecomposition
+    """MatrixFn and SampleBatch hold arrays; with the generated __eq__, `==`
+    compared them, which raised, and hash() raised."""
     from srconc.samplers import SampleBatch
     fn = MatrixFn(np.array([1, 2]), np.zeros((2, 1, 1)))
     batch = SampleBatch(0, 2, np.array([1, 2]))
-    dec = IdentityDecomposition.from_weights([0.5, 0.5], 2)
     for record, twin in ((fn, MatrixFn(fn.states, fn.values)),
-                         (batch, SampleBatch(0, 2, batch.draws)),
-                         (dec, IdentityDecomposition(dec.factors))):
+                         (batch, SampleBatch(0, 2, batch.draws))):
         assert record == record and record != twin
         assert record in [twin, record] and twin not in [record]
         assert len({record, twin, record}) == 2

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from srconc import matrix_core as mc
 from srconc import measures
 from srconc.matrix_core import (
-    BadDecomposition,
     DimMismatch,
-    IdentityDecomposition,
     NonFinite,
     NotPSD,
     NotSymmetric,
@@ -155,51 +153,44 @@ def test_trace_monotone_rank_one_sweep():
         assert check_trace_monotone(np.exp, a, a + np.outer(p, p))
 
 
-def test_identity_decomposition_validation():
-    dec = IdentityDecomposition.from_weights([0.25, 0.75], 3)
-    dec.validate()
-    assert dec.resolution_defect() < 1e-15
-    with pytest.raises(BadDecomposition):
-        IdentityDecomposition.from_weights([0.5, 0.6], 2)
-    with pytest.raises(BadDecomposition):
-        IdentityDecomposition((np.eye(2), np.eye(2))).validate()
+BAD_WEIGHTS = ([0.5, 0.6], [0.3, 0.6], [0.5, 0.5 + 2e-10], [1.5, -0.5], [np.nan, 1.0],
+               [np.nan], [0.5, np.nan, 0.5], [[0.5, 0.5], [0.5, 0.6]])
 
 
-def test_identity_decomposition_rejects_nan():
-    # a NaN defect or weight compares False both ways, so it must fail the test
-    with pytest.raises(BadDecomposition):
-        IdentityDecomposition((np.full((2, 2), np.nan),)).validate()
-    for weights in ([np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5]):
-        with pytest.raises(BadDecomposition):
-            IdentityDecomposition.from_weights(weights, 2)
-    nan_factor = IdentityDecomposition((np.eye(2), np.full((2, 2), np.nan)))
-    with pytest.raises(BadDecomposition):
-        check_operator_jensen(np.square, nan_factor, [np.eye(2), np.eye(2)], "operator")
+@pytest.mark.parametrize("weights", BAD_WEIGHTS, ids=str)
+@pytest.mark.parametrize("checker", ["jensen", "lemma_var"])
+def test_convex_weights_rule_refuses_bad_weights(checker, weights):
+    """Jensen and lemma_var read weights by one rule: nonnegative and summing to 1
+    within 1e-10 (per trial column); a NaN weight compares False both ways and fails."""
+    weights = np.asarray(weights, dtype=float)
+    mats = [np.broadcast_to(np.eye(2), (*w.shape, 2, 2)) for w in weights]
+    with pytest.raises(PreconditionViolated, match="weights must be convex coefficients"):
+        if checker == "jensen":
+            check_operator_jensen(np.square, weights, mats, "operator")
+        else:
+            check_lemma_var([(w, a, a) for w, a in zip(weights, mats)], 1)
 
 
 def test_jensen_single_factor_equality():
-    dec = IdentityDecomposition((np.eye(3),))
     a = random_symmetric(np.random.default_rng(2), 3, 1.0)
-    assert check_operator_jensen(np.square, dec, [a], "operator")
-    assert check_operator_jensen(np.exp, dec, [a], "trace")
+    assert check_operator_jensen(np.square, [1.0], [a], "operator")
+    assert check_operator_jensen(np.exp, [1.0], [a], "trace")
 
 
 def test_jensen_square_operator_form_random():
     rng = np.random.default_rng(31)
     for _ in range(100):
         w = rng.dirichlet(np.ones(3))
-        dec = IdentityDecomposition.from_weights(w, 3)
         mats = [random_symmetric(rng, 3, 1.5) for _ in range(3)]
-        assert check_operator_jensen(np.square, dec, mats, "operator")
+        assert check_operator_jensen(np.square, w, mats, "operator")
 
 
 def test_jensen_quartic_trace_form_random():
     rng = np.random.default_rng(32)
     for _ in range(100):
         w = rng.dirichlet(np.ones(3))
-        dec = IdentityDecomposition.from_weights(w, 3)
         mats = [random_symmetric(rng, 3, 1.5) for _ in range(3)]
-        assert check_operator_jensen(lambda x: x**4, dec, mats, "trace")
+        assert check_operator_jensen(lambda x: x**4, w, mats, "trace")
 
 
 def test_jensen_detects_operator_form_violation():
@@ -207,10 +198,9 @@ def test_jensen_detects_operator_form_violation():
     # the two forms, so the checker is not vacuously true
     rng = np.random.default_rng(39)
     w = rng.dirichlet(np.ones(2))
-    dec = IdentityDecomposition.from_weights(w, 2)
     mats = [random_symmetric(rng, 2, 2.0) for _ in range(2)]
-    assert not check_operator_jensen(lambda x: x**4, dec, mats, "operator")
-    assert check_operator_jensen(lambda x: x**4, dec, mats, "trace")
+    assert not check_operator_jensen(lambda x: x**4, w, mats, "operator")
+    assert check_operator_jensen(lambda x: x**4, w, mats, "trace")
 
 
 def test_jensen_variance_psd_form():
@@ -221,18 +211,14 @@ def test_jensen_variance_psd_form():
     mean = sum(wi * a for wi, a in zip(w, mats))
     second = sum(wi * a @ a for wi, a in zip(w, mats))
     mc._psd_eigh(second - mean @ mean, "E[A^2] - (E A)^2")  # NotPSD unless PSD
-    dec = IdentityDecomposition.from_weights(w, 3)
-    assert check_operator_jensen(np.square, dec, mats, "operator")
+    assert check_operator_jensen(np.square, w, mats, "operator")
 
 
 def test_jensen_shape_guards():
-    dec = IdentityDecomposition.from_weights([0.5, 0.5], 2)
-    with pytest.raises(BadDecomposition):
-        check_operator_jensen(np.square, dec, [np.eye(2)], "operator")
     with pytest.raises(DimMismatch):
-        check_operator_jensen(np.square, dec, [np.eye(3), np.eye(3)], "operator")
+        check_operator_jensen(np.square, [0.5, 0.5], [np.eye(2)], "operator")
     with pytest.raises(ValueError):
-        check_operator_jensen(np.square, dec, [np.eye(2), np.eye(2)], "weird")
+        check_operator_jensen(np.square, [0.5, 0.5], [np.eye(2), np.eye(2)], "weird")
 
 
 def test_diff_square_convex_endpoints_and_random():
@@ -441,8 +427,7 @@ def _weights(rng, n):
 
 def _jensen(fn, form, tol):
     def case(rng, n, d):
-        return (lambda w, mats: check_operator_jensen(
-            fn, IdentityDecomposition.from_weights(w, d), mats, form, tol)), \
+        return (lambda w, mats: check_operator_jensen(fn, w.T, mats, form, tol)), \
             (_weights(rng, n), [_sym(rng, n, d) for _ in range(3)])
     return case
 
