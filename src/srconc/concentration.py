@@ -28,10 +28,8 @@ import numpy as np
 from .chains import Generator
 from .functional import MatrixFn, dirichlet_form, matrix_mean
 from .inputs import at_least, in_range
-from .matrix_core import _out, _scalar_pow, trace_power
+from .matrix_core import _out, _rebuild, _scalar_pow, trace_power
 from .measures import NumericFailure, within
-
-REFINE_ITERS = 48   # golden-section steps in `laplace_tail`
 
 
 class ConcentrationError(NumericFailure):
@@ -81,8 +79,8 @@ def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     # bound can attain the max, and only they get the exact (SVD) norm.  The
     # 1e-12 margin absorbs rounding; dividing by the largest entry keeps the
     # fourth powers from under- or overflowing.  The differences are scaled
-    # in place; the kept ones are taken again and normed once per distinct
-    # bytes, so v, a max of exact norms, is each observable's own alone.
+    # in place; the kept ones are taken again and each gets its exact norm,
+    # so v, a max of exact norms, is each observable's own alone.
     if not (live := scale > 0.0).any():  # max |entry|; v = 0 where it is 0
         return OscillationStats(_out(np.zeros(vals.shape[:-3])), int(i.size))
     scale = np.where(live, scale, 1.0)[:, None]
@@ -93,10 +91,8 @@ def _oscillation(gen: Generator, fn: MatrixFn) -> OscillationStats:
     floor = np.linalg.svd(stack[at, i[top]] - stack[at, j[top]], compute_uv=False).max(axis=-1)
     fn_at, edge = np.nonzero(live[:, None] & (bound >= floor / scale * (1.0 - 1e-12)))
     kept = stack[fn_at, i[edge]] - stack[fn_at, j[edge]]
-    rows = kept.reshape(kept.shape[0], -1).view(np.dtype((np.void, kept[0].nbytes)))
-    _, first, back = np.unique(rows.ravel(), return_index=True, return_inverse=True)
     v = np.where(live, floor[:, 0], 0.0)
-    np.maximum.at(v, fn_at, np.linalg.svd(kept[first], compute_uv=False).max(axis=-1)[back])
+    np.maximum.at(v, fn_at, np.linalg.svd(kept, compute_uv=False).max(axis=-1))
     return OscillationStats(_out(v.reshape(vals.shape[:-3])), int(i.size))
 
 
@@ -132,7 +128,12 @@ class TraceMgf:
 
     def tail(self, ts) -> np.ndarray:
         """P[||F - E F|| >= t] for each t."""
-        return np.array([float(self.weights[self.devs >= t].sum()) for t in ts])
+        return _tail_mass(self.devs, self.weights, ts)
+
+
+def _tail_mass(devs, weights, ts) -> np.ndarray:
+    """weights[devs >= t].sum() per t: exact tails with pi, sampled ones with draw counts."""
+    return np.array([weights[devs >= t].sum() for t in ts])
 
 
 def spectrum(gen: Generator, fn: MatrixFn) -> TraceMgf:
@@ -150,8 +151,7 @@ def check_dirichlet_trace_bound(gen: Generator, fn: MatrixFn, p: int,
     """Tr[E_Q(e^F, e^F)^p] <= v(F)^{2p} Tr E[e^{2pF}], per observable of a stack."""
     p = at_least(p, "p", 1)
     lam, vec = _eigh(gen, fn)
-    expf = (vec * np.exp(lam)[..., None, :]) @ vec.mT
-    lhs = trace_power(dirichlet_form(gen, expf), p)
+    lhs = trace_power(dirichlet_form(gen, _rebuild(np.exp(lam), vec)), p)
     mass = np.exp(2 * p * lam).sum(axis=-1)[..., None, :] @ gen.pi[:, None]  # a dot each
     rhs = _scalar_pow(oscillation(gen, fn).v, 2 * p) * mass[..., 0, 0]
     return within(lhs, rhs, tol, rhs)
@@ -273,7 +273,8 @@ def tail_bound_sr(t: float, k: int, lipschitz: float, d: int) -> float:
     """2d exp(-t^2 / (32 (k L^2 + t sqrt(k) L))) for k-homogeneous SCP laws."""
     t, lipschitz = in_range(t, "t"), in_range(lipschitz, "lipschitz")
     k, d = at_least(k, "k", 1), at_least(d, "d", 1)
-    denom = 32.0 * (k * lipschitz**2 + t * math.sqrt(k) * lipschitz)
+    square = lipschitz**2 if lipschitz < 2.0**512 else math.inf  # L**2 raises from 2^512 on
+    denom = 32.0 * (k * square + t * math.sqrt(k) * lipschitz)
     return 2.0 * d * math.exp(-_exponent(t * t / denom, math.sqrt(k) * lipschitz / t, 32.0))
 
 
@@ -288,11 +289,10 @@ def tail_bound_sr_composed(t: float, k: int, lipschitz: float, d: int) -> float:
 
 
 def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
-    """2 min_theta exp(-theta t + log m(theta)) over a positive grid.
-
-    With a callable mgf the minimum is refined by golden-section around
-    the best grid point; grid values alone already give a valid bound.
-    """
+    """2 min_theta exp(-theta t + log m(theta)) over a positive grid: every theta > 0
+    gives a valid bound.  With a callable mgf, an interior grid minimum adds one
+    value, at the vertex of the parabola through its exponent and its neighbours'
+    (one Newton step), clamped to their span; a flat triple adds none."""
     thetas = np.asarray(thetas, dtype=float)
     m_values = np.asarray(m_values, dtype=float)
     if thetas.size == 0 or m_values.size == 0:
@@ -304,28 +304,15 @@ def laplace_tail(thetas, m_values, t: float, mgf=None) -> float:
     if (m_values <= 0.0).any():
         raise ValueError("mgf values must be positive")
     exponents = -thetas * t + np.log(m_values)
-    best = float(exponents.min())
-    if mgf is not None:
-        i = int(np.argmin(exponents))
-        lo = thetas[max(0, i - 1)]
-        hi = thetas[min(thetas.size - 1, i + 1)]
-        if hi > lo:
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            c = b - invphi * (b - a)
-            dd = a + invphi * (b - a)
-            fc = -c * t + math.log(mgf(c))
-            fd = -dd * t + math.log(mgf(dd))
-            for _ in range(REFINE_ITERS):
-                if fc < fd:
-                    b, dd, fd = dd, c, fc
-                    c = b - invphi * (b - a)
-                    fc = -c * t + math.log(mgf(c))
-                else:
-                    a, c, fc = c, dd, fd
-                    dd = a + invphi * (b - a)
-                    fd = -dd * t + math.log(mgf(dd))
-            best = min(best, fc, fd)
+    i = int(np.argmin(exponents))
+    best = float(exponents[i])
+    if mgf is not None and 0 < i < thetas.size - 1:
+        (a, b, c), (fa, fb, fc) = thetas[i - 1:i + 2].tolist(), exponents[i - 1:i + 2].tolist()
+        p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+        vertex = b - ((b - a) * p - (b - c) * q) / (2.0 * (p - q)) if p != q else math.nan
+        theta = min(max(vertex, min(a, c)), max(a, c))  # a NaN vertex stays NaN
+        if math.isfinite(theta):
+            best = min(best, -theta * t + math.log(mgf(theta)))
     return 2.0 * math.exp(best)
 
 

@@ -323,16 +323,12 @@ def empirical_tail(fn: MatrixFn, batch: SampleBatch, ts,
 
 def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]:
     """Empirical tail of the batch, reading each draw's deviation from devs
-    (aligned to the ascending states).
-
-    The draws are sorted once, so the draws of each state are one run of
-    them, bounded by two searchsorteds of the states: the run lengths are the
-    counts per state, and they sum to the count exactly when every draw is
-    in the support.  The draws whose state has devs < t are a prefix sum of
-    those counts in devs order, read at searchsorted(devs in that order, t,
-    "left"); the hits of t are the rest of the batch.  Beside the batch,
-    only its sorted copy grows with the count.
-    """
+    (aligned to the ascending states).  The draws are sorted once, and two
+    searchsorteds of the states count the draws per state, which sum to the
+    count exactly when every draw is in the support; the hits of t sum the
+    counts of the states with devs >= t.  Beside the batch, only its sorted
+    copy grows with the count."""
+    from .concentration import _tail_mass
     from .functional import DomainMismatch
     if batch.count == 0:
         raise ValueError("empty batch")
@@ -341,10 +337,8 @@ def sampled_tail(states, devs, batch: SampleBatch, ts) -> list[EmpiricalTailRow]
     if counts.sum() != batch.count:
         first = batch.draws[~np.isin(batch.draws, states)][0]  # in draw order
         raise DomainMismatch(f"draw {int(first):#x} outside the measure's support")
-    order = np.argsort(devs, kind="stable")
-    below = np.concatenate(([0], np.cumsum(counts[order])))
     ts = np.asarray(ts, dtype=float)
-    hits = batch.count - below[np.searchsorted(devs[order], ts, side="left")]  # devs >= t
+    hits = _tail_mass(devs, counts, ts)
     return [EmpiricalTailRow(float(t), float(h / batch.count), float(c))
             for t, h, c in zip(ts, hits, _cp_upper(hits, batch.count, 0.99))]
 

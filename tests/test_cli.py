@@ -721,6 +721,19 @@ def test_tail_at_a_t_whose_square_overflows(tmp_path, capsys):
     assert [row[1:6] for row in rows[1:]] == [["0.0", "", "0.0", "0.0", "0.0"]] * 2
 
 
+def test_tail_at_a_lipschitz_constant_whose_square_overflows(tmp_path, capsys):
+    """L = 1e200 made tail_bound_sr square L past the largest float: an
+    OverflowError and exit 4 in place of the table."""
+    cfg = write_cfg(tmp_path, "t.json", {
+        "seed": 3, "measure": {"family": "uniform_k_subsets", "n": 4, "k": 2},
+        "function": {"random": {"kind": "linear", "d": 2, "L": 1e200}},
+        "t_grid": {"points": 3}})
+    code, rows = run_csv(capsys, ["tail", "--config", cfg])
+    assert code == 0 and len(rows) == 4
+    for row in rows[1:]:
+        assert float(row[1]) <= min(float(row[3]), float(row[4])) <= 4.0
+
+
 def test_tail_empirical_mode(tmp_path, capsys):
     out = tmp_path / "tail.csv"
     cfg = write_cfg(tmp_path, "t.json", {
